@@ -92,7 +92,8 @@ mergeOutcome(const AccessOutcome &out, hier::LevelEvents &ev)
 
 Cache::Cache(const CacheConfig &config, hier::MemLevel &next_level,
              const Compressor *compressor, CompressionGovernor *governor)
-    : cfg(validated(config)), next(next_level), comp(compressor),
+    : cfg(validated(config)), blockShift(floorLog2(cfg.blockSize)),
+      next(next_level), comp(compressor),
       gov(governor), shadow(config.sets(), config.ways, config.blockSize)
 {
     // One tag slot per potential resident (2x ways when compressed)
@@ -132,19 +133,19 @@ Cache::Cache(const CacheConfig &config, hier::MemLevel &next_level,
 unsigned
 Cache::setIndex(Addr addr) const
 {
-    return tagLayout_->setIndex(addr / cfg.blockSize);
+    return tagLayout_->setIndex(blockOf(addr));
 }
 
 std::uint64_t
 Cache::tagOf(Addr addr) const
 {
-    return tagLayout_->tagOf(addr / cfg.blockSize);
+    return tagLayout_->tagOf(blockOf(addr));
 }
 
 Addr
 Cache::blockBase(Addr addr) const
 {
-    return addr / cfg.blockSize * cfg.blockSize;
+    return blockOf(addr) << blockShift;
 }
 
 Cache::Line *
@@ -446,7 +447,7 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
                   unsigned size, Cycles now, bool write_no_allocate)
 {
     kagura_assert(size >= 1 && size <= cfg.blockSize);
-    kagura_assert(addr / cfg.blockSize == (addr + size - 1) / cfg.blockSize);
+    kagura_assert(blockOf(addr) == blockOf(addr + size - 1));
     clock = now;
 
     AccessOutcome out;
@@ -528,7 +529,8 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
             out.latency += comp->costs().compressLatency;
     }
 
-    const unsigned offset = static_cast<unsigned>(addr % cfg.blockSize);
+    const unsigned offset =
+        static_cast<unsigned>(addr & (cfg.blockSize - 1));
     const unsigned occupiedBeforeWrite = line->occupied;
     if (is_write) {
         kagura_assert(data != nullptr);

@@ -238,6 +238,9 @@ class Cache : public hier::MemLevel
     /** The geometry this cache was built with. */
     const CacheConfig &config() const { return cfg; }
 
+    /** Block number of @p addr (addr / blockSize, as a shift). */
+    std::uint64_t blockOf(Addr addr) const { return addr >> blockShift; }
+
     // --- hier::MemLevel (serving as a shared lower level) ----------------
 
     /**
@@ -374,6 +377,8 @@ class Cache : public hier::MemLevel
     void resetAllLines(tags::ResetCause cause);
 
     CacheConfig cfg;
+    /** log2(blockSize); validated() guarantees a power of two. */
+    unsigned blockShift;
     hier::MemLevel &next;
     const Compressor *comp;
     CompressionGovernor *gov;

@@ -11,20 +11,21 @@ constexpr std::uint64_t invalidTag = ~0ULL;
 } // namespace
 
 ShadowTags::ShadowTags(unsigned sets_, unsigned ways_, unsigned block_size)
-    : sets(sets_), ways(ways_), blockShift(floorLog2(block_size))
+    : ways(ways_), blockShift(floorLog2(block_size)), split(sets_)
 {
     kagura_assert(isPowerOfTwo(block_size));
-    kagura_assert(sets > 0 && ways > 0);
+    kagura_assert(sets_ > 0 && ways > 0);
     stacks.assign(
-        sets, std::vector<Entry>(2 * ways, Entry{invalidTag, false, false}));
+        sets_,
+        std::vector<Entry>(2 * ways, Entry{invalidTag, false, false}));
 }
 
 unsigned
 ShadowTags::touch(Addr addr)
 {
     const std::uint64_t block = addr >> blockShift;
-    auto &stack = stacks[block % sets];
-    const std::uint64_t tag = block / sets;
+    auto &stack = stacks[split.set(block)];
+    const std::uint64_t tag = split.line(block);
 
     unsigned depth = depthMiss;
     for (unsigned i = 0; i < stack.size(); ++i) {
@@ -50,8 +51,8 @@ int
 ShadowTags::compressibleRating(Addr addr) const
 {
     const std::uint64_t block = addr >> blockShift;
-    const auto &stack = stacks[block % sets];
-    const std::uint64_t tag = block / sets;
+    const auto &stack = stacks[split.set(block)];
+    const std::uint64_t tag = split.line(block);
     for (const Entry &entry : stack) {
         if (entry.tag == tag) {
             if (!entry.rated)
@@ -66,8 +67,8 @@ void
 ShadowTags::setCompressible(Addr addr, bool compressible)
 {
     const std::uint64_t block = addr >> blockShift;
-    auto &stack = stacks[block % sets];
-    const std::uint64_t tag = block / sets;
+    auto &stack = stacks[split.set(block)];
+    const std::uint64_t tag = split.line(block);
     for (Entry &entry : stack) {
         if (entry.tag == tag) {
             entry.compressible = compressible;

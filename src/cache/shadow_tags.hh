@@ -65,9 +65,9 @@ class ShadowTags
     unsigned realWays() const { return ways; }
 
   private:
-    unsigned sets;
     unsigned ways;
     unsigned blockShift;
+    SetSplit split;
 
     struct Entry
     {

@@ -71,6 +71,42 @@ floorLog2(std::uint64_t v)
     return log;
 }
 
+/**
+ * Splits a block number into its set (`block % sets`) and its line
+ * within the set (`block / sets`). A power-of-two set count -- every
+ * Table I, sweep and L2 geometry -- takes a mask and a shift instead
+ * of the divisions; other counts keep them.
+ */
+class SetSplit
+{
+  public:
+    explicit SetSplit(unsigned sets)
+        : count(sets), pow2(isPowerOfTwo(sets)),
+          shift(pow2 ? floorLog2(sets) : 0)
+    {
+    }
+
+    /** block % sets. */
+    unsigned
+    set(std::uint64_t block) const
+    {
+        return static_cast<unsigned>(pow2 ? block & (count - 1)
+                                          : block % count);
+    }
+
+    /** block / sets. */
+    std::uint64_t
+    line(std::uint64_t block) const
+    {
+        return pow2 ? block >> shift : block / count;
+    }
+
+  private:
+    std::uint64_t count;
+    bool pow2;
+    unsigned shift;
+};
+
 } // namespace kagura
 
 #endif // KAGURA_COMMON_TYPES_HH

@@ -28,7 +28,7 @@ Core::merge(AccessOutcome &dst, const AccessOutcome &src)
 void
 Core::fetch(Addr pc, Cycles now, StepResult &result)
 {
-    const Addr block = pc / icache.config().blockSize;
+    const Addr block = icache.blockOf(pc);
     if (fetchBlockValid && block == fetchBlock) {
         // Line-buffer hit: the instruction issues without touching the
         // ICache array (one pipeline cycle, no array energy).

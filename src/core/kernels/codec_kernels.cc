@@ -306,7 +306,11 @@ g721Quantise(int sample, int &estimate, int &scale,
     for (unsigned step = 32; step > 0; step >>= 1) {
         const int level = static_cast<int>(
             rec.peek(lay.quantTable + 4 * ((code | step) - 1), 4));
-        if (mag * 12 >= level * scale / 16)
+        // mag * 12 wraps modulo 2^32 as the target's int multiply
+        // does (computed unsigned, so the wrap is defined).
+        const auto mag12 = static_cast<int>(
+            static_cast<unsigned>(mag) * 12u);
+        if (mag12 >= level * scale / 16)
             code |= step;
     }
     if (code > 63)

@@ -300,19 +300,23 @@ fft()
                         rec.load(twiddle + 4 * (j * step), 4));
                     const auto c = static_cast<std::int16_t>(tw & 0xffff);
                     const auto s = static_cast<std::int16_t>(tw >> 16);
-                    const std::int32_t tr =
-                        (br * c - bi * s) >> 14;
-                    const std::int32_t ti =
-                        (br * s + bi * c) >> 14;
+                    // 32-bit two's-complement arithmetic, as the
+                    // target computes it: products and sums wrap
+                    // modulo 2^32 (unsigned, so the wrap is defined).
+                    const auto u = [](std::int32_t v) {
+                        return static_cast<std::uint32_t>(v);
+                    };
+                    const auto tr = static_cast<std::int32_t>(
+                                        u(br) * u(c) - u(bi) * u(s)) >>
+                                    14;
+                    const auto ti = static_cast<std::int32_t>(
+                                        u(br) * u(s) + u(bi) * u(c)) >>
+                                    14;
                     rec.alu(12); // complex multiply + butterflies
-                    rec.store(real + 4 * a,
-                              static_cast<std::uint32_t>(ar + tr), 4);
-                    rec.store(imag + 4 * a,
-                              static_cast<std::uint32_t>(ai + ti), 4);
-                    rec.store(real + 4 * b,
-                              static_cast<std::uint32_t>(ar - tr), 4);
-                    rec.store(imag + 4 * b,
-                              static_cast<std::uint32_t>(ai - ti), 4);
+                    rec.store(real + 4 * a, u(ar) + u(tr), 4);
+                    rec.store(imag + 4 * a, u(ai) + u(ti), 4);
+                    rec.store(real + 4 * b, u(ar) - u(tr), 4);
+                    rec.store(imag + 4 * b, u(ai) - u(ti), 4);
                     rec.endIteration();
                 }
             }

@@ -17,13 +17,19 @@ Workload::Workload(std::string name, std::vector<MicroOp> ops,
     : label(std::move(name)), stream(std::move(ops)),
       image(std::move(image_))
 {
+    for (const auto &[addr, byte] : image) {
+        if (runs.empty() ||
+            runs.back().base + runs.back().bytes.size() != addr)
+            runs.push_back({addr, {}});
+        runs.back().bytes.push_back(byte);
+    }
 }
 
 void
 Workload::applyImage(Nvm &nvm) const
 {
-    for (const auto &[addr, byte] : image)
-        nvm.writeBytes(addr, &byte, 1);
+    for (const ImageRun &run : runs)
+        nvm.writeBytes(run.base, run.bytes.data(), run.bytes.size());
 }
 
 std::uint64_t
@@ -135,31 +141,26 @@ void
 TraceRecorder::initData(Addr addr, const void *bytes, std::size_t count)
 {
     const auto *src = static_cast<const std::uint8_t *>(bytes);
-    for (std::size_t i = 0; i < count; ++i) {
-        memory[addr + i] = src[i];
+    memory.write(addr, src, count);
+    for (std::size_t i = 0; i < count; ++i)
         image[addr + i] = src[i];
-    }
 }
 
 void
 TraceRecorder::initValue(Addr addr, std::uint64_t value, unsigned size)
 {
-    for (unsigned i = 0; i < size; ++i) {
-        const auto byte = static_cast<std::uint8_t>(value >> (8 * i));
-        memory[addr + i] = byte;
-        image[addr + i] = byte;
-    }
+    writeMemory(addr, value, size, true);
 }
 
 std::uint64_t
 TraceRecorder::peek(Addr addr, unsigned size) const
 {
+    kagura_assert(size <= 8);
+    std::uint8_t bytes[8] = {};
+    memory.read(addr, bytes, size);
     std::uint64_t value = 0;
-    for (unsigned i = 0; i < size; ++i) {
-        auto it = memory.find(addr + i);
-        const std::uint8_t byte = it == memory.end() ? 0 : it->second;
-        value |= static_cast<std::uint64_t>(byte) << (8 * i);
-    }
+    for (unsigned i = 0; i < size; ++i)
+        value |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
     return value;
 }
 
@@ -206,11 +207,14 @@ void
 TraceRecorder::writeMemory(Addr addr, std::uint64_t value, unsigned size,
                            bool record_image)
 {
-    for (unsigned i = 0; i < size; ++i) {
-        const auto byte = static_cast<std::uint8_t>(value >> (8 * i));
-        memory[addr + i] = byte;
-        if (record_image)
-            image[addr + i] = byte;
+    kagura_assert(size <= 8);
+    std::uint8_t bytes[8] = {};
+    for (unsigned i = 0; i < size; ++i)
+        bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    memory.write(addr, bytes, size);
+    if (record_image) {
+        for (unsigned i = 0; i < size; ++i)
+            image[addr + i] = bytes[i];
     }
 }
 

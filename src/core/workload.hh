@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "mem/sparse_bytes.hh"
 
 namespace kagura
 {
@@ -81,9 +82,18 @@ class Workload
     }
 
   private:
+    /** A contiguous stretch of the initial image. */
+    struct ImageRun
+    {
+        Addr base;
+        std::vector<std::uint8_t> bytes;
+    };
+
     std::string label;
     std::vector<MicroOp> stream;
     std::map<Addr, std::uint8_t> image;
+    /** The image as ascending contiguous runs (one NVM write each). */
+    std::vector<ImageRun> runs;
 };
 
 /**
@@ -143,8 +153,8 @@ class TraceRecorder
                      bool record_image);
 
     std::vector<MicroOp> stream;
-    std::map<Addr, std::uint8_t> memory; ///< current functional bytes
-    std::map<Addr, std::uint8_t> image;  ///< initial image only
+    SparseBytes memory;                 ///< current functional bytes
+    std::map<Addr, std::uint8_t> image; ///< initial image only
     Addr pc;
     Addr codeBase;
     Addr dataCursor;

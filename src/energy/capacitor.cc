@@ -1,8 +1,5 @@
 #include "energy/capacitor.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace kagura
@@ -20,35 +17,6 @@ Capacitor::Capacitor(const CapacitorConfig &config) : cfg(config)
               cfg.vMax, cfg.vRestore, cfg.vCheckpoint, cfg.vShutdown);
     }
     energyJ = 0.5 * cfg.capacitance * cfg.vRestore * cfg.vRestore;
-}
-
-double
-Capacitor::voltage() const
-{
-    return std::sqrt(2.0 * energyJ / cfg.capacitance);
-}
-
-void
-Capacitor::charge(double joules)
-{
-    kagura_assert(joules >= 0.0);
-    const double cap = 0.5 * cfg.capacitance * cfg.vMax * cfg.vMax;
-    energyJ = std::min(energyJ + joules, cap);
-}
-
-void
-Capacitor::discharge(double joules)
-{
-    kagura_assert(joules >= 0.0);
-    energyJ = std::max(energyJ - joules, 0.0);
-}
-
-Watts
-Capacitor::leakagePower() const
-{
-    // Leakage scales with both capacitance and charge level; a simple
-    // I = k C V model captures the Table III capacity trend.
-    return cfg.leakagePerFarad * cfg.capacitance * voltage() / cfg.vMax;
 }
 
 void

@@ -14,6 +14,10 @@
 #ifndef KAGURA_ENERGY_CAPACITOR_HH
 #define KAGURA_ENERGY_CAPACITOR_HH
 
+#include <algorithm>
+#include <cmath>
+
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace kagura
@@ -61,24 +65,52 @@ class Capacitor
   public:
     explicit Capacitor(const CapacitorConfig &config);
 
+    // voltage/charge/discharge/leakagePower run several times per
+    // simulated op (every spend() discharges), so they live in the
+    // header.
+
     /** Current voltage, sqrt(2 E / C). */
-    double voltage() const;
+    double
+    voltage() const
+    {
+        return std::sqrt(2.0 * energyJ / cfg.capacitance);
+    }
 
     /** Stored energy in joules. */
     double storedJoules() const { return energyJ; }
 
     /** Add harvested energy (joules); clamps at the vMax ceiling. */
-    void charge(double joules);
+    void
+    charge(double joules)
+    {
+        kagura_assert(joules >= 0.0);
+        const double cap = 0.5 * cfg.capacitance * cfg.vMax * cfg.vMax;
+        energyJ = std::min(energyJ + joules, cap);
+    }
 
     /**
      * Draw @p joules from the buffer; the level saturates at zero
      * rather than going negative (brown-out is detected by threshold
      * comparisons, not by negative energy).
      */
-    void discharge(double joules);
+    void
+    discharge(double joules)
+    {
+        kagura_assert(joules >= 0.0);
+        energyJ = std::max(energyJ - joules, 0.0);
+    }
 
-    /** Leakage power at the current charge level. */
-    Watts leakagePower() const;
+    /**
+     * Leakage power at the current charge level. Leakage scales with
+     * both capacitance and charge level; a simple I = k C V model
+     * captures the Table III capacity trend.
+     */
+    Watts
+    leakagePower() const
+    {
+        return cfg.leakagePerFarad * cfg.capacitance * voltage() /
+               cfg.vMax;
+    }
 
     /** True while voltage is at or above the restore threshold. */
     bool aboveRestore() const { return voltage() >= cfg.vRestore; }

@@ -9,7 +9,7 @@ EnergyMeter::EnergyMeter(const CapacitorConfig &cap_config,
                          const EnergyModel &energy_,
                          Watts cache_leakage_watts,
                          Watts nvm_standby_watts,
-                         std::unique_ptr<PowerTrace> trace_,
+                         std::shared_ptr<const PowerTrace> trace_,
                          EnergyLedger &ledger_, bool infinite_energy)
     : energy(energy_), ledger(ledger_), cap(cap_config),
       trace(std::move(trace_)), cacheLeakage(cache_leakage_watts),

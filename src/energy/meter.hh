@@ -42,7 +42,8 @@ class EnergyMeter
      * @param energy Platform energy model (per-event costs, clock).
      * @param cache_leakage_watts Total SRAM leakage of both caches.
      * @param nvm_standby_watts NVM standby power.
-     * @param trace Ambient power trace (takes ownership).
+     * @param trace Ambient power trace (shared: read-only, so many
+     *        meters may replay one trace; a unique_ptr converts).
      * @param ledger Run ledger every spend is attributed to.
      * @param infinite_energy Disable the capacitor (the buffer never
      *        discharges, so the power state machine never trips).
@@ -50,13 +51,13 @@ class EnergyMeter
     EnergyMeter(const CapacitorConfig &cap_config,
                 const EnergyModel &energy, Watts cache_leakage_watts,
                 Watts nvm_standby_watts,
-                std::unique_ptr<PowerTrace> trace, EnergyLedger &ledger,
-                bool infinite_energy);
+                std::shared_ptr<const PowerTrace> trace,
+                EnergyLedger &ledger, bool infinite_energy);
 
     // spend/chargeStaticPower/advanceWall are called several times per
-    // simulated op, so they live in the header: out-of-line they cost
-    // the ACC configs a measurable slice of the 2% throughput budget
-    // (tools/throughput_gate.py).
+    // simulated op, so they live in the header: out of line, the call
+    // overhead shows up in perfbench's energy.meter_ns_per_step and
+    // in the end-to-end sim_minst_per_s.
 
     /** Account @p pj into @p cat and draw it from the capacitor. */
     void
@@ -133,7 +134,7 @@ class EnergyMeter
     const EnergyModel &energy;
     EnergyLedger &ledger;
     Capacitor cap;
-    std::unique_ptr<PowerTrace> trace;
+    std::shared_ptr<const PowerTrace> trace;
 
     /** Precomputed standing powers charged per active cycle. */
     Watts cacheLeakage;

@@ -1,8 +1,11 @@
 #include "energy/power_trace.hh"
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -170,6 +173,44 @@ makeTrace(TraceKind kind, std::uint64_t intervals, std::uint64_t seed,
             "Constant", std::vector<Watts>(intervals, 40e-6 * scale));
     }
     panic("unknown TraceKind %d", static_cast<int>(kind));
+}
+
+std::shared_ptr<const PowerTrace>
+sharedTrace(TraceKind kind, std::uint64_t intervals, std::uint64_t seed,
+            double scale)
+{
+    struct Entry
+    {
+        TraceKind kind = TraceKind::RfHome;
+        std::uint64_t intervals = 0;
+        std::uint64_t seed = 0;
+        /** The scale's bits: -0.0 and 0.0 give different samples. */
+        std::uint64_t scaleBits = 0;
+        std::uint64_t lastUse = 0;
+        std::shared_ptr<const PowerTrace> trace;
+    };
+    // Process-wide mutable state shared by concurrent runner workers,
+    // serialised like cachedWorkload's memo.
+    static std::mutex mutex;
+    static std::array<Entry, sharedTraceSlots> memo;
+    static std::uint64_t useClock = 0;
+
+    const auto scale_bits = std::bit_cast<std::uint64_t>(scale);
+    std::lock_guard<std::mutex> lock(mutex);
+    Entry *victim = &memo.front();
+    for (Entry &entry : memo) {
+        if (entry.trace && entry.kind == kind &&
+            entry.intervals == intervals && entry.seed == seed &&
+            entry.scaleBits == scale_bits) {
+            entry.lastUse = ++useClock;
+            return entry.trace;
+        }
+        if (entry.lastUse < victim->lastUse)
+            victim = &entry;
+    }
+    *victim = Entry{kind, intervals, seed, scale_bits, ++useClock,
+                    makeTrace(kind, intervals, seed, scale)};
+    return victim->trace;
 }
 
 std::unique_ptr<PowerTrace>

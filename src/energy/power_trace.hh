@@ -18,6 +18,7 @@
 #ifndef KAGURA_ENERGY_POWER_TRACE_HH
 #define KAGURA_ENERGY_POWER_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -90,6 +91,21 @@ std::unique_ptr<PowerTrace> makeTrace(TraceKind kind,
                                       std::uint64_t intervals = 200000,
                                       std::uint64_t seed = 0x6b616775,
                                       double scale = 1.0);
+
+/** Traces sharedTrace() keeps memoised at once. */
+constexpr std::size_t sharedTraceSlots = 8;
+
+/**
+ * Memoised makeTrace(): a synthetic trace is a pure function of
+ * (kind, intervals, seed, scale), so one immutable copy per process
+ * serves every run that asks for it. The memo is mutex-guarded and
+ * holds the sharedTraceSlots most recently used traces; an evicted
+ * trace stays alive for as long as a caller still holds it.
+ */
+std::shared_ptr<const PowerTrace> sharedTrace(TraceKind kind,
+                                              std::uint64_t intervals,
+                                              std::uint64_t seed,
+                                              double scale);
 
 /** Load a trace from a text file with one average-watt value per line. */
 std::unique_ptr<PowerTrace> loadTraceFile(const std::string &path);

@@ -6,7 +6,7 @@ namespace kagura
 {
 
 Nvm::Nvm(NvmType type, std::uint64_t bytes)
-    : tech(type), timing(nvmParams(type, bytes)), storage(bytes, 0)
+    : tech(type), timing(nvmParams(type, bytes)), storage(bytes)
 {
     if (bytes == 0)
         fatal("NVM capacity must be nonzero");
@@ -15,15 +15,13 @@ Nvm::Nvm(NvmType type, std::uint64_t bytes)
 void
 Nvm::readBytes(Addr addr, std::uint8_t *dst, std::size_t count) const
 {
-    for (std::size_t i = 0; i < count; ++i)
-        dst[i] = storage[index(addr + i)];
+    storage.read(addr, dst, count);
 }
 
 void
 Nvm::writeBytes(Addr addr, const std::uint8_t *src, std::size_t count)
 {
-    for (std::size_t i = 0; i < count; ++i)
-        storage[index(addr + i)] = src[i];
+    storage.write(addr, src, count);
 }
 
 void

@@ -4,6 +4,11 @@
  * energy parameters of the selected technology (Table I's ReRAM row by
  * default; PCM and STT-RAM for the Fig. 28 sweep).
  *
+ * The bytes live in a SparseBytes store: a 4 KiB page is allocated on
+ * its first write and untouched pages read as zero, so building an
+ * array of any capacity costs nothing until the workload's image (or a
+ * writeback) lands in it.
+ *
  * Contents survive power failures by construction -- the object simply
  * persists across the simulator's power state machine, exactly like the
  * physical array would.
@@ -13,12 +18,12 @@
 #define KAGURA_MEM_NVM_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/block.hh"
 #include "common/types.hh"
 #include "energy/energy_model.hh"
 #include "hier/mem_level.hh"
+#include "mem/sparse_bytes.hh"
 
 namespace kagura
 {
@@ -37,7 +42,7 @@ class Nvm : public hier::MemLevel
     NvmType type() const { return tech; }
 
     /** Capacity in bytes. */
-    std::uint64_t size() const { return storage.size(); }
+    std::uint64_t size() const { return storage.capacity(); }
 
     /** Timing/energy parameters for this array. */
     const NvmParams &params() const { return timing; }
@@ -76,12 +81,9 @@ class Nvm : public hier::MemLevel
     const char *levelName() const override { return "nvm"; }
 
   private:
-    /** Wrap an address into the array. */
-    std::size_t index(Addr addr) const { return addr % storage.size(); }
-
     NvmType tech;
     NvmParams timing;
-    std::vector<std::uint8_t> storage;
+    SparseBytes storage;
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
 };

@@ -66,9 +66,8 @@ class PowerStateMachine
     EhsContext &context() { return ctx; }
 
     // noteStore/noteCommit/updateRegions/recordStep run once per
-    // simulated op, so the cheap paths live in the header (the 2%
-    // throughput budget in tools/throughput_gate.py is tight enough
-    // that an extra cross-TU call per op shows up).
+    // simulated op, so the cheap paths live in the header (an extra
+    // cross-TU call per op shows up in perfbench's sim_minst_per_s).
 
     /** A store committed: charge the design's persistence cost. */
     Cycles

@@ -84,8 +84,8 @@ Simulator::Simulator(const SimConfig &config) : cfg(config)
             (cfg.icache.sizeBytes + cfg.dcache.sizeBytes +
              (cfg.enableL2 ? cfg.l2.sizeBytes : 0u)),
         mem->params().standbyPower,
-        makeTrace(cfg.trace, cfg.traceIntervals, cfg.traceSeed,
-                  cfg.traceScale),
+        sharedTrace(cfg.trace, cfg.traceIntervals, cfg.traceSeed,
+                    cfg.traceScale),
         result.ledger, cfg.infiniteEnergy);
 
     // Components, attached in the canonical order (the determinism

@@ -39,6 +39,7 @@
 #include <memory>
 #include <string_view>
 
+#include "common/types.hh"
 #include "tags/kind.hh"
 #include "tags/stats.hh"
 
@@ -84,7 +85,7 @@ class TagLayout
      */
     TagLayout(const TagGeometry &geometry, unsigned grouping_shift)
         : geom(geometry), groupShift(grouping_shift),
-          groupMask((1ull << grouping_shift) - 1)
+          groupMask((1ull << grouping_shift) - 1), split(geometry.sets)
     {
     }
     virtual ~TagLayout() = default;
@@ -98,12 +99,13 @@ class TagLayout
     /**
      * Block-number -> set mapping. Non-virtual and inline: this is
      * the hottest address math in the simulator. For groupShift == 0
-     * it reduces to the legacy `block % sets`.
+     * it reduces to the legacy `block % sets`; a power-of-two set
+     * count (every Table I, sweep and L2 geometry) takes a mask.
      */
     unsigned
     setIndex(std::uint64_t block) const
     {
-        return static_cast<unsigned>((block >> groupShift) % geom.sets);
+        return split.set(block >> groupShift);
     }
 
     /**
@@ -115,7 +117,7 @@ class TagLayout
     std::uint64_t
     tagOf(std::uint64_t block) const
     {
-        return (((block >> groupShift) / geom.sets) << groupShift) |
+        return (split.line(block >> groupShift) << groupShift) |
                (block & groupMask);
     }
 
@@ -187,6 +189,7 @@ class TagLayout
     const TagGeometry geom;
     const unsigned groupShift;
     const std::uint64_t groupMask;
+    const SetSplit split;
     /// mutable: lookup() is logically const but counts signature
     /// rechecks/false positives.
     mutable TagLayoutStats stat;

@@ -135,6 +135,17 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<2>(info.param)) + "b";
     });
 
+// Set counts that are not a power of two (3 sets each): the cache's
+// tag layout and shadow tags take their % and / fallback.
+INSTANTIATE_TEST_SUITE_P(
+    NonPowerOfTwoSets, CacheGeometry,
+    testing::Values(Geometry{288, 3, 32}, Geometry{192, 2, 32}),
+    [](const auto &info) {
+        return std::to_string(std::get<0>(info.param)) + "B_" +
+               std::to_string(std::get<1>(info.param)) + "w_" +
+               std::to_string(std::get<2>(info.param)) + "b";
+    });
+
 /** Every compressor must be functionally transparent in the cache. */
 class CacheCompressorTransparency
     : public testing::TestWithParam<CompressorKind>

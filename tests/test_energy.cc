@@ -147,6 +147,37 @@ TEST(PowerTrace, ScaleMultipliesSamples)
         ASSERT_NEAR(doubled->power(i), 2.0 * base->power(i), 1e-15);
 }
 
+TEST(PowerTrace, SharedTraceMatchesAFreshOneAcrossEviction)
+{
+    const auto expect_fresh = [](const PowerTrace &shared) {
+        const auto fresh = makeTrace(TraceKind::RfHome, 3000, 77, 1.5);
+        ASSERT_EQ(shared.length(), fresh->length());
+        EXPECT_EQ(shared.name(), fresh->name());
+        for (std::uint64_t i = 0; i < fresh->length(); ++i)
+            ASSERT_EQ(shared.power(i), fresh->power(i)) << "sample " << i;
+    };
+
+    const auto first = sharedTrace(TraceKind::RfHome, 3000, 77, 1.5);
+    expect_fresh(*first);
+    EXPECT_EQ(sharedTrace(TraceKind::RfHome, 3000, 77, 1.5), first)
+        << "a repeated request must hit the memo";
+
+    // Every slot taken by another key evicts the first trace; asking
+    // again regenerates it, sample for sample.
+    for (std::uint64_t seed = 0; seed < sharedTraceSlots; ++seed)
+        sharedTrace(TraceKind::Solar, 500, seed, 1.0);
+    const auto again = sharedTrace(TraceKind::RfHome, 3000, 77, 1.5);
+    EXPECT_NE(again, first) << "the memo kept more than its slots";
+    expect_fresh(*again);
+    expect_fresh(*first); // the evicted copy is still intact
+
+    // Keys differ in every field, including the scale's sign bit.
+    EXPECT_NE(sharedTrace(TraceKind::Constant, 10, 1, 0.0),
+              sharedTrace(TraceKind::Constant, 10, 1, -0.0));
+    EXPECT_NE(sharedTrace(TraceKind::RfHome, 3000, 78, 1.5), again);
+    EXPECT_NE(sharedTrace(TraceKind::RfHome, 3001, 77, 1.5), again);
+}
+
 TEST(PowerTrace, VectorTraceRejectsEmpty)
 {
     EXPECT_EXIT(

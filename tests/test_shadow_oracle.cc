@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/shadow_tags.hh"
+#include "common/rng.hh"
 #include "kagura/oracle.hh"
 
 namespace kagura
@@ -27,6 +30,43 @@ TEST(ShadowTags, RepeatTouchIsMru)
     ShadowTags shadow(4, 2, 32);
     shadow.touch(0);
     EXPECT_EQ(shadow.touch(0), 0u);
+}
+
+TEST(ShadowTags, IndexingMatchesADivisionReference)
+{
+    // Reference model: one MRU-first stack of 2 x ways tags per set,
+    // indexed by block % sets with tag block / sets. Power-of-two set
+    // counts take mask/shift in ShadowTags, others the fallback; both
+    // must report the reference's depths.
+    for (unsigned sets : {3u, 4u, 16u}) {
+        const unsigned ways = 2;
+        ShadowTags shadow(sets, ways, 32);
+        std::vector<std::vector<std::uint64_t>> ref(sets);
+        Rng rng(0x5ad0 + sets);
+        for (int i = 0; i < 5000; ++i) {
+            const Addr addr = rng.below(1 << 16);
+            const std::uint64_t block = addr >> 5;
+            std::vector<std::uint64_t> &stack = ref[block % sets];
+            const std::uint64_t tag = block / sets;
+            unsigned depth = ShadowTags::depthMiss;
+            for (unsigned d = 0; d < stack.size(); ++d) {
+                if (stack[d] == tag) {
+                    depth = d;
+                    break;
+                }
+            }
+            if (depth != ShadowTags::depthMiss)
+                stack.erase(stack.begin() + depth);
+            else if (stack.size() == 2 * ways)
+                stack.pop_back();
+            stack.insert(stack.begin(), tag);
+            ASSERT_EQ(shadow.touch(addr), depth)
+                << "sets " << sets << " touch " << i;
+
+            shadow.setCompressible(addr, i % 2 == 0);
+            ASSERT_EQ(shadow.compressibleRating(addr), i % 2 ? -1 : 1);
+        }
+    }
 }
 
 TEST(ShadowTags, DepthTracksLruStack)

@@ -91,6 +91,33 @@ TEST(TagLayoutMapping, UngroupedLayoutsKeepTheLegacyMapping)
     }
 }
 
+TEST(TagLayoutMapping, MaskShiftMatchesDivisionForRandomBlocks)
+{
+    // Power-of-two set counts take mask/shift, others fall back to %
+    // and /; both must give the division mapping, for every layout
+    // (superblock groups 4 blocks: groupShift 2).
+    Rng rng(0x5e75);
+    for (unsigned sets : {1u, 3u, 4u, 6u, 64u, 1024u}) {
+        tags::TagGeometry geom = smallGeometry();
+        geom.sets = sets;
+        for (TagLayoutKind kind : tags::allTagLayoutKinds()) {
+            const auto layout = tags::makeTagLayout(kind, geom);
+            const unsigned shift =
+                kind == TagLayoutKind::Superblock ? 2 : 0;
+            for (int i = 0; i < 2000; ++i) {
+                const std::uint64_t block = rng.next() >> rng.below(64);
+                const std::uint64_t group = block >> shift;
+                ASSERT_EQ(layout->setIndex(block), group % sets)
+                    << tagLayoutName(kind) << " sets " << sets;
+                ASSERT_EQ(layout->tagOf(block),
+                          ((group / sets) << shift) |
+                              (block & ((1ULL << shift) - 1)))
+                    << tagLayoutName(kind) << " sets " << sets;
+            }
+        }
+    }
+}
+
 TEST(TagLayoutMapping, SuperblockMappingIsBijectiveAndGroupsSiblings)
 {
     const tags::TagGeometry geom = smallGeometry();
@@ -256,17 +283,18 @@ struct TagLayoutProperty : testing::TestWithParam<TagLayoutKind>
 {
 };
 
-TEST_P(TagLayoutProperty, RandomizedTrafficNeverViolatesInvariants)
+/**
+ * 2000 randomized trials through a compressed cache of geometry
+ * @p cfg using layout @p kind: mixed read/write traffic with mixed
+ * compressibility, periodic checkpoint flushes and power losses.
+ * After every step the layout's selfCheck() revalidates the full
+ * invariant set (unique tags, one tag entry per superblock, per-block
+ * size fields positive and summing within the arena slot, reverse-map
+ * consistency), and reads are checked against a functional reference.
+ */
+void
+checkRandomizedTraffic(TagLayoutKind kind, CacheConfig cfg)
 {
-    // 2000 randomized trials: mixed read/write traffic with mixed
-    // compressibility, periodic checkpoint flushes and power losses.
-    // After every step the layout's selfCheck() revalidates the full
-    // invariant set (unique tags, one tag entry per superblock,
-    // per-block size fields positive and summing within the arena
-    // slot, reverse-map consistency), and reads are checked against a
-    // functional reference.
-    const TagLayoutKind kind = GetParam();
-    CacheConfig cfg;
     cfg.tagLayout = kind;
     Nvm nvm(NvmType::ReRam, 1 << 20);
     auto comp = makeCompressor(CompressorKind::Bdi);
@@ -331,6 +359,22 @@ TEST_P(TagLayoutProperty, RandomizedTrafficNeverViolatesInvariants)
     if (kind == TagLayoutKind::Superblock) {
         EXPECT_GT(cache.tagStats().sbAllocations, 0u);
     }
+}
+
+TEST_P(TagLayoutProperty, RandomizedTrafficNeverViolatesInvariants)
+{
+    checkRandomizedTraffic(GetParam(), CacheConfig{});
+}
+
+TEST_P(TagLayoutProperty, NonPowerOfTwoSetCountNeverViolatesInvariants)
+{
+    // 3 ways x 3 sets: the set count is not a power of two, so the
+    // layout's address math takes the % and / fallback.
+    CacheConfig cfg;
+    cfg.ways = 3;
+    cfg.sizeBytes = 3 * 3 * cfg.blockSize;
+    ASSERT_EQ(cfg.sets(), 3u);
+    checkRandomizedTraffic(GetParam(), cfg);
 }
 
 TEST_P(TagLayoutProperty, StateResetOnPowerFailureMatchesFreshCache)
