@@ -11,7 +11,10 @@ namespace kagura
 namespace
 {
 
-/** BDI encoding variants, in the order tried. */
+/**
+ * BDI encoding variants; the payload's 4-bit header. Equal-size
+ * base/delta variants resolve to the earlier id.
+ */
 enum BdiVariant : unsigned
 {
     BdiZeros = 0,  ///< all bytes zero
@@ -58,126 +61,196 @@ storeLittle(std::uint8_t *dst, std::uint64_t v, unsigned bytes)
         dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-/**
- * Try one (base, delta) variant, streaming the encoding into @p out.
- * Returns false (with @p out partially written -- callers probe with a
- * BitCounter first, so a real writer only ever sees the winner) if any
- * value fits neither its delta to the first non-zero base nor its
- * delta to zero.
- */
-template <typename Sink>
-bool
-tryVariant(ConstByteSpan block, unsigned variant_id,
-           const VariantSpec &spec, Sink &out)
+/** Bits of a base/delta variant on a @p block_bytes block. */
+constexpr std::uint64_t
+variantBits(const VariantSpec &spec, std::size_t block_bytes)
 {
-    const std::size_t n = block.size() / spec.baseBytes;
-    if (n * spec.baseBytes != block.size() || n == 0)
-        return false;
+    return headerBits + 8 * spec.baseBytes +
+           (block_bytes / spec.baseBytes) * (1 + 8 * spec.deltaBytes);
+}
 
-    const unsigned delta_bits = spec.deltaBytes * 8;
+/**
+ * For every block length, the base/delta variants that divide it,
+ * smallest encoding first; equal sizes keep the variantSpecs order,
+ * so the first variant that fits is the smallest, and the earlier one
+ * on a tie.
+ */
+struct VariantOrder
+{
+    std::array<std::uint8_t, variantSpecs.size()> specs{};
+    unsigned count = 0;
+};
 
-    // Pick the first value not representable against the zero base as
-    // the explicit base (the BDI "immediate" scheme). Blocks are at
-    // most Block::maxBytes, so at most 32 two-byte values.
-    std::uint64_t base = 0;
-    bool have_base = false;
-    std::array<std::uint64_t, Block::maxBytes / 2> values;
-    kagura_assert(n <= values.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        values[i] = loadLittle(block.data() + i * spec.baseBytes,
-                               spec.baseBytes);
-        std::int64_t as_signed =
-            signExtend(values[i], spec.baseBytes * 8);
-        if (!have_base && !fitsSigned(as_signed, delta_bits)) {
-            base = values[i];
-            have_base = true;
+constexpr std::array<VariantOrder, Block::maxBytes + 1>
+makeVariantOrders()
+{
+    std::array<VariantOrder, Block::maxBytes + 1> orders{};
+    for (std::size_t len = 1; len <= Block::maxBytes; ++len) {
+        VariantOrder &order = orders[len];
+        for (unsigned v = 0; v < variantSpecs.size(); ++v) {
+            if (len % variantSpecs[v].baseBytes != 0)
+                continue;
+            // Insertion sort; strict '<' keeps ties in spec order.
+            const std::uint64_t bits = variantBits(variantSpecs[v], len);
+            unsigned at = order.count++;
+            while (at > 0 &&
+                   bits < variantBits(variantSpecs[order.specs[at - 1]],
+                                      len)) {
+                order.specs[at] = order.specs[at - 1];
+                --at;
+            }
+            order.specs[at] = static_cast<std::uint8_t>(v);
         }
     }
+    return orders;
+}
 
-    out.write(variant_id, headerBits);
-    out.write(base, spec.baseBytes * 8);
+constexpr std::array<VariantOrder, Block::maxBytes + 1> variantOrders =
+    makeVariantOrders();
+
+/**
+ * Whether every value of @p block fits the (BaseBytes, DeltaBytes)
+ * variant: as a delta to zero, or as a delta (modulo the base width)
+ * to the explicit base -- the first value that does not fit against
+ * zero, returned in @p base (zero when every value fits against zero).
+ */
+template <unsigned BaseBytes, unsigned DeltaBytes>
+bool
+fitsVariant(ConstByteSpan block, std::uint64_t &base)
+{
+    constexpr unsigned base_bits = 8 * BaseBytes;
+    constexpr unsigned delta_bits = 8 * DeltaBytes;
+    const std::size_t n = block.size() / BaseBytes;
+    bool have_base = false;
+    base = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const std::int64_t delta_zero =
-            signExtend(values[i], spec.baseBytes * 8);
-        const std::int64_t delta_base = static_cast<std::int64_t>(
-            values[i] - base);
-        // Deltas against the explicit base are taken modulo the base
-        // width, so re-narrow before the fit check.
-        const std::int64_t delta_base_n =
-            signExtend(static_cast<std::uint64_t>(delta_base),
-                       spec.baseBytes * 8);
-        if (fitsSigned(delta_zero, delta_bits)) {
-            out.write(0, 1); // zero base selector
-            out.write(static_cast<std::uint64_t>(delta_zero), delta_bits);
-        } else if (fitsSigned(delta_base_n, delta_bits)) {
-            out.write(1, 1); // explicit base selector
-            out.write(static_cast<std::uint64_t>(delta_base_n), delta_bits);
-        } else {
+        const std::uint64_t value =
+            loadLittle(block.data() + i * BaseBytes, BaseBytes);
+        if (fitsSigned(signExtend(value, base_bits), delta_bits))
+            continue;
+        if (!have_base) {
+            base = value;
+            have_base = true;
+        } else if (!fitsSigned(signExtend(value - base, base_bits),
+                               delta_bits)) {
             return false;
         }
     }
     return true;
 }
 
-template <typename Sink>
-void
-bdiEncode(ConstByteSpan block, Sink &out)
-{
-    // All-zero block: header only.
-    bool all_zero = true;
-    for (std::uint8_t b : block) {
-        if (b != 0) {
-            all_zero = false;
-            break;
-        }
-    }
-    if (all_zero) {
-        out.write(BdiZeros, headerBits);
-        return;
-    }
+using FitsFn = bool (*)(ConstByteSpan, std::uint64_t &);
 
-    // Repeated 8-byte value.
+/** fitsVariant() per variantSpecs entry. */
+constexpr std::array<FitsFn, variantSpecs.size()> fitsFns = {{
+    fitsVariant<8, 1>,
+    fitsVariant<8, 2>,
+    fitsVariant<8, 4>,
+    fitsVariant<4, 1>,
+    fitsVariant<4, 2>,
+    fitsVariant<2, 1>,
+}};
+
+/** The encoding chooseVariant() settles on for one block. */
+struct BdiChoice
+{
+    BdiVariant variant = BdiRaw;
+    /** Explicit base (base/delta variants only). */
+    std::uint64_t base = 0;
+};
+
+/**
+ * The single BDI encoding decision, shared by compress() and
+ * sizeBits(): zeros, then a repeated 8-byte value, then the smallest
+ * base/delta variant every value fits (ties to the earlier variant),
+ * else raw.
+ */
+BdiChoice
+chooseVariant(ConstByteSpan block)
+{
+    kagura_assert(block.size() <= Block::maxBytes);
+    std::uint8_t any = 0;
+    for (std::uint8_t b : block)
+        any |= b;
+    if (any == 0)
+        return {BdiZeros, 0};
+
     if (block.size() >= 16 && block.size() % 8 == 0) {
         const std::uint64_t first = loadLittle(block.data(), 8);
         bool repeated = true;
-        for (std::size_t i = 8; i < block.size(); i += 8) {
-            if (loadLittle(block.data() + i, 8) != first) {
-                repeated = false;
-                break;
-            }
-        }
-        if (repeated) {
-            out.write(BdiRepeat, headerBits);
-            out.write(first, 64);
-            return;
-        }
+        for (std::size_t i = 8; i < block.size() && repeated; i += 8)
+            repeated = loadLittle(block.data() + i, 8) == first;
+        if (repeated)
+            return {BdiRepeat, first};
     }
 
-    // Base+delta variants; probe each with a counting sink and keep
-    // the smallest (first wins ties, matching the historical order).
-    bool have_best = false;
-    unsigned best = 0;
-    std::uint64_t best_bits = 0;
-    for (unsigned v = 0; v < variantSpecs.size(); ++v) {
-        BitCounter probe;
-        if (tryVariant(block, BdiB8D1 + v, variantSpecs[v], probe) &&
-            (!have_best || probe.bits() < best_bits)) {
-            have_best = true;
-            best = v;
-            best_bits = probe.bits();
-        }
+    const VariantOrder &order = variantOrders[block.size()];
+    for (unsigned k = 0; k < order.count; ++k) {
+        const unsigned v = order.specs[k];
+        std::uint64_t base = 0;
+        if (fitsFns[v](block, base))
+            return {static_cast<BdiVariant>(BdiB8D1 + v), base};
     }
-    if (have_best) {
-        const bool ok =
-            tryVariant(block, BdiB8D1 + best, variantSpecs[best], out);
-        kagura_assert(ok);
+    return {BdiRaw, 0};
+}
+
+/** Exact payload bits of @p choice on a @p block_bytes block. */
+std::uint64_t
+choiceBits(const BdiChoice &choice, std::size_t block_bytes)
+{
+    switch (choice.variant) {
+      case BdiZeros:
+        return headerBits;
+      case BdiRepeat:
+        return headerBits + 64;
+      case BdiRaw:
+        return headerBits + 8 * block_bytes;
+      default:
+        return variantBits(variantSpecs[choice.variant - BdiB8D1],
+                           block_bytes);
+    }
+}
+
+/** Emit the payload for @p choice (the encoder's only writer). */
+void
+emit(ConstByteSpan block, const BdiChoice &choice, SpanBitWriter &out)
+{
+    out.write(choice.variant, headerBits);
+    switch (choice.variant) {
+      case BdiZeros:
         return;
+      case BdiRepeat:
+        out.write(choice.base, 64);
+        return;
+      case BdiRaw:
+        for (std::uint8_t b : block)
+            out.write(b, 8);
+        return;
+      default:
+        break;
     }
 
-    // Raw fallback.
-    out.write(BdiRaw, headerBits);
-    for (std::uint8_t b : block)
-        out.write(b, 8);
+    const VariantSpec &spec = variantSpecs[choice.variant - BdiB8D1];
+    const unsigned base_bits = spec.baseBytes * 8;
+    const unsigned delta_bits = spec.deltaBytes * 8;
+    out.write(choice.base, base_bits);
+    const std::size_t n = block.size() / spec.baseBytes;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t value =
+            loadLittle(block.data() + i * spec.baseBytes, spec.baseBytes);
+        const std::int64_t delta_zero = signExtend(value, base_bits);
+        if (fitsSigned(delta_zero, delta_bits)) {
+            out.write(0, 1); // zero base selector
+            out.write(static_cast<std::uint64_t>(delta_zero), delta_bits);
+        } else {
+            // Deltas against the explicit base are taken modulo the
+            // base width; chooseVariant() checked they fit.
+            out.write(1, 1); // explicit base selector
+            out.write(static_cast<std::uint64_t>(
+                          signExtend(value - choice.base, base_bits)),
+                      delta_bits);
+        }
+    }
 }
 
 } // namespace
@@ -187,7 +260,9 @@ BdiCompressor::compress(ConstByteSpan block, PayloadBuffer &out) const
 {
     out.clear();
     SpanBitWriter sink(out.scratch());
-    bdiEncode(block, sink);
+    const BdiChoice choice = chooseVariant(block);
+    emit(block, choice, sink);
+    kagura_assert(sink.bits() == choiceBits(choice, block.size()));
     out.setBits(sink.bits());
     return sink.bits();
 }
@@ -195,9 +270,7 @@ BdiCompressor::compress(ConstByteSpan block, PayloadBuffer &out) const
 std::uint64_t
 BdiCompressor::sizeBits(ConstByteSpan block) const
 {
-    BitCounter sink;
-    bdiEncode(block, sink);
-    return sink.bits();
+    return choiceBits(chooseVariant(block), block.size());
 }
 
 void

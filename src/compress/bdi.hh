@@ -4,9 +4,11 @@
  *
  * A block is encoded as one non-zero base plus per-value deltas; each
  * value may alternatively take its delta against an implicit zero base
- * (the "immediate" part), selected by a per-value mask bit. Eight
- * (base size, delta size) variants are tried and the smallest encoding
- * wins; all-zero and repeated-value blocks get dedicated short forms.
+ * (the "immediate" part), selected by a per-value mask bit. Of the six
+ * (base size, delta size) variants, the smallest one every value fits
+ * wins; a variant's size depends only on the block length, so the
+ * choice needs no trial encoding. All-zero and repeated-value blocks
+ * get dedicated short forms.
  */
 
 #ifndef KAGURA_COMPRESS_BDI_HH

@@ -4,7 +4,8 @@
  * build self-describing compressed payloads. Bits are packed LSB-first
  * into bytes.
  *
- * Every algorithm is written once as a template over a *sink*:
+ * Every algorithm but BDI is written once as a template over a
+ * *sink* (BDI sizes a block from its variant decision instead):
  *  - SpanBitWriter packs bits into a caller-provided fixed buffer
  *    (the allocation-free hot path; see PayloadBuffer),
  *  - BitCounter only counts, so `compressedBytes()` probes a block's
@@ -38,9 +39,6 @@ class BitCounter
 
     /** Number of bits accounted so far. */
     std::uint64_t bits() const { return bitCount; }
-
-    /** Restart the count (variant probing). */
-    void reset() { bitCount = 0; }
 
   private:
     std::uint64_t bitCount = 0;

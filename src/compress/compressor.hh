@@ -8,12 +8,13 @@
  * unit-tested) so the library is usable as a real compression kit.
  *
  * The API is span-based and allocation-free: compress() packs the
- * payload into a caller-provided fixed PayloadBuffer, sizeBits() walks
- * the encoder with a counting sink so the simulator's footprint probes
- * never materialize a payload, and decompress() reconstructs into a
- * caller-provided destination. Vector-returning conveniences remain
- * for tests and tools (a std::vector<std::uint8_t> converts to
- * ConstByteSpan implicitly). See docs/ARCHITECTURE.md.
+ * payload into a caller-provided fixed PayloadBuffer, sizeBits() gives
+ * the same bit count without materializing a payload (BDI computes it
+ * from the variant decision compress() also uses; the other algorithms
+ * walk their encoder with a counting sink), and decompress()
+ * reconstructs into a caller-provided destination. Vector-returning
+ * conveniences remain for tests and tools (a std::vector<std::uint8_t>
+ * converts to ConstByteSpan implicitly). See docs/ARCHITECTURE.md.
  */
 
 #ifndef KAGURA_COMPRESS_COMPRESSOR_HH
@@ -131,8 +132,8 @@ class Compressor
                                    PayloadBuffer &out) const = 0;
 
     /**
-     * Exact compressed size in bits without materializing a payload
-     * (the encoder runs against a counting sink). Never allocates.
+     * Exact compressed size in bits without materializing a payload;
+     * always equal to compress()'s bits. Never allocates.
      */
     virtual std::uint64_t sizeBits(ConstByteSpan block) const = 0;
 

@@ -3,6 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
+#include <string>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "metrics/registry.hh"
@@ -41,7 +44,7 @@ perSimExport()
 }
 
 SimResult
-execute(const SimJob &job)
+execute(const SimJob &job, std::optional<OracleLog> *phase1)
 {
     progress().noteSimulation();
     metrics::Registry::global().counter("runner/simulations").add();
@@ -56,9 +59,51 @@ execute(const SimJob &job)
       case SimJob::Kind::IdealAware:
         return runIdealOnce(job.config, true);
       case SimJob::Kind::IdealUnaware:
-        return runIdealOnce(job.config, false);
+        if (phase1 && phase1->has_value())
+            metrics::Registry::global().counter("runner/phase1_reused").add();
+        return runIdealOnce(job.config, false, phase1);
     }
     panic("unknown SimJob::Kind %d", static_cast<int>(job.kind));
+}
+
+/**
+ * The pool tasks for @p jobs, each a list of job indices run in
+ * order. Intermittence-unaware ideal jobs with one unawarePhase1Key()
+ * share a task, so its jobs can share one phase-1 log; every other
+ * job is a task of its own. Tasks keep the order of their first job.
+ */
+std::vector<std::vector<std::size_t>>
+taskGroups(const std::vector<SimJob> &jobs)
+{
+    std::vector<std::vector<std::size_t>> groups;
+    std::unordered_map<std::string, std::size_t> by_key;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (jobs[i].kind != SimJob::Kind::IdealUnaware) {
+            groups.push_back({i});
+            continue;
+        }
+        const auto [it, fresh] = by_key.try_emplace(
+            unawarePhase1Key(jobs[i].config), groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+    return groups;
+}
+
+/**
+ * Run one task's jobs in order; the first that simulates records the
+ * group's phase-1 log and later ones replay against it. The log dies
+ * with the task, so nothing outlives one runJobs() call.
+ */
+void
+runGroup(const std::vector<SimJob> &jobs,
+         const std::vector<std::size_t> &group,
+         std::vector<SimResult> &results)
+{
+    std::optional<OracleLog> phase1;
+    for (const std::size_t i : group)
+        results[i] = runJobDetailed(jobs[i], &phase1).result;
 }
 
 } // namespace
@@ -91,7 +136,7 @@ jobCount()
 }
 
 JobOutcome
-runJobDetailed(const SimJob &job)
+runJobDetailed(const SimJob &job, std::optional<OracleLog> *phase1)
 {
     // The ideal kinds carry the *base* config; the phases derive
     // their own oracle modes inside runIdealOnce.
@@ -137,7 +182,7 @@ runJobDetailed(const SimJob &job)
         }
         progress().noteCacheMiss();
         reg.counter("runner/cache_misses").add();
-        SimResult result = execute(job);
+        SimResult result = execute(job, phase1);
         cache.store(hash, key, encodeResult(result));
         outcome.seconds = elapsed();
         finish(job.config.describe(), false, outcome.seconds);
@@ -145,7 +190,7 @@ runJobDetailed(const SimJob &job)
         return outcome;
     }
 
-    SimResult result = execute(job);
+    SimResult result = execute(job, phase1);
     outcome.seconds = elapsed();
     finish(job.config.describe(), false, outcome.seconds);
     outcome.result = std::move(result);
@@ -182,19 +227,20 @@ runJobs(const std::vector<SimJob> &jobs)
     std::vector<SimResult> results(jobs.size());
     if (batchExecutor && batchExecutor(jobs, results))
         return results;
+    const std::vector<std::vector<std::size_t>> groups = taskGroups(jobs);
     const unsigned workers = jobCount();
-    if (workers <= 1 || jobs.size() <= 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            results[i] = runJob(jobs[i]);
+    if (workers <= 1 || groups.size() <= 1) {
+        for (const std::vector<std::size_t> &group : groups)
+            runGroup(jobs, group, results);
         return results;
     }
 
     // Deterministic aggregation: every job owns slot i regardless of
     // which worker runs it or when it finishes.
     ThreadPool pool(workers);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        pool.submit([&jobs, &results, i] {
-            results[i] = runJob(jobs[i]);
+    for (const std::vector<std::size_t> &group : groups)
+        pool.submit([&jobs, &group, &results] {
+            runGroup(jobs, group, results);
         });
     pool.wait();
     return results;

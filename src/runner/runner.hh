@@ -8,8 +8,10 @@
  * returned vector is bit-identical whatever the worker count or
  * completion order (per-job randomness is already sealed inside the
  * job via SimConfig::traceSeed). The ideal-oracle two-phase
- * methodology runs as a single job -- its phase-1 log never leaves
- * the worker -- which is also what makes ideal runs cacheable.
+ * methodology runs as a single job, which is what makes ideal runs
+ * cacheable; within one runJobs() call, intermittence-unaware jobs
+ * that differ only in their power trace run as one task and share a
+ * phase-1 log (infinite energy makes it trace-independent).
  *
  * Knobs: --jobs / KAGURA_JOBS (worker count, default
  * hardware_concurrency), KAGURA_CACHE=off, KAGURA_CACHE_DIR,
@@ -20,6 +22,7 @@
 #define KAGURA_RUNNER_RUNNER_HH
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "sim/sim_config.hh"
@@ -74,8 +77,14 @@ struct JobOutcome
     double seconds = 0.0;
 };
 
-/** runJob() with the cache/timing detail exposed to the caller. */
-JobOutcome runJobDetailed(const SimJob &job);
+/**
+ * runJob() with the cache/timing detail exposed to the caller. An
+ * ideal-unaware job that simulates takes phase 1 from @p phase1 when
+ * it holds a log and records it there otherwise (see runIdealOnce());
+ * other kinds ignore the slot.
+ */
+JobOutcome runJobDetailed(const SimJob &job,
+                          std::optional<OracleLog> *phase1 = nullptr);
 
 /**
  * A pluggable whole-batch executor consulted by runJobs() before

@@ -198,7 +198,7 @@ class EhsComponent : public SimComponent
 
     const char *name() const override { return "ehs"; }
 
-    /** Relay the design's `sim/ehs/*` recovery telemetry. */
+    /** Relay the design's recovery telemetry (`sim/ehs/...`). */
     void
     recordMetrics(metrics::MetricSet &set) override
     {

@@ -138,26 +138,51 @@ runSuite(const std::string &label,
     return suite;
 }
 
-SimResult
-runIdealOnce(SimConfig base, bool intermittence_aware)
+/** Phase 1 of an ideal run: record, under the trace or without one. */
+static SimConfig
+idealRecordConfig(SimConfig base, bool intermittence_aware)
 {
+    base.oracle = OracleMode::Record;
+    base.infiniteEnergy = !intermittence_aware;
+    return base;
+}
+
+std::string
+unawarePhase1Key(const SimConfig &base)
+{
+    SimConfig record = idealRecordConfig(base, false);
+    const SimConfig defaults;
+    record.trace = defaults.trace;
+    record.traceSeed = defaults.traceSeed;
+    record.traceScale = defaults.traceScale;
+    record.traceIntervals = defaults.traceIntervals;
+    return record.canonicalKey();
+}
+
+SimResult
+runIdealOnce(const SimConfig &base, bool intermittence_aware,
+             std::optional<OracleLog> *phase1)
+{
+    kagura_assert(!phase1 || !intermittence_aware);
+    std::optional<OracleLog> own;
+    std::optional<OracleLog> &log = phase1 ? *phase1 : own;
+
     // Phase 1: record per-block compression outcomes.
-    SimConfig record = base;
-    record.oracle = OracleMode::Record;
-    record.infiniteEnergy = !intermittence_aware;
-    Simulator phase1(record);
-    const SimResult recorded = phase1.run();
+    if (!log) {
+        Simulator recorder(idealRecordConfig(base, intermittence_aware));
+        log = std::move(recorder.run().oracle);
+    }
 
     // Phase 2: replay with the log vetoing useless compressions.
     SimConfig replay = base;
     replay.oracle = OracleMode::Replay;
-    replay.oracleLog = &recorded.oracle;
+    replay.oracleLog = &*log;
     Simulator phase2(replay);
     return phase2.run();
 }
 
 std::vector<SimResult>
-runIdeal(SimConfig base, bool intermittence_aware)
+runIdeal(const SimConfig &base, bool intermittence_aware)
 {
     const unsigned repeats = suiteRepeats;
     std::vector<runner::SimJob> jobs;

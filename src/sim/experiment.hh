@@ -17,6 +17,7 @@
 #define KAGURA_SIM_EXPERIMENT_HH
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,10 +102,27 @@ runSuite(const std::string &label,
  * ACC"); when true, phase 1 sees the same power trace ("ideal
  * Kagura").
  */
-std::vector<SimResult> runIdeal(SimConfig base, bool intermittence_aware);
+std::vector<SimResult> runIdeal(const SimConfig &base,
+                                bool intermittence_aware);
 
-/** One ideal-oracle two-phase run (uses @p base's trace seed). */
-SimResult runIdealOnce(SimConfig base, bool intermittence_aware);
+/**
+ * One ideal-oracle two-phase run (uses @p base's trace seed). An
+ * intermittence-unaware run may pass @p phase1: when it holds a log
+ * that log stands in for phase 1, otherwise the run records phase 1
+ * into it. Only pass a slot filled by a run with the same
+ * unawarePhase1Key().
+ */
+SimResult runIdealOnce(const SimConfig &base, bool intermittence_aware,
+                       std::optional<OracleLog> *phase1 = nullptr);
+
+/**
+ * Key under which intermittence-unaware ideal runs of @p base may
+ * share phase 1: the phase-1 config's canonicalKey() with the power
+ * trace (kind, seed, scale, intervals) reset to its defaults. At
+ * infinite energy the trace decides nothing, so runs that differ only
+ * there record the same log.
+ */
+std::string unawarePhase1Key(const SimConfig &base);
 
 /**
  * Suite-runner convention for ideal configs: a config returned by the

@@ -230,9 +230,10 @@ TEST(ReplPolicyInterface, VictimIsAlwaysALegalCandidate)
             const bool any_dead = std::any_of(
                 cands.begin(), cands.end(),
                 [](const repl::Candidate &c) { return c.dead; });
-            if (any_dead)
+            if (any_dead) {
                 EXPECT_TRUE(cands[pick].dead)
                     << replacementPolicyName(kind);
+            }
 
             const std::size_t comp_pick =
                 policy->compressionVictim(cands.data(), n, ctx);
