@@ -11,7 +11,6 @@
 #include "runner/cache_store.hh"
 #include "runner/progress.hh"
 #include "runner/runner.hh"
-#include "sweepd/client.hh"
 #include "trace/trace_workload.hh"
 
 namespace kagura
@@ -131,8 +130,6 @@ init(int argc, char **argv)
 {
     std::string metrics_out;
     std::string apps_csv;
-    std::string daemon_socket;
-    bool daemon_set = false;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         auto value = [&]() -> const char * {
@@ -158,13 +155,6 @@ init(int argc, char **argv)
             metrics::setTimeseriesEnabled(true);
         } else if (std::strcmp(arg, "--apps") == 0) {
             apps_csv = value();
-        } else if (std::strcmp(arg, "--daemon") == 0) {
-            // "" (or --daemon off) forces in-process execution even
-            // when KAGURA_SWEEPD is exported.
-            daemon_socket = value();
-            if (daemon_socket == "off")
-                daemon_socket.clear();
-            daemon_set = true;
         } else if (std::strcmp(arg, "--register-trace") == 0) {
             const std::string spec = value();
             const std::size_t eq = spec.find('=');
@@ -179,24 +169,17 @@ init(int argc, char **argv)
             std::printf("usage: %s [--jobs N] [--repeats N] "
                         "[--no-cache] [--metrics-out PATH] "
                         "[--metrics-timeseries] "
-                        "[--register-trace NAME=FILE] [--apps A,B,...] "
-                        "[--daemon SOCKET|off]\n",
+                        "[--register-trace NAME=FILE] [--apps A,B,...]\n",
                         argv[0]);
             std::exit(0);
         } else {
             fatal("unknown flag '%s' (bench binaries take --jobs N, "
                   "--repeats N, --no-cache, --metrics-out PATH, "
                   "--metrics-timeseries, --register-trace NAME=FILE, "
-                  "--apps A,B,..., --daemon SOCKET)",
+                  "--apps A,B,...)",
                   arg);
         }
     }
-    if (!daemon_set) {
-        if (const char *env = std::getenv("KAGURA_SWEEPD"))
-            daemon_socket = env;
-    }
-    if (!daemon_socket.empty())
-        sweepd::armRunnerClient(daemon_socket);
     if (apps_csv.empty()) {
         if (const char *env = std::getenv("KAGURA_APPS"))
             apps_csv = env;

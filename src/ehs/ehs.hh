@@ -60,6 +60,11 @@ enum class EhsKind
 /** Human-readable design name. */
 const char *ehsKindName(EhsKind kind);
 
+/** Every design, in enum order (name parsing, sweeps and tests). */
+inline constexpr EhsKind allEhsKinds[] = {
+    EhsKind::NvsramCache, EhsKind::NvMR, EhsKind::SweepCache,
+    EhsKind::TaskBased, EhsKind::SpecPersist};
+
 /** Cost of one EHS action. */
 struct EhsCost
 {

@@ -1,8 +1,7 @@
 #include "repl/kind.hh"
 
-#include <cctype>
-
 #include "common/logging.hh"
+#include "common/strings.hh"
 
 namespace kagura
 {
@@ -44,19 +43,6 @@ constexpr ReplKind onlineKinds[] = {
     ReplKind::Lru,  ReplKind::Fifo,  ReplKind::Random,
     ReplKind::Camp, ReplKind::Crrip, ReplKind::Dish,
 };
-
-bool
-iequals(std::string_view a, std::string_view b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (std::tolower(static_cast<unsigned char>(a[i])) !=
-            std::tolower(static_cast<unsigned char>(b[i])))
-            return false;
-    }
-    return true;
-}
 
 } // namespace
 

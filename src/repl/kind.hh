@@ -1,7 +1,7 @@
 /**
  * @file
  * Replacement-policy kinds: the configuration vocabulary shared by
- * CacheConfig, the canonical key, and the sweepd config codec. The
+ * CacheConfig, the canonical key, and SimConfig::parse(). The
  * policy *implementations* live behind the repl::ReplacementPolicy
  * interface (policy.hh); this header is dependency-free so config
  * structs can name a policy without pulling in the machinery.

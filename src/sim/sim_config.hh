@@ -10,7 +10,9 @@
 #define KAGURA_SIM_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "cache/cache.hh"
 #include "cache/chain.hh"
@@ -27,6 +29,14 @@ namespace kagura
 
 // GovernorKind and OracleMode live with the chain factory in
 // cache/chain.hh; re-exported here for configuration consumers.
+
+/** Why a canonical key failed to parse (SimConfig::parse). */
+enum class ParseStatus
+{
+    Ok,
+    Malformed,     ///< bad line syntax, unknown key, bad value
+    TraceMismatch, ///< trace file missing or content hash differs
+};
 
 /** Everything one simulation run needs. */
 struct SimConfig
@@ -123,7 +133,53 @@ struct SimConfig
      * their oracle phase in the runner's job-kind tag instead).
      */
     std::string canonicalKey() const;
+
+    /**
+     * Inverse of canonicalKey(): rebuild @p out from canonical-key
+     * text. The round-trip law
+     *
+     *     parse(c.canonicalKey()).canonicalKey() == c.canonicalKey()
+     *
+     * is checked on every call, so a key this build cannot reproduce
+     * exactly (unknown or missing line, non-canonical spelling) is
+     * Malformed. A trace workload's file must exist locally and match
+     * the key's `workload.trace_hash` line (TraceMismatch otherwise);
+     * an alias named by the key is registered from its
+     * `workload.trace_path` line when needed. On failure the
+     * offending line is described in @p error.
+     */
+    static ParseStatus parse(std::string_view text, SimConfig &out,
+                             std::string &error);
 };
+
+/*
+ * Name -> enum inverses for the CLIs and SimConfig::parse(). Each
+ * returns nullopt for an unknown name; the accepted spellings are
+ * exactly the *Name() strings (case-insensitive). Replacement
+ * policies and tag layouts use repl::parseReplKind() and
+ * tags::parseTagLayoutKind().
+ */
+std::optional<GovernorKind> parseGovernorKind(std::string_view name);
+std::optional<CompressorKind> parseCompressorKind(std::string_view name);
+std::optional<EhsKind> parseEhsKind(std::string_view name);
+std::optional<NvmType> parseNvmType(std::string_view name);
+std::optional<TraceKind> parseTraceKind(std::string_view name);
+std::optional<AdaptScheme> parseAdaptScheme(std::string_view name);
+std::optional<TriggerKind> parseTriggerKind(std::string_view name);
+
+/**
+ * Apply a shared-L2 level spec, the axis grammar of
+ * `kagura_sweep grid --l2` and `kagura_sim --l2`:
+ *
+ *     none | SIZExWAYS[:GOVERNOR[+kagura]]
+ *
+ * e.g. "1024x4", "1024x4:acc", "1024x4:acc+kagura". "none" keeps the
+ * config single-level. Returns false (and describes the problem in
+ * @p error) on a malformed spec; callers fail typed, never fall back
+ * silently.
+ */
+bool applyL2Spec(std::string_view spec, SimConfig &cfg,
+                 std::string &error);
 
 } // namespace kagura
 

@@ -1,8 +1,7 @@
 #include "tags/kind.hh"
 
-#include <cctype>
-
 #include "common/logging.hh"
+#include "common/strings.hh"
 
 namespace kagura
 {
@@ -31,19 +30,6 @@ constexpr TagLayoutKind allKinds[] = {
     TagLayoutKind::Superblock,
     TagLayoutKind::Signature,
 };
-
-bool
-iequals(std::string_view a, std::string_view b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (std::tolower(static_cast<unsigned char>(a[i])) !=
-            std::tolower(static_cast<unsigned char>(b[i])))
-            return false;
-    }
-    return true;
-}
 
 } // namespace
 

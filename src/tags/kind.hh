@@ -1,7 +1,7 @@
 /**
  * @file
  * Tag-layout kinds: the configuration vocabulary shared by
- * CacheConfig, the canonical key, and the sweepd config codec. The
+ * CacheConfig, the canonical key, and SimConfig::parse(). The
  * layout *implementations* live behind the tags::TagLayout interface
  * (layout.hh); this header is dependency-free so config structs can
  * name a layout without pulling in the machinery (same split as

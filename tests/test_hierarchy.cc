@@ -6,7 +6,7 @@
  * non-inclusive / write-back / write-no-allocate contract, the
  * L2 state-reset-vs-fresh-cache replay pin for both checkpoint-flush
  * and power-loss reset flavors, KAGURA_JOBS determinism with the L2
- * enabled, the conditional canonical-key emission + sweepd codec
+ * enabled, the conditional canonical-key emission + SimConfig::parse
  * round-trip law for the l2.* keys, and the runner result-codec's
  * tagged L2-telemetry section.
  */
@@ -28,7 +28,6 @@
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
-#include "sweepd/config_codec.hh"
 #include "tags/layout.hh"
 
 namespace kagura
@@ -464,7 +463,7 @@ TEST(HierarchySuite, SuiteIsDeterministicAcrossWorkerCounts)
 }
 
 // ---------------------------------------------------------------
-// Canonical key + sweepd codec
+// Canonical key + SimConfig::parse
 // ---------------------------------------------------------------
 
 TEST(HierarchyConfig, NoL2ConfigKeyIsUnchanged)
@@ -495,8 +494,8 @@ TEST(HierarchyConfig, L2KeysRoundTripThroughTheCodec)
 
     SimConfig parsed;
     std::string error;
-    ASSERT_EQ(sweepd::parseCanonicalKey(key, parsed, error),
-              sweepd::ParseStatus::Ok)
+    ASSERT_EQ(SimConfig::parse(key, parsed, error),
+              ParseStatus::Ok)
         << error;
     EXPECT_EQ(parsed.canonicalKey(), key);
     EXPECT_TRUE(parsed.enableL2);
@@ -519,8 +518,8 @@ TEST(HierarchyConfig, SigBitsIsEmittedOnlyWhenNonDefault)
     EXPECT_NE(key.find("dcache.sig_bits=10"), std::string::npos);
     SimConfig parsed;
     std::string error;
-    ASSERT_EQ(sweepd::parseCanonicalKey(key, parsed, error),
-              sweepd::ParseStatus::Ok)
+    ASSERT_EQ(SimConfig::parse(key, parsed, error),
+              ParseStatus::Ok)
         << error;
     EXPECT_EQ(parsed.dcache.sigBits, 10u);
     EXPECT_EQ(parsed.canonicalKey(), key);
@@ -545,45 +544,45 @@ TEST(HierarchyConfig, CodecRejectsMalformedL2Keys)
 
     // Explicit-default spelling: the emitter omits l2.* lines for
     // single-level configs, so l2.enabled=0 is non-canonical and the
-    // round-trip law must reject it (typed BadJob at the daemon).
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    // round-trip law must reject it.
+    EXPECT_EQ(SimConfig::parse(
                   replaceLine(good, "l2.enabled=1", "l2.enabled=0"),
                   parsed, error),
-              sweepd::ParseStatus::Malformed);
+              ParseStatus::Malformed);
 
     // An l2.* line without l2.enabled=1 fails the round-trip too.
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    EXPECT_EQ(SimConfig::parse(
                   replaceLine(good, "l2.enabled=1\n", ""), parsed,
                   error),
-              sweepd::ParseStatus::Malformed);
+              ParseStatus::Malformed);
 
     // Unknown governor: typed Malformed, never a silent fallback.
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    EXPECT_EQ(SimConfig::parse(
                   replaceLine(good, "l2.governor=ACC",
                               "l2.governor=bogus"),
                   parsed, error),
-              sweepd::ParseStatus::Malformed);
+              ParseStatus::Malformed);
 
     // Garbage values in typed l2 fields.
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    EXPECT_EQ(SimConfig::parse(
                   replaceLine(good, "l2.kagura=1", "l2.kagura=maybe"),
                   parsed, error),
-              sweepd::ParseStatus::Malformed);
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+              ParseStatus::Malformed);
+    EXPECT_EQ(SimConfig::parse(
                   replaceLine(good, "l2.size_bytes=1024", "l2.size_bytes=huge"),
                   parsed, error),
-              sweepd::ParseStatus::Malformed);
+              ParseStatus::Malformed);
 
     // Explicit-default signature width is non-canonical as well.
     SimConfig sig = accKaguraConfig("crc32");
     sig.dcache.tagLayout = TagLayoutKind::Signature;
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    EXPECT_EQ(SimConfig::parse(
                   replaceLine(sig.canonicalKey(),
                               "dcache.tag_layout=signature",
                               "dcache.tag_layout=signature\n"
                               "dcache.sig_bits=6"),
                   parsed, error),
-              sweepd::ParseStatus::Malformed);
+              ParseStatus::Malformed);
     EXPECT_NE(error.find("round-trip"), std::string::npos);
 }
 
@@ -593,7 +592,7 @@ TEST(HierarchyConfig, L2SpecGrammarCoversTheGridAxis)
     // `kagura_sim --l2`: none | SIZExWAYS[:GOVERNOR[+kagura]].
     SimConfig cfg;
     std::string error;
-    ASSERT_TRUE(sweepd::applyL2Spec("1024x4:acc+kagura", cfg, error))
+    ASSERT_TRUE(applyL2Spec("1024x4:acc+kagura", cfg, error))
         << error;
     EXPECT_TRUE(cfg.enableL2);
     EXPECT_EQ(cfg.l2.sizeBytes, 1024u);
@@ -601,23 +600,23 @@ TEST(HierarchyConfig, L2SpecGrammarCoversTheGridAxis)
     EXPECT_EQ(cfg.l2Governor, GovernorKind::Acc);
     EXPECT_TRUE(cfg.l2Kagura);
 
-    ASSERT_TRUE(sweepd::applyL2Spec("2048x8", cfg, error)) << error;
+    ASSERT_TRUE(applyL2Spec("2048x8", cfg, error)) << error;
     EXPECT_TRUE(cfg.enableL2);
     EXPECT_EQ(cfg.l2.sizeBytes, 2048u);
     EXPECT_EQ(cfg.l2Governor, GovernorKind::None);
     EXPECT_FALSE(cfg.l2Kagura);
 
-    ASSERT_TRUE(sweepd::applyL2Spec("none", cfg, error)) << error;
+    ASSERT_TRUE(applyL2Spec("none", cfg, error)) << error;
     EXPECT_FALSE(cfg.enableL2);
 
     // Malformed specs fail typed, never fall back silently.
-    EXPECT_FALSE(sweepd::applyL2Spec("1024", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("1024x0", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("x4", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("1024x4:bogus", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("1024x4:none", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("1024x4:acc+turbo", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("1024x4:+kagura", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024x0", cfg, error));
+    EXPECT_FALSE(applyL2Spec("x4", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024x4:bogus", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024x4:none", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024x4:acc+turbo", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024x4:+kagura", cfg, error));
 }
 
 // ---------------------------------------------------------------

@@ -2,14 +2,15 @@
  * @file
  * Tests for the src/runner experiment-execution subsystem: scheduling
  * determinism across worker counts, exact SimResult codec round
- * trips, cache-key invalidation, and cache-store robustness against
- * corrupt entries.
+ * trips, cache-key invalidation, cache-store robustness against
+ * corrupt entries, and cache maintenance (stats + gc).
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "runner/cache_maint.hh"
 #include "runner/cache_store.hh"
 #include "runner/config_hash.hh"
 #include "runner/env.hh"
@@ -31,6 +33,8 @@ namespace kagura
 {
 namespace
 {
+
+namespace fs = std::filesystem;
 
 /**
  * Quiet, hermetic fixture: the global cache store is parked disabled
@@ -418,6 +422,137 @@ TEST_F(RunnerTests, InlinePoolExecutesAtWait)
     EXPECT_FALSE(ran); // deferred until wait()
     pool.wait();
     EXPECT_TRUE(ran);
+}
+
+TEST_F(RunnerTests, CacheStatsCountsEntriesShardsAndDebris)
+{
+    const std::string dir = tempDir("stats");
+    runner::CacheStore store(dir);
+    // Three sharded entries across two shards (top byte 0x01, 0x02).
+    store.store(0x0100000000000001ull, "k1", "payload-one");
+    store.store(0x0100000000000002ull, "k2", "payload-two");
+    store.store(0x0200000000000001ull, "k3", "payload-three");
+    // One legacy flat entry and one writer-crash temp file.
+    {
+        std::ofstream legacy(
+            store.legacyEntryPath(0x0300000000000001ull));
+        legacy << "legacy-bytes";
+        std::ofstream temp(dir + "/tmp-999-0");
+        temp << "partial";
+    }
+
+    const runner::CacheStatsReport stats = runner::cacheStats(store);
+    EXPECT_EQ(stats.entries, 4u);
+    EXPECT_EQ(stats.legacyEntries, 1u);
+    EXPECT_EQ(stats.tempFiles, 1u);
+    EXPECT_EQ(stats.shards, 2u);
+    EXPECT_EQ(stats.maxShardEntries, 2u);
+    EXPECT_EQ(stats.minShardEntries, 1u);
+    EXPECT_GT(stats.totalBytes, 0u);
+    EXPECT_NEAR(stats.skew(), 2.0 / 1.5, 1e-9);
+}
+
+TEST_F(RunnerTests, CacheMaintenanceIgnoresLeftoverManifestDirectory)
+{
+    // Older builds kept sweep manifests under <cache>/manifests/. The
+    // directory is not a shard: stats must not count it and gc must
+    // neither descend into it nor delete it.
+    const std::string dir = tempDir("manifests");
+    runner::CacheStore store(dir);
+    store.store(0x0100000000000001ull, "k1", "payload");
+    fs::create_directories(dir + "/manifests");
+    const std::string manifest = dir + "/manifests/old-grid.manifest";
+    {
+        std::ofstream out(manifest);
+        out << "kagura.manifest/v1\n";
+    }
+    fs::last_write_time(manifest, fs::file_time_type::clock::now() -
+                                      std::chrono::hours(24 * 365));
+
+    const runner::CacheStatsReport stats = runner::cacheStats(store);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.shards, 1u);
+    EXPECT_EQ(stats.tempFiles, 0u);
+
+    // The year-old manifest would be dropped if gc took it for an
+    // entry; the one real entry is young and stays.
+    runner::GcOptions options;
+    options.maxAgeSeconds = 3600;
+    const runner::GcReport report = runner::cacheGc(store, options);
+    EXPECT_EQ(report.scanned, 1u);
+    EXPECT_EQ(report.deleted, 0u);
+    EXPECT_EQ(report.tempFilesRemoved, 0u);
+    EXPECT_TRUE(fs::exists(manifest));
+    EXPECT_TRUE(fs::is_directory(dir + "/manifests"));
+}
+
+TEST_F(RunnerTests, CacheGcTrimsOldestFirstByBytes)
+{
+    runner::CacheStore store(tempDir("gc-bytes"));
+    const std::string payload(1000, 'x');
+    store.store(0x0100000000000001ull, "old", payload);
+    store.store(0x0200000000000001ull, "mid", payload);
+    store.store(0x0300000000000001ull, "new", payload);
+    // Backdate by mtime: old << mid << now.
+    const auto now = fs::file_time_type::clock::now();
+    fs::last_write_time(store.entryPath(0x0100000000000001ull),
+                        now - std::chrono::hours(48));
+    fs::last_write_time(store.entryPath(0x0200000000000001ull),
+                        now - std::chrono::hours(24));
+
+    runner::GcOptions options;
+    options.maxBytes = 1500; // room for one ~1KB entry
+    const runner::GcReport report = runner::cacheGc(store, options);
+    EXPECT_EQ(report.scanned, 3u);
+    EXPECT_EQ(report.deleted, 2u);
+    EXPECT_EQ(report.remainingEntries, 1u);
+    EXPECT_LE(report.remainingBytes, options.maxBytes);
+    // The newest entry survives and still reads back.
+    std::string out;
+    EXPECT_TRUE(store.lookup(0x0300000000000001ull, "new", out));
+    EXPECT_FALSE(store.lookup(0x0100000000000001ull, "old", out));
+}
+
+TEST_F(RunnerTests, CacheGcDropsEntriesPastMaxAge)
+{
+    runner::CacheStore store(tempDir("gc-age"));
+    store.store(0x0100000000000001ull, "ancient", "a");
+    store.store(0x0200000000000001ull, "fresh", "b");
+    fs::last_write_time(store.entryPath(0x0100000000000001ull),
+                        fs::file_time_type::clock::now() -
+                            std::chrono::hours(72));
+
+    runner::GcOptions options;
+    options.maxAgeSeconds = 24 * 3600;
+    const runner::GcReport report = runner::cacheGc(store, options);
+    EXPECT_EQ(report.deleted, 1u);
+    std::string out;
+    EXPECT_TRUE(store.lookup(0x0200000000000001ull, "fresh", out));
+    EXPECT_FALSE(store.lookup(0x0100000000000001ull, "ancient", out));
+}
+
+TEST_F(RunnerTests, CacheGcSweepsStaleTempsButSparesFreshOnes)
+{
+    const std::string dir = tempDir("gc-temps");
+    runner::CacheStore store(dir);
+    store.store(0x0100000000000001ull, "keep", "payload");
+    {
+        std::ofstream stale(dir + "/tmp-1-0");
+        stale << "crashed writer";
+        std::ofstream fresh(dir + "/tmp-2-0");
+        fresh << "live writer";
+    }
+    fs::last_write_time(dir + "/tmp-1-0",
+                        fs::file_time_type::clock::now() -
+                            std::chrono::hours(2));
+
+    runner::GcOptions options;
+    options.maxAgeSeconds = 7 * 24 * 3600;
+    const runner::GcReport report = runner::cacheGc(store, options);
+    EXPECT_EQ(report.tempFilesRemoved, 1u);
+    EXPECT_FALSE(fs::exists(dir + "/tmp-1-0"));
+    EXPECT_TRUE(fs::exists(dir + "/tmp-2-0"));
+    EXPECT_EQ(report.deleted, 0u); // the real entry is young
 }
 
 } // namespace

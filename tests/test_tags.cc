@@ -7,7 +7,7 @@
  * collision unit tests, reset-cause telemetry, the
  * state-reset-vs-fresh-cache replay pin for the shared reset hook,
  * KAGURA_JOBS determinism for the new layouts, canonical-key
- * conditional emission + the sweepd codec round-trip law, and the
+ * conditional emission + the SimConfig::parse round-trip law, and the
  * runner result-codec's optional tag-stats section.
  */
 
@@ -28,7 +28,6 @@
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
-#include "sweepd/config_codec.hh"
 #include "tags/layout.hh"
 #include "tags/signature.hh"
 #include "tags/superblock.hh"
@@ -480,7 +479,7 @@ TEST(TagLayoutBehavior, SuiteIsDeterministicAcrossWorkerCounts)
 }
 
 // ---------------------------------------------------------------
-// Canonical key + sweepd codec
+// Canonical key + SimConfig::parse
 // ---------------------------------------------------------------
 
 TEST(TagLayoutConfig, BaselineLayoutIsOmittedFromTheCanonicalKey)
@@ -511,8 +510,8 @@ TEST(TagLayoutConfig, NonBaselineLayoutsRoundTripThroughTheCodec)
         }
         SimConfig parsed;
         std::string error;
-        ASSERT_EQ(sweepd::parseCanonicalKey(key, parsed, error),
-                  sweepd::ParseStatus::Ok)
+        ASSERT_EQ(SimConfig::parse(key, parsed, error),
+                  ParseStatus::Ok)
             << tagLayoutName(kind) << ": " << error;
         EXPECT_EQ(parsed.canonicalKey(), key) << tagLayoutName(kind);
         EXPECT_EQ(parsed.icache.tagLayout, kind);
@@ -536,27 +535,27 @@ TEST(TagLayoutConfig, CodecRejectsMalformedTagLayoutKeys)
     SimConfig parsed;
     std::string error;
 
-    // Unknown layout name: typed Malformed (the daemon answers
-    // ErrorCode::BadJob), never a silent baseline fallback.
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    // Unknown layout name: typed Malformed, never a silent baseline
+    // fallback.
+    EXPECT_EQ(SimConfig::parse(
                   "workload=crc32\ndcache.tag_layout=dish\n", parsed,
                   error),
-              sweepd::ParseStatus::Malformed);
+              ParseStatus::Malformed);
 
     // An explicit baseline line parses but is non-canonical (the
     // emitter omits it), so the round-trip law rejects it.
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    EXPECT_EQ(SimConfig::parse(
                   "workload=crc32\ndcache.tag_layout=baseline\n",
                   parsed, error),
-              sweepd::ParseStatus::Malformed);
+              ParseStatus::Malformed);
     EXPECT_NE(error.find("round-trip"), std::string::npos);
 }
 
 TEST(TagLayoutConfig, ParseTagLayoutHelperCoversAllNames)
 {
     for (TagLayoutKind kind : tags::allTagLayoutKinds())
-        EXPECT_EQ(sweepd::parseTagLayout(tagLayoutName(kind)), kind);
-    EXPECT_FALSE(sweepd::parseTagLayout("touche").has_value());
+        EXPECT_EQ(tags::parseTagLayoutKind(tagLayoutName(kind)), kind);
+    EXPECT_FALSE(tags::parseTagLayoutKind("touche").has_value());
 }
 
 // ---------------------------------------------------------------

@@ -28,7 +28,6 @@
 #include "runner/runner.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
-#include "sweepd/config_codec.hh"
 
 using namespace kagura;
 
@@ -314,7 +313,7 @@ main(int argc, char **argv)
         } else if (is("--l2")) {
             const char *v = nextArg(argc, argv, i);
             std::string error;
-            if (!sweepd::applyL2Spec(v, cfg, error))
+            if (!applyL2Spec(v, cfg, error))
                 fatal("--l2: %s", error.c_str());
         } else if (is("--l2-tag-layout")) {
             const char *v = nextArg(argc, argv, i);

@@ -1,42 +1,35 @@
 /**
  * @file
- * kagura_sweep -- control CLI for the sweep daemon.
+ * kagura_sweep -- in-process sweep grids and result-cache maintenance.
  *
  * Subcommands:
- *   start        launch kagura_sweepd and wait until it accepts
- *   stop         ask a running daemon to shut down
- *   status       print a daemon's counters
- *   grid         expand a capacitor x trace x compressor x EHS grid
- *                and run it through the daemon with live progress
+ *   grid         expand a capacitor x trace x compressor x EHS x L2
+ *                grid and run it through runner::runJobs()
  *   cache stats  result-cache statistics (entries, bytes, shard skew)
  *   cache gc     trim the result cache by size and/or age
  *
+ * Grids share the content-addressed result cache (KAGURA_CACHE_DIR)
+ * with every bench binary, so rerunning an interrupted grid resumes
+ * it: finished jobs come back as cache hits.
+ *
  * Examples:
- *   kagura_sweep start --socket /tmp/kagura.sock --jobs 8
- *   kagura_sweep grid --socket /tmp/kagura.sock \
- *       --apps crc32,dijkstra --compressors bdi,fpc --cap-uf 4.7,10
+ *   kagura_sweep grid --apps crc32,dijkstra --compressors bdi,fpc \
+ *       --cap-uf 4.7,10
  *   kagura_sweep cache gc --max-bytes 512M --max-age 30d
- *   kagura_sweep stop --socket /tmp/kagura.sock
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "common/logging.hh"
+#include "runner/cache_maint.hh"
 #include "runner/cache_store.hh"
+#include "runner/progress.hh"
 #include "runner/runner.hh"
 #include "sim/experiment.hh"
-#include "sweepd/cache_maint.hh"
-#include "sweepd/client.hh"
-#include "sweepd/config_codec.hh"
 
 using namespace kagura;
 
@@ -47,37 +40,20 @@ void
 usage()
 {
     std::puts(
-        "kagura_sweep -- sweep daemon control (kagura.sweep/v1)\n"
+        "kagura_sweep -- in-process sweep grids and cache maintenance\n"
         "\n"
         "usage: kagura_sweep COMMAND [options]\n"
         "\n"
-        "common options:\n"
-        "  --socket PATH    daemon socket (default: $KAGURA_SWEEPD,\n"
-        "                   else .kagura-sweepd.sock)\n"
-        "\n"
-        "start [--jobs N] [--bin PATH] [--log FILE] [--wait SECS]\n"
-        "  launch kagura_sweepd detached and wait for the socket\n"
-        "stop [--wait SECS]\n"
-        "  request shutdown and wait for the socket to close\n"
-        "status\n"
-        "  print pool width, client/batch counts, cache counters\n"
         "grid [--apps A,B|all] [--compressors C,..] [--ehs E,..]\n"
         "     [--cap-uf X,..] [--traces T,..] [--l2 L,..] [--seeds N]\n"
-        "     [--kagura] [--manifest ID] [--local]\n"
+        "     [--kagura]\n"
         "  an --l2 axis value is none or SIZExWAYS[:GOVERNOR[+kagura]]\n"
         "  (e.g. none,1024x4,1024x4:acc+kagura); --ehs values are\n"
         "  nvsramcache,nvmr,sweepcache,taskbased,specpersist\n"
-        "  expand the cross product and run it (via the daemon, or\n"
-        "  in-process with --local / when the daemon is unreachable)\n"
+        "  expand the cross product and run it in-process; a rerun\n"
+        "  replays finished jobs from the result cache\n"
         "cache stats [--dir PATH]\n"
         "cache gc [--dir PATH] [--max-bytes N[K|M|G]] [--max-age N[h|d]]\n");
-}
-
-std::string
-defaultSocket()
-{
-    const char *env = std::getenv("KAGURA_SWEEPD");
-    return env && env[0] ? env : ".kagura-sweepd.sock";
 }
 
 /** "512M" -> bytes; suffixes K/M/G (binary). */
@@ -160,187 +136,8 @@ struct Args
     }
 };
 
-bool
-connectOrDie(sweepd::SweepClient &client, const std::string &socket)
-{
-    std::string error;
-    if (!client.connect(socket, &error))
-        fatal("cannot reach daemon at '%s': %s", socket.c_str(),
-              error.c_str());
-    return true;
-}
-
 int
-cmdStart(const std::string &socket, Args &args)
-{
-    unsigned jobs = 0;
-    unsigned waitSecs = 15;
-    std::string bin;
-    std::string log;
-    while (args.more()) {
-        const std::string arg = args.next();
-        if (arg == "--jobs")
-            jobs = static_cast<unsigned>(
-                std::strtoul(args.value(arg).c_str(), nullptr, 10));
-        else if (arg == "--bin")
-            bin = args.value(arg);
-        else if (arg == "--log")
-            log = args.value(arg);
-        else if (arg == "--wait")
-            waitSecs = static_cast<unsigned>(
-                std::strtoul(args.value(arg).c_str(), nullptr, 10));
-        else
-            fatal("start: unknown option '%s'", arg.c_str());
-    }
-
-    {
-        // Refuse to double-start: a live daemon answers the probe.
-        sweepd::SweepClient probe;
-        std::string error;
-        if (probe.connect(socket, &error)) {
-            inform("daemon already running on %s (%u workers)",
-                   socket.c_str(), probe.daemonThreads());
-            return 0;
-        }
-    }
-
-    if (bin.empty()) {
-        // Prefer the kagura_sweepd that shipped next to this binary.
-        char self[4096];
-        const ssize_t n =
-            ::readlink("/proc/self/exe", self, sizeof(self) - 1);
-        if (n > 0) {
-            self[n] = '\0';
-            std::string dir(self);
-            const std::size_t slash = dir.rfind('/');
-            if (slash != std::string::npos) {
-                const std::string sibling =
-                    dir.substr(0, slash + 1) + "kagura_sweepd";
-                if (::access(sibling.c_str(), X_OK) == 0)
-                    bin = sibling;
-            }
-        }
-        if (bin.empty())
-            bin = "kagura_sweepd"; // fall back to PATH lookup
-    }
-
-    const pid_t pid = ::fork();
-    if (pid < 0)
-        fatal("fork(): %s", std::strerror(errno));
-    if (pid == 0) {
-        ::setsid(); // survive the launching shell
-        if (!log.empty()) {
-            if (!std::freopen(log.c_str(), "a", stdout) ||
-                !std::freopen(log.c_str(), "a", stderr))
-                _exit(127);
-        }
-        std::vector<std::string> argvStrings = {bin, "--socket", socket};
-        if (jobs) {
-            argvStrings.push_back("--jobs");
-            argvStrings.push_back(std::to_string(jobs));
-        }
-        std::vector<char *> argvPtrs;
-        for (std::string &s : argvStrings)
-            argvPtrs.push_back(s.data());
-        argvPtrs.push_back(nullptr);
-        ::execvp(bin.c_str(), argvPtrs.data());
-        std::fprintf(stderr, "kagura_sweep: exec %s: %s\n", bin.c_str(),
-                     std::strerror(errno));
-        _exit(127);
-    }
-
-    // Poll until the daemon answers HELLO (it may still be binding).
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(waitSecs);
-    std::string error;
-    while (std::chrono::steady_clock::now() < deadline) {
-        int wstatus = 0;
-        if (::waitpid(pid, &wstatus, WNOHANG) == pid)
-            fatal("kagura_sweepd (pid %d) exited during startup%s",
-                  static_cast<int>(pid),
-                  log.empty() ? "" : ("; see " + log).c_str());
-        sweepd::SweepClient client;
-        if (client.connect(socket, &error)) {
-            inform("kagura_sweepd running: pid %d, socket %s, "
-                   "%u workers",
-                   static_cast<int>(pid), socket.c_str(),
-                   client.daemonThreads());
-            return 0;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    fatal("daemon did not come up on '%s' within %us: %s",
-          socket.c_str(), waitSecs, error.c_str());
-}
-
-int
-cmdStop(const std::string &socket, Args &args)
-{
-    unsigned waitSecs = 15;
-    while (args.more()) {
-        const std::string arg = args.next();
-        if (arg == "--wait")
-            waitSecs = static_cast<unsigned>(
-                std::strtoul(args.value(arg).c_str(), nullptr, 10));
-        else
-            fatal("stop: unknown option '%s'", arg.c_str());
-    }
-    sweepd::SweepClient client;
-    std::string error;
-    if (!client.connect(socket, &error)) {
-        inform("no daemon on '%s' (%s)", socket.c_str(), error.c_str());
-        return 0;
-    }
-    if (!client.shutdownDaemon(&error))
-        fatal("shutdown failed: %s", error.c_str());
-    client.close();
-
-    // The daemon unlinks its socket as it stops; wait for that.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(waitSecs);
-    while (std::chrono::steady_clock::now() < deadline) {
-        sweepd::SweepClient probe;
-        if (!probe.connect(socket, &error)) {
-            inform("daemon on %s stopped", socket.c_str());
-            return 0;
-        }
-        probe.close();
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    warn("daemon acknowledged shutdown but '%s' is still accepting "
-         "after %us",
-         socket.c_str(), waitSecs);
-    return 1;
-}
-
-int
-cmdStatus(const std::string &socket)
-{
-    sweepd::SweepClient client;
-    connectOrDie(client, socket);
-    sweepd::StatusBody status;
-    std::string error;
-    if (!client.status(status, &error))
-        fatal("status failed: %s", error.c_str());
-    std::printf("socket:        %s\n", socket.c_str());
-    std::printf("workers:       %u\n", status.poolThreads);
-    std::printf("clients:       %u\n", status.clients);
-    std::printf("batches:       %llu\n",
-                static_cast<unsigned long long>(status.batches));
-    std::printf("jobs done:     %llu\n",
-                static_cast<unsigned long long>(status.jobsDone));
-    std::printf("simulations:   %llu\n",
-                static_cast<unsigned long long>(status.simulations));
-    std::printf("cache hits:    %llu\n",
-                static_cast<unsigned long long>(status.cacheHits));
-    std::printf("cache misses:  %llu\n",
-                static_cast<unsigned long long>(status.cacheMisses));
-    std::printf("uptime:        %.1fs\n", status.uptimeSeconds);
-    return 0;
-}
-
-int
-cmdGrid(const std::string &socket, Args &args)
+cmdGrid(Args &args)
 {
     std::vector<std::string> apps;
     std::vector<std::string> compressors = {"bdi"};
@@ -350,8 +147,6 @@ cmdGrid(const std::string &socket, Args &args)
     std::vector<std::string> l2Specs = {"none"};
     unsigned seeds = 1;
     bool withKagura = false;
-    bool local = false;
-    std::string manifest;
     while (args.more()) {
         const std::string arg = args.next();
         if (arg == "--apps") {
@@ -374,10 +169,6 @@ cmdGrid(const std::string &socket, Args &args)
                 std::strtoul(args.value(arg).c_str(), nullptr, 10));
         } else if (arg == "--kagura") {
             withKagura = true;
-        } else if (arg == "--manifest") {
-            manifest = args.value(arg);
-        } else if (arg == "--local") {
-            local = true;
         } else {
             fatal("grid: unknown option '%s'", arg.c_str());
         }
@@ -390,21 +181,21 @@ cmdGrid(const std::string &socket, Args &args)
     // Validate axis values up front so a typo fails before any work.
     std::vector<CompressorKind> comp;
     for (const std::string &name : compressors) {
-        const auto kind = sweepd::parseCompressorKind(name);
+        const auto kind = parseCompressorKind(name);
         if (!kind)
             fatal("grid: unknown compressor '%s'", name.c_str());
         comp.push_back(*kind);
     }
     std::vector<EhsKind> ehs;
     for (const std::string &name : ehsKinds) {
-        const auto kind = sweepd::parseEhsKind(name);
+        const auto kind = parseEhsKind(name);
         if (!kind)
             fatal("grid: unknown ehs '%s'", name.c_str());
         ehs.push_back(*kind);
     }
     std::vector<TraceKind> traceKinds;
     for (const std::string &name : traces) {
-        const auto kind = sweepd::parseTraceKind(name);
+        const auto kind = parseTraceKind(name);
         if (!kind)
             fatal("grid: unknown trace '%s'", name.c_str());
         traceKinds.push_back(*kind);
@@ -414,7 +205,7 @@ cmdGrid(const std::string &socket, Args &args)
     for (const std::string &spec : l2Specs) {
         SimConfig probe;
         std::string error;
-        if (!sweepd::applyL2Spec(spec, probe, error))
+        if (!applyL2Spec(spec, probe, error))
             fatal("grid: %s", error.c_str());
     }
 
@@ -437,8 +228,7 @@ cmdGrid(const std::string &socket, Args &args)
                                 uf * 1e-6;
                             job.config.trace = t;
                             std::string l2_error;
-                            sweepd::applyL2Spec(l2, job.config,
-                                                l2_error);
+                            applyL2Spec(l2, job.config, l2_error);
                             job.config.traceSeed = suiteSeed(s);
                             jobs.push_back(std::move(job));
                         }
@@ -454,43 +244,7 @@ cmdGrid(const std::string &socket, Args &args)
            capUf.size(), traceKinds.size(), l2Specs.size(), seeds);
 
     const auto started = std::chrono::steady_clock::now();
-    std::vector<SimResult> results;
-    sweepd::BatchDoneBody done;
-    bool viaDaemon = false;
-    if (!local) {
-        sweepd::SweepClient client;
-        std::string error;
-        if (client.connect(socket, &error)) {
-            const bool tty = ::isatty(::fileno(stderr));
-            const auto onProgress =
-                [&](const sweepd::ProgressBody &p) {
-                    if (p.total == 0)
-                        return;
-                    std::fprintf(
-                        stderr,
-                        "grid: %u/%u done (%u cached, %u simulated"
-                        "%s%u resumed)%s",
-                        p.done, p.total, p.cacheHits, p.simulations,
-                        p.resumed ? ", " : ", ", p.resumed,
-                        tty ? "    \r" : "\n");
-                    std::fflush(stderr);
-                };
-            if (!client.runJobs(jobs, results, &error, &done, manifest,
-                                onProgress))
-                fatal("grid: daemon sweep failed: %s", error.c_str());
-            if (tty)
-                std::fprintf(stderr, "\n");
-            viaDaemon = true;
-        } else {
-            warn("grid: daemon unreachable on '%s' (%s); running "
-                 "in-process",
-                 socket.c_str(), error.c_str());
-        }
-    }
-    if (!viaDaemon) {
-        results = runner::runJobs(jobs);
-        done.total = static_cast<std::uint32_t>(jobs.size());
-    }
+    const std::vector<SimResult> results = runner::runJobs(jobs);
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       started)
@@ -499,11 +253,11 @@ cmdGrid(const std::string &socket, Args &args)
     double wallSum = 0;
     for (const SimResult &r : results)
         wallSum += static_cast<double>(r.wallCycles);
-    inform("grid: %u jobs in %.1fs via %s (%u cache hits, "
-           "%u simulations, %u resumed); mean wall %.0f cycles",
-           done.total, elapsed, viaDaemon ? "daemon" : "in-process",
-           done.cacheHits, done.simulations, done.resumed,
-           results.empty() ? 0.0 : wallSum / results.size());
+    inform("grid: %zu jobs in %.1fs; mean wall %.0f cycles", jobs.size(),
+           elapsed, results.empty() ? 0.0 : wallSum / results.size());
+    // The [runner] line splits the jobs into cache hits and simulations;
+    // rerunning a finished grid is all hits.
+    runner::printSummary(stdout, runner::jobCount());
     return 0;
 }
 
@@ -514,7 +268,7 @@ cmdCache(Args &args)
         fatal("cache: expected 'stats' or 'gc'");
     const std::string sub = args.next();
     std::string dir;
-    sweepd::GcOptions gc;
+    runner::GcOptions gc;
     while (args.more()) {
         const std::string arg = args.next();
         if (arg == "--dir")
@@ -532,7 +286,7 @@ cmdCache(Args &args)
         store.setDirectory(dir);
 
     if (sub == "stats") {
-        const sweepd::CacheStatsReport s = sweepd::cacheStats(store);
+        const runner::CacheStatsReport s = runner::cacheStats(store);
         std::printf("directory:      %s\n", store.directory().c_str());
         std::printf("entries:        %llu\n",
                     static_cast<unsigned long long>(s.entries));
@@ -542,8 +296,6 @@ cmdCache(Args &args)
                     static_cast<unsigned long long>(s.legacyEntries));
         std::printf("temp files:     %llu\n",
                     static_cast<unsigned long long>(s.tempFiles));
-        std::printf("manifests:      %llu\n",
-                    static_cast<unsigned long long>(s.manifests));
         std::printf("shards:         %u\n", s.shards);
         std::printf("shard min/max:  %llu / %llu\n",
                     static_cast<unsigned long long>(s.minShardEntries),
@@ -554,7 +306,7 @@ cmdCache(Args &args)
     if (sub == "gc") {
         if (gc.maxBytes == 0 && gc.maxAgeSeconds == 0)
             fatal("cache gc: need --max-bytes and/or --max-age");
-        const sweepd::GcReport r = sweepd::cacheGc(store, gc);
+        const runner::GcReport r = runner::cacheGc(store, gc);
         std::printf("scanned:        %llu entries\n",
                     static_cast<unsigned long long>(r.scanned));
         std::printf("deleted:        %llu entries, %llu bytes\n",
@@ -585,29 +337,9 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Pull a leading/interspersed --socket out; subcommand parsers see
-    // the rest.
-    std::string socket = defaultSocket();
-    std::vector<char *> rest;
-    for (int i = 2; i < argc; ++i) {
-        if (std::string_view(argv[i]) == "--socket") {
-            if (i + 1 >= argc)
-                fatal("--socket needs a value");
-            socket = argv[++i];
-            continue;
-        }
-        rest.push_back(argv[i]);
-    }
-    Args args{static_cast<int>(rest.size()), rest.data(), 0};
-
-    if (command == "start")
-        return cmdStart(socket, args);
-    if (command == "stop")
-        return cmdStop(socket, args);
-    if (command == "status")
-        return cmdStatus(socket);
+    Args args{argc, argv, 2};
     if (command == "grid")
-        return cmdGrid(socket, args);
+        return cmdGrid(args);
     if (command == "cache")
         return cmdCache(args);
     usage();

@@ -11,7 +11,7 @@
 #   JOBS=8 tools/run_all_benches.sh     # fixed worker count
 #   KAGURA_REPEATS=5 tools/run_all_benches.sh   # full-fidelity sweep
 #   BUILD_DIR=/tmp/b tools/run_all_benches.sh   # out-of-tree build
-#   BENCH_JSON=BENCH_PR2.json tools/run_all_benches.sh
+#   BENCH_JSON=BENCH_LOCAL.json tools/run_all_benches.sh
 #       # metrics mode: every bench also writes a kagura.metrics/v1
 #       # JSON-lines export; the sweep validates them and aggregates
 #       # a kagura.bench/v1 summary (total wall time, sims run, cache
@@ -19,13 +19,6 @@
 #
 # A second invocation with a warm .kagura-cache should report
 # sims=0 / hit_rate=100% and finish in seconds.
-#
-# When the build ships tools/kagura_sweepd, the sweep starts one
-# daemon and routes every bench through it via KAGURA_SWEEPD, so all
-# bench binaries share a single work pool and result cache instead of
-# spawning one pool each. KAGURA_SWEEPD=off forces in-process
-# execution; an externally exported KAGURA_SWEEPD socket is used
-# as-is (and left running). Results are bit-identical either way.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -38,14 +31,7 @@ cmake -B "$BUILD" -S "$ROOT" >/dev/null
 cmake --build "$BUILD" -j >/dev/null
 
 metrics_dir=""
-sweepd_sock=""
-sweepd_dir=""
 cleanup() {
-    if [ -n "$sweepd_sock" ]; then
-        "$BUILD"/tools/kagura_sweep stop --socket "$sweepd_sock" \
-            >/dev/null 2>&1 || true
-    fi
-    [ -n "$sweepd_dir" ] && rm -rf "$sweepd_dir"
     [ -n "$metrics_dir" ] && rm -rf "$metrics_dir"
     return 0
 }
@@ -53,25 +39,6 @@ trap cleanup EXIT
 
 if [ -n "$BENCH_JSON" ]; then
     metrics_dir=$(mktemp -d)
-fi
-
-if [ "${KAGURA_SWEEPD:-}" = "off" ]; then
-    unset KAGURA_SWEEPD
-elif [ -z "${KAGURA_SWEEPD:-}" ] && [ -x "$BUILD"/tools/kagura_sweepd ]; then
-    sweepd_dir=$(mktemp -d)
-    sweepd_sock="$sweepd_dir/sweepd.sock"
-    if "$BUILD"/tools/kagura_sweep start --socket "$sweepd_sock" \
-           --bin "$BUILD"/tools/kagura_sweepd --jobs "$JOBS" \
-           --log "$sweepd_dir/sweepd.log" >/dev/null 2>&1; then
-        export KAGURA_SWEEPD="$sweepd_sock"
-        echo "sweep daemon: $sweepd_sock ($JOBS workers)"
-    else
-        # Benches fall back to their in-process pools.
-        echo "sweep daemon: failed to start; running in-process" >&2
-        rm -rf "$sweepd_dir"
-        sweepd_sock=""
-        sweepd_dir=""
-    fi
 fi
 
 total_jobs=0
