@@ -31,7 +31,7 @@ main(int argc, char **argv)
 
     TextTable table;
     table.setHeader({"policy", "+ACC", "+ACC+Kagura"});
-    for (ReplKind policy : repl::allReplKinds()) {
+    for (ReplKind policy : replKindNames) {
         auto shaped = [policy](SimConfig cfg) {
             cfg.icache.replacement = policy;
             cfg.dcache.replacement = policy;

@@ -103,7 +103,7 @@ main(int argc, char **argv)
         std::map<std::string, double> bestOnline[2];
         std::map<std::string, double> optBound[2];
 
-        for (ReplKind policy : repl::allReplKinds()) {
+        for (ReplKind policy : replKindNames) {
             const std::string name = replacementPolicyName(policy);
             auto shaped = [policy, ehs](SimConfig cfg) {
                 cfg.ehs = ehs;

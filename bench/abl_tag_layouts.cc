@@ -127,7 +127,7 @@ main(int argc, char **argv)
             std::string label;
         };
         std::vector<RowSpec> rows;
-        for (TagLayoutKind layout : tags::allTagLayoutKinds())
+        for (TagLayoutKind layout : tagLayoutNames)
             rows.push_back({layout, ReplKind::Lru, tagLayoutName(layout)});
         rows.push_back({TagLayoutKind::Superblock, ReplKind::Dish,
                         std::string(tagLayoutName(

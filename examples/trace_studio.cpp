@@ -26,14 +26,8 @@ main(int argc, char **argv)
 
     SimConfig cfg = baselineConfig(app);
     std::unique_ptr<PowerTrace> preview;
-    if (source == "rfhome") {
-        cfg.trace = TraceKind::RfHome;
-    } else if (source == "solar") {
-        cfg.trace = TraceKind::Solar;
-    } else if (source == "thermal") {
-        cfg.trace = TraceKind::Thermal;
-    } else if (source == "constant") {
-        cfg.trace = TraceKind::Constant;
+    if (const auto kind = enumFromName(traceKindNames, source)) {
+        cfg.trace = *kind;
     } else {
         // Treat it as a trace file; validate it loads before running.
         preview = loadTraceFile(source);

@@ -21,6 +21,7 @@
 #include <memory>
 
 #include "cache/governor.hh"
+#include "common/spelling.hh"
 
 namespace kagura
 {
@@ -40,8 +41,18 @@ enum class GovernorKind
     Acc,    ///< adaptive compression via the GCP [10]
 };
 
-/** Human-readable governor name. */
-const char *governorKindName(GovernorKind kind);
+/** Governor names, in enum order. */
+inline constexpr EnumName<GovernorKind> governorKindNames[] = {
+    {GovernorKind::None, "none"},
+    {GovernorKind::Always, "always"},
+    {GovernorKind::Acc, "ACC"},
+};
+
+inline const char *
+governorKindName(GovernorKind kind)
+{
+    return enumName<governorKindNames>(kind);
+}
 
 /** How the ideal-oracle two-phase methodology is engaged. */
 enum class OracleMode
@@ -49,6 +60,16 @@ enum class OracleMode
     Off,
     Record, ///< phase 1: tally per-block compression outcomes
     Replay, ///< phase 2: veto compressions the log deems useless
+};
+
+/**
+ * OracleMode spellings. The canonical key spells a mode by its
+ * ordinal ("oracle.mode=1"): that line predates the name tables.
+ */
+inline constexpr EnumName<OracleMode> oracleModeOrdinals[] = {
+    {OracleMode::Off, "0"},
+    {OracleMode::Record, "1"},
+    {OracleMode::Replay, "2"},
 };
 
 /** One cache's governor chain (each cache has its own ACC GCP). */

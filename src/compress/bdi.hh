@@ -24,7 +24,6 @@ class BdiCompressor : public Compressor
 {
   public:
     CompressorKind kind() const override { return CompressorKind::Bdi; }
-    const char *name() const override { return "BDI"; }
 
     std::uint64_t compress(ConstByteSpan block,
                            PayloadBuffer &out) const override;

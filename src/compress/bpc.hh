@@ -24,7 +24,6 @@ class BpcCompressor : public Compressor
 {
   public:
     CompressorKind kind() const override { return CompressorKind::Bpc; }
-    const char *name() const override { return "BPC"; }
 
     std::uint64_t compress(ConstByteSpan block,
                            PayloadBuffer &out) const override;

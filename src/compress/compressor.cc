@@ -14,26 +14,6 @@
 namespace kagura
 {
 
-const char *
-compressorKindName(CompressorKind kind)
-{
-    switch (kind) {
-      case CompressorKind::Bdi:
-        return "BDI";
-      case CompressorKind::Fpc:
-        return "FPC";
-      case CompressorKind::CPack:
-        return "C-Pack";
-      case CompressorKind::Dzc:
-        return "DZC";
-      case CompressorKind::Bpc:
-        return "BPC";
-      case CompressorKind::Fvc:
-        return "FVC";
-    }
-    panic("unknown CompressorKind %d", static_cast<int>(kind));
-}
-
 void
 Compressor::recordMetrics(metrics::MetricSet &set,
                           std::string_view prefix) const

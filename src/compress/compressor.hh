@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/block.hh"
+#include "common/spelling.hh"
 #include "common/types.hh"
 #include "energy/energy_model.hh"
 #include "metrics/fwd.hh"
@@ -50,8 +51,21 @@ enum class CompressorKind
     Fvc,   ///< Frequent Value Compression, CC-style [171] (extension)
 };
 
-/** Human-readable algorithm name. */
-const char *compressorKindName(CompressorKind kind);
+/** Algorithm names, in enum order; "cpack" is a CLI alias. */
+inline constexpr EnumName<CompressorKind> compressorKindNames[] = {
+    {CompressorKind::Bdi, "BDI"},
+    {CompressorKind::Fpc, "FPC"},
+    {CompressorKind::CPack, "C-Pack", "cpack"},
+    {CompressorKind::Dzc, "DZC"},
+    {CompressorKind::Bpc, "BPC"},
+    {CompressorKind::Fvc, "FVC"},
+};
+
+inline const char *
+compressorKindName(CompressorKind kind)
+{
+    return enumName<compressorKindNames>(kind);
+}
 
 /**
  * Fixed-capacity scratch for one compressed payload. Sized for the
@@ -121,7 +135,7 @@ class Compressor
     virtual CompressorKind kind() const = 0;
 
     /** Algorithm name for reports. */
-    virtual const char *name() const = 0;
+    virtual const char *name() const { return compressorKindName(kind()); }
 
     /**
      * Compress @p block into @p out (cleared first); never fails

@@ -21,7 +21,6 @@ class CPackCompressor : public Compressor
 {
   public:
     CompressorKind kind() const override { return CompressorKind::CPack; }
-    const char *name() const override { return "C-Pack"; }
 
     std::uint64_t compress(ConstByteSpan block,
                            PayloadBuffer &out) const override;

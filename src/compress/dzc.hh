@@ -19,7 +19,6 @@ class DzcCompressor : public Compressor
 {
   public:
     CompressorKind kind() const override { return CompressorKind::Dzc; }
-    const char *name() const override { return "DZC"; }
 
     std::uint64_t compress(ConstByteSpan block,
                            PayloadBuffer &out) const override;

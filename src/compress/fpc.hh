@@ -21,7 +21,6 @@ class FpcCompressor : public Compressor
 {
   public:
     CompressorKind kind() const override { return CompressorKind::Fpc; }
-    const char *name() const override { return "FPC"; }
 
     std::uint64_t compress(ConstByteSpan block,
                            PayloadBuffer &out) const override;

@@ -25,7 +25,6 @@ class FvcCompressor : public Compressor
 {
   public:
     CompressorKind kind() const override { return CompressorKind::Fvc; }
-    const char *name() const override { return "FVC"; }
 
     std::uint64_t compress(ConstByteSpan block,
                            PayloadBuffer &out) const override;

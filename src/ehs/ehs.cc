@@ -33,24 +33,6 @@ EhsContext::checkpointCost(unsigned nvm_block_writes,
     return cost;
 }
 
-const char *
-ehsKindName(EhsKind kind)
-{
-    switch (kind) {
-      case EhsKind::NvsramCache:
-        return "NVSRAMCache";
-      case EhsKind::NvMR:
-        return "NvMR";
-      case EhsKind::SweepCache:
-        return "SweepCache";
-      case EhsKind::TaskBased:
-        return "TaskBased";
-      case EhsKind::SpecPersist:
-        return "SpecPersist";
-    }
-    panic("unknown EhsKind %d", static_cast<int>(kind));
-}
-
 std::unique_ptr<EhsDesign>
 makeEhs(EhsKind kind)
 {

@@ -40,6 +40,7 @@
 #include <memory>
 
 #include "cache/cache.hh"
+#include "common/spelling.hh"
 #include "common/types.hh"
 #include "ehs/recovery.hh"
 #include "energy/energy_model.hh"
@@ -57,13 +58,20 @@ enum class EhsKind
     SpecPersist, ///< speculative epoch persistence
 };
 
-/** Human-readable design name. */
-const char *ehsKindName(EhsKind kind);
+/** Design names, in enum order; "nvsram" is a CLI alias. */
+inline constexpr EnumName<EhsKind> ehsKindNames[] = {
+    {EhsKind::NvsramCache, "NVSRAMCache", "nvsram"},
+    {EhsKind::NvMR, "NvMR"},
+    {EhsKind::SweepCache, "SweepCache"},
+    {EhsKind::TaskBased, "TaskBased"},
+    {EhsKind::SpecPersist, "SpecPersist"},
+};
 
-/** Every design, in enum order (name parsing, sweeps and tests). */
-inline constexpr EhsKind allEhsKinds[] = {
-    EhsKind::NvsramCache, EhsKind::NvMR, EhsKind::SweepCache,
-    EhsKind::TaskBased, EhsKind::SpecPersist};
+inline const char *
+ehsKindName(EhsKind kind)
+{
+    return enumName<ehsKindNames>(kind);
+}
 
 /** Cost of one EHS action. */
 struct EhsCost
@@ -126,7 +134,7 @@ class EhsDesign
     virtual EhsKind kind() const = 0;
 
     /** Design name for reports. */
-    virtual const char *name() const = 0;
+    const char *name() const { return ehsKindName(kind()); }
 
     /**
      * The design's declared recovery model (commit-boundary kind +

@@ -28,7 +28,6 @@ class NvmrEhs : public EhsDesign
     NvmrEhs();
 
     EhsKind kind() const override { return EhsKind::NvMR; }
-    const char *name() const override { return "NvMR"; }
     const RecoveryModel &recovery() const override;
     bool hasVoltageMonitor() const override { return false; }
 

@@ -16,7 +16,6 @@ class NvsramEhs : public EhsDesign
 {
   public:
     EhsKind kind() const override { return EhsKind::NvsramCache; }
-    const char *name() const override { return "NVSRAMCache"; }
     const RecoveryModel &recovery() const override;
     bool hasVoltageMonitor() const override { return true; }
 

@@ -41,7 +41,6 @@ class SpecPersistEhs : public EhsDesign
     explicit SpecPersistEhs(std::uint64_t epoch_instructions = 800);
 
     EhsKind kind() const override { return EhsKind::SpecPersist; }
-    const char *name() const override { return "SpecPersist"; }
     const RecoveryModel &recovery() const override;
     bool hasVoltageMonitor() const override { return false; }
 

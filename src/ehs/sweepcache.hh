@@ -26,7 +26,6 @@ class SweepEhs : public EhsDesign
     explicit SweepEhs(std::uint64_t region_instructions = 1500);
 
     EhsKind kind() const override { return EhsKind::SweepCache; }
-    const char *name() const override { return "SweepCache"; }
     const RecoveryModel &recovery() const override;
     bool hasVoltageMonitor() const override { return false; }
 

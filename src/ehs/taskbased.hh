@@ -39,7 +39,6 @@ class TaskBasedEhs : public EhsDesign
     explicit TaskBasedEhs(std::uint64_t task_instructions = 400);
 
     EhsKind kind() const override { return EhsKind::TaskBased; }
-    const char *name() const override { return "TaskBased"; }
     const RecoveryModel &recovery() const override;
     bool hasVoltageMonitor() const override { return false; }
 

@@ -1,23 +1,7 @@
 #include "energy/energy_model.hh"
 
-#include "common/logging.hh"
-
 namespace kagura
 {
-
-const char *
-nvmTypeName(NvmType type)
-{
-    switch (type) {
-      case NvmType::ReRam:
-        return "ReRAM";
-      case NvmType::Pcm:
-        return "PCM";
-      case NvmType::SttRam:
-        return "STTRAM";
-    }
-    panic("unknown NvmType %d", static_cast<int>(type));
-}
 
 NvmParams
 nvmParams(NvmType type, std::uint64_t mem_bytes)

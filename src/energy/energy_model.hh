@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/spelling.hh"
 #include "common/types.hh"
 
 namespace kagura
@@ -32,8 +33,18 @@ enum class NvmType
     SttRam,
 };
 
-/** Human-readable name of an NVM technology. */
-const char *nvmTypeName(NvmType type);
+/** NVM technology names, in enum order. */
+inline constexpr EnumName<NvmType> nvmTypeNames[] = {
+    {NvmType::ReRam, "ReRAM"},
+    {NvmType::Pcm, "PCM"},
+    {NvmType::SttRam, "STTRAM"},
+};
+
+inline const char *
+nvmTypeName(NvmType type)
+{
+    return enumName<nvmTypeNames>(type);
+}
 
 /** Per-event energy/latency constants for one NVM technology. */
 struct NvmParams

@@ -13,22 +13,6 @@
 namespace kagura
 {
 
-const char *
-traceKindName(TraceKind kind)
-{
-    switch (kind) {
-      case TraceKind::RfHome:
-        return "RFHome";
-      case TraceKind::Solar:
-        return "Solar";
-      case TraceKind::Thermal:
-        return "Thermal";
-      case TraceKind::Constant:
-        return "Constant";
-    }
-    panic("unknown TraceKind %d", static_cast<int>(kind));
-}
-
 Watts
 PowerTrace::meanPower() const
 {
@@ -158,19 +142,20 @@ makeTrace(TraceKind kind, std::uint64_t intervals, std::uint64_t seed,
 {
     if (intervals == 0)
         fatal("power trace needs at least one interval");
+    const char *name = traceKindName(kind);
     switch (kind) {
       case TraceKind::RfHome:
         return std::make_unique<VectorTrace>(
-            "RFHome", genRfHome(intervals, seed, scale));
+            name, genRfHome(intervals, seed, scale));
       case TraceKind::Solar:
         return std::make_unique<VectorTrace>(
-            "Solar", genSolar(intervals, seed, scale));
+            name, genSolar(intervals, seed, scale));
       case TraceKind::Thermal:
         return std::make_unique<VectorTrace>(
-            "Thermal", genThermal(intervals, seed, scale));
+            name, genThermal(intervals, seed, scale));
       case TraceKind::Constant:
         return std::make_unique<VectorTrace>(
-            "Constant", std::vector<Watts>(intervals, 40e-6 * scale));
+            name, std::vector<Watts>(intervals, 40e-6 * scale));
     }
     panic("unknown TraceKind %d", static_cast<int>(kind));
 }

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spelling.hh"
 #include "common/types.hh"
 
 namespace kagura
@@ -38,8 +39,19 @@ enum class TraceKind
     Constant, ///< fixed power; for unit tests and calibration
 };
 
-/** Human-readable trace name. */
-const char *traceKindName(TraceKind kind);
+/** Ambient source names, in enum order. */
+inline constexpr EnumName<TraceKind> traceKindNames[] = {
+    {TraceKind::RfHome, "RFHome"},
+    {TraceKind::Solar, "Solar"},
+    {TraceKind::Thermal, "Thermal"},
+    {TraceKind::Constant, "Constant"},
+};
+
+inline const char *
+traceKindName(TraceKind kind)
+{
+    return enumName<traceKindNames>(kind);
+}
 
 /**
  * A power trace: average harvested power (watts) per 10 us interval,

@@ -3,26 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
-
 namespace kagura
 {
-
-const char *
-adaptSchemeName(AdaptScheme scheme)
-{
-    switch (scheme) {
-      case AdaptScheme::Aimd:
-        return "AIMD";
-      case AdaptScheme::Miad:
-        return "MIAD";
-      case AdaptScheme::Aiad:
-        return "AIAD";
-      case AdaptScheme::Mimd:
-        return "MIMD";
-    }
-    panic("unknown AdaptScheme %d", static_cast<int>(scheme));
-}
 
 std::uint64_t
 adaptThreshold(AdaptScheme scheme, std::uint64_t threshold,

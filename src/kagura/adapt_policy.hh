@@ -14,6 +14,8 @@
 
 #include <cstdint>
 
+#include "common/spelling.hh"
+
 namespace kagura
 {
 
@@ -26,8 +28,19 @@ enum class AdaptScheme
     Mimd, ///< multiplicative increase / multiplicative decrease
 };
 
-/** Human-readable scheme name. */
-const char *adaptSchemeName(AdaptScheme scheme);
+/** Scheme names, in enum order. */
+inline constexpr EnumName<AdaptScheme> adaptSchemeNames[] = {
+    {AdaptScheme::Aimd, "AIMD"},
+    {AdaptScheme::Miad, "MIAD"},
+    {AdaptScheme::Aiad, "AIAD"},
+    {AdaptScheme::Mimd, "MIMD"},
+};
+
+inline const char *
+adaptSchemeName(AdaptScheme scheme)
+{
+    return enumName<adaptSchemeNames>(scheme);
+}
 
 /**
  * Apply one reboot-time adaptation step.

@@ -22,20 +22,6 @@ GovernorChain &GovernorChain::operator=(GovernorChain &&) noexcept =
     default;
 GovernorChain::~GovernorChain() = default;
 
-const char *
-governorKindName(GovernorKind kind)
-{
-    switch (kind) {
-      case GovernorKind::None:
-        return "none";
-      case GovernorKind::Always:
-        return "always";
-      case GovernorKind::Acc:
-        return "ACC";
-    }
-    panic("unknown GovernorKind %d", static_cast<int>(kind));
-}
-
 GovernorChain
 makeGovernorChain(const GovernorChainSpec &spec)
 {

@@ -27,18 +27,6 @@ KaguraStats::recordMetrics(metrics::MetricSet &set,
     leaf("punishments", punishments);
 }
 
-const char *
-triggerKindName(TriggerKind kind)
-{
-    switch (kind) {
-      case TriggerKind::Memory:
-        return "mem";
-      case TriggerKind::Voltage:
-        return "vol";
-    }
-    panic("unknown TriggerKind %d", static_cast<int>(kind));
-}
-
 KaguraController::KaguraController(const KaguraConfig &config,
                                    CompressionGovernor *inner_)
     : cfg(config), inner(inner_), rThres(config.initialThreshold)

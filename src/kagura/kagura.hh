@@ -38,8 +38,17 @@ enum class TriggerKind
     Voltage, ///< capacitor voltage threshold (needs extended monitor)
 };
 
-/** Human-readable trigger name. */
-const char *triggerKindName(TriggerKind kind);
+/** Trigger names, in enum order. */
+inline constexpr EnumName<TriggerKind> triggerKindNames[] = {
+    {TriggerKind::Memory, "mem"},
+    {TriggerKind::Voltage, "vol"},
+};
+
+inline const char *
+triggerKindName(TriggerKind kind)
+{
+    return enumName<triggerKindNames>(kind);
+}
 
 /** Kagura configuration (defaults = the paper's chosen design point). */
 struct KaguraConfig

@@ -1,17 +1,17 @@
 /**
  * @file
- * Replacement-policy kinds: the configuration vocabulary shared by
- * CacheConfig, the canonical key, and SimConfig::parse(). The
- * policy *implementations* live behind the repl::ReplacementPolicy
- * interface (policy.hh); this header is dependency-free so config
- * structs can name a policy without pulling in the machinery.
+ * Replacement-policy kinds and their name table: the configuration
+ * vocabulary shared by CacheConfig, the canonical key,
+ * SimConfig::parse() and the CLIs. The policy *implementations* live
+ * behind the repl::ReplacementPolicy interface (policy.hh); this
+ * header depends only on common/spelling.hh so config structs can
+ * name a policy without pulling in the machinery.
  */
 
 #ifndef KAGURA_REPL_KIND_HH
 #define KAGURA_REPL_KIND_HH
 
-#include <optional>
-#include <string_view>
+#include "common/spelling.hh"
 
 namespace kagura
 {
@@ -31,28 +31,32 @@ enum class ReplKind
 };
 
 /**
- * Canonical policy name, as it appears in SimConfig::canonicalKey()
+ * Canonical policy names, as they appear in SimConfig::canonicalKey()
  * ("icache.replacement=..."). The LRU/FIFO/random spellings predate
  * src/repl and are pinned by committed cache fixtures and goldens --
  * never change them without bumping simulatorVersionSalt.
  */
-const char *replacementPolicyName(ReplKind kind);
-
-/** Inverse of replacementPolicyName (case-insensitive). */
-std::optional<ReplKind> parseReplKind(std::string_view name);
-
-/** Every kind, in canonical (enum) order, for sweeps and codecs. */
-struct ReplKindList
-{
-    const ReplKind *data;
-    std::size_t count;
-    const ReplKind *begin() const { return data; }
-    const ReplKind *end() const { return data + count; }
+inline constexpr EnumName<ReplKind> replKindNames[] = {
+    {ReplKind::Lru, "LRU"},
+    {ReplKind::Fifo, "FIFO"},
+    {ReplKind::Random, "random"},
+    {ReplKind::Camp, "CAMP"},
+    {ReplKind::Crrip, "CRRIP"},
+    {ReplKind::SizeOptgen, "size-optgen"},
+    {ReplKind::Dish, "dish"},
 };
-ReplKindList allReplKinds();
+
+inline const char *
+replacementPolicyName(ReplKind kind)
+{
+    return enumName<replKindNames>(kind);
+}
 
 /** The online kinds (everything except the offline OPTgen oracle). */
-ReplKindList onlineReplKinds();
+inline constexpr ReplKind onlineReplKinds[] = {
+    ReplKind::Lru,  ReplKind::Fifo,  ReplKind::Random,
+    ReplKind::Camp, ReplKind::Crrip, ReplKind::Dish,
+};
 
 } // namespace repl
 
@@ -60,6 +64,7 @@ ReplKindList onlineReplKinds();
 // unqualified names.
 using repl::ReplKind;
 using repl::replacementPolicyName;
+using repl::replKindNames;
 
 } // namespace kagura
 

@@ -4,10 +4,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
-#include <functional>
-#include <unordered_map>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
-#include "common/strings.hh"
+#include "common/spelling.hh"
 #include "core/workload.hh"
 #include "trace/trace_workload.hh"
 
@@ -75,432 +76,382 @@ SimConfig::describe() const
 namespace
 {
 
+// ---------------------------------------------------------------------
+// Codecs: how one value is written as, and read from, key text.
+// format() returns a view of @p buf or of static or member text, so
+// writing a line allocates nothing.
+
+/** Scratch for one formatted value (a %.17g double fits). */
+using ValueBuffer = char[32];
+
 /**
- * Appends canonical-key lines. Values are appended directly rather
- * than through a fixed printf buffer, so no line is ever truncated;
- * doubles go through std::to_chars(general, 17), which the standard
- * defines to produce exactly printf("%.17g") in the C locale.
+ * The codec a member's type implies: decimal integers, 0/1 flags, the
+ * workload name as text, and doubles printed round-trip exact
+ * (std::to_chars(general, 17) is defined to print exactly what
+ * printf("%.17g") does in the C locale).
  */
-struct KeyWriter
+struct PlainCodec
 {
-    std::string &out;
-    /** Key prefix, e.g. "dcache." for the cache blocks. */
-    std::string_view prefix = {};
-
-    void
-    text(std::string_view key, std::string_view value) const
+    template <typename T>
+    static std::string_view
+    format(ValueBuffer &buf, const T &value)
     {
-        begin(key);
-        out += value;
-        out += '\n';
+        if constexpr (std::is_same_v<T, bool>) {
+            return value ? "1" : "0";
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            return value;
+        } else {
+            std::to_chars_result res;
+            if constexpr (std::is_floating_point_v<T>)
+                res = std::to_chars(buf, std::end(buf), value,
+                                    std::chars_format::general, 17);
+            else
+                res = std::to_chars(buf, std::end(buf), value);
+            return {buf, static_cast<std::size_t>(res.ptr - buf)};
+        }
     }
 
-    void
-    integer(std::string_view key, std::uint64_t value) const
+    template <typename T>
+    static bool
+    read(std::string_view text, T &value)
     {
-        char buf[24];
-        const auto res = std::to_chars(buf, buf + sizeof(buf), value);
-        text(key, std::string_view(buf, res.ptr - buf));
-    }
-
-    void
-    real(std::string_view key, double value) const
-    {
-        char buf[32];
-        const auto res = std::to_chars(buf, buf + sizeof(buf), value,
-                                       std::chars_format::general, 17);
-        text(key, std::string_view(buf, res.ptr - buf));
-    }
-
-    void
-    flag(std::string_view key, bool value) const
-    {
-        text(key, value ? "1" : "0");
-    }
-
-  private:
-    void
-    begin(std::string_view key) const
-    {
-        out += prefix;
-        out += key;
-        out += '=';
+        if constexpr (std::is_same_v<T, bool>) {
+            value = text == "1";
+            return value || text == "0";
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            value = text;
+            return !value.empty();
+        } else {
+            return parseNumber(text, value);
+        }
     }
 };
 
-void
-appendCacheConfig(std::string &out, std::string_view prefix,
-                  const CacheConfig &cache)
+/** An enum spelled through its name table (common/spelling.hh). */
+template <const auto &table>
+struct NameCodec
 {
-    const KeyWriter w{out, prefix};
-    w.integer("size_bytes", cache.sizeBytes);
-    w.integer("ways", cache.ways);
-    w.integer("block_size", cache.blockSize);
-    w.integer("segment_bytes", cache.segmentBytes);
-    w.text("replacement", replacementPolicyName(cache.replacement));
-    // Conditional emission, like the optional trace lines: the
-    // baseline layout predates this key, so emitting it would
-    // invalidate every cached result (and the committed fixture) for
-    // configurations whose behavior did not change.
-    if (cache.tagLayout != TagLayoutKind::Baseline)
-        w.text("tag_layout", tagLayoutName(cache.tagLayout));
-    // Same trick for the signature width: 6-bit signatures predate
-    // this key (SignatureTags' historical constant).
-    if (cache.sigBits != 6)
-        w.integer("sig_bits", cache.sigBits);
+    using Enum = decltype(table[0].value);
+
+    static std::string_view
+    format(ValueBuffer &, Enum value)
+    {
+        return enumName<table>(value);
+    }
+
+    static bool
+    read(std::string_view text, Enum &value)
+    {
+        const std::optional<Enum> parsed = enumFromName(table, text);
+        if (parsed)
+            value = *parsed;
+        return parsed.has_value();
+    }
+};
+
+constexpr PlainCodec plain{};
+template <const auto &table>
+constexpr NameCodec<table> names{};
+
+// ---------------------------------------------------------------------
+// Rows of the field list.
+
+/**
+ * When a row's line is left out of the key. Omission exists for keys
+ * added after cached results did: a line that only appears when it
+ * differs from the behaviour that predates it leaves every older key
+ * (and the committed cache fixture) byte-identical.
+ */
+enum class Omit
+{
+    Never,
+    /** The value equals the member's default in a value-initialized
+     *  owner struct (e.g. tag_layout=baseline, sig_bits=6). */
+    WhenDefault,
+    /** The config has no L2 (the whole l2.* block). */
+    WithoutL2,
+};
+
+/** One `key=value` line for @p member of Owner. */
+template <typename Owner, typename T, typename Codec = PlainCodec>
+struct Field
+{
+    std::string_view key;
+    T Owner::*member;
+    Codec codec = {};
+    Omit omit = Omit::Never;
+};
+
+/** The rows of sub-struct @p member, each key prefixed by @p prefix. */
+template <typename Owner, typename Sub, typename Rows>
+struct Group
+{
+    std::string_view prefix;
+    Sub Owner::*member;
+    Rows rows;
+    /** Never or WithoutL2; applies to every row of the group. */
+    Omit omit = Omit::Never;
+};
+
+/**
+ * The workload.trace_hash / trace_path lines. They are derived from
+ * the file a trace workload names, not from a config field, so they
+ * are written from the file and, when read, only recorded for
+ * SimConfig::parse's trust check.
+ */
+struct TraceLines
+{
+};
+
+// ---------------------------------------------------------------------
+// The field list: every canonical-key line, in key order. Adding a
+// config field is one row here; the key writer, the parser and the
+// field-count guard below all follow from it. A row's codec is the
+// one its member's type implies unless it names an enum table.
+
+constexpr std::tuple cacheFields{
+    Field{"size_bytes", &CacheConfig::sizeBytes},
+    Field{"ways", &CacheConfig::ways},
+    Field{"block_size", &CacheConfig::blockSize},
+    Field{"segment_bytes", &CacheConfig::segmentBytes},
+    Field{"replacement", &CacheConfig::replacement, names<replKindNames>},
+    Field{"tag_layout", &CacheConfig::tagLayout, names<tagLayoutNames>,
+          Omit::WhenDefault},
+    Field{"sig_bits", &CacheConfig::sigBits, plain, Omit::WhenDefault},
+};
+
+constexpr std::tuple kaguraFields{
+    Field{"scheme", &KaguraConfig::scheme, names<adaptSchemeNames>},
+    Field{"increase_step", &KaguraConfig::increaseStep},
+    Field{"counter_bits", &KaguraConfig::counterBits},
+    Field{"history_depth", &KaguraConfig::historyDepth},
+    Field{"trigger", &KaguraConfig::trigger, names<triggerKindNames>},
+    Field{"initial_threshold", &KaguraConfig::initialThreshold},
+    Field{"reward_band", &KaguraConfig::rewardBand},
+    Field{"voltage_trigger_fraction", &KaguraConfig::voltageTriggerFraction},
+    Field{"apply_adjustment", &KaguraConfig::applyAdjustment},
+    Field{"adaptive_threshold", &KaguraConfig::adaptiveThreshold},
+};
+
+constexpr std::tuple capacitorFields{
+    Field{"capacitance", &CapacitorConfig::capacitance},
+    Field{"v_max", &CapacitorConfig::vMax},
+    Field{"v_restore", &CapacitorConfig::vRestore},
+    Field{"v_checkpoint", &CapacitorConfig::vCheckpoint},
+    Field{"v_shutdown", &CapacitorConfig::vShutdown},
+    Field{"leakage_per_farad", &CapacitorConfig::leakagePerFarad},
+};
+
+constexpr std::tuple energyFields{
+    Field{"clock_hz", &EnergyModel::clockHz},
+    Field{"core_per_instr", &EnergyModel::corePerInstr},
+    Field{"core_leakage", &EnergyModel::coreLeakage},
+    Field{"cache_access", &EnergyModel::cacheAccess},
+    Field{"cache_leakage_per_byte", &EnergyModel::cacheLeakagePerByte},
+    Field{"nvff_write", &EnergyModel::nvffWrite},
+    Field{"nvff_read", &EnergyModel::nvffRead},
+    Field{"monitor_sample", &EnergyModel::monitorSample},
+    Field{"extended_monitor_sample", &EnergyModel::extendedMonitorSample},
+    Field{"reboot_latency", &EnergyModel::rebootLatency},
+    Field{"reboot_energy", &EnergyModel::rebootEnergy},
+    Field{"compaction_energy", &EnergyModel::compactionEnergy},
+    Field{"trace_interval", &EnergyModel::traceInterval},
+};
+
+constexpr std::tuple decayFields{
+    Field{"interval", &DecayConfig::decayInterval},
+};
+
+constexpr std::tuple configFields{
+    Field{"workload", &SimConfig::workload},
+    TraceLines{},
+    Group{"icache.", &SimConfig::icache, cacheFields},
+    Group{"dcache.", &SimConfig::dcache, cacheFields},
+    Field{"l2.enabled", &SimConfig::enableL2, plain, Omit::WithoutL2},
+    Group{"l2.", &SimConfig::l2, cacheFields, Omit::WithoutL2},
+    Field{"l2.governor", &SimConfig::l2Governor, names<governorKindNames>,
+          Omit::WithoutL2},
+    Field{"l2.kagura", &SimConfig::l2Kagura, plain, Omit::WithoutL2},
+    Field{"governor", &SimConfig::governor, names<governorKindNames>},
+    Field{"compressor", &SimConfig::compressor, names<compressorKindNames>},
+    Field{"kagura.enabled", &SimConfig::enableKagura},
+    Group{"kagura.", &SimConfig::kagura, kaguraFields},
+    Field{"ehs", &SimConfig::ehs, names<ehsKindNames>},
+    Field{"nvm.type", &SimConfig::nvmType, names<nvmTypeNames>},
+    Field{"nvm.bytes", &SimConfig::nvmBytes},
+    Group{"capacitor.", &SimConfig::capacitor, capacitorFields},
+    Group{"energy.", &SimConfig::energy, energyFields},
+    Field{"trace.kind", &SimConfig::trace, names<traceKindNames>},
+    Field{"trace.seed", &SimConfig::traceSeed},
+    Field{"trace.scale", &SimConfig::traceScale},
+    Field{"trace.intervals", &SimConfig::traceIntervals},
+    Field{"decay.enabled", &SimConfig::enableDecay},
+    Group{"decay.", &SimConfig::decay, decayFields},
+    Field{"prefetch.enabled", &SimConfig::enablePrefetch},
+    Field{"infinite_energy", &SimConfig::infiniteEnergy},
+    Field{"io_region.interval", &SimConfig::ioRegionInterval},
+    Field{"io_region.length", &SimConfig::ioRegionLength},
+    Field{"oracle.mode", &SimConfig::oracle, names<oracleModeOrdinals>},
+};
+
+// ---------------------------------------------------------------------
+// Forgotten-field guard: each struct's member count must equal its
+// row count, so a member added without a row fails the build instead
+// of silently mapping two behaviours onto one cache entry.
+
+/** Converts to any member type, so brace-initializing counts fields. */
+struct AnyMember
+{
+    template <typename T>
+    operator T() const;
+};
+
+/** Number of members of aggregate @p T. */
+template <typename T, std::size_t... I>
+constexpr std::size_t
+memberCount(std::index_sequence<I...> = {})
+{
+    if constexpr (requires { T{(void(I), AnyMember{})..., AnyMember{}}; })
+        return memberCount<T>(std::make_index_sequence<sizeof...(I) + 1>{});
+    else
+        return sizeof...(I);
 }
+
+template <typename T, typename Rows>
+constexpr bool coveredBy = memberCount<T>() == std::tuple_size_v<Rows>;
+
+static_assert(coveredBy<CacheConfig, decltype(cacheFields)>);
+static_assert(coveredBy<KaguraConfig, decltype(kaguraFields)>);
+static_assert(coveredBy<CapacitorConfig, decltype(capacitorFields)>);
+static_assert(coveredBy<EnergyModel, decltype(energyFields)>);
+static_assert(coveredBy<DecayConfig, decltype(decayFields)>);
+// SimConfig: the TraceLines row has no member, and `verbose` and
+// `oracleLog` deliberately have no row (see canonicalKey() in
+// sim_config.hh: output only, and a runtime pointer).
+static_assert(memberCount<SimConfig>() + 1 ==
+              std::tuple_size_v<decltype(configFields)> + 2);
+
+// ---------------------------------------------------------------------
+// One walk serves both directions: visitRows() hands every Field row
+// and the TraceLines row to @p visit in key order, descending into a
+// Group's rows on its sub-struct under its prefix and omission, until
+// @p visit returns true.
+
+template <typename Rows, typename Object, typename Visitor>
+bool
+visitRows(const Rows &rows, Object &object, std::string_view prefix,
+          Omit groupOmit, Visitor &visit)
+{
+    const auto one = [&](const auto &row) {
+        if constexpr (requires { row.rows; })
+            return visitRows(row.rows, object.*row.member, row.prefix,
+                             row.omit, visit);
+        else
+            return visit(row, object, prefix, groupOmit);
+    };
+    return std::apply([&](const auto &...row) { return (one(row) || ...); },
+                      rows);
+}
+
+/** A value-initialized Owner: the reference for Omit::WhenDefault. */
+template <typename Owner>
+const Owner defaultOf{};
+
+/** Append `<prefix><key>=<value>\n`. */
+[[gnu::noinline]] void
+appendLine(std::string &out, std::string_view prefix, std::string_view key,
+           std::string_view value)
+{
+    out += prefix;
+    out += key;
+    out += '=';
+    out += value;
+    out += '\n';
+}
+
+/** Writes every row that is not omitted (canonicalKey()). */
+struct KeyWriter
+{
+    std::string &out;
+    const SimConfig &config;
+
+    template <typename Owner, typename T, typename Codec>
+    bool
+    operator()(const Field<Owner, T, Codec> &field, const Owner &owner,
+               std::string_view prefix, Omit groupOmit)
+    {
+        const T &value = owner.*field.member;
+        if ((field.omit == Omit::WhenDefault &&
+             value == defaultOf<Owner>.*field.member) ||
+            ((field.omit == Omit::WithoutL2 ||
+              groupOmit == Omit::WithoutL2) &&
+             !config.enableL2))
+            return false;
+        ValueBuffer buf;
+        appendLine(out, prefix, field.key, field.codec.format(buf, value));
+        return false;
+    }
+
+    bool
+    operator()(const TraceLines &, const SimConfig &, std::string_view,
+               Omit)
+    {
+        out += trace::traceWorkloadKeyLines(config.workload);
+        return false;
+    }
+};
+
+/** Applies one `key=value` line through the row its key names. */
+struct LineReader
+{
+    /** Where the trace lines go (SimConfig::parse's trust check). */
+    std::string &traceHash;
+    std::string &tracePath;
+    std::string_view key = {};
+    std::string_view value = {};
+    bool ok = true;
+
+    template <typename Owner, typename T, typename Codec>
+    bool
+    operator()(const Field<Owner, T, Codec> &field, Owner &owner,
+               std::string_view prefix, Omit)
+    {
+        if (key.size() != prefix.size() + field.key.size() ||
+            !key.starts_with(prefix) || !key.ends_with(field.key))
+            return false;
+        ok = field.codec.read(value, owner.*field.member);
+        return true;
+    }
+
+    bool
+    operator()(const TraceLines &, SimConfig &, std::string_view, Omit)
+    {
+        if (key == trace::traceHashKey)
+            traceHash = value;
+        else if (key == trace::tracePathKey)
+            tracePath = value;
+        else
+            return false;
+        return true;
+    }
+};
 
 } // namespace
 
-std::string
+// canonicalKey() runs on every warm cache hit, so it is flattened:
+// the row walk, the omission checks (constant per row) and the value
+// formatting inline into one straight run, and only appendLine()
+// stays a call, which keeps it about as small as a hand-written
+// writer.
+[[gnu::flatten]] std::string
 SimConfig::canonicalKey() const
 {
     std::string out;
     out.reserve(1536);
-    const KeyWriter w{out};
-    w.text("workload", workload);
-    // Trace-backed workloads live in a file, not the name: fold the
-    // file's content hash (and resolved path) into the key so stale
-    // .kagura-cache entries miss when the trace changes. Referencing
-    // the trace subsystem here also guarantees its workload resolver
-    // is linked into every simulator binary.
-    out += trace::traceWorkloadKeyLines(workload);
-    appendCacheConfig(out, "icache.", icache);
-    appendCacheConfig(out, "dcache.", dcache);
-    // Conditional L2 lines, like the optional tag_layout keys: the
-    // hierarchy refactor must not move any no-L2 key, or every cached
-    // result (and the committed fixture) would churn for
-    // configurations whose behavior did not change.
-    if (enableL2) {
-        w.flag("l2.enabled", true);
-        appendCacheConfig(out, "l2.", l2);
-        w.text("l2.governor", governorKindName(l2Governor));
-        w.flag("l2.kagura", l2Kagura);
-    }
-    w.text("governor", governorKindName(governor));
-    w.text("compressor", compressorKindName(compressor));
-    w.flag("kagura.enabled", enableKagura);
-    w.text("kagura.scheme", adaptSchemeName(kagura.scheme));
-    w.real("kagura.increase_step", kagura.increaseStep);
-    w.integer("kagura.counter_bits", kagura.counterBits);
-    w.integer("kagura.history_depth", kagura.historyDepth);
-    w.text("kagura.trigger", triggerKindName(kagura.trigger));
-    w.integer("kagura.initial_threshold", kagura.initialThreshold);
-    w.real("kagura.reward_band", kagura.rewardBand);
-    w.real("kagura.voltage_trigger_fraction",
-           kagura.voltageTriggerFraction);
-    w.flag("kagura.apply_adjustment", kagura.applyAdjustment);
-    w.flag("kagura.adaptive_threshold", kagura.adaptiveThreshold);
-    w.text("ehs", ehsKindName(ehs));
-    w.text("nvm.type", nvmTypeName(nvmType));
-    w.integer("nvm.bytes", nvmBytes);
-    w.real("capacitor.capacitance", capacitor.capacitance);
-    w.real("capacitor.v_max", capacitor.vMax);
-    w.real("capacitor.v_restore", capacitor.vRestore);
-    w.real("capacitor.v_checkpoint", capacitor.vCheckpoint);
-    w.real("capacitor.v_shutdown", capacitor.vShutdown);
-    w.real("capacitor.leakage_per_farad", capacitor.leakagePerFarad);
-    w.real("energy.clock_hz", energy.clockHz);
-    w.real("energy.core_per_instr", energy.corePerInstr);
-    w.real("energy.core_leakage", energy.coreLeakage);
-    w.real("energy.cache_access", energy.cacheAccess);
-    w.real("energy.cache_leakage_per_byte", energy.cacheLeakagePerByte);
-    w.real("energy.nvff_write", energy.nvffWrite);
-    w.real("energy.nvff_read", energy.nvffRead);
-    w.real("energy.monitor_sample", energy.monitorSample);
-    w.real("energy.extended_monitor_sample",
-           energy.extendedMonitorSample);
-    w.integer("energy.reboot_latency", energy.rebootLatency);
-    w.real("energy.reboot_energy", energy.rebootEnergy);
-    w.real("energy.compaction_energy", energy.compactionEnergy);
-    w.real("energy.trace_interval", energy.traceInterval);
-    w.text("trace.kind", traceKindName(trace));
-    w.integer("trace.seed", traceSeed);
-    w.real("trace.scale", traceScale);
-    w.integer("trace.intervals", traceIntervals);
-    w.flag("decay.enabled", enableDecay);
-    w.integer("decay.interval", decay.decayInterval);
-    w.flag("prefetch.enabled", enablePrefetch);
-    w.flag("infinite_energy", infiniteEnergy);
-    w.integer("io_region.interval", ioRegionInterval);
-    w.integer("io_region.length", ioRegionLength);
-    w.integer("oracle.mode", static_cast<unsigned>(oracle));
+    KeyWriter writer{out, *this};
+    visitRows(configFields, *this, {}, Omit::Never, writer);
     return out;
 }
-
-namespace
-{
-
-/** Generic inverse of a name() function over an enum value list. */
-template <typename Enum, std::size_t N>
-std::optional<Enum>
-invertName(std::string_view name, const Enum (&values)[N],
-           const char *(*to_name)(Enum))
-{
-    for (Enum value : values) {
-        if (iequals(name, to_name(value)))
-            return value;
-    }
-    return std::nullopt;
-}
-
-/** Whole-string std::from_chars parse (decimal integer or double). */
-template <typename T>
-bool
-parseNumber(std::string_view value, T &out)
-{
-    const char *end = value.data() + value.size();
-    const auto res = std::from_chars(value.data(), end, out);
-    return res.ec == std::errc() && res.ptr == end;
-}
-
-bool
-parseBool(std::string_view value, bool &out)
-{
-    if (value != "0" && value != "1")
-        return false;
-    out = value == "1";
-    return true;
-}
-
-/** Parse an enum name through @p parser into @p out. */
-template <typename Enum>
-bool
-parseEnum(std::string_view value, Enum &out,
-          std::optional<Enum> (*parser)(std::string_view))
-{
-    const std::optional<Enum> parsed = parser(value);
-    if (parsed)
-        out = *parsed;
-    return parsed.has_value();
-}
-
-/**
- * One `key=value` line applied to a config under construction.
- * Handlers return false on a bad value; the table is the complete
- * canonical-key vocabulary, and an unknown key is itself an error
- * (a field this build cannot honour).
- */
-using LineHandler = std::function<bool(SimConfig &, std::string_view)>;
-
-const std::unordered_map<std::string, LineHandler> &
-lineHandlers()
-{
-    static const auto *handlers = [] {
-        auto *map = new std::unordered_map<std::string, LineHandler>;
-        auto add = [map](const std::string &key, LineHandler fn) {
-            (*map)[key] = std::move(fn);
-        };
-        using V = std::string_view;
-
-        add("workload", [](SimConfig &c, V v) {
-            c.workload = std::string(v);
-            return !c.workload.empty();
-        });
-
-        auto addCache = [&](const std::string &prefix,
-                            CacheConfig SimConfig::*cache) {
-            add(prefix + "size_bytes", [cache](SimConfig &c, V v) {
-                return parseNumber(v, (c.*cache).sizeBytes);
-            });
-            add(prefix + "ways", [cache](SimConfig &c, V v) {
-                return parseNumber(v, (c.*cache).ways);
-            });
-            add(prefix + "block_size", [cache](SimConfig &c, V v) {
-                return parseNumber(v, (c.*cache).blockSize);
-            });
-            add(prefix + "segment_bytes", [cache](SimConfig &c, V v) {
-                return parseNumber(v, (c.*cache).segmentBytes);
-            });
-            add(prefix + "replacement", [cache](SimConfig &c, V v) {
-                return parseEnum(v, (c.*cache).replacement,
-                                 repl::parseReplKind);
-            });
-            // Only non-baseline keys carry this line (conditional
-            // emission), but the parser accepts all three spellings:
-            // a "tag_layout=baseline" line fails the round-trip law
-            // instead, keeping one canonical key per configuration.
-            add(prefix + "tag_layout", [cache](SimConfig &c, V v) {
-                return parseEnum(v, (c.*cache).tagLayout,
-                                 tags::parseTagLayoutKind);
-            });
-            // Same conditional-emission story: only non-default
-            // widths (6 is the default) carry this line.
-            add(prefix + "sig_bits", [cache](SimConfig &c, V v) {
-                return parseNumber(v, (c.*cache).sigBits);
-            });
-        };
-        addCache("icache.", &SimConfig::icache);
-        addCache("dcache.", &SimConfig::dcache);
-
-        // The optional shared L2 (emitted as a block only when
-        // l2.enabled=1; an l2.* line without it fails the round-trip
-        // law, keeping one canonical key per configuration).
-        addCache("l2.", &SimConfig::l2);
-        add("l2.enabled", [](SimConfig &c, V v) {
-            return parseBool(v, c.enableL2);
-        });
-        add("l2.governor", [](SimConfig &c, V v) {
-            return parseEnum(v, c.l2Governor, parseGovernorKind);
-        });
-        add("l2.kagura", [](SimConfig &c, V v) {
-            return parseBool(v, c.l2Kagura);
-        });
-
-        add("governor", [](SimConfig &c, V v) {
-            return parseEnum(v, c.governor, parseGovernorKind);
-        });
-        add("compressor", [](SimConfig &c, V v) {
-            return parseEnum(v, c.compressor, parseCompressorKind);
-        });
-
-        add("kagura.enabled", [](SimConfig &c, V v) {
-            return parseBool(v, c.enableKagura);
-        });
-        add("kagura.scheme", [](SimConfig &c, V v) {
-            return parseEnum(v, c.kagura.scheme, parseAdaptScheme);
-        });
-        add("kagura.increase_step", [](SimConfig &c, V v) {
-            return parseNumber(v, c.kagura.increaseStep);
-        });
-        add("kagura.counter_bits", [](SimConfig &c, V v) {
-            return parseNumber(v, c.kagura.counterBits);
-        });
-        add("kagura.history_depth", [](SimConfig &c, V v) {
-            return parseNumber(v, c.kagura.historyDepth);
-        });
-        add("kagura.trigger", [](SimConfig &c, V v) {
-            return parseEnum(v, c.kagura.trigger, parseTriggerKind);
-        });
-        add("kagura.initial_threshold", [](SimConfig &c, V v) {
-            return parseNumber(v, c.kagura.initialThreshold);
-        });
-        add("kagura.reward_band", [](SimConfig &c, V v) {
-            return parseNumber(v, c.kagura.rewardBand);
-        });
-        add("kagura.voltage_trigger_fraction", [](SimConfig &c, V v) {
-            return parseNumber(v, c.kagura.voltageTriggerFraction);
-        });
-        add("kagura.apply_adjustment", [](SimConfig &c, V v) {
-            return parseBool(v, c.kagura.applyAdjustment);
-        });
-        add("kagura.adaptive_threshold", [](SimConfig &c, V v) {
-            return parseBool(v, c.kagura.adaptiveThreshold);
-        });
-
-        add("ehs", [](SimConfig &c, V v) {
-            return parseEnum(v, c.ehs, parseEhsKind);
-        });
-        add("nvm.type", [](SimConfig &c, V v) {
-            return parseEnum(v, c.nvmType, parseNvmType);
-        });
-        add("nvm.bytes", [](SimConfig &c, V v) {
-            return parseNumber(v, c.nvmBytes);
-        });
-
-        add("capacitor.capacitance", [](SimConfig &c, V v) {
-            return parseNumber(v, c.capacitor.capacitance);
-        });
-        add("capacitor.v_max", [](SimConfig &c, V v) {
-            return parseNumber(v, c.capacitor.vMax);
-        });
-        add("capacitor.v_restore", [](SimConfig &c, V v) {
-            return parseNumber(v, c.capacitor.vRestore);
-        });
-        add("capacitor.v_checkpoint", [](SimConfig &c, V v) {
-            return parseNumber(v, c.capacitor.vCheckpoint);
-        });
-        add("capacitor.v_shutdown", [](SimConfig &c, V v) {
-            return parseNumber(v, c.capacitor.vShutdown);
-        });
-        add("capacitor.leakage_per_farad", [](SimConfig &c, V v) {
-            return parseNumber(v, c.capacitor.leakagePerFarad);
-        });
-
-        add("energy.clock_hz", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.clockHz);
-        });
-        add("energy.core_per_instr", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.corePerInstr);
-        });
-        add("energy.core_leakage", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.coreLeakage);
-        });
-        add("energy.cache_access", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.cacheAccess);
-        });
-        add("energy.cache_leakage_per_byte", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.cacheLeakagePerByte);
-        });
-        add("energy.nvff_write", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.nvffWrite);
-        });
-        add("energy.nvff_read", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.nvffRead);
-        });
-        add("energy.monitor_sample", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.monitorSample);
-        });
-        add("energy.extended_monitor_sample", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.extendedMonitorSample);
-        });
-        add("energy.reboot_latency", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.rebootLatency);
-        });
-        add("energy.reboot_energy", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.rebootEnergy);
-        });
-        add("energy.compaction_energy", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.compactionEnergy);
-        });
-        add("energy.trace_interval", [](SimConfig &c, V v) {
-            return parseNumber(v, c.energy.traceInterval);
-        });
-
-        add("trace.kind", [](SimConfig &c, V v) {
-            return parseEnum(v, c.trace, parseTraceKind);
-        });
-        add("trace.seed", [](SimConfig &c, V v) {
-            return parseNumber(v, c.traceSeed);
-        });
-        add("trace.scale", [](SimConfig &c, V v) {
-            return parseNumber(v, c.traceScale);
-        });
-        add("trace.intervals", [](SimConfig &c, V v) {
-            return parseNumber(v, c.traceIntervals);
-        });
-
-        add("decay.enabled", [](SimConfig &c, V v) {
-            return parseBool(v, c.enableDecay);
-        });
-        add("decay.interval", [](SimConfig &c, V v) {
-            return parseNumber(v, c.decay.decayInterval);
-        });
-        add("prefetch.enabled", [](SimConfig &c, V v) {
-            return parseBool(v, c.enablePrefetch);
-        });
-        add("infinite_energy", [](SimConfig &c, V v) {
-            return parseBool(v, c.infiniteEnergy);
-        });
-        add("io_region.interval", [](SimConfig &c, V v) {
-            return parseNumber(v, c.ioRegionInterval);
-        });
-        add("io_region.length", [](SimConfig &c, V v) {
-            return parseNumber(v, c.ioRegionLength);
-        });
-        add("oracle.mode", [](SimConfig &c, V v) {
-            unsigned mode = 0;
-            if (!parseNumber(v, mode) || mode > 2)
-                return false;
-            c.oracle = static_cast<OracleMode>(mode);
-            return true;
-        });
-        return map;
-    }();
-    return *handlers;
-}
-
-} // namespace
 
 ParseStatus
 SimConfig::parse(std::string_view text, SimConfig &out,
@@ -509,11 +460,10 @@ SimConfig::parse(std::string_view text, SimConfig &out,
     out = SimConfig{};
     // The two trace lines are descriptive, not config fields: they
     // are recomputed from the local file by canonicalKey(), so the
-    // parser records them for the trust check instead of applying
-    // them through the handler table.
+    // parser records them for the trust check below.
     std::string traceHash;
     std::string tracePath;
-
+    LineReader reader{traceHash, tracePath};
     std::size_t pos = 0;
     while (pos < text.size()) {
         const std::size_t nl = text.find('\n', pos);
@@ -528,31 +478,18 @@ SimConfig::parse(std::string_view text, SimConfig &out,
             error = "bad line '" + std::string(line) + "'";
             return ParseStatus::Malformed;
         }
-        const std::string key(line.substr(0, eq));
-        const std::string_view value = line.substr(eq + 1);
-
-        if (key == "workload.trace_hash") {
-            traceHash = std::string(value);
-            continue;
-        }
-        if (key == "workload.trace_path") {
-            tracePath = std::string(value);
-            continue;
-        }
-        const auto &handlers = lineHandlers();
-        const auto it = handlers.find(key);
-        if (it == handlers.end()) {
-            error = "unknown key '" + key + "'";
+        reader.key = line.substr(0, eq);
+        reader.value = line.substr(eq + 1);
+        // The list is the complete key vocabulary: an unknown key is
+        // a field this build cannot honour.
+        if (!visitRows(configFields, out, {}, Omit::Never, reader)) {
+            error = "unknown key '" + std::string(reader.key) + "'";
             return ParseStatus::Malformed;
         }
-        if (!it->second(out, value)) {
+        if (!reader.ok) {
             error = "bad value in '" + std::string(line) + "'";
             return ParseStatus::Malformed;
         }
-    }
-    if (out.workload.empty()) {
-        error = "missing workload line";
-        return ParseStatus::Malformed;
     }
 
     // Resolve trace-backed workloads against the local filesystem and
@@ -599,63 +536,6 @@ SimConfig::parse(std::string_view text, SimConfig &out,
         return ParseStatus::Malformed;
     }
     return ParseStatus::Ok;
-}
-
-std::optional<GovernorKind>
-parseGovernorKind(std::string_view name)
-{
-    static constexpr GovernorKind values[] = {
-        GovernorKind::None, GovernorKind::Always, GovernorKind::Acc};
-    return invertName(name, values, governorKindName);
-}
-
-std::optional<CompressorKind>
-parseCompressorKind(std::string_view name)
-{
-    static constexpr CompressorKind values[] = {
-        CompressorKind::Bdi, CompressorKind::Fpc, CompressorKind::CPack,
-        CompressorKind::Dzc, CompressorKind::Bpc, CompressorKind::Fvc};
-    return invertName(name, values, compressorKindName);
-}
-
-std::optional<EhsKind>
-parseEhsKind(std::string_view name)
-{
-    return invertName(name, allEhsKinds, ehsKindName);
-}
-
-std::optional<NvmType>
-parseNvmType(std::string_view name)
-{
-    static constexpr NvmType values[] = {NvmType::ReRam, NvmType::Pcm,
-                                         NvmType::SttRam};
-    return invertName(name, values, nvmTypeName);
-}
-
-std::optional<TraceKind>
-parseTraceKind(std::string_view name)
-{
-    static constexpr TraceKind values[] = {
-        TraceKind::RfHome, TraceKind::Solar, TraceKind::Thermal,
-        TraceKind::Constant};
-    return invertName(name, values, traceKindName);
-}
-
-std::optional<AdaptScheme>
-parseAdaptScheme(std::string_view name)
-{
-    static constexpr AdaptScheme values[] = {
-        AdaptScheme::Aimd, AdaptScheme::Miad, AdaptScheme::Aiad,
-        AdaptScheme::Mimd};
-    return invertName(name, values, adaptSchemeName);
-}
-
-std::optional<TriggerKind>
-parseTriggerKind(std::string_view name)
-{
-    static constexpr TriggerKind values[] = {TriggerKind::Memory,
-                                             TriggerKind::Voltage};
-    return invertName(name, values, triggerKindName);
 }
 
 bool
@@ -708,7 +588,7 @@ applyL2Spec(std::string_view spec, SimConfig &cfg, std::string &error)
         kagura = true;
         governor = governor.substr(0, plus);
     }
-    const auto kind = parseGovernorKind(governor);
+    const auto kind = enumFromName(governorKindNames, governor);
     if (!kind || *kind == GovernorKind::None) {
         error = "bad L2 governor in '" + std::string(spec) + "'";
         return false;

@@ -10,7 +10,6 @@
 #define KAGURA_SIM_SIM_CONFIG_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -125,12 +124,13 @@ struct SimConfig
 
     /**
      * Canonical serialization for hashing/caching: every
-     * simulation-relevant field as one `key=value` line, in a fixed
-     * order, with doubles printed round-trip exactly (%.17g). Two
-     * configs produce the same key iff a Simulator would behave
-     * identically under them. Excluded by design: `verbose` (output
-     * only) and `oracleLog` (runtime pointer; cacheable jobs carry
-     * their oracle phase in the runner's job-kind tag instead).
+     * simulation-relevant field as one `key=value` line, in the
+     * order of the field list in sim_config.cc, with doubles printed
+     * round-trip exactly (%.17g) and enums by their name-table
+     * names. Two configs produce the same key iff a Simulator would
+     * behave identically under them. Excluded by design: `verbose`
+     * (output only) and `oracleLog` (runtime pointer; cacheable jobs
+     * carry their oracle phase in the runner's job-kind tag instead).
      */
     std::string canonicalKey() const;
 
@@ -151,21 +151,6 @@ struct SimConfig
     static ParseStatus parse(std::string_view text, SimConfig &out,
                              std::string &error);
 };
-
-/*
- * Name -> enum inverses for the CLIs and SimConfig::parse(). Each
- * returns nullopt for an unknown name; the accepted spellings are
- * exactly the *Name() strings (case-insensitive). Replacement
- * policies and tag layouts use repl::parseReplKind() and
- * tags::parseTagLayoutKind().
- */
-std::optional<GovernorKind> parseGovernorKind(std::string_view name);
-std::optional<CompressorKind> parseCompressorKind(std::string_view name);
-std::optional<EhsKind> parseEhsKind(std::string_view name);
-std::optional<NvmType> parseNvmType(std::string_view name);
-std::optional<TraceKind> parseTraceKind(std::string_view name);
-std::optional<AdaptScheme> parseAdaptScheme(std::string_view name);
-std::optional<TriggerKind> parseTriggerKind(std::string_view name);
 
 /**
  * Apply a shared-L2 level spec, the axis grammar of

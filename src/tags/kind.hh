@@ -1,18 +1,18 @@
 /**
  * @file
- * Tag-layout kinds: the configuration vocabulary shared by
- * CacheConfig, the canonical key, and SimConfig::parse(). The
- * layout *implementations* live behind the tags::TagLayout interface
- * (layout.hh); this header is dependency-free so config structs can
- * name a layout without pulling in the machinery (same split as
+ * Tag-layout kinds and their name table: the configuration
+ * vocabulary shared by CacheConfig, the canonical key,
+ * SimConfig::parse() and the CLIs. The layout *implementations* live
+ * behind the tags::TagLayout interface (layout.hh); this header
+ * depends only on common/spelling.hh so config structs can name a
+ * layout without pulling in the machinery (same split as
  * repl/kind.hh).
  */
 
 #ifndef KAGURA_TAGS_KIND_HH
 #define KAGURA_TAGS_KIND_HH
 
-#include <optional>
-#include <string_view>
+#include "common/spelling.hh"
 
 namespace kagura
 {
@@ -37,26 +37,23 @@ enum class TagLayoutKind
 };
 
 /**
- * Canonical layout name, as it appears in SimConfig::canonicalKey()
+ * Canonical layout names, as they appear in SimConfig::canonicalKey()
  * ("dcache.tag_layout=..."). The baseline layout is *omitted* from
  * canonical keys (the committed cache fixture and goldens pin the
  * pre-subsystem key text) -- never change that rule, or these
  * spellings, without bumping simulatorVersionSalt.
  */
-const char *tagLayoutName(TagLayoutKind kind);
-
-/** Inverse of tagLayoutName (case-insensitive). */
-std::optional<TagLayoutKind> parseTagLayoutKind(std::string_view name);
-
-/** Every kind, in canonical (enum) order, for sweeps and codecs. */
-struct TagLayoutKindList
-{
-    const TagLayoutKind *data;
-    std::size_t count;
-    const TagLayoutKind *begin() const { return data; }
-    const TagLayoutKind *end() const { return data + count; }
+inline constexpr EnumName<TagLayoutKind> tagLayoutNames[] = {
+    {TagLayoutKind::Baseline, "baseline"},
+    {TagLayoutKind::Superblock, "superblock"},
+    {TagLayoutKind::Signature, "signature"},
 };
-TagLayoutKindList allTagLayoutKinds();
+
+inline const char *
+tagLayoutName(TagLayoutKind kind)
+{
+    return enumName<tagLayoutNames>(kind);
+}
 
 } // namespace tags
 
@@ -64,6 +61,7 @@ TagLayoutKindList allTagLayoutKinds();
 // ReplKind.
 using tags::TagLayoutKind;
 using tags::tagLayoutName;
+using tags::tagLayoutNames;
 
 } // namespace kagura
 

@@ -157,11 +157,11 @@ traceWorkloadKeyLines(const std::string &workload)
     if (!isTraceWorkloadName(workload))
         return std::string();
     const std::string path = traceWorkloadPath(workload);
-    char line[96];
-    std::snprintf(line, sizeof(line),
-                  "workload.trace_hash=%016llx\n",
+    char hash[17];
+    std::snprintf(hash, sizeof(hash), "%016llx",
                   static_cast<unsigned long long>(traceFileHash(path)));
-    return std::string(line) + "workload.trace_path=" + path + "\n";
+    return std::string(traceHashKey) + '=' + hash + '\n' +
+           std::string(tracePathKey) + '=' + path + '\n';
 }
 
 } // namespace trace

@@ -23,6 +23,7 @@
 #define KAGURA_TRACE_TRACE_WORKLOAD_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/workload.hh"
@@ -63,6 +64,10 @@ std::string traceWorkloadPath(const std::string &name);
  * keeps .kagura-cache entries sound when a trace file changes.
  */
 std::string traceWorkloadKeyLines(const std::string &workload);
+
+/** The keys of those two lines (SimConfig::parse reads them back). */
+inline constexpr std::string_view traceHashKey = "workload.trace_hash";
+inline constexpr std::string_view tracePathKey = "workload.trace_path";
 
 /** Content hash of the file at @p path (memoised; fatal on I/O). */
 std::uint64_t traceFileHash(const std::string &path);

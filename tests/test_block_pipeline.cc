@@ -96,11 +96,6 @@ TEST(Block, ResizeZeroesNewlyExposedBytes)
 // class, every supported geometry).
 // ---------------------------------------------------------------------
 
-constexpr CompressorKind allKinds[] = {
-    CompressorKind::Bdi, CompressorKind::Fpc,  CompressorKind::CPack,
-    CompressorKind::Dzc, CompressorKind::Bpc,  CompressorKind::Fvc,
-};
-
 enum class Pattern
 {
     AllZero,
@@ -154,7 +149,7 @@ makePattern(Pattern pattern, std::size_t size, Rng &rng)
 TEST(CompressorProperties, RoundTripAcrossPatternsAndGeometries)
 {
     Rng rng(0xb10c);
-    for (CompressorKind kind : allKinds) {
+    for (CompressorKind kind : compressorKindNames) {
         const auto comp = makeCompressor(kind);
         for (const std::size_t size : {16u, 32u, 64u}) {
             for (const Pattern pattern :
@@ -199,7 +194,7 @@ TEST(CompressorProperties, WorstCasePayloadFitsPayloadBuffer)
     // the SpanBitWriter asserts on overflow, so surviving the loop
     // proves PayloadBuffer::capacityBytes covers the worst case.
     Rng rng(0xcafe);
-    for (CompressorKind kind : allKinds) {
+    for (CompressorKind kind : compressorKindNames) {
         const auto comp = makeCompressor(kind);
         std::uint64_t worst = 0;
         for (int trial = 0; trial < 200; ++trial) {
@@ -287,7 +282,7 @@ TEST(AllocationFree, CompressAndProbeNeverTouchTheHeap)
         blocks.push_back(makePattern(
             static_cast<Pattern>(i % 4), Block::maxBytes, rng));
     std::vector<std::unique_ptr<Compressor>> comps;
-    for (CompressorKind kind : allKinds)
+    for (CompressorKind kind : compressorKindNames)
         comps.push_back(makeCompressor(kind));
 
     PayloadBuffer payload;

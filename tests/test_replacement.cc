@@ -62,15 +62,15 @@ TEST_F(ReplacementTest, PolicyNames)
     EXPECT_STREQ(replacementPolicyName(ReplKind::SizeOptgen),
                  "size-optgen");
     EXPECT_STREQ(replacementPolicyName(ReplKind::Dish), "dish");
-    for (ReplKind kind : repl::allReplKinds()) {
+    for (ReplKind kind : replKindNames) {
         const auto parsed =
-            repl::parseReplKind(replacementPolicyName(kind));
+            enumFromName(replKindNames, replacementPolicyName(kind));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, kind);
     }
-    EXPECT_FALSE(repl::parseReplKind("MRU").has_value());
-    EXPECT_EQ(repl::allReplKinds().count, 7u);
-    EXPECT_EQ(repl::onlineReplKinds().count, 6u);
+    EXPECT_FALSE(enumFromName(replKindNames, "MRU").has_value());
+    EXPECT_EQ(std::size(replKindNames), 7u);
+    EXPECT_EQ(std::size(repl::onlineReplKinds), 6u);
 }
 
 TEST_F(ReplacementTest, FifoIgnoresHits)
@@ -116,7 +116,7 @@ TEST_F(ReplacementTest, RandomIsDeterministicAcrossRuns)
 
 TEST_F(ReplacementTest, AllPoliciesAreFunctionallyTransparent)
 {
-    for (ReplKind policy : repl::allReplKinds()) {
+    for (ReplKind policy : replKindNames) {
         Nvm mem(NvmType::ReRam, 1 << 20);
         CacheConfig cfg;
         cfg.replacement = policy;
@@ -148,7 +148,7 @@ TEST_F(ReplacementTest, AllPoliciesAreTransparentUnderCompression)
 {
     // Same property with the compressor engaged, so the size-aware
     // policies see genuinely mixed footprints.
-    for (ReplKind policy : repl::allReplKinds()) {
+    for (ReplKind policy : replKindNames) {
         Nvm mem(NvmType::ReRam, 1 << 20);
         auto comp = makeCompressor(CompressorKind::Bdi);
         FixedGovernor governor(true);
@@ -201,7 +201,7 @@ TEST(ReplPolicyInterface, VictimIsAlwaysALegalCandidate)
     geom.blockSize = 32;
     geom.segmentBytes = 8;
 
-    for (ReplKind kind : repl::allReplKinds()) {
+    for (ReplKind kind : replKindNames) {
         auto policy = repl::makePolicy(kind, geom);
         ASSERT_EQ(policy->kind(), kind);
         Rng rng(0xc0ffee + static_cast<std::uint64_t>(kind));
@@ -266,7 +266,7 @@ TEST(ReplPolicyInterface, CompressionVictimIsLruFirstForEveryPolicy)
     geom.blockSize = 32;
     geom.segmentBytes = 8;
 
-    for (ReplKind kind : repl::allReplKinds()) {
+    for (ReplKind kind : replKindNames) {
         auto policy = repl::makePolicy(kind, geom);
         // Conflicting orders: slot 1 is LRU-oldest, slot 2 is
         // FIFO-oldest, slot 0 is first in scan order.

@@ -4,8 +4,9 @@
  * SimConfig::parse(): the round-trip law over default, heavily
  * non-default, every-replacement-policy and every-EHS-design
  * configs, typed rejection of malformed keys and missing trace
- * files, long trace paths, and the key's double formatting
- * (std::to_chars general/17 must print exactly what "%.17g" does).
+ * files, long trace paths, the key's double formatting
+ * (std::to_chars general/17 must print exactly what "%.17g" does),
+ * and a digest pinning the key text of 5,000 random configs.
  */
 
 #include <gtest/gtest.h>
@@ -13,17 +14,20 @@
 #include <unistd.h>
 
 #include <bit>
+#include <cctype>
 #include <cfloat>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "core/workload.hh"
+#include "runner/config_hash.hh"
 #include "sim/experiment.hh"
 #include "sim/sim_config.hh"
 #include "trace/trace_workload.hh"
@@ -107,7 +111,7 @@ TEST(SimConfigParse, HeavilyNonDefaultConfigRoundTrips)
 
 TEST(SimConfigParse, EveryReplacementPolicyRoundTrips)
 {
-    for (ReplKind kind : repl::allReplKinds()) {
+    for (ReplKind kind : replKindNames) {
         SimConfig config = baselineConfig("crc32");
         config.icache.replacement = kind;
         config.dcache.replacement = kind;
@@ -120,7 +124,7 @@ TEST(SimConfigParse, EveryReplacementPolicyRoundTrips)
 
 TEST(SimConfigParse, EveryEhsKindRoundTrips)
 {
-    for (EhsKind kind : allEhsKinds) {
+    for (EhsKind kind : ehsKindNames) {
         SimConfig config = baselineConfig("crc32");
         config.ehs = kind;
         const SimConfig parsed =
@@ -131,38 +135,110 @@ TEST(SimConfigParse, EveryEhsKindRoundTrips)
 
 TEST(SimConfigParse, NameParsersInvertEveryEhsAndReplacementName)
 {
-    for (EhsKind kind : allEhsKinds) {
-        EXPECT_EQ(parseEhsKind(ehsKindName(kind)), kind);
+    for (EhsKind kind : ehsKindNames) {
+        EXPECT_EQ(enumFromName(ehsKindNames, ehsKindName(kind)), kind);
     }
-    for (ReplKind kind : repl::allReplKinds())
-        EXPECT_EQ(repl::parseReplKind(replacementPolicyName(kind)), kind);
+    for (ReplKind kind : replKindNames)
+        EXPECT_EQ(enumFromName(replKindNames, replacementPolicyName(kind)),
+                  kind);
     // Case-insensitive, like every other config spelling.
-    EXPECT_EQ(parseEhsKind("nvmr"), EhsKind::NvMR);
-    EXPECT_EQ(repl::parseReplKind("lru"), ReplKind::Lru);
-    EXPECT_FALSE(parseEhsKind("Alpaca").has_value());
-    EXPECT_FALSE(repl::parseReplKind("MRU").has_value());
+    EXPECT_EQ(enumFromName(ehsKindNames, "nvmr"), EhsKind::NvMR);
+    EXPECT_EQ(enumFromName(replKindNames, "lru"), ReplKind::Lru);
+    EXPECT_FALSE(enumFromName(ehsKindNames, "Alpaca").has_value());
+    EXPECT_FALSE(enumFromName(replKindNames, "MRU").has_value());
+}
+
+/**
+ * One name table's laws: dense and in enum order, every name and
+ * alias inverts to its value in any case, and no spelling names two
+ * values.
+ */
+template <typename Enum, std::size_t N>
+void
+expectTableInverts(const EnumName<Enum> (&table)[N], std::size_t size)
+{
+    EXPECT_EQ(N, size);
+    EXPECT_TRUE(inEnumOrder(table));
+    std::set<std::string> spellings;
+    for (const EnumName<Enum> &entry : table) {
+        std::string lower = entry.name;
+        for (char &c : lower)
+            c = static_cast<char>(std::tolower(c));
+        EXPECT_EQ(enumFromName(table, entry.name), entry.value);
+        EXPECT_EQ(enumFromName(table, lower), entry.value);
+        EXPECT_TRUE(spellings.insert(lower).second) << entry.name;
+        if (entry.alias) {
+            EXPECT_EQ(enumFromName(table, entry.alias), entry.value);
+            EXPECT_TRUE(spellings.insert(entry.alias).second)
+                << entry.alias;
+        }
+    }
+    EXPECT_FALSE(enumFromName(table, "").has_value());
+    EXPECT_FALSE(enumFromName(table, "no-such-name").has_value());
+}
+
+TEST(SimConfigParse, EveryNameTableInvertsItsNamesAndAliases)
+{
+    // Sizes are the enums' value counts, spelled out by hand rather
+    // than read from the tables under test.
+    expectTableInverts(governorKindNames, 3);
+    expectTableInverts(compressorKindNames, 6);
+    expectTableInverts(ehsKindNames, 5);
+    expectTableInverts(nvmTypeNames, 3);
+    expectTableInverts(traceKindNames, 4);
+    expectTableInverts(adaptSchemeNames, 4);
+    expectTableInverts(triggerKindNames, 2);
+    expectTableInverts(replKindNames, 7);
+    expectTableInverts(tagLayoutNames, 3);
+    expectTableInverts(oracleModeOrdinals, 3);
+
+    // The two CLI aliases kept from the old flag parsers.
+    EXPECT_EQ(enumFromName(compressorKindNames, "cpack"),
+              CompressorKind::CPack);
+    EXPECT_EQ(enumFromName(ehsKindNames, "nvsram"), EhsKind::NvsramCache);
+    EXPECT_STREQ(compressorKindName(CompressorKind::CPack), "C-Pack");
+    EXPECT_STREQ(ehsKindName(EhsKind::NvsramCache), "NVSRAMCache");
+}
+
+TEST(SimConfigParse, AliasSpelledKeyFailsTheRoundTripLaw)
+{
+    // A key is canonical: the parser reads an alias, but the
+    // re-serialized key spells the canonical name, so the key is
+    // rejected rather than given a second spelling.
+    SimConfig config = accConfig("crc32");
+    config.compressor = CompressorKind::CPack;
+    std::string key = roundTrip(config.canonicalKey(), "C-Pack")
+                          .canonicalKey();
+    const std::size_t at = key.find("compressor=C-Pack\n");
+    ASSERT_NE(at, std::string::npos);
+    key.replace(at, std::string("compressor=C-Pack").size(),
+                "compressor=cpack");
+    SimConfig parsed;
+    std::string error;
+    EXPECT_EQ(SimConfig::parse(key, parsed, error), ParseStatus::Malformed);
+    EXPECT_NE(error.find("round-trip"), std::string::npos) << error;
 }
 
 TEST(SimConfigKey, DistinctPoliciesProduceDistinctKeys)
 {
     std::set<std::string> keys;
-    for (ReplKind kind : repl::allReplKinds()) {
+    for (ReplKind kind : replKindNames) {
         SimConfig config = baselineConfig("crc32");
         config.dcache.replacement = kind;
         keys.insert(config.canonicalKey());
     }
-    EXPECT_EQ(keys.size(), repl::allReplKinds().count);
+    EXPECT_EQ(keys.size(), std::size(replKindNames));
 }
 
 TEST(SimConfigKey, DistinctEhsKindsProduceDistinctKeys)
 {
     std::set<std::string> keys;
-    for (EhsKind kind : allEhsKinds) {
+    for (EhsKind kind : ehsKindNames) {
         SimConfig config = baselineConfig("crc32");
         config.ehs = kind;
         keys.insert(config.canonicalKey());
     }
-    EXPECT_EQ(keys.size(), std::size(allEhsKinds));
+    EXPECT_EQ(keys.size(), std::size(ehsKindNames));
 }
 
 TEST(SimConfigParse, RejectsMalformedKeys)
@@ -322,6 +398,179 @@ TEST(SimConfigKey, EveryDefaultDoublePrintsExactlyAsPrintfG17)
         ++numbers;
     }
     EXPECT_GE(numbers, 40u);
+}
+
+/** A random double: raw bits (no NaN), a subnormal, or a decimal. */
+double
+randomDouble(Rng &rng)
+{
+    switch (rng.below(3)) {
+      case 0:
+        for (;;) {
+            const double raw = std::bit_cast<double>(rng.next());
+            if (!std::isnan(raw))
+                return raw;
+        }
+      case 1:
+        return std::bit_cast<double>(rng.next() & 0x800fffffffffffffull);
+      default:
+        return static_cast<double>(rng.below(100000)) /
+               std::pow(10.0, static_cast<double>(rng.below(12)));
+    }
+}
+
+/** A random count: small, 32-bit or (when @p wide) 64-bit. */
+std::uint64_t
+randomCount(Rng &rng, bool wide)
+{
+    switch (rng.below(3)) {
+      case 0:
+        return rng.below(1000);
+      case 1:
+        return rng.next() & 0xffffffffull;
+      default:
+        return wide ? rng.next() : rng.next() & 0xffffffffull;
+    }
+}
+
+unsigned
+randomUnsigned(Rng &rng)
+{
+    return static_cast<unsigned>(randomCount(rng, false));
+}
+
+/**
+ * A random cache block. The enum values are drawn by index, not from
+ * any name table, so a value missing from a table cannot hide here.
+ */
+void
+randomizeCache(Rng &rng, CacheConfig &cache)
+{
+    cache.sizeBytes = randomUnsigned(rng);
+    cache.ways = randomUnsigned(rng);
+    cache.blockSize = randomUnsigned(rng);
+    cache.segmentBytes = randomUnsigned(rng);
+    cache.replacement = static_cast<ReplKind>(rng.below(7));
+    cache.tagLayout = static_cast<TagLayoutKind>(rng.below(3));
+    // Half the caches keep the default (omitted) signature width.
+    cache.sigBits = rng.chance(0.5) ? 6 : randomUnsigned(rng);
+}
+
+/**
+ * One random non-trace config touching every key line, built field
+ * by field by hand (independent of how SimConfig serializes itself).
+ */
+SimConfig
+randomConfig(Rng &rng)
+{
+    const std::vector<std::string> &apps = workloadNames();
+    SimConfig c;
+    c.workload = apps[rng.below(apps.size())];
+    randomizeCache(rng, c.icache);
+    randomizeCache(rng, c.dcache);
+    c.enableL2 = rng.chance(0.5);
+    // The L2 block is randomized even when disabled: its lines must
+    // then vanish from the key.
+    randomizeCache(rng, c.l2);
+    c.l2Governor = static_cast<GovernorKind>(rng.below(3));
+    c.l2Kagura = rng.chance(0.5);
+    c.governor = static_cast<GovernorKind>(rng.below(3));
+    c.compressor = static_cast<CompressorKind>(rng.below(6));
+    c.enableKagura = rng.chance(0.5);
+    c.kagura.scheme = static_cast<AdaptScheme>(rng.below(4));
+    c.kagura.increaseStep = randomDouble(rng);
+    c.kagura.counterBits = randomUnsigned(rng);
+    c.kagura.historyDepth = randomUnsigned(rng);
+    c.kagura.trigger = static_cast<TriggerKind>(rng.below(2));
+    c.kagura.initialThreshold = randomCount(rng, true);
+    c.kagura.rewardBand = randomDouble(rng);
+    c.kagura.voltageTriggerFraction = randomDouble(rng);
+    c.kagura.applyAdjustment = rng.chance(0.5);
+    c.kagura.adaptiveThreshold = rng.chance(0.5);
+    c.ehs = static_cast<EhsKind>(rng.below(5));
+    c.nvmType = static_cast<NvmType>(rng.below(3));
+    c.nvmBytes = randomCount(rng, true);
+    c.capacitor.capacitance = randomDouble(rng);
+    c.capacitor.vMax = randomDouble(rng);
+    c.capacitor.vRestore = randomDouble(rng);
+    c.capacitor.vCheckpoint = randomDouble(rng);
+    c.capacitor.vShutdown = randomDouble(rng);
+    c.capacitor.leakagePerFarad = randomDouble(rng);
+    c.energy.clockHz = randomDouble(rng);
+    c.energy.corePerInstr = randomDouble(rng);
+    c.energy.coreLeakage = randomDouble(rng);
+    c.energy.cacheAccess = randomDouble(rng);
+    c.energy.cacheLeakagePerByte = randomDouble(rng);
+    c.energy.nvffWrite = randomDouble(rng);
+    c.energy.nvffRead = randomDouble(rng);
+    c.energy.monitorSample = randomDouble(rng);
+    c.energy.extendedMonitorSample = randomDouble(rng);
+    c.energy.rebootLatency = randomCount(rng, true);
+    c.energy.rebootEnergy = randomDouble(rng);
+    c.energy.compactionEnergy = randomDouble(rng);
+    c.energy.traceInterval = randomDouble(rng);
+    c.trace = static_cast<TraceKind>(rng.below(4));
+    c.traceSeed = randomCount(rng, true);
+    c.traceScale = randomDouble(rng);
+    c.traceIntervals = randomCount(rng, true);
+    c.enableDecay = rng.chance(0.5);
+    c.decay.decayInterval = randomCount(rng, true);
+    c.enablePrefetch = rng.chance(0.5);
+    c.infiniteEnergy = rng.chance(0.5);
+    c.ioRegionInterval = randomCount(rng, true);
+    c.ioRegionLength = randomCount(rng, true);
+    c.oracle = static_cast<OracleMode>(rng.below(3));
+    return c;
+}
+
+TEST(SimConfigKey, RandomConfigKeyDigestIsPinned)
+{
+    // The concatenated key text of 5,000 seeded random configs, as
+    // printed by the hand-written serializer this digest was recorded
+    // from. Any change to a key line, its order, its omission rule or
+    // its number formatting moves the digest (and would orphan every
+    // cached result), so a mismatch here is a key-format change.
+    constexpr std::uint64_t expectedDigest = 0x5ae438368cc9792cull;
+    constexpr std::size_t expectedBytes = 9629037;
+
+    Rng rng(0x6b65796469676573ull);
+    std::string all;
+    std::map<std::string, std::set<std::string>> seen;
+    for (int i = 0; i < 5000; ++i) {
+        const SimConfig config = randomConfig(rng);
+        const std::string key = config.canonicalKey();
+        all += key;
+        SimConfig parsed;
+        std::string error;
+        ASSERT_EQ(SimConfig::parse(key, parsed, error), ParseStatus::Ok)
+            << "config " << i << ": " << error;
+        ASSERT_EQ(parsed.canonicalKey(), key) << "config " << i;
+        for (const char *name :
+             {"dcache.replacement", "dcache.tag_layout", "l2.enabled",
+              "l2.governor", "l2.sig_bits", "governor", "compressor",
+              "kagura.scheme", "kagura.trigger", "ehs", "nvm.type",
+              "trace.kind", "oracle.mode"})
+            seen[name].insert(keyValue(key, name));
+    }
+    // Every enum value appears (plus "<missing>" where the line is
+    // conditional), and both L2 states.
+    EXPECT_EQ(seen["dcache.replacement"].size(), 7u);
+    EXPECT_EQ(seen["dcache.tag_layout"].size(), 3u);
+    EXPECT_EQ(seen["l2.enabled"].size(), 2u);
+    EXPECT_EQ(seen["l2.governor"].size(), 4u);
+    EXPECT_GT(seen["l2.sig_bits"].size(), 100u);
+    EXPECT_EQ(seen["governor"].size(), 3u);
+    EXPECT_EQ(seen["compressor"].size(), 6u);
+    EXPECT_EQ(seen["kagura.scheme"].size(), 4u);
+    EXPECT_EQ(seen["kagura.trigger"].size(), 2u);
+    EXPECT_EQ(seen["ehs"].size(), 5u);
+    EXPECT_EQ(seen["nvm.type"].size(), 3u);
+    EXPECT_EQ(seen["trace.kind"].size(), 4u);
+    EXPECT_EQ(seen["oracle.mode"].size(), 3u);
+
+    EXPECT_EQ(all.size(), expectedBytes);
+    EXPECT_EQ(runner::fnv1a64(all), expectedDigest)
+        << std::hex << "0x" << runner::fnv1a64(all);
 }
 
 } // namespace

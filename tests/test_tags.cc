@@ -62,17 +62,17 @@ TEST(TagLayoutKinds, NamesParseAndRoundTrip)
                  "superblock");
     EXPECT_STREQ(tagLayoutName(TagLayoutKind::Signature), "signature");
 
-    EXPECT_EQ(tags::allTagLayoutKinds().count, 3u);
-    for (TagLayoutKind kind : tags::allTagLayoutKinds()) {
+    EXPECT_EQ(std::size(tagLayoutNames), 3u);
+    for (TagLayoutKind kind : tagLayoutNames) {
         const auto parsed =
-            tags::parseTagLayoutKind(tagLayoutName(kind));
+            enumFromName(tagLayoutNames, tagLayoutName(kind));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, kind);
     }
-    EXPECT_EQ(tags::parseTagLayoutKind("SuperBlock"),
+    EXPECT_EQ(enumFromName(tagLayoutNames, "SuperBlock"),
               TagLayoutKind::Superblock); // case-insensitive
-    EXPECT_FALSE(tags::parseTagLayoutKind("dish").has_value());
-    EXPECT_FALSE(tags::parseTagLayoutKind("").has_value());
+    EXPECT_FALSE(enumFromName(tagLayoutNames, "dish").has_value());
+    EXPECT_FALSE(enumFromName(tagLayoutNames, "").has_value());
 }
 
 TEST(TagLayoutMapping, UngroupedLayoutsKeepTheLegacyMapping)
@@ -99,7 +99,7 @@ TEST(TagLayoutMapping, MaskShiftMatchesDivisionForRandomBlocks)
     for (unsigned sets : {1u, 3u, 4u, 6u, 64u, 1024u}) {
         tags::TagGeometry geom = smallGeometry();
         geom.sets = sets;
-        for (TagLayoutKind kind : tags::allTagLayoutKinds()) {
+        for (TagLayoutKind kind : tagLayoutNames) {
             const auto layout = tags::makeTagLayout(kind, geom);
             const unsigned shift =
                 kind == TagLayoutKind::Superblock ? 2 : 0;
@@ -495,7 +495,7 @@ TEST(TagLayoutConfig, BaselineLayoutIsOmittedFromTheCanonicalKey)
 
 TEST(TagLayoutConfig, NonBaselineLayoutsRoundTripThroughTheCodec)
 {
-    for (TagLayoutKind kind : tags::allTagLayoutKinds()) {
+    for (TagLayoutKind kind : tagLayoutNames) {
         SimConfig config = accKaguraConfig("crc32");
         config.icache.tagLayout = kind;
         config.dcache.tagLayout = kind;
@@ -522,12 +522,12 @@ TEST(TagLayoutConfig, NonBaselineLayoutsRoundTripThroughTheCodec)
 TEST(TagLayoutConfig, DistinctLayoutsProduceDistinctCanonicalKeys)
 {
     std::set<std::string> keys;
-    for (TagLayoutKind kind : tags::allTagLayoutKinds()) {
+    for (TagLayoutKind kind : tagLayoutNames) {
         SimConfig config = baselineConfig("crc32");
         config.dcache.tagLayout = kind;
         keys.insert(config.canonicalKey());
     }
-    EXPECT_EQ(keys.size(), tags::allTagLayoutKinds().count);
+    EXPECT_EQ(keys.size(), std::size(tagLayoutNames));
 }
 
 TEST(TagLayoutConfig, CodecRejectsMalformedTagLayoutKeys)
@@ -553,9 +553,9 @@ TEST(TagLayoutConfig, CodecRejectsMalformedTagLayoutKeys)
 
 TEST(TagLayoutConfig, ParseTagLayoutHelperCoversAllNames)
 {
-    for (TagLayoutKind kind : tags::allTagLayoutKinds())
-        EXPECT_EQ(tags::parseTagLayoutKind(tagLayoutName(kind)), kind);
-    EXPECT_FALSE(tags::parseTagLayoutKind("touche").has_value());
+    for (TagLayoutKind kind : tagLayoutNames)
+        EXPECT_EQ(enumFromName(tagLayoutNames, tagLayoutName(kind)), kind);
+    EXPECT_FALSE(enumFromName(tagLayoutNames, "touche").has_value());
 }
 
 // ---------------------------------------------------------------

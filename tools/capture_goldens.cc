@@ -124,7 +124,7 @@ main(int argc, char **argv)
     const char *mode = argc > 1 ? argv[1] : "";
     for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--tag-layout") == 0 && i + 1 < argc) {
-            const auto kind = tags::parseTagLayoutKind(argv[++i]);
+            const auto kind = enumFromName(tagLayoutNames, argv[++i]);
             if (!kind) {
                 std::fprintf(stderr, "unknown tag layout '%s'\n",
                              argv[i]);

@@ -10,17 +10,20 @@
  * Examples:
  *   kagura_sim --app jpegd --governor acc --kagura
  *   kagura_sim --app g721d --compressor fpc --trace solar --cap-uf 10
- *   kagura_sim --app susans --ehs sweepcache --cache-bytes 512
+ *   kagura_sim --app susans --ehs SweepCache --cache-bytes 512
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/spelling.hh"
 #include "metrics/registry.hh"
 #include "metrics/sink.hh"
 #include "runner/cache_store.hh"
@@ -37,47 +40,55 @@ namespace
 void
 usage()
 {
-    std::puts(
+    const SimConfig defaults;
+    const auto list = [](const auto &table) {
+        return enumNameList(table, " | ");
+    };
+    std::printf(
         "kagura_sim -- intermittence-aware cache compression simulator\n"
         "\n"
         "usage: kagura_sim [options]\n"
         "\n"
         "workload:\n"
-        "  --app NAME            application (default crc32; --list-apps)\n"
+        "  --app NAME            application (default %s; --list-apps)\n"
         "  --list-apps           print the 20 applications and exit\n"
         "\n"
+        "KIND names are case-insensitive.\n"
+        "\n"
         "compression stack:\n"
-        "  --governor KIND       none | always | acc   (default none)\n"
-        "  --compressor KIND     bdi | fpc | cpack | dzc (default bdi)\n"
+        "  --governor KIND       %s (default %s)\n"
+        "  --compressor KIND     %s\n"
+        "                        (default %s)\n"
         "  --kagura              wrap the governor in Kagura\n"
-        "  --trigger KIND        mem | vol              (default mem)\n"
-        "  --scheme KIND         aimd | miad | aiad | mimd\n"
+        "  --trigger KIND        %s (default %s)\n"
+        "  --scheme KIND         %s (default %s)\n"
         "  --increase-step PCT   R_thres additive step  (default 10)\n"
         "  --counter-bits N      reward counter width   (default 2)\n"
         "  --history-depth N     past cycles for N_prev (default 1)\n"
         "  --ideal               two-phase ideal oracle (aware)\n"
         "\n"
         "platform:\n"
-        "  --ehs KIND            nvsram | nvmr | sweepcache |\n"
-        "                        taskbased | specpersist\n"
+        "  --ehs KIND            EHS design (default %s):\n"
+        "                        %s\n"
         "  --cache-bytes N       I/D cache size each    (default 256)\n"
         "  --ways N              associativity          (default 2)\n"
         "  --block-bytes N       cache block size       (default 32)\n"
-        "  --tag-layout KIND     baseline | superblock | signature\n"
+        "  --tag-layout KIND     %s\n"
         "                        (I/D tag organization, default\n"
-        "                        baseline; see docs/TAGS.md)\n"
+        "                        %s; see docs/TAGS.md)\n"
         "  --sig-bits N          signature width in bits for the\n"
         "                        signature tag layout (default 6)\n"
         "  --l2 SPEC             shared L2 between the L1s and NVM:\n"
         "                        none | SIZExWAYS[:GOVERNOR[+kagura]]\n"
         "                        e.g. 1024x4:acc+kagura (default none;\n"
         "                        see docs/HIERARCHY.md)\n"
-        "  --l2-tag-layout KIND  L2 tag organization (default baseline)\n"
-        "  --nvm KIND            reram | pcm | sttram\n"
+        "  --l2-tag-layout KIND  L2 tag organization (default %s)\n"
+        "  --nvm KIND            %s (default %s)\n"
         "  --nvm-mb N            NVM capacity in MB     (default 16)\n"
         "  --cap-uf X            capacitance in uF      (default 4.7)\n"
-        "  --trace KIND          rfhome | solar | thermal | constant\n"
-        "  --trace-seed N        ambient realisation seed\n"
+        "  --trace KIND          %s\n"
+        "                        (default %s)\n"
+        "  --trace-seed N        ambient realisation seed (0x for hex)\n"
         "  --decay               enable EDBP dead-block prediction\n"
         "  --prefetch            enable IPEX prefetching\n"
         "  --infinite-energy     disable the power subsystem\n"
@@ -104,7 +115,21 @@ usage()
         "                        cycle and series, labelled with\n"
         "                        cycle_index ($KAGURA_METRICS_TIMESERIES)\n"
         "  --quiet               suppress the banner\n"
-        "  --verbose             per-run inform() status output\n");
+        "  --verbose             per-run inform() status output\n",
+        defaults.workload.c_str(), list(governorKindNames).c_str(),
+        governorKindName(defaults.governor),
+        list(compressorKindNames).c_str(),
+        compressorKindName(defaults.compressor),
+        list(triggerKindNames).c_str(),
+        triggerKindName(defaults.kagura.trigger),
+        list(adaptSchemeNames).c_str(),
+        adaptSchemeName(defaults.kagura.scheme),
+        ehsKindName(defaults.ehs), list(ehsKindNames).c_str(),
+        list(tagLayoutNames).c_str(),
+        tagLayoutName(defaults.dcache.tagLayout),
+        tagLayoutName(defaults.l2.tagLayout), list(nvmTypeNames).c_str(),
+        nvmTypeName(defaults.nvmType), list(traceKindNames).c_str(),
+        traceKindName(defaults.trace));
 }
 
 [[noreturn]] void
@@ -198,6 +223,20 @@ main(int argc, char **argv)
         auto is = [arg](const char *flag) {
             return std::strcmp(arg, flag) == 0;
         };
+        // Flag values: enum names through their tables, numbers
+        // whole-string (both die with "bad value" otherwise).
+        const auto named = [&](auto &out, const auto &table) {
+            const char *v = nextArg(argc, argv, i);
+            const auto parsed = enumFromName(table, v);
+            if (!parsed)
+                badValue(arg, v);
+            out = *parsed;
+        };
+        const auto number = [&](auto &out, unsigned at_least = 0) {
+            const char *v = nextArg(argc, argv, i);
+            if (!parseNumber(std::string_view(v), out) || out < at_least)
+                badValue(arg, v);
+        };
         if (is("--help") || is("-h")) {
             usage();
             return 0;
@@ -207,152 +246,87 @@ main(int argc, char **argv)
             return 0;
         } else if (is("--app")) {
             cfg.workload = nextArg(argc, argv, i);
+            if (!workloadExists(cfg.workload))
+                fatal("unknown workload '%s' for --app; %s",
+                      cfg.workload.c_str(),
+                      knownWorkloadsSummary().c_str());
         } else if (is("--governor")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "none")
-                cfg.governor = GovernorKind::None;
-            else if (v == "always")
-                cfg.governor = GovernorKind::Always;
-            else if (v == "acc")
-                cfg.governor = GovernorKind::Acc;
-            else
-                badValue("--governor", v.c_str());
+            named(cfg.governor, governorKindNames);
         } else if (is("--compressor")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "bdi")
-                cfg.compressor = CompressorKind::Bdi;
-            else if (v == "fpc")
-                cfg.compressor = CompressorKind::Fpc;
-            else if (v == "cpack")
-                cfg.compressor = CompressorKind::CPack;
-            else if (v == "dzc")
-                cfg.compressor = CompressorKind::Dzc;
-            else
-                badValue("--compressor", v.c_str());
+            named(cfg.compressor, compressorKindNames);
         } else if (is("--kagura")) {
             cfg.enableKagura = true;
             if (cfg.governor == GovernorKind::None)
                 cfg.governor = GovernorKind::Acc;
         } else if (is("--trigger")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "mem")
-                cfg.kagura.trigger = TriggerKind::Memory;
-            else if (v == "vol")
-                cfg.kagura.trigger = TriggerKind::Voltage;
-            else
-                badValue("--trigger", v.c_str());
+            named(cfg.kagura.trigger, triggerKindNames);
         } else if (is("--scheme")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "aimd")
-                cfg.kagura.scheme = AdaptScheme::Aimd;
-            else if (v == "miad")
-                cfg.kagura.scheme = AdaptScheme::Miad;
-            else if (v == "aiad")
-                cfg.kagura.scheme = AdaptScheme::Aiad;
-            else if (v == "mimd")
-                cfg.kagura.scheme = AdaptScheme::Mimd;
-            else
-                badValue("--scheme", v.c_str());
+            named(cfg.kagura.scheme, adaptSchemeNames);
         } else if (is("--increase-step")) {
-            cfg.kagura.increaseStep =
-                std::atof(nextArg(argc, argv, i)) / 100.0;
+            double pct = 0;
+            number(pct);
+            cfg.kagura.increaseStep = pct / 100.0;
         } else if (is("--counter-bits")) {
-            cfg.kagura.counterBits = static_cast<unsigned>(
-                std::atoi(nextArg(argc, argv, i)));
+            number(cfg.kagura.counterBits);
         } else if (is("--history-depth")) {
-            cfg.kagura.historyDepth = static_cast<unsigned>(
-                std::atoi(nextArg(argc, argv, i)));
+            number(cfg.kagura.historyDepth);
         } else if (is("--ideal")) {
             ideal = true;
             if (cfg.governor == GovernorKind::None)
                 cfg.governor = GovernorKind::Acc;
         } else if (is("--ehs")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "nvsram")
-                cfg.ehs = EhsKind::NvsramCache;
-            else if (v == "nvmr")
-                cfg.ehs = EhsKind::NvMR;
-            else if (v == "sweepcache")
-                cfg.ehs = EhsKind::SweepCache;
-            else if (v == "taskbased")
-                cfg.ehs = EhsKind::TaskBased;
-            else if (v == "specpersist")
-                cfg.ehs = EhsKind::SpecPersist;
-            else
-                badValue("--ehs", v.c_str());
+            named(cfg.ehs, ehsKindNames);
         } else if (is("--cache-bytes")) {
-            const unsigned bytes = static_cast<unsigned>(
-                std::atoi(nextArg(argc, argv, i)));
-            cfg.icache.sizeBytes = bytes;
-            cfg.dcache.sizeBytes = bytes;
+            number(cfg.icache.sizeBytes);
+            cfg.dcache.sizeBytes = cfg.icache.sizeBytes;
         } else if (is("--ways")) {
-            const unsigned ways = static_cast<unsigned>(
-                std::atoi(nextArg(argc, argv, i)));
-            cfg.icache.ways = ways;
-            cfg.dcache.ways = ways;
+            number(cfg.icache.ways);
+            cfg.dcache.ways = cfg.icache.ways;
         } else if (is("--block-bytes")) {
-            const unsigned block = static_cast<unsigned>(
-                std::atoi(nextArg(argc, argv, i)));
-            cfg.icache.blockSize = block;
-            cfg.dcache.blockSize = block;
+            number(cfg.icache.blockSize);
+            cfg.dcache.blockSize = cfg.icache.blockSize;
         } else if (is("--tag-layout")) {
-            const char *v = nextArg(argc, argv, i);
-            const auto kind = tags::parseTagLayoutKind(v);
-            if (!kind)
-                badValue("--tag-layout", v);
-            cfg.icache.tagLayout = *kind;
-            cfg.dcache.tagLayout = *kind;
+            named(cfg.icache.tagLayout, tagLayoutNames);
+            cfg.dcache.tagLayout = cfg.icache.tagLayout;
         } else if (is("--sig-bits")) {
-            const char *v = nextArg(argc, argv, i);
-            const int bits = std::atoi(v);
-            if (bits < 1)
-                badValue("--sig-bits", v);
-            cfg.icache.sigBits = static_cast<unsigned>(bits);
-            cfg.dcache.sigBits = static_cast<unsigned>(bits);
-            cfg.l2.sigBits = static_cast<unsigned>(bits);
+            unsigned bits = 0;
+            number(bits, 1);
+            cfg.icache.sigBits = bits;
+            cfg.dcache.sigBits = bits;
+            cfg.l2.sigBits = bits;
         } else if (is("--l2")) {
             const char *v = nextArg(argc, argv, i);
             std::string error;
             if (!applyL2Spec(v, cfg, error))
                 fatal("--l2: %s", error.c_str());
         } else if (is("--l2-tag-layout")) {
-            const char *v = nextArg(argc, argv, i);
-            const auto kind = tags::parseTagLayoutKind(v);
-            if (!kind)
-                badValue("--l2-tag-layout", v);
-            cfg.l2.tagLayout = *kind;
+            named(cfg.l2.tagLayout, tagLayoutNames);
         } else if (is("--nvm")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "reram")
-                cfg.nvmType = NvmType::ReRam;
-            else if (v == "pcm")
-                cfg.nvmType = NvmType::Pcm;
-            else if (v == "sttram")
-                cfg.nvmType = NvmType::SttRam;
-            else
-                badValue("--nvm", v.c_str());
+            named(cfg.nvmType, nvmTypeNames);
         } else if (is("--nvm-mb")) {
-            cfg.nvmBytes = static_cast<std::uint64_t>(
-                               std::atoi(nextArg(argc, argv, i)))
-                           << 20;
+            std::uint64_t mb = 0;
+            number(mb);
+            if (mb > (UINT64_MAX >> 20))
+                badValue(arg, argv[i]);
+            cfg.nvmBytes = mb << 20;
         } else if (is("--cap-uf")) {
-            cfg.capacitor.capacitance =
-                std::atof(nextArg(argc, argv, i)) * 1e-6;
+            double uf = 0;
+            number(uf);
+            cfg.capacitor.capacitance = uf * 1e-6;
         } else if (is("--trace")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "rfhome")
-                cfg.trace = TraceKind::RfHome;
-            else if (v == "solar")
-                cfg.trace = TraceKind::Solar;
-            else if (v == "thermal")
-                cfg.trace = TraceKind::Thermal;
-            else if (v == "constant")
-                cfg.trace = TraceKind::Constant;
-            else
-                badValue("--trace", v.c_str());
+            named(cfg.trace, traceKindNames);
         } else if (is("--trace-seed")) {
-            cfg.traceSeed = static_cast<std::uint64_t>(
-                std::strtoull(nextArg(argc, argv, i), nullptr, 0));
+            // The bases strtoull(..., 0) reads: 0x hex, 0 octal.
+            std::string_view v = nextArg(argc, argv, i);
+            int base = 10;
+            if (v.starts_with("0x") || v.starts_with("0X")) {
+                base = 16;
+                v.remove_prefix(2);
+            } else if (v.size() > 1 && v[0] == '0') {
+                base = 8;
+            }
+            if (!parseNumber(v, cfg.traceSeed, base))
+                badValue(arg, argv[i]);
         } else if (is("--decay")) {
             cfg.enableDecay = true;
         } else if (is("--prefetch")) {
@@ -360,11 +334,9 @@ main(int argc, char **argv)
         } else if (is("--infinite-energy")) {
             cfg.infiniteEnergy = true;
         } else if (is("--jobs")) {
-            const char *v = nextArg(argc, argv, i);
-            const long n = std::strtol(v, nullptr, 10);
-            if (n < 1)
-                badValue("--jobs", v);
-            runner::setJobCount(static_cast<unsigned>(n));
+            unsigned n = 0;
+            number(n, 1);
+            runner::setJobCount(n);
         } else if (is("--no-cache")) {
             runner::CacheStore::global().setEnabled(false);
         } else if (is("--metrics-out")) {

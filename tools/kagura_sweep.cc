@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/spelling.hh"
 #include "runner/cache_maint.hh"
 #include "runner/cache_store.hh"
 #include "runner/progress.hh"
@@ -39,7 +40,7 @@ namespace
 void
 usage()
 {
-    std::puts(
+    std::printf(
         "kagura_sweep -- in-process sweep grids and cache maintenance\n"
         "\n"
         "usage: kagura_sweep COMMAND [options]\n"
@@ -47,13 +48,19 @@ usage()
         "grid [--apps A,B|all] [--compressors C,..] [--ehs E,..]\n"
         "     [--cap-uf X,..] [--traces T,..] [--l2 L,..] [--seeds N]\n"
         "     [--kagura]\n"
-        "  an --l2 axis value is none or SIZExWAYS[:GOVERNOR[+kagura]]\n"
-        "  (e.g. none,1024x4,1024x4:acc+kagura); --ehs values are\n"
-        "  nvsramcache,nvmr,sweepcache,taskbased,specpersist\n"
         "  expand the cross product and run it in-process; a rerun\n"
-        "  replays finished jobs from the result cache\n"
+        "  replays finished jobs from the result cache. Axis values\n"
+        "  (case-insensitive):\n"
+        "    --compressors  %s\n"
+        "    --ehs          %s\n"
+        "    --traces       %s\n"
+        "    --l2           none or SIZExWAYS[:GOVERNOR[+kagura]]\n"
+        "                   (e.g. none,1024x4,1024x4:acc+kagura)\n"
         "cache stats [--dir PATH]\n"
-        "cache gc [--dir PATH] [--max-bytes N[K|M|G]] [--max-age N[h|d]]\n");
+        "cache gc [--dir PATH] [--max-bytes N[K|M|G]] [--max-age N[h|d]]\n",
+        enumNameList(compressorKindNames, ",").c_str(),
+        enumNameList(ehsKindNames, ",").c_str(),
+        enumNameList(traceKindNames, ",").c_str());
 }
 
 /** "512M" -> bytes; suffixes K/M/G (binary). */
@@ -139,11 +146,25 @@ struct Args
 int
 cmdGrid(Args &args)
 {
+    // Every axis value is checked as it is read, so a typo fails
+    // before any job is expanded.
+    const auto named = [&](const std::string &flag, const auto &table) {
+        std::vector<decltype(table[0].value)> values;
+        for (const std::string &name : splitList(args.value(flag))) {
+            const auto value = enumFromName(table, name);
+            if (!value)
+                fatal("grid: bad value '%s' for %s", name.c_str(),
+                      flag.c_str());
+            values.push_back(*value);
+        }
+        return values;
+    };
+    const SimConfig defaults;
     std::vector<std::string> apps;
-    std::vector<std::string> compressors = {"bdi"};
-    std::vector<std::string> ehsKinds = {"nvsramcache"};
+    std::vector<CompressorKind> comp = {defaults.compressor};
+    std::vector<EhsKind> ehs = {defaults.ehs};
     std::vector<double> capUf = {4.7};
-    std::vector<std::string> traces = {"rfhome"};
+    std::vector<TraceKind> traceKinds = {defaults.trace};
     std::vector<std::string> l2Specs = {"none"};
     unsigned seeds = 1;
     bool withKagura = false;
@@ -152,21 +173,39 @@ cmdGrid(Args &args)
         if (arg == "--apps") {
             const std::string v = args.value(arg);
             apps = v == "all" ? suiteApps() : splitList(v);
+            for (const std::string &app : apps) {
+                if (!workloadExists(app))
+                    fatal("grid: unknown workload '%s'; %s", app.c_str(),
+                          knownWorkloadsSummary().c_str());
+            }
         } else if (arg == "--compressors") {
-            compressors = splitList(args.value(arg));
+            comp = named(arg, compressorKindNames);
         } else if (arg == "--ehs") {
-            ehsKinds = splitList(args.value(arg));
+            ehs = named(arg, ehsKindNames);
         } else if (arg == "--cap-uf") {
             capUf.clear();
-            for (const std::string &item : splitList(args.value(arg)))
-                capUf.push_back(std::atof(item.c_str()));
+            for (const std::string &item : splitList(args.value(arg))) {
+                double uf = 0;
+                if (!parseNumber(item, uf) || !(uf > 0))
+                    fatal("grid: bad value '%s' for --cap-uf (want a "
+                          "positive capacitance in uF)",
+                          item.c_str());
+                capUf.push_back(uf);
+            }
         } else if (arg == "--traces") {
-            traces = splitList(args.value(arg));
+            traceKinds = named(arg, traceKindNames);
         } else if (arg == "--l2") {
             l2Specs = splitList(args.value(arg));
+            for (const std::string &spec : l2Specs) {
+                SimConfig probe;
+                std::string error;
+                if (!applyL2Spec(spec, probe, error))
+                    fatal("grid: %s", error.c_str());
+            }
         } else if (arg == "--seeds") {
-            seeds = static_cast<unsigned>(
-                std::strtoul(args.value(arg).c_str(), nullptr, 10));
+            const std::string v = args.value(arg);
+            if (!parseNumber(v, seeds))
+                fatal("grid: bad value '%s' for --seeds", v.c_str());
         } else if (arg == "--kagura") {
             withKagura = true;
         } else {
@@ -177,37 +216,8 @@ cmdGrid(Args &args)
         apps = {"crc32", "dijkstra", "sha"};
     if (seeds == 0)
         seeds = 1;
-
-    // Validate axis values up front so a typo fails before any work.
-    std::vector<CompressorKind> comp;
-    for (const std::string &name : compressors) {
-        const auto kind = parseCompressorKind(name);
-        if (!kind)
-            fatal("grid: unknown compressor '%s'", name.c_str());
-        comp.push_back(*kind);
-    }
-    std::vector<EhsKind> ehs;
-    for (const std::string &name : ehsKinds) {
-        const auto kind = parseEhsKind(name);
-        if (!kind)
-            fatal("grid: unknown ehs '%s'", name.c_str());
-        ehs.push_back(*kind);
-    }
-    std::vector<TraceKind> traceKinds;
-    for (const std::string &name : traces) {
-        const auto kind = parseTraceKind(name);
-        if (!kind)
-            fatal("grid: unknown trace '%s'", name.c_str());
-        traceKinds.push_back(*kind);
-    }
     if (l2Specs.empty())
         l2Specs = {"none"};
-    for (const std::string &spec : l2Specs) {
-        SimConfig probe;
-        std::string error;
-        if (!applyL2Spec(spec, probe, error))
-            fatal("grid: %s", error.c_str());
-    }
 
     std::vector<runner::SimJob> jobs;
     for (const std::string &app : apps) {

@@ -6,13 +6,12 @@
  * simulator through loadTraceFile(), or inspected/plotted externally.
  *
  * Usage: trace_gen KIND INTERVALS [SEED] > trace.txt
- *        (KIND: rfhome | solar | thermal | constant)
+ *        (KIND: a TraceKind name, case-insensitive, e.g. rfhome)
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "common/logging.hh"
 #include "energy/power_trace.hh"
@@ -25,31 +24,23 @@ main(int argc, char **argv)
     if (argc < 3 || std::strcmp(argv[1], "--help") == 0) {
         std::fprintf(stderr,
                      "usage: trace_gen KIND INTERVALS [SEED]\n"
-                     "  KIND: rfhome | solar | thermal | constant\n"
+                     "  KIND: %s (case-insensitive)\n"
                      "  one average-watt value per 10 us interval, one "
-                     "per line\n");
+                     "per line\n",
+                     enumNameList(traceKindNames, " | ").c_str());
         return argc < 3 ? 1 : 0;
     }
 
-    const std::string kind_str = argv[1];
-    TraceKind kind;
-    if (kind_str == "rfhome")
-        kind = TraceKind::RfHome;
-    else if (kind_str == "solar")
-        kind = TraceKind::Solar;
-    else if (kind_str == "thermal")
-        kind = TraceKind::Thermal;
-    else if (kind_str == "constant")
-        kind = TraceKind::Constant;
-    else
-        fatal("unknown trace kind '%s'", kind_str.c_str());
+    const auto kind = enumFromName(traceKindNames, argv[1]);
+    if (!kind)
+        fatal("unknown trace kind '%s'", argv[1]);
 
     const auto intervals =
         static_cast<std::uint64_t>(std::strtoull(argv[2], nullptr, 0));
     const std::uint64_t seed =
         argc > 3 ? std::strtoull(argv[3], nullptr, 0) : 0x6b616775;
 
-    auto trace = makeTrace(kind, intervals, seed);
+    auto trace = makeTrace(*kind, intervals, seed);
     for (std::uint64_t i = 0; i < trace->length(); ++i)
         std::printf("%.9e\n", trace->power(i));
     return 0;
