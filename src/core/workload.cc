@@ -23,6 +23,11 @@ Workload::Workload(std::string name, std::vector<MicroOp> ops,
             runs.push_back({addr, {}});
         runs.back().bytes.push_back(byte);
     }
+    for (const MicroOp &op : stream) {
+        const bool alu = op.type == MicroOp::Type::Alu;
+        instructions += alu ? op.count : 1;
+        memOps += !alu;
+    }
 }
 
 void
@@ -30,26 +35,6 @@ Workload::applyImage(Nvm &nvm) const
 {
     for (const ImageRun &run : runs)
         nvm.writeBytes(run.base, run.bytes.data(), run.bytes.size());
-}
-
-std::uint64_t
-Workload::committedInstructions() const
-{
-    std::uint64_t total = 0;
-    for (const MicroOp &op : stream)
-        total += op.type == MicroOp::Type::Alu ? op.count : 1;
-    return total;
-}
-
-std::uint64_t
-Workload::memoryOps() const
-{
-    std::uint64_t total = 0;
-    for (const MicroOp &op : stream) {
-        if (op.type != MicroOp::Type::Alu)
-            ++total;
-    }
-    return total;
 }
 
 double

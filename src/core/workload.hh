@@ -67,10 +67,10 @@ class Workload
     void applyImage(Nvm &nvm) const;
 
     /** Committed dynamic instructions (ALU counts expanded). */
-    std::uint64_t committedInstructions() const;
+    std::uint64_t committedInstructions() const { return instructions; }
 
     /** Number of load + store micro-ops. */
-    std::uint64_t memoryOps() const;
+    std::uint64_t memoryOps() const { return memOps; }
 
     /** Arithmetic intensity: ALU instructions per memory op. */
     double arithmeticIntensity() const;
@@ -94,6 +94,9 @@ class Workload
     std::map<Addr, std::uint8_t> image;
     /** The image as ascending contiguous runs (one NVM write each). */
     std::vector<ImageRun> runs;
+    /** committedInstructions() and memoryOps(), counted once. */
+    std::uint64_t instructions = 0;
+    std::uint64_t memOps = 0;
 };
 
 /**

@@ -1,5 +1,9 @@
 #include "energy/capacitor.hh"
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
 #include "common/logging.hh"
 
 namespace kagura
@@ -17,6 +21,30 @@ Capacitor::Capacitor(const CapacitorConfig &config) : cfg(config)
               cfg.vMax, cfg.vRestore, cfg.vCheckpoint, cfg.vShutdown);
     }
     energyJ = 0.5 * cfg.capacitance * cfg.vRestore * cfg.vRestore;
+    leakagePerVolt = cfg.leakagePerFarad * cfg.capacitance;
+    restoreJ = energyReaching(cfg.vRestore);
+    checkpointJ = energyReaching(cfg.vCheckpoint);
+}
+
+double
+Capacitor::energyReaching(double volts) const
+{
+    // Non-negative doubles order like their bit patterns, so bisect
+    // over the patterns in [0, +inf] (voltageAt(+inf) is +inf).
+    if (voltageAt(0.0) >= volts)
+        return 0.0;
+    std::uint64_t below = 0; // voltageAt(below) < volts
+    std::uint64_t reach =
+        std::bit_cast<std::uint64_t>(
+            std::numeric_limits<double>::infinity()); // >= volts
+    while (reach - below > 1) {
+        const std::uint64_t mid = below + (reach - below) / 2;
+        if (voltageAt(std::bit_cast<double>(mid)) >= volts)
+            reach = mid;
+        else
+            below = mid;
+    }
+    return std::bit_cast<double>(reach);
 }
 
 void

@@ -70,11 +70,7 @@ class Capacitor
     // header.
 
     /** Current voltage, sqrt(2 E / C). */
-    double
-    voltage() const
-    {
-        return std::sqrt(2.0 * energyJ / cfg.capacitance);
-    }
+    double voltage() const { return voltageAt(energyJ); }
 
     /** Stored energy in joules. */
     double storedJoules() const { return energyJ; }
@@ -108,15 +104,24 @@ class Capacitor
     Watts
     leakagePower() const
     {
-        return cfg.leakagePerFarad * cfg.capacitance * voltage() /
-               cfg.vMax;
+        return leakagePerVolt * voltage() / cfg.vMax;
     }
 
+    // The two thresholds the power state machine polls every step
+    // compare stored energy against precomputed cut points instead of
+    // taking a square root; see energyReaching().
+
     /** True while voltage is at or above the restore threshold. */
-    bool aboveRestore() const { return voltage() >= cfg.vRestore; }
+    bool aboveRestore() const { return energyJ >= restoreJ; }
 
     /** True once voltage has fallen below the checkpoint threshold. */
-    bool belowCheckpoint() const { return voltage() < cfg.vCheckpoint; }
+    bool belowCheckpoint() const { return energyJ < checkpointJ; }
+
+    /** The least stored energy at which aboveRestore() holds. */
+    double restoreJoules() const { return restoreJ; }
+
+    /** The least stored energy at which belowCheckpoint() fails. */
+    double checkpointJoules() const { return checkpointJ; }
 
     /** True if even the checkpoint reserve is exhausted. */
     bool belowShutdown() const { return voltage() < cfg.vShutdown; }
@@ -131,8 +136,28 @@ class Capacitor
     const CapacitorConfig &config() const { return cfg; }
 
   private:
+    /** voltage() at stored energy @p joules. */
+    double
+    voltageAt(double joules) const
+    {
+        return std::sqrt(2.0 * joules / cfg.capacitance);
+    }
+
+    /**
+     * The least energy E >= 0 with voltageAt(E) >= @p volts. voltageAt
+     * is monotone in E (x2, /C and sqrt all are), so for every stored
+     * energy, voltage() >= volts exactly when energyJ >= the result:
+     * the threshold predicates become one compare, bit for bit.
+     */
+    double energyReaching(double volts) const;
+
     CapacitorConfig cfg;
     double energyJ;
+    /** leakagePerFarad * capacitance, the leakagePower() prefix. */
+    double leakagePerVolt;
+    /** energyReaching(vRestore) and energyReaching(vCheckpoint). */
+    double restoreJ;
+    double checkpointJ;
 };
 
 } // namespace kagura

@@ -13,14 +13,16 @@ EnergyMeter::EnergyMeter(const CapacitorConfig &cap_config,
                          EnergyLedger &ledger_, bool infinite_energy)
     : energy(energy_), ledger(ledger_), cap(cap_config),
       trace(std::move(trace_)), cacheLeakage(cache_leakage_watts),
-      nvmStandby(nvm_standby_watts), infinite(infinite_energy)
+      nvmStandby(nvm_standby_watts), cycleSeconds(energy_.cycleTime()),
+      traceIntervalCycles(energy_.cyclesPerTraceInterval()),
+      infinite(infinite_energy)
 {
 }
 
 void
 EnergyMeter::rechargeUntilRestore()
 {
-    const Cycles ivl = energy.cyclesPerTraceInterval();
+    const Cycles ivl = traceIntervalCycles;
     std::uint64_t guard = 0;
     while (!cap.aboveRestore()) {
         advanceWall(ivl);

@@ -76,7 +76,7 @@ class EnergyMeter
     {
         if (n == 0)
             return;
-        const double dt = static_cast<double>(n) * energy.cycleTime();
+        const double dt = static_cast<double>(n) * cycleSeconds;
         spend(EnergyCategory::CacheOther,
               joulesToPico(cacheLeakage * dt));
         spend(EnergyCategory::Memory, joulesToPico(nvmStandby * dt));
@@ -89,7 +89,7 @@ class EnergyMeter
     void
     advanceWall(Cycles n)
     {
-        const Cycles ivl = energy.cyclesPerTraceInterval();
+        const Cycles ivl = traceIntervalCycles;
         const Cycles end = wallCycles + n;
         while ((harvestedIntervals + 1) * ivl <= end) {
             cap.charge(trace->power(harvestedIntervals) *
@@ -139,6 +139,10 @@ class EnergyMeter
     /** Precomputed standing powers charged per active cycle. */
     Watts cacheLeakage;
     Watts nvmStandby;
+
+    /** energy.cycleTime() and energy.cyclesPerTraceInterval(). */
+    Seconds cycleSeconds;
+    Cycles traceIntervalCycles;
 
     bool infinite;
     Cycles wallCycles = 0;

@@ -7,8 +7,16 @@
  *
  * The NVM array (mem/nvm.hh) and the workload recorder's functional
  * memory (core/workload.hh) both keep their bytes here. Addresses wrap
- * modulo the capacity, reduced once per call; copies then run as
- * page-sized memcpy chunks.
+ * modulo the capacity, reduced only when one lies outside it; copies
+ * then run as page-sized memcpy chunks.
+ *
+ * A small direct-mapped memo of page pointers sits in front of the
+ * page map, so a read of a recently used page costs no hash probe.
+ * Pages are never freed, so a memoised pointer stays valid for the
+ * store's lifetime. Even the const read() updates the memo: a store
+ * must not be read from two threads at once. No store is shared
+ * today -- each Nvm belongs to one Simulator and each TraceRecorder
+ * to one workload build.
  */
 
 #ifndef KAGURA_MEM_SPARSE_BYTES_HH
@@ -32,12 +40,20 @@ class SparseBytes
     /** Bytes per materialised page. */
     static constexpr std::uint64_t pageBytes = 1ULL << pageShift;
 
+    /** Page-memo slots; page p uses slot p mod memoSlots. */
+    static constexpr std::size_t memoSlots = 32;
+
     /**
      * @param capacity Size of the address space; addresses are taken
      *        modulo it. 0 selects the whole 64-bit space (addresses
      *        wrap only at 2^64).
      */
     explicit SparseBytes(std::uint64_t capacity = 0) : cap(capacity) {}
+
+    // The memo points into the page map: copying or moving the store
+    // would leave one side's memo pointing at the other's pages.
+    SparseBytes(const SparseBytes &) = delete;
+    SparseBytes &operator=(const SparseBytes &) = delete;
 
     /** Address-space size (0 = the whole 64-bit space). */
     std::uint64_t capacity() const { return cap; }
@@ -64,15 +80,18 @@ class SparseBytes
     void
     forEachRun(std::uint64_t addr, std::size_t count, Fn &&fn) const
     {
-        std::uint64_t pos = cap ? addr % cap : addr;
+        // For capacity 0, last == 2^64 - 1: no address is reduced, and
+        // the clamp below only ends a run at 2^64, where a page ends.
+        const std::uint64_t last = cap - 1;
+        std::uint64_t pos = addr > last ? addr % cap : addr;
         std::size_t done = 0;
         while (done < count) {
             const std::uint64_t in_page = pos & (pageBytes - 1);
             std::uint64_t len = pageBytes - in_page;
             if (len > count - done)
                 len = count - done;
-            if (cap && len > cap - pos)
-                len = cap - pos;
+            if (len > last - pos)
+                len = last - pos + 1;
             fn(pos >> pageShift, static_cast<std::size_t>(in_page), done,
                static_cast<std::size_t>(len));
             done += static_cast<std::size_t>(len);
@@ -82,9 +101,22 @@ class SparseBytes
         }
     }
 
+    /** The materialised page @p page, or nullptr if never written. */
+    std::uint8_t *findPage(std::uint64_t page) const;
+
+    /** One memo slot: a page number and its bytes. */
+    struct MemoEntry
+    {
+        /** No page number reaches this (pages are addr >> pageShift). */
+        std::uint64_t page = ~0ULL;
+        std::uint8_t *bytes = nullptr;
+    };
+
     std::uint64_t cap;
     std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>>
         pages;
+    /** Materialised pages only, indexed by page number mod memoSlots. */
+    mutable MemoEntry memo[memoSlots];
 };
 
 } // namespace kagura

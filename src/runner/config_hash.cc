@@ -1,6 +1,8 @@
 #include "runner/config_hash.hh"
 
 #include <cinttypes>
+#include <string>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -24,7 +26,14 @@ std::string
 jobKeyText(const SimConfig &config, std::string_view kind,
            std::uint64_t salt)
 {
-    std::string key = config.canonicalKey();
+    return jobKeyText(config.canonicalKey(), kind, salt);
+}
+
+std::string
+jobKeyText(std::string canonical_key, std::string_view kind,
+           std::uint64_t salt)
+{
+    std::string key = std::move(canonical_key);
     key += "job.kind=";
     key += kind;
     key += '\n';

@@ -48,6 +48,10 @@ std::uint64_t fnv1a64(std::string_view bytes);
 std::string jobKeyText(const SimConfig &config, std::string_view kind,
                        std::uint64_t salt = simulatorVersionSalt);
 
+/** jobKeyText() for a config whose canonicalKey() is @p canonical_key. */
+std::string jobKeyText(std::string canonical_key, std::string_view kind,
+                       std::uint64_t salt = simulatorVersionSalt);
+
 /** Hash of jobKeyText (names the on-disk cache entry). */
 std::uint64_t jobHash(const SimConfig &config, std::string_view kind,
                       std::uint64_t salt = simulatorVersionSalt);

@@ -11,7 +11,9 @@
  * methodology runs as a single job, which is what makes ideal runs
  * cacheable; within one runJobs() call, intermittence-unaware jobs
  * that differ only in their power trace run as one task and share a
- * phase-1 log (infinite energy makes it trace-independent).
+ * phase-1 log (infinite energy makes it trace-independent), and an
+ * intermittence-aware job runs in one task with the plain job of its
+ * config, whose simulation is its phase 1.
  *
  * Knobs: --jobs / KAGURA_JOBS (worker count, default
  * hardware_concurrency), KAGURA_CACHE=off, KAGURA_CACHE_DIR,
@@ -78,9 +80,11 @@ struct JobOutcome
 
 /**
  * runJob() with the cache/timing detail exposed to the caller. An
- * ideal-unaware job that simulates takes phase 1 from @p phase1 when
- * it holds a log and records it there otherwise (see runIdealOnce());
- * other kinds ignore the slot.
+ * ideal job that simulates takes phase 1 from @p phase1 when it holds
+ * a log and records it there otherwise (see runIdealOnce()). A plain
+ * job (with an oracle-free config) that simulates records into the
+ * slot the phase 1 an ideal-aware job of its config would run, and
+ * returns its result without the log.
  */
 JobOutcome runJobDetailed(const SimJob &job,
                           std::optional<OracleLog> *phase1 = nullptr);

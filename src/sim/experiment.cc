@@ -163,7 +163,6 @@ SimResult
 runIdealOnce(const SimConfig &base, bool intermittence_aware,
              std::optional<OracleLog> *phase1)
 {
-    kagura_assert(!phase1 || !intermittence_aware);
     std::optional<OracleLog> own;
     std::optional<OracleLog> &log = phase1 ? *phase1 : own;
 

@@ -106,11 +106,12 @@ std::vector<SimResult> runIdeal(const SimConfig &base,
                                 bool intermittence_aware);
 
 /**
- * One ideal-oracle two-phase run (uses @p base's trace seed). An
- * intermittence-unaware run may pass @p phase1: when it holds a log
- * that log stands in for phase 1, otherwise the run records phase 1
- * into it. Only pass a slot filled by a run with the same
- * unawarePhase1Key().
+ * One ideal-oracle two-phase run (uses @p base's trace seed). A run
+ * may pass @p phase1: when it holds a log that log stands in for
+ * phase 1, otherwise the run records phase 1 into it. Only pass a
+ * slot filled by a run with the same phase 1: for an unaware run, one
+ * with the same unawarePhase1Key(); for an aware run, an aware run or
+ * a plain Simulator run with OracleMode::Record of the same @p base.
  */
 SimResult runIdealOnce(const SimConfig &base, bool intermittence_aware,
                        std::optional<OracleLog> *phase1 = nullptr);

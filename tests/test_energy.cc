@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "common/rng.hh"
 #include "energy/capacitor.hh"
 #include "energy/energy_model.hh"
 #include "energy/ledger.hh"
@@ -88,6 +93,79 @@ TEST(Capacitor, RejectsBadThresholds)
     cfg.vCheckpoint = cfg.vRestore + 1.0;
     EXPECT_EXIT({ Capacitor cap(cfg); (void)cap; },
                 testing::ExitedWithCode(1), "thresholds");
+}
+
+/**
+ * Capacitors whose thresholds must compare exactly: Table I, every
+ * size Fig. 29 sweeps, and non-default threshold sets (a wide band,
+ * vRestore at vMax over a zero floor, and a band one ulp wide on a
+ * millifarad buffer).
+ */
+std::vector<CapacitorConfig>
+thresholdCases()
+{
+    std::vector<CapacitorConfig> out{CapacitorConfig{}};
+    for (const double uf : {1.0, 2.2, 4.7, 10.0, 47.0, 100.0, 470.0}) {
+        CapacitorConfig cfg;
+        cfg.capacitance = uf * 1e-6;
+        out.push_back(cfg);
+    }
+    out.push_back({4.7e-6, 3.3, 3.0, 2.0, 1.8, 4e-3});
+    out.push_back({10e-6, 5.0, 5.0, 0.7, 0.0, 4e-3});
+    out.push_back({1e-3, 1.2, 1.1, std::nextafter(1.1, 0.0), 0.9, 4e-3});
+    return out;
+}
+
+/** The voltage rule the thresholds stand for, sqrt(2 E / C). */
+double
+voltageOf(const CapacitorConfig &cfg, double joules)
+{
+    return std::sqrt(2.0 * joules / cfg.capacitance);
+}
+
+TEST(Capacitor, ThresholdComparesMatchTheSquareRootRule)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    std::uint64_t seed = 0xca9ac1;
+    for (const CapacitorConfig &cfg : thresholdCases()) {
+        Capacitor cap(cfg);
+        const double ceiling =
+            0.5 * cfg.capacitance * cfg.vMax * cfg.vMax;
+        const auto check = [&](double joules) {
+            if (joules > ceiling) // charge() cannot reach it
+                return;
+            cap.discharge(cap.storedJoules());
+            cap.charge(joules);
+            ASSERT_EQ(cap.storedJoules(), joules);
+            const double volts = voltageOf(cfg, joules);
+            ASSERT_EQ(cap.belowCheckpoint(), volts < cfg.vCheckpoint)
+                << cfg.capacitance << " F at " << joules << " J";
+            ASSERT_EQ(cap.aboveRestore(), volts >= cfg.vRestore)
+                << cfg.capacitance << " F at " << joules << " J";
+        };
+
+        for (const double cut :
+             {cap.checkpointJoules(), cap.restoreJoules()}) {
+            check(cut);
+            check(std::nextafter(cut, 0.0));
+            check(std::nextafter(cut, inf));
+        }
+        // The cut points are where the rule flips, not merely points
+        // that agree with it.
+        EXPECT_GE(voltageOf(cfg, cap.checkpointJoules()), cfg.vCheckpoint);
+        EXPECT_LT(voltageOf(cfg, std::nextafter(cap.checkpointJoules(),
+                                                0.0)),
+                  cfg.vCheckpoint);
+        EXPECT_GE(voltageOf(cfg, cap.restoreJoules()), cfg.vRestore);
+        EXPECT_LT(voltageOf(cfg, std::nextafter(cap.restoreJoules(), 0.0)),
+                  cfg.vRestore);
+
+        Rng rng(seed++);
+        for (int i = 0; i < 100000 && !HasFatalFailure(); ++i)
+            check(rng.real() * ceiling);
+        check(0.0);
+        check(ceiling);
+    }
 }
 
 TEST(PowerTrace, DeterministicForSameSeed)

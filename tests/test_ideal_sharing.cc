@@ -1,11 +1,14 @@
 /**
  * @file
- * Phase-1 sharing for intermittence-unaware ideal runs. runJobs() runs
- * the ideal-unaware jobs of one unawarePhase1Key() as one task that
- * records phase 1 once; these tests pin the property that makes that
- * sound (at infinite energy the recorded log ignores the power trace),
- * that sharing changes no result at any worker count or cache state,
- * and that a Fig. 13-shaped list reuses exactly the logs it should.
+ * Phase-1 sharing for ideal runs. runJobs() runs the ideal-unaware
+ * jobs of one unawarePhase1Key() as one task that records phase 1
+ * once, and runs an ideal-aware job in one task with the plain job of
+ * the same canonicalKey(), whose simulation doubles as the aware
+ * job's phase 1. These tests pin the property that makes the unaware
+ * sharing sound (at infinite energy the recorded log ignores the
+ * power trace), that sharing changes no result at any worker count,
+ * list order or cache state, and that a Fig. 13-shaped list reuses
+ * exactly the logs it should.
  */
 
 #include <gtest/gtest.h>
@@ -46,6 +49,14 @@ phase1Reused()
 {
     return metrics::Registry::global()
         .counter("runner/phase1_reused")
+        .get();
+}
+
+std::uint64_t
+phase1FromPlain()
+{
+    return metrics::Registry::global()
+        .counter("runner/phase1_from_plain")
         .get();
 }
 
@@ -224,9 +235,103 @@ class IdealSharingRunner : public testing::Test
                 << what << ": job " << i;
     }
 
+    static runner::SimJob
+    job(runner::SimJob::Kind kind, SimConfig config)
+    {
+        runner::SimJob out;
+        out.kind = kind;
+        out.config = std::move(config);
+        return out;
+    }
+
+    /**
+     * ACC+Kagura under both triggers for every app, each as a plain
+     * job and its ideal-aware partner. Odd pairs list the aware job
+     * first, so the runner must reorder inside the task.
+     */
+    static std::vector<runner::SimJob>
+    plainAwarePairs()
+    {
+        std::vector<runner::SimJob> jobs;
+        for (const std::string &app : workloadNames()) {
+            for (const TriggerKind trigger :
+                 {TriggerKind::Memory, TriggerKind::Voltage}) {
+                SimConfig cfg = accKaguraConfig(app);
+                cfg.kagura.trigger = trigger;
+                runner::SimJob plain =
+                    job(runner::SimJob::Kind::Plain, cfg);
+                runner::SimJob aware =
+                    job(runner::SimJob::Kind::IdealAware, cfg);
+                if (jobs.size() % 4 == 0) {
+                    jobs.push_back(std::move(plain));
+                    jobs.push_back(std::move(aware));
+                } else {
+                    jobs.push_back(std::move(aware));
+                    jobs.push_back(std::move(plain));
+                }
+            }
+        }
+        return jobs;
+    }
+
+    /** The jobs of @p jobs whose kind is @p kind. */
+    static std::vector<runner::SimJob>
+    onlyKind(const std::vector<runner::SimJob> &jobs,
+             runner::SimJob::Kind kind)
+    {
+        std::vector<runner::SimJob> out;
+        for (const runner::SimJob &j : jobs) {
+            if (j.kind == kind)
+                out.push_back(j);
+        }
+        return out;
+    }
+
     bool savedEnabled = false;
     std::string savedDir;
 };
+
+TEST_F(IdealSharingRunner, PlainRunDoublesAsTheAwarePhase1)
+{
+    const std::vector<runner::SimJob> jobs = plainAwarePairs();
+    std::vector<SimResult> want(jobs.size());
+    parallelFor(jobs.size(),
+                [&](std::size_t i) { want[i] = reference(jobs[i]); });
+    const std::uint64_t pairs = jobs.size() / 2;
+
+    for (const unsigned workers : {1u, 8u}) {
+        runner::setJobCount(workers);
+        const std::uint64_t before = phase1FromPlain();
+        const std::uint64_t reused = phase1Reused();
+        expectEqual(runner::runJobs(jobs), want,
+                    workers == 1 ? "cache off, 1 worker"
+                                 : "cache off, 8 workers");
+        EXPECT_EQ(phase1FromPlain() - before, pairs) << workers;
+        EXPECT_EQ(phase1Reused(), reused) << workers;
+    }
+
+    runner::setJobCount(8);
+    useFreshCache("aware-cold");
+    std::uint64_t before = phase1FromPlain();
+    expectEqual(runner::runJobs(jobs), want, "cold cache");
+    EXPECT_EQ(phase1FromPlain() - before, pairs);
+
+    // Only the plain jobs are cached: every aware job records its own
+    // phase 1.
+    useFreshCache("aware-plain-warm");
+    runner::runJobs(onlyKind(jobs, runner::SimJob::Kind::Plain));
+    before = phase1FromPlain();
+    expectEqual(runner::runJobs(jobs), want, "plain-only warm cache");
+    EXPECT_EQ(phase1FromPlain() - before, 0u);
+
+    // Only the aware jobs are cached: the plain jobs simulate, and no
+    // aware job needs their logs.
+    useFreshCache("aware-ideal-warm");
+    runner::runJobs(onlyKind(jobs, runner::SimJob::Kind::IdealAware));
+    before = phase1FromPlain();
+    expectEqual(runner::runJobs(jobs), want, "aware-only warm cache");
+    EXPECT_EQ(phase1FromPlain() - before, 0u);
+}
 
 TEST_F(IdealSharingRunner, SharedPhase1MatchesPerJobRunsEverywhere)
 {
