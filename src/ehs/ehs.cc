@@ -33,6 +33,42 @@ EhsContext::checkpointCost(unsigned nvm_block_writes,
     return cost;
 }
 
+EhsCost
+EhsContext::persistCost(const FlushTotals &moved,
+                        Cycles per_write_latency) const
+{
+    EhsCost cost = checkpointCost(moved.nvmBlockWrites,
+                                  moved.decompressions,
+                                  per_write_latency);
+    if (l2) {
+        cost.cycles += moved.absorbedWrites;
+        cost.energy += moved.absorbedWrites *
+                       energy.cacheAccessEnergy(l2->config().sizeBytes);
+    }
+    return cost;
+}
+
+EhsCost
+EhsContext::persistDirty(Cycles per_write_latency,
+                         unsigned extra_writes, bool clean_icache)
+{
+    // Level order matters: the L1 cleans park their dirty blocks in
+    // the L2, which the L2 clean then pushes the rest of the way.
+    FlushTotals moved;
+    moved.nvmBlockWrites = extra_writes;
+    const auto add = [&moved](const FlushOutcome &out) {
+        moved.nvmBlockWrites += out.nvmBlockWrites;
+        moved.decompressions += out.decompressions;
+        moved.absorbedWrites += out.absorbedWrites;
+    };
+    if (clean_icache)
+        add(icache.cleanAll());
+    add(dcache.cleanAll());
+    if (l2)
+        add(l2->cleanAll()); // absorbs nothing: NVM sits below it
+    return persistCost(moved, per_write_latency);
+}
+
 std::unique_ptr<EhsDesign>
 makeEhs(EhsKind kind)
 {

@@ -122,6 +122,26 @@ struct EhsContext
     EhsCost checkpointCost(unsigned nvm_block_writes,
                            unsigned decompressions,
                            Cycles per_write_latency) const;
+
+    /**
+     * checkpointCost() of @p moved plus, with an L2, one cycle and one
+     * L2 array access of energy per L1 writeback the L2 absorbed in
+     * place (an SRAM write instead of an NVM one).
+     */
+    EhsCost persistCost(const FlushTotals &moved,
+                        Cycles per_write_latency) const;
+
+    /**
+     * The commit-boundary persist (region sweep, task commit, epoch
+     * drain, atomic-region entry): clean the icache when
+     * @p clean_icache, then the dcache, then the L2 if there is one,
+     * and return persistCost() of what moved plus @p extra_writes NVM
+     * block writes (a commit record). The returned nvmBlockWrites
+     * counts the extra writes too.
+     */
+    EhsCost persistDirty(Cycles per_write_latency,
+                         unsigned extra_writes = 0,
+                         bool clean_icache = false);
 };
 
 /** Abstract EHS persistence design. */

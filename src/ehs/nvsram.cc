@@ -19,25 +19,11 @@ NvsramEhs::onPowerFailure(const FlushTotals &flushed, EhsContext &ctx)
 {
     // The machine already flushed dirty blocks of every level to
     // their nonvolatile counterparts (compressed victims decompressed
-    // on the way out); the register file, store buffer, and
-    // controller registers ride into NVFFs as part of the shared
-    // checkpoint formula.
-    if (!ctx.l2) {
-        return ctx.checkpointCost(flushed.nvmBlockWrites,
-                                  flushed.decompressions,
-                                  ctx.nvm.writeLatency);
-    }
-
-    EhsCost cost = ctx.checkpointCost(flushed.nvmBlockWrites,
-                                      flushed.decompressions,
-                                      ctx.nvm.writeLatency);
-    // Writebacks the L2 absorbed in place cost one SRAM array write
-    // each instead of an NVM write.
-    cost.cycles += flushed.absorbedWrites;
-    cost.energy += flushed.absorbedWrites *
-                   ctx.energy.cacheAccessEnergy(
-                       ctx.l2->config().sizeBytes);
-    return cost;
+    // on the way out, writebacks the L2 absorbed costing an SRAM
+    // write each); the register file, store buffer, and controller
+    // registers ride into NVFFs as part of the shared checkpoint
+    // formula.
+    return ctx.persistCost(flushed, ctx.nvm.writeLatency);
 }
 
 EhsCost

@@ -27,6 +27,9 @@
 #ifndef KAGURA_EHS_RECOVERY_HH
 #define KAGURA_EHS_RECOVERY_HH
 
+#include <algorithm>
+#include <cstdint>
+
 namespace kagura
 {
 
@@ -72,6 +75,25 @@ struct RecoveryModel
     /** Power-failure action for the optional shared L2. */
     FailureAction l2Action;
 };
+
+/**
+ * Forward progress under repeated failures, for designs that replay a
+ * fixed-length unit (TaskBased tasks, SpecPersist recovery epochs):
+ * the unit keeps its @p base length through the first failure without
+ * a commit, then halves with each further one -- the shift capped at
+ * 16, never below one instruction -- so some commit always fits in
+ * whatever power cycle the capacitor can sustain.
+ */
+constexpr std::uint64_t
+replayLength(std::uint64_t base, std::uint64_t consecutive_failures)
+{
+    if (consecutive_failures <= 1)
+        return base;
+    const std::uint64_t shift =
+        std::min<std::uint64_t>(consecutive_failures - 1, 16);
+    const std::uint64_t shrunk = base >> shift;
+    return shrunk ? shrunk : 1;
+}
 
 /**
  * What applying the per-level failure actions moved: the flush totals

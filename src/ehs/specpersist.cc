@@ -1,7 +1,5 @@
 #include "ehs/specpersist.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "metrics/registry.hh"
 
@@ -38,29 +36,16 @@ SpecPersistEhs::checkpointRegisterWords(const RegisterBudget &budget) const
            budget.l2Kagura + epochMetadataWords;
 }
 
-std::uint64_t
-SpecPersistEhs::effectiveEpochSize() const
-{
-    // Recovery mode: the first re-executed epoch keeps the full
-    // length; every further squash without a durable advance halves
-    // it (down to one instruction), so a boundary always fits in
-    // whatever power cycle the capacitor can sustain.
-    if (consecutiveSquashes <= 1)
-        return epochSize;
-    const unsigned shift =
-        static_cast<unsigned>(std::min<std::uint64_t>(
-            consecutiveSquashes - 1, 16));
-    const std::uint64_t shrunk = epochSize >> shift;
-    return shrunk ? shrunk : 1;
-}
-
 EhsCost
 SpecPersistEhs::onInstructionCommit(std::uint64_t count,
                                     std::uint64_t op_index,
                                     EhsContext &ctx)
 {
+    // Recovery mode: the first re-executed epoch keeps the full
+    // length; every further squash without a durable advance halves it
+    // (replayLength).
     sinceBoundary += count;
-    if (sinceBoundary < effectiveEpochSize())
+    if (sinceBoundary < replayLength(epochSize, consecutiveSquashes))
         return {};
 
     if (consecutiveSquashes) {
@@ -76,54 +61,19 @@ SpecPersistEhs::onInstructionCommit(std::uint64_t count,
         drainingBlocks = 0;
         ++epochCommits;
         ++syncCommits;
-
-        const FlushOutcome drain = ctx.dcache.cleanAll();
-        if (!ctx.l2) {
-            return ctx.checkpointCost(drain.nvmBlockWrites,
-                                      drain.decompressions,
-                                      ctx.nvm.writeLatency);
-        }
-        const FlushOutcome l2drain = ctx.l2->cleanAll();
-        EhsCost cost = ctx.checkpointCost(
-            drain.nvmBlockWrites + l2drain.nvmBlockWrites,
-            drain.decompressions + l2drain.decompressions,
-            ctx.nvm.writeLatency);
-        cost.cycles += drain.absorbedWrites;
-        cost.energy += drain.absorbedWrites *
-                       ctx.energy.cacheAccessEnergy(
-                           ctx.l2->config().sizeBytes);
-        return cost;
+        return ctx.persistDirty(ctx.nvm.writeLatency);
     }
 
     // Epoch boundary: the previously draining write-set has finished
     // by now (the drain overlaps a whole epoch of execution), so the
-    // durable point advances to it; the epoch that just ended starts
-    // draining.
+    // durable point advances to it; the epoch that just ended -- the
+    // shared L2's dirty share included -- starts draining.
     sinceBoundary = 0;
     persistedIndex = drainingIndex;
     drainingIndex = op_index;
     ++epochCommits;
-
-    const FlushOutcome drain = ctx.dcache.cleanAll();
-    if (!ctx.l2) {
-        drainingBlocks = drain.nvmBlockWrites;
-        return ctx.checkpointCost(drain.nvmBlockWrites,
-                                  drain.decompressions,
-                                  ctx.nvm.writeLatency / 4);
-    }
-
-    // The shared L2's dirty share of the epoch write-set drains too;
-    // writebacks it absorbed in place cost one SRAM array write each.
-    const FlushOutcome l2drain = ctx.l2->cleanAll();
-    drainingBlocks = drain.nvmBlockWrites + l2drain.nvmBlockWrites;
-    EhsCost cost = ctx.checkpointCost(
-        drain.nvmBlockWrites + l2drain.nvmBlockWrites,
-        drain.decompressions + l2drain.decompressions,
-        ctx.nvm.writeLatency / 4);
-    cost.cycles += drain.absorbedWrites;
-    cost.energy += drain.absorbedWrites *
-                   ctx.energy.cacheAccessEnergy(
-                       ctx.l2->config().sizeBytes);
+    const EhsCost cost = ctx.persistDirty(ctx.nvm.writeLatency / 4);
+    drainingBlocks = cost.nvmBlockWrites;
     return cost;
 }
 

@@ -89,8 +89,6 @@ class SpecPersistEhs : public EhsDesign
     std::uint64_t reExecuted = 0;
     /** Squashes since the last durable advance (recovery-mode depth). */
     std::uint64_t consecutiveSquashes = 0;
-
-    std::uint64_t effectiveEpochSize() const;
 };
 
 } // namespace kagura

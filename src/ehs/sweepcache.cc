@@ -23,31 +23,13 @@ SweepEhs::onInstructionCommit(std::uint64_t count, std::uint64_t op_index,
 
     // Region boundary: checkpoint registers, then sweep dirty blocks
     // through the persist buffer (its 32 entries pipeline the writes,
-    // hiding roughly half of each write's latency).
+    // hiding roughly half of each write's latency). With an L2 the
+    // sweep covers its dirty set too -- a rollback past the boundary
+    // would otherwise lose blocks parked in the shared volatile level.
     sinceBoundary = 0;
     boundaryIndex = op_index;
     ++sweepCount;
-
-    const FlushOutcome sweep = ctx.dcache.cleanAll();
-    if (!ctx.l2) {
-        return ctx.checkpointCost(sweep.nvmBlockWrites,
-                                  sweep.decompressions,
-                                  ctx.nvm.writeLatency / 2);
-    }
-
-    // With an L2 the boundary must persist *its* dirty set too -- a
-    // rollback past the boundary would otherwise lose blocks the
-    // sweep left parked in the shared volatile level.
-    const FlushOutcome l2sweep = ctx.l2->cleanAll();
-    EhsCost cost = ctx.checkpointCost(
-        sweep.nvmBlockWrites + l2sweep.nvmBlockWrites,
-        sweep.decompressions + l2sweep.decompressions,
-        ctx.nvm.writeLatency / 2);
-    cost.cycles += sweep.absorbedWrites;
-    cost.energy += sweep.absorbedWrites *
-                   ctx.energy.cacheAccessEnergy(
-                       ctx.l2->config().sizeBytes);
-    return cost;
+    return ctx.persistDirty(ctx.nvm.writeLatency / 2);
 }
 
 const RecoveryModel &

@@ -1,7 +1,5 @@
 #include "ehs/taskbased.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "metrics/registry.hh"
 
@@ -61,34 +59,19 @@ TaskBasedEhs::onStore(Addr addr, EhsContext &ctx)
     return cost;
 }
 
-std::uint64_t
-TaskBasedEhs::effectiveTaskSize() const
-{
-    // A task that dies twice in a row is split: each further
-    // consecutive failure halves the replay length (down to one
-    // instruction), so some task always commits within whatever power
-    // cycle the capacitor can sustain.
-    if (consecutiveFailures <= 1)
-        return taskSize;
-    const unsigned shift =
-        static_cast<unsigned>(std::min<std::uint64_t>(
-            consecutiveFailures - 1, 16));
-    const std::uint64_t shrunk = taskSize >> shift;
-    return shrunk ? shrunk : 1;
-}
-
 EhsCost
 TaskBasedEhs::onInstructionCommit(std::uint64_t count,
                                   std::uint64_t op_index,
                                   EhsContext &ctx)
 {
+    // A task that dies twice in a row is split (replayLength).
     sinceBoundary += count;
-    if (sinceBoundary < effectiveTaskSize())
+    if (sinceBoundary < replayLength(taskSize, consecutiveFailures))
         return {};
 
-    // Task commit: persist the private write-set, then publish it by
-    // writing the commit record (one extra NVM block write). The next
-    // task privatizes afresh.
+    // Task commit: persist the private write-set (the L2's dirty share
+    // too), then publish it by writing the commit record (one extra
+    // NVM block write). The next task privatizes afresh.
     sinceBoundary = 0;
     boundaryIndex = op_index;
     ++taskCommits;
@@ -97,27 +80,7 @@ TaskBasedEhs::onInstructionCommit(std::uint64_t count,
     consecutiveFailures = 0;
     for (std::size_t i = 0; i < filterEntries; ++i)
         filterValid[i] = false;
-
-    const FlushOutcome swept = ctx.dcache.cleanAll();
-    if (!ctx.l2) {
-        return ctx.checkpointCost(swept.nvmBlockWrites + 1,
-                                  swept.decompressions,
-                                  ctx.nvm.writeLatency);
-    }
-
-    // With an L2 the commit must persist its dirty share of the
-    // write-set too; writebacks it absorbed in place cost one SRAM
-    // array write each.
-    const FlushOutcome l2swept = ctx.l2->cleanAll();
-    EhsCost cost = ctx.checkpointCost(
-        swept.nvmBlockWrites + l2swept.nvmBlockWrites + 1,
-        swept.decompressions + l2swept.decompressions,
-        ctx.nvm.writeLatency);
-    cost.cycles += swept.absorbedWrites;
-    cost.energy += swept.absorbedWrites *
-                   ctx.energy.cacheAccessEnergy(
-                       ctx.l2->config().sizeBytes);
-    return cost;
+    return ctx.persistDirty(ctx.nvm.writeLatency, 1);
 }
 
 EhsCost

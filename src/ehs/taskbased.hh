@@ -90,8 +90,6 @@ class TaskBasedEhs : public EhsDesign
     /** Direct-mapped filter of already-privatized block addresses. */
     std::array<Addr, filterEntries> filter{};
     bool filterValid[filterEntries] = {};
-
-    std::uint64_t effectiveTaskSize() const;
 };
 
 } // namespace kagura

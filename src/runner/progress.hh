@@ -27,6 +27,8 @@ struct TelemetrySnapshot
     std::uint64_t jobsQueued = 0;
     std::uint64_t jobsRunning = 0;
     std::uint64_t jobsDone = 0;
+    /** Simulator runs: an ideal job that records its own phase 1
+     *  counts two. */
     std::uint64_t simulations = 0;
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
@@ -60,7 +62,8 @@ class Progress
         jobNanos += static_cast<std::uint64_t>(seconds * 1e9);
     }
 
-    void noteSimulation() { ++simulations; }
+    /** @p n Simulators ran (two for an ideal job's own phase 1). */
+    void noteSimulations(unsigned n) { simulations += n; }
     void noteCacheHit() { ++cacheHits; }
     void noteCacheMiss() { ++cacheMisses; }
 

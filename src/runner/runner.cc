@@ -49,9 +49,14 @@ perSimExport()
 SimResult
 execute(const SimJob &job, std::optional<OracleLog> *phase1)
 {
-    progress().noteSimulation();
+    // Count every Simulator that runs: an ideal job runs phase 2, plus
+    // phase 1 unless the slot already holds the log.
+    const bool shared_phase1 = phase1 && phase1->has_value();
+    const unsigned sims =
+        (job.kind == SimJob::Kind::Plain || shared_phase1) ? 1 : 2;
+    progress().noteSimulations(sims);
     metrics::Registry &reg = metrics::Registry::global();
-    reg.counter("runner/simulations").add();
+    reg.counter("runner/simulations").add(sims);
     switch (job.kind) {
       case SimJob::Kind::Plain: {
           // Recording only observes, so a plain run given a slot is
@@ -70,11 +75,11 @@ execute(const SimJob &job, std::optional<OracleLog> *phase1)
           return result;
       }
       case SimJob::Kind::IdealAware:
-        if (phase1 && phase1->has_value())
+        if (shared_phase1)
             reg.counter("runner/phase1_from_plain").add();
         return runIdealOnce(job.config, true, phase1);
       case SimJob::Kind::IdealUnaware:
-        if (phase1 && phase1->has_value())
+        if (shared_phase1)
             reg.counter("runner/phase1_reused").add();
         return runIdealOnce(job.config, false, phase1);
     }

@@ -5,13 +5,13 @@ namespace kagura
 
 PowerStateMachine::PowerStateMachine(
     const SimConfig &config, EnergyMeter &meter_, Cache &icache,
-    Cache &dcache, Core &core_, EhsDesign &ehs_, SimHooks &hooks_,
+    Cache &dcache, Core &core_, EhsDesign &ehs_,
+    KaguraController *kagura_, KaguraController *l2_kagura,
     SimResult &result_, const NvmParams &nvm_params,
     CompressionCosts comp_costs, bool has_compression,
     unsigned reg_words, Cache *l2_cache)
-    : cfg(config), meter(meter_), iCache(icache), dCache(dcache),
-      l2Cache(l2_cache), core(core_), ehs(ehs_), hooks(hooks_),
-      result(result_),
+    : cfg(config), meter(meter_), core(core_), ehs(ehs_),
+      kagura(kagura_), l2Kagura(l2_kagura), result(result_),
       ctx{icache,     dcache,          config.energy, nvm_params,
           comp_costs, has_compression, reg_words,     l2_cache}
 {
@@ -35,29 +35,10 @@ PowerStateMachine::updateRegionsActive(std::uint64_t instructions,
         return;
 
     // Region entry: take the extra checkpoint (registers + dirty
-    // blocks) so a failure inside can roll back consistently. Same
-    // shared formula as the JIT and sweep paths.
-    const FlushOutcome iclean = iCache.cleanAll();
-    const FlushOutcome dclean = dCache.cleanAll();
-    unsigned writes = iclean.nvmBlockWrites + dclean.nvmBlockWrites;
-    unsigned decomp = iclean.decompressions + dclean.decompressions;
-    unsigned absorbed = 0;
-    if (l2Cache) {
-        // The L1 cleans parked their dirty blocks in the L2; the
-        // region checkpoint must push its dirty set the rest of the
-        // way, exactly like the JIT flush does.
-        const FlushOutcome l2clean = l2Cache->cleanAll();
-        writes += l2clean.nvmBlockWrites;
-        decomp += l2clean.decompressions;
-        absorbed = iclean.absorbedWrites + dclean.absorbedWrites;
-    }
-    EhsCost cost =
-        ctx.checkpointCost(writes, decomp, ctx.nvm.writeLatency);
-    if (l2Cache) {
-        cost.cycles += absorbed;
-        cost.energy += absorbed * ctx.energy.cacheAccessEnergy(
-                                      l2Cache->config().sizeBytes);
-    }
+    // blocks of every level) so a failure inside can roll back
+    // consistently.
+    const EhsCost cost = ctx.persistDirty(ctx.nvm.writeLatency, 0,
+                                          /*clean_icache=*/true);
     meter.spend(EnergyCategory::Checkpoint, cost.energy);
     meter.chargeStaticPower(cost.cycles);
     meter.advanceWall(cost.cycles);
@@ -81,18 +62,21 @@ PowerStateMachine::powerCycle(std::uint64_t next_index)
 std::uint64_t
 PowerStateMachine::powerFail(std::uint64_t op_index)
 {
-    // Observers first: Kagura JIT-checkpoints its registers from the
+    // Kagura first: it JIT-checkpoints its registers from the
     // pre-failure machine state.
-    hooks.powerFailure();
+    if (kagura)
+        kagura->onPowerFailure();
+    if (l2Kagura)
+        l2Kagura->onPowerFailure();
 
     if (inRegion) {
         // Inside an atomic region JIT checkpointing is disabled
         // (Section VII-A): the volatile state is simply lost and
         // execution rolls back to the region-entry checkpoint.
-        iCache.invalidateAll();
-        dCache.invalidateAll();
-        if (l2Cache)
-            l2Cache->invalidateAll();
+        ctx.icache.invalidateAll();
+        ctx.dcache.invalidateAll();
+        if (ctx.l2)
+            ctx.l2->invalidateAll();
         core.flushFetchBuffer();
         regionInstr = 0;
         closeCycle();
@@ -130,15 +114,17 @@ PowerStateMachine::reboot()
     meter.advanceWall(cost.cycles);
     result.activeCycles += cost.cycles;
 
-    // Observers last: the platform is back up when they hear Reboot.
-    hooks.reboot();
+    // Kagura last: the platform is back up when it restores.
+    if (kagura)
+        kagura->onReboot();
+    if (l2Kagura)
+        l2Kagura->onReboot();
 }
 
 void
 PowerStateMachine::closeCycle()
 {
     result.cycles.push_back(current);
-    hooks.cycleClose(result.cycles.back());
     current = PowerCycleRecord{};
 }
 

@@ -11,13 +11,13 @@
  * records. Energy/time mechanics are delegated to the EnergyMeter;
  * persistence costs come from the EhsDesign through the machine's
  * single EhsContext (built once, the only place the context is
- * constructed); lifecycle observers hear about failures, reboots, and
- * cycle closure through SimHooks.
+ * constructed).
  *
- * Call-order contract (bit-identity): on a failure the bus publishes
- * PowerFailure *before* any cache is invalidated or the EHS runs
- * (Kagura must checkpoint its registers from pre-failure state), and
- * Reboot fires *after* the EHS restore cost is paid.
+ * Call-order contract (bit-identity): on a failure the Kagura
+ * controllers (L1, then L2) checkpoint *before* any cache is
+ * invalidated or the EHS runs -- Kagura saves its registers from
+ * pre-failure state -- and on a reboot they restore *after* the EHS
+ * restore cost is paid.
  */
 
 #ifndef KAGURA_SIM_POWER_STATE_HH
@@ -28,7 +28,7 @@
 #include "core/core.hh"
 #include "ehs/ehs.hh"
 #include "energy/meter.hh"
-#include "sim/hooks.hh"
+#include "kagura/kagura.hh"
 #include "sim/sim_config.hh"
 #include "sim/sim_result.hh"
 
@@ -45,7 +45,8 @@ class PowerStateMachine
      * @param icache / @p dcache The two caches (flush targets).
      * @param core_ The core (fetch-buffer flush on failure).
      * @param ehs_ Persistence design charged for checkpoints.
-     * @param hooks_ Observer bus for lifecycle events.
+     * @param kagura_ / @p l2_kagura The L1 and L2 Kagura controllers
+     *        told about failures and reboots (nullptr = none).
      * @param result_ Run result the machine's records accrue into.
      * @param nvm_params Backing NVM timing/energy parameters.
      * @param comp_costs Active compression algorithm's costs (only
@@ -56,14 +57,12 @@ class PowerStateMachine
      */
     PowerStateMachine(const SimConfig &config, EnergyMeter &meter_,
                       Cache &icache, Cache &dcache, Core &core_,
-                      EhsDesign &ehs_, SimHooks &hooks_,
-                      SimResult &result_, const NvmParams &nvm_params,
+                      EhsDesign &ehs_, KaguraController *kagura_,
+                      KaguraController *l2_kagura, SimResult &result_,
+                      const NvmParams &nvm_params,
                       CompressionCosts comp_costs,
                       bool has_compression, unsigned reg_words,
                       Cache *l2_cache = nullptr);
-
-    /** The machine's (sole) EHS context. */
-    EhsContext &context() { return ctx; }
 
     // noteStore/noteCommit/updateRegions/recordStep run once per
     // simulated op, so the cheap paths live in the header (an extra
@@ -148,12 +147,10 @@ class PowerStateMachine
 
     const SimConfig &cfg;
     EnergyMeter &meter;
-    Cache &iCache;
-    Cache &dCache;
-    Cache *l2Cache;
     Core &core;
     EhsDesign &ehs;
-    SimHooks &hooks;
+    KaguraController *kagura;
+    KaguraController *l2Kagura;
     SimResult &result;
 
     EhsContext ctx;

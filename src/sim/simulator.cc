@@ -1,11 +1,15 @@
 #include "sim/simulator.hh"
 
 #include <chrono>
+#include <string>
+#include <utility>
 
+#include "cache/acc.hh"
 #include "common/logging.hh"
 #include "compress/compressor.hh"
 #include "core/workload.hh"
 #include "metrics/registry.hh"
+#include "metrics/sink.hh"
 
 namespace kagura
 {
@@ -88,45 +92,28 @@ Simulator::Simulator(const SimConfig &config) : cfg(config)
                     cfg.traceScale),
         result.ledger, cfg.infiniteEnergy);
 
-    // Components, attached in the canonical order (the determinism
-    // contract -- docs/ARCHITECTURE.md, "Component model").
-    telemetry = std::make_unique<TelemetryComponent>(cfg, result);
-    bus.attach(*telemetry);
-
-    const bool vol_trigger =
-        cfg.enableKagura && cfg.kagura.trigger == TriggerKind::Voltage;
-    if (kaguraCtl) {
-        kaguraComp = std::make_unique<KaguraComponent>(
-            *kaguraCtl, *meter, cfg.capacitor, vol_trigger);
-        bus.attach(*kaguraComp);
-    }
-    if (l2KaguraCtl) {
-        const bool l2_vol_trigger =
-            cfg.kagura.trigger == TriggerKind::Voltage;
-        l2KaguraComp = std::make_unique<KaguraComponent>(
-            *l2KaguraCtl, *meter, cfg.capacitor, l2_vol_trigger,
-            "sim/l2/kagura");
-        bus.attach(*l2KaguraComp);
-    }
-
-    compStack = std::make_unique<CompressionStackComponent>(
-        ichain, dchain, comp.get(),
-        cfg.enableL2 ? &l2chain : nullptr);
-    bus.attach(*compStack);
-
     if (cfg.enableDecay) {
-        decayComp = std::make_unique<DecayComponent>(
-            cfg.decay, *dCache, l2Cache.get());
-        bus.attach(*decayComp);
+        decay = std::make_unique<DecayController>(cfg.decay);
+        dCache->setDecay(decay.get());
+        if (l2Cache) {
+            l2Decay = std::make_unique<DecayController>(cfg.decay);
+            l2Cache->setDecay(l2Decay.get());
+        }
     }
     if (cfg.enablePrefetch) {
-        prefetchComp =
-            std::make_unique<PrefetchComponent>(cfg, *meter, *dCache);
-        bus.attach(*prefetchComp);
+        // IPEX's intermittence gate: prefetch only while the capacitor
+        // still holds comfortable margin above the checkpoint level.
+        const double v_gate =
+            cfg.capacitor.vCheckpoint +
+            0.4 * (cfg.capacitor.vRestore - cfg.capacitor.vCheckpoint);
+        prefetcher = std::make_unique<Prefetcher>(
+            cfg.dcache.blockSize, [m = meter.get(), v_gate]() {
+                return m->infiniteEnergy() || m->voltage() > v_gate;
+            });
+        dCache->setPrefetcher(prefetcher.get());
     }
 
-    ehsComp = std::make_unique<EhsComponent>(cfg.ehs);
-    bus.attach(*ehsComp);
+    ehs = makeEhs(cfg.ehs);
 
     // Per-component checkpoint register budget; the design picks the
     // components its commit boundaries persist (ehs/recovery.hh).
@@ -140,13 +127,12 @@ Simulator::Simulator(const SimConfig &config) : cfg(config)
         reg_budget.l2Gcp = 1; // the single L2 controller's GCP
     if (cfg.enableL2 && cfg.l2Kagura)
         reg_budget.l2Kagura = 6; // the L2's own Kagura register file
-    regWords = ehsComp->design().checkpointRegisterWords(reg_budget);
 
     psm = std::make_unique<PowerStateMachine>(
-        cfg, *meter, *iCache, *dCache, *core, ehsComp->design(), bus,
-        result, mem->params(),
+        cfg, *meter, *iCache, *dCache, *core, *ehs, kaguraCtl.get(),
+        l2KaguraCtl.get(), result, mem->params(),
         comp ? comp->costs() : CompressionCosts{}, comp != nullptr,
-        regWords, l2Cache.get());
+        ehs->checkpointRegisterWords(reg_budget), l2Cache.get());
 }
 
 Simulator::~Simulator() = default;
@@ -171,10 +157,13 @@ Simulator::run()
                      : 0.0;
     const NvmParams &nvm_p = mem->params();
 
-    const bool pays_monitor = ehsComp->design().hasVoltageMonitor();
+    const bool pays_monitor = ehs->hasVoltageMonitor();
+    const bool voltage_trigger =
+        cfg.kagura.trigger == TriggerKind::Voltage;
     const bool pays_extended_monitor =
-        cfg.enableKagura &&
-        cfg.kagura.trigger == TriggerKind::Voltage && !pays_monitor;
+        cfg.enableKagura && voltage_trigger && !pays_monitor;
+    const bool samples_voltage =
+        voltage_trigger && (kaguraCtl || l2KaguraCtl);
 
     std::uint64_t idx = 0;
     while (idx < ops.size()) {
@@ -239,16 +228,24 @@ Simulator::run()
 
         psm->updateRegions(sr.instructions, idx + 1);
 
-        // --- observer bus -----------------------------------------------
-        const SimStepContext step_ctx{op, sr, idx};
-        if (bus.wantsFill() && nvm_reads > 0)
-            bus.fill(step_ctx);
-        if (bus.wantsEvict() &&
-            sr.icache.evictions + sr.dcache.evictions > 0)
-            bus.evict(step_ctx);
-        if (sr.isMem)
-            bus.memOp(step_ctx);
-        bus.step(step_ctx);
+        // --- Kagura triggers: L1 controller, then L2 ---------------------
+        if (sr.isMem) {
+            if (kaguraCtl)
+                kaguraCtl->onMemOpCommit();
+            if (l2KaguraCtl)
+                l2KaguraCtl->onMemOpCommit();
+        }
+        if (samples_voltage) {
+            const double volts = meter->voltage();
+            if (kaguraCtl)
+                kaguraCtl->onVoltageSample(volts,
+                                           cfg.capacitor.vCheckpoint,
+                                           cfg.capacitor.vRestore);
+            if (l2KaguraCtl)
+                l2KaguraCtl->onVoltageSample(volts,
+                                             cfg.capacitor.vCheckpoint,
+                                             cfg.capacitor.vRestore);
+        }
 
         // --- time, leakage, counters ------------------------------------
         const Cycles step_cycles = sr.cycles + extra_cycles;
@@ -298,22 +295,7 @@ Simulator::run()
         result.oracle.merge(dchain.recorder->log());
     }
 
-    // Replacement telemetry lives in the policy objects (per-policy
-    // eviction/size histograms), not in CacheStats, so it is exported
-    // here rather than through the TelemetryComponent.
-    iCache->replPolicy().recordMetrics(*mset, "sim/icache/repl");
-    dCache->replPolicy().recordMetrics(*mset, "sim/dcache/repl");
-
-    // Same story for tag-layout telemetry (a no-op for the baseline
-    // layout, which keeps its counters at zero by contract).
-    iCache->tagLayout().recordMetrics(*mset, "sim/icache/tags");
-    dCache->tagLayout().recordMetrics(*mset, "sim/dcache/tags");
-    if (l2Cache) {
-        l2Cache->replPolicy().recordMetrics(*mset, "sim/l2/repl");
-        l2Cache->tagLayout().recordMetrics(*mset, "sim/l2/tags");
-    }
-
-    bus.recordMetrics(*mset);
+    recordMetrics();
     mset->timer("sim/run_seconds")
         .observe(std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - run_start)
@@ -327,6 +309,109 @@ Simulator::run()
                static_cast<unsigned long long>(result.wallCycles),
                static_cast<unsigned long long>(result.powerFailures));
     return result;
+}
+
+void
+Simulator::recordMetrics()
+{
+    metrics::MetricSet &set = *mset;
+
+    // Replacement and tag-layout telemetry lives in the policy and
+    // layout objects (per-policy eviction/size histograms), not in
+    // CacheStats. The baseline layout keeps its counters at zero by
+    // contract, so it records nothing.
+    iCache->replPolicy().recordMetrics(set, "sim/icache/repl");
+    dCache->replPolicy().recordMetrics(set, "sim/dcache/repl");
+    iCache->tagLayout().recordMetrics(set, "sim/icache/tags");
+    dCache->tagLayout().recordMetrics(set, "sim/dcache/tags");
+    if (l2Cache) {
+        l2Cache->replPolicy().recordMetrics(set, "sim/l2/repl");
+        l2Cache->tagLayout().recordMetrics(set, "sim/l2/tags");
+    }
+
+    // The finished SimResult: counters, gauges, the Fig. 12 per-cycle
+    // histogram, the optional time series, cache/ledger breakdowns.
+    set.labels()["workload"] = result.workload;
+    set.labels()["config"] = cfg.describe();
+
+    set.counter("sim/instructions").add(result.committedInstructions);
+    set.counter("sim/loads").add(result.loads);
+    set.counter("sim/stores").add(result.stores);
+    set.counter("sim/power_failures").add(result.powerFailures);
+    set.gauge("sim/wall_cycles")
+        .set(static_cast<double>(result.wallCycles));
+    set.gauge("sim/active_cycles")
+        .set(static_cast<double>(result.activeCycles));
+    set.gauge("sim/instructions_per_cycle")
+        .set(result.instructionsPerCycle());
+    if (result.oracleVetoes)
+        set.counter("sim/oracle_vetoes").add(result.oracleVetoes);
+    if (result.replOptAccesses) {
+        set.counter("sim/repl_opt_accesses").add(result.replOptAccesses);
+        set.counter("sim/repl_opt_hits").add(result.replOptHits);
+        set.gauge("sim/repl_opt_hit_rate").set(result.replOptHitRate());
+    }
+
+    // Perf trajectory: how committed work distributes over the power
+    // cycles the run survived (Fig. 12-style shape, bucketed).
+    metrics::FixedHistogram &per_cycle = set.histogram(
+        "sim/cycle_instructions",
+        {10.0, 100.0, 1000.0, 10000.0, 100000.0});
+    for (const PowerCycleRecord &rec : result.cycles)
+        per_cycle.observe(static_cast<double>(rec.instructions));
+
+    // Optional per-power-cycle time series (--metrics-timeseries):
+    // one gauge record per completed cycle and series, indexed by a
+    // cycle_index label so downstream tools can reconstruct the
+    // trajectory exactly instead of through histogram buckets.
+    if (metrics::timeseriesEnabled() && metrics::defaultSink()) {
+        std::size_t index = 0;
+        for (const PowerCycleRecord &rec : result.cycles) {
+            const auto emit = [&](const char *name, double value) {
+                metrics::Record record;
+                record.kind = metrics::RecordKind::Gauge;
+                record.name = name;
+                record.labels = set.labels();
+                record.labels["cycle_index"] = std::to_string(index);
+                record.value = value;
+                metrics::emitRecord(std::move(record));
+            };
+            emit("sim/cycle/instructions",
+                 static_cast<double>(rec.instructions));
+            emit("sim/cycle/loads", static_cast<double>(rec.loads));
+            emit("sim/cycle/stores", static_cast<double>(rec.stores));
+            emit("sim/cycle/active_cycles",
+                 static_cast<double>(rec.activeCycles));
+            ++index;
+        }
+    }
+
+    result.icache.recordMetrics(set, "sim/icache");
+    result.dcache.recordMetrics(set, "sim/dcache");
+    if (cfg.enableL2)
+        result.l2cache.recordMetrics(set, "sim/l2");
+    result.ledger.recordMetrics(set, "sim/energy");
+
+    // The Kagura controllers, each under its own prefix so the two
+    // levels' stats never collide.
+    if (kaguraCtl)
+        kaguraCtl->stats().recordMetrics(set, "sim/kagura");
+    if (l2KaguraCtl)
+        l2KaguraCtl->stats().recordMetrics(set, "sim/l2/kagura");
+
+    // The compression stack: per-cache ACC predictors and the
+    // algorithm.
+    if (ichain.acc)
+        ichain.acc->recordMetrics(set, "sim/icache/acc");
+    if (dchain.acc)
+        dchain.acc->recordMetrics(set, "sim/dcache/acc");
+    if (l2chain.acc)
+        l2chain.acc->recordMetrics(set, "sim/l2/acc");
+    if (comp)
+        comp->recordMetrics(set, "sim/compressor");
+
+    // The EHS design's recovery counters (sim/ehs/...).
+    ehs->recordMetrics(set);
 }
 
 } // namespace kagura

@@ -1,20 +1,21 @@
 /**
  * @file
- * The EHS simulator, layered (see docs/ARCHITECTURE.md, "Component
- * model"):
+ * The EHS simulator, layered (see docs/ARCHITECTURE.md, "The layered
+ * simulator"):
  *
  *  - EnergyMeter (src/energy/meter.hh): capacitor + harvest trace +
  *    wall clock + ledger coupling.
  *  - PowerStateMachine (src/sim/power_state.hh): the Section II-A
  *    run/checkpoint/off/recharge/restore loop, atomic regions, and
  *    power-cycle records.
- *  - SimHooks (src/sim/hooks.hh): observer bus the platform
- *    components (Kagura, compression stack, decay, prefetch, EHS,
- *    telemetry) register with.
  *
  * The Simulator itself is the composition root: it builds the
- * platform from a SimConfig, wires the layers, and drives the
- * committed micro-op stream through them. Time is metered in core
+ * platform from a SimConfig (caches, compression chains, the Kagura
+ * controllers, decay, prefetching, the EHS design), wires the layers,
+ * and drives the committed micro-op stream through them. Each step
+ * runs the EHS store/commit hooks, then the atomic-region update, then
+ * the Kagura controllers' memory-op count, then their voltage sample
+ * (L1 controller before L2 each time). Time is metered in core
  * cycles; wall time includes the recharge phases, so "speedup" across
  * configurations with identical ambient input reflects energy
  * efficiency exactly as in the paper.
@@ -26,12 +27,14 @@
 #include <memory>
 
 #include "cache/chain.hh"
+#include "cache/decay.hh"
+#include "cache/prefetcher.hh"
 #include "core/core.hh"
+#include "ehs/ehs.hh"
 #include "energy/meter.hh"
+#include "kagura/kagura.hh"
 #include "mem/nvm.hh"
 #include "metrics/fwd.hh"
-#include "sim/components.hh"
-#include "sim/hooks.hh"
 #include "sim/power_state.hh"
 #include "sim/sim_config.hh"
 #include "sim/sim_result.hh"
@@ -58,9 +61,6 @@ class Simulator
     /** The shared L2, when configured (null = single-level). */
     const Cache *l2cache() const { return l2Cache.get(); }
 
-    /** The observer bus (component introspection in tests). */
-    const SimHooks &hooks() const { return bus; }
-
     /**
      * Per-run telemetry, populated at the end of run(): counters and
      * gauges mirroring the SimResult plus wall-clock timing. Purely
@@ -70,6 +70,13 @@ class Simulator
     const metrics::MetricSet &metricSet() const { return *mset; }
 
   private:
+    /**
+     * Fill mset at the end of run(): replacement and tag-layout
+     * telemetry, the SimResult mirror, both Kagura controllers, the
+     * compression stack, then the EHS design's recovery counters.
+     */
+    void recordMetrics();
+
     SimConfig cfg;
 
     std::unique_ptr<Nvm> mem;
@@ -98,21 +105,17 @@ class Simulator
 
     std::unique_ptr<EnergyMeter> meter;
 
-    SimHooks bus;
+    /** EDBP dead-block decay (enableDecay); the L2 decays at its own
+     *  pace, on its own generation counters. */
+    std::unique_ptr<DecayController> decay;
+    std::unique_ptr<DecayController> l2Decay;
 
-    // Components, held in the canonical registration order.
-    std::unique_ptr<TelemetryComponent> telemetry;
-    std::unique_ptr<KaguraComponent> kaguraComp;
-    std::unique_ptr<KaguraComponent> l2KaguraComp;
-    std::unique_ptr<CompressionStackComponent> compStack;
-    std::unique_ptr<DecayComponent> decayComp;
-    std::unique_ptr<PrefetchComponent> prefetchComp;
-    std::unique_ptr<EhsComponent> ehsComp;
+    /** IPEX prefetching (enablePrefetch), gated on the voltage. */
+    std::unique_ptr<Prefetcher> prefetcher;
+
+    std::unique_ptr<EhsDesign> ehs;
 
     std::unique_ptr<PowerStateMachine> psm;
-
-    /** 32-bit words saved at a JIT checkpoint. */
-    unsigned regWords = 0;
 };
 
 } // namespace kagura

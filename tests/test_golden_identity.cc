@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 
+#include "golden_axes.hh"
 #include "runner/cache_store.hh"
 #include "runner/config_hash.hh"
 #include "runner/result_codec.hh"
@@ -168,6 +169,55 @@ TEST(GoldenIdentity, EveryEhsDesignMatchesPreRefactorFingerprints)
     }
 }
 
+// --- Design axes and the per-run metric set ------------------------------
+//
+// golden_axes_results.txt pins one fingerprint per design axis of
+// tools/golden_axes.hh and app: the voltage trigger, the L2 and its
+// Kagura controller, decay, prefetching, the checkpoint-free designs,
+// atomic I/O regions, and every commit-boundary persist with an L2.
+// golden_metric_set.txt pins the full-platform run's MetricSet.
+// Regenerate both with `capture_goldens axes|metrics`.
+
+std::string
+readData(const char *name)
+{
+    std::ifstream in(dataPath(name));
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+TEST(GoldenIdentity, DesignAxesMatchTheirFingerprints)
+{
+    std::map<std::string, std::uint64_t> goldens;
+    std::istringstream in(readData("golden_axes_results.txt"));
+    std::string axis, app, hex;
+    while (in >> axis >> app >> hex)
+        goldens[axis + " " + app] = std::stoull(hex, nullptr, 16);
+    ASSERT_EQ(goldens.size(),
+              golden::axes().size() * golden::axisApps().size())
+        << "golden_axes_results.txt out of sync with golden_axes.hh";
+
+    for (const golden::Axis &row : golden::axes()) {
+        for (const std::string &a : golden::axisApps()) {
+            const std::string key = std::string(row.name) + " " + a;
+            const auto it = goldens.find(key);
+            ASSERT_NE(it, goldens.end()) << key << " missing";
+            EXPECT_EQ(fingerprint(row.make(a)), it->second)
+                << key << " drifted";
+        }
+    }
+}
+
+TEST(GoldenIdentity, FullPlatformMetricSetIsPinned)
+{
+    const std::string golden = readData("golden_metric_set.txt");
+    ASSERT_FALSE(golden.empty()) << "golden_metric_set.txt missing";
+    Simulator sim(golden::fullPlatformConfig());
+    sim.run();
+    EXPECT_EQ(golden::metricLines(sim.metricSet()), golden);
+}
+
 TEST(GoldenIdentity, EhsDesignsAreExactlyReproducible)
 {
     // exactlyEqual over two fresh runs of each design: the layered
@@ -198,10 +248,7 @@ TEST(GoldenIdentity, PreRefactorCacheEntryStillHits)
     const SimConfig config = accKaguraConfig("crc32");
 
     // Key text must match byte-for-byte (canonicalKey + salt stable).
-    std::ifstream keyFile(dataPath("cache_fixture_key.txt"));
-    std::stringstream keyBuf;
-    keyBuf << keyFile.rdbuf();
-    const std::string fixtureKey = keyBuf.str();
+    const std::string fixtureKey = readData("cache_fixture_key.txt");
     ASSERT_FALSE(fixtureKey.empty());
     EXPECT_EQ(runner::jobKeyText(config, "plain"), fixtureKey)
         << "canonical key drifted; pre-refactor cache entries would "

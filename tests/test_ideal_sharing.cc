@@ -52,6 +52,15 @@ phase1Reused()
         .get();
 }
 
+/** Simulators run so far (runner/simulations). */
+std::uint64_t
+simulations()
+{
+    return metrics::Registry::global()
+        .counter("runner/simulations")
+        .get();
+}
+
 std::uint64_t
 phase1FromPlain()
 {
@@ -303,11 +312,14 @@ TEST_F(IdealSharingRunner, PlainRunDoublesAsTheAwarePhase1)
         runner::setJobCount(workers);
         const std::uint64_t before = phase1FromPlain();
         const std::uint64_t reused = phase1Reused();
+        const std::uint64_t sims = simulations();
         expectEqual(runner::runJobs(jobs), want,
                     workers == 1 ? "cache off, 1 worker"
                                  : "cache off, 8 workers");
         EXPECT_EQ(phase1FromPlain() - before, pairs) << workers;
         EXPECT_EQ(phase1Reused(), reused) << workers;
+        // Per pair: the plain run (doubling as phase 1) + phase 2.
+        EXPECT_EQ(simulations() - sims, 2 * pairs) << workers;
     }
 
     runner::setJobCount(8);
@@ -321,8 +333,11 @@ TEST_F(IdealSharingRunner, PlainRunDoublesAsTheAwarePhase1)
     useFreshCache("aware-plain-warm");
     runner::runJobs(onlyKind(jobs, runner::SimJob::Kind::Plain));
     before = phase1FromPlain();
+    const std::uint64_t sims = simulations();
     expectEqual(runner::runJobs(jobs), want, "plain-only warm cache");
     EXPECT_EQ(phase1FromPlain() - before, 0u);
+    // Per aware job: its own phase 1 + phase 2.
+    EXPECT_EQ(simulations() - sims, 2 * pairs);
 
     // Only the aware jobs are cached: the plain jobs simulate, and no
     // aware job needs their logs.
@@ -341,14 +356,21 @@ TEST_F(IdealSharingRunner, SharedPhase1MatchesPerJobRunsEverywhere)
                 [&](std::size_t i) { want[i] = reference(jobs[i]); });
 
     // 20 apps x 5 seeds share one log per app: 80 reuses per cold pass.
-    const std::uint64_t per_pass = workloadNames().size() * (seeds - 1);
+    const std::uint64_t apps = workloadNames().size();
+    const std::uint64_t per_pass = apps * (seeds - 1);
+    // Simulators per pass: one phase 2 per unaware job and one shared
+    // phase 1 per app, the plain job, and the aware job's phase 2 (its
+    // phase 1 is the plain run).
+    const std::uint64_t sims_per_pass = apps * seeds + apps + 1 + 1;
     for (const unsigned workers : {1u, 8u}) {
         runner::setJobCount(workers);
         const std::uint64_t before = phase1Reused();
+        const std::uint64_t sims = simulations();
         expectEqual(runner::runJobs(jobs), want,
                     workers == 1 ? "cache off, 1 worker"
                                  : "cache off, 8 workers");
         EXPECT_EQ(phase1Reused() - before, per_pass) << workers;
+        EXPECT_EQ(simulations() - sims, sims_per_pass) << workers;
     }
 
     runner::setJobCount(8);

@@ -188,6 +188,32 @@ TEST(RecoveryBudget, NewComponentsCannotBeSilentlyDropped)
               7u + SpecPersistEhs::epochMetadataWords);
 }
 
+// --- forward progress under repeated failures -----------------------------
+
+TEST(RecoveryReplayLength, HalvesFromTheSecondFailureWithACappedShift)
+{
+    struct Row
+    {
+        std::uint64_t base;
+        std::uint64_t failures;
+        std::uint64_t expected;
+    };
+    const Row rows[] = {
+        {1u << 20, 0, 1u << 20}, // no failure: full length
+        {1u << 20, 1, 1u << 20}, // first failure: full length
+        {1u << 20, 2, 1u << 19}, // second in a row: halved
+        {1u << 20, 17, 1u << 4}, // shift 16
+        {1u << 20, 40, 1u << 4}, // shift capped at 16
+        {1, 0, 1},
+        {1, 2, 1}, // never below one instruction
+        {1, 40, 1},
+    };
+    for (const Row &row : rows)
+        EXPECT_EQ(replayLength(row.base, row.failures), row.expected)
+            << "base " << row.base << ", " << row.failures
+            << " failures";
+}
+
 // --- hand-computed re-execution accounting ---------------------------------
 
 TEST_F(RecoveryTest, TaskRollbackAccountingMatchesHandComputedBoundaries)

@@ -1,135 +1,29 @@
 /**
  * @file
- * Tests for the layered simulator architecture: the SimHooks observer
- * bus (interest routing + registration-order dispatch), the
- * EnergyMeter, the governor-chain factory, the EhsContext value
- * semantics behind the shared checkpointCost() formula, and the
- * Simulator's canonical component wiring.
+ * Tests for the layered simulator architecture: the EnergyMeter, the
+ * governor-chain factory, the EhsContext value semantics behind the
+ * shared checkpointCost() formula and the commit-boundary persist, and
+ * the Simulator's checkpoint register budget.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/acc.hh"
 #include "cache/chain.hh"
+#include "core/core.hh"
 #include "ehs/ehs.hh"
 #include "energy/meter.hh"
 #include "kagura/kagura.hh"
 #include "kagura/oracle.hh"
-#include "sim/experiment.hh"
-#include "sim/simulator.hh"
+#include "mem/nvm.hh"
 
 namespace kagura
 {
 namespace
 {
-
-// --- SimHooks ------------------------------------------------------------
-
-/** Component that logs every event it receives into a shared journal. */
-struct Probe : SimComponent
-{
-    Probe(std::string id_, unsigned mask_,
-          std::vector<std::string> &journal_)
-        : id(std::move(id_)), mask(mask_), journal(journal_)
-    {
-    }
-
-    const char *name() const override { return id.c_str(); }
-    unsigned interests() const override { return mask; }
-
-    void
-    onStep(const SimStepContext &) override
-    {
-        journal.push_back(id + ":step");
-    }
-
-    void
-    onMemOp(const SimStepContext &) override
-    {
-        journal.push_back(id + ":memop");
-    }
-
-    void onPowerFailure() override { journal.push_back(id + ":fail"); }
-    void onReboot() override { journal.push_back(id + ":reboot"); }
-
-    void
-    onCycleClose(const PowerCycleRecord &) override
-    {
-        journal.push_back(id + ":close");
-    }
-
-    std::string id;
-    unsigned mask;
-    std::vector<std::string> &journal;
-};
-
-TEST(SimHooks, RoutesOnlySubscribedEvents)
-{
-    std::vector<std::string> journal;
-    Probe quiet("quiet", 0, journal);
-    Probe eager("eager",
-                simEventBit(SimEvent::PowerFailure) |
-                    simEventBit(SimEvent::Reboot),
-                journal);
-    SimHooks hooks;
-    hooks.attach(quiet);
-    hooks.attach(eager);
-
-    hooks.powerFailure();
-    hooks.reboot();
-    hooks.cycleClose(PowerCycleRecord{});
-
-    EXPECT_EQ(journal,
-              (std::vector<std::string>{"eager:fail", "eager:reboot"}));
-    EXPECT_FALSE(hooks.wantsFill());
-    EXPECT_FALSE(hooks.wantsEvict());
-}
-
-TEST(SimHooks, DispatchFollowsRegistrationOrder)
-{
-    std::vector<std::string> journal;
-    const unsigned mask = simEventBit(SimEvent::PowerFailure) |
-                          simEventBit(SimEvent::CycleClose);
-    Probe first("first", mask, journal);
-    Probe second("second", mask, journal);
-    SimHooks hooks;
-    hooks.attach(first);
-    hooks.attach(second);
-
-    hooks.powerFailure();
-    hooks.cycleClose(PowerCycleRecord{});
-
-    EXPECT_EQ(journal,
-              (std::vector<std::string>{"first:fail", "second:fail",
-                                        "first:close", "second:close"}));
-    ASSERT_EQ(hooks.components().size(), 2u);
-    EXPECT_STREQ(hooks.components()[0]->name(), "first");
-    EXPECT_STREQ(hooks.components()[1]->name(), "second");
-}
-
-TEST(SimHooks, StepAndMemOpCarryTheStepContext)
-{
-    std::vector<std::string> journal;
-    Probe probe("p",
-                simEventBit(SimEvent::Step) |
-                    simEventBit(SimEvent::MemOp),
-                journal);
-    SimHooks hooks;
-    hooks.attach(probe);
-
-    MicroOp op{};
-    op.type = MicroOp::Type::Load;
-    StepResult sr;
-    const SimStepContext ctx{op, sr, 7};
-    hooks.memOp(ctx);
-    hooks.step(ctx);
-    EXPECT_EQ(journal,
-              (std::vector<std::string>{"p:memop", "p:step"}));
-}
 
 // --- EnergyMeter ---------------------------------------------------------
 
@@ -334,36 +228,41 @@ TEST_F(EhsContextTest, CompressionCostsAreHeldByValue)
     EXPECT_DOUBLE_EQ(cost.energy, 1.0 + 36 * energy.nvffWrite);
 }
 
+TEST_F(EhsContextTest, PersistDirtyCleansEveryLevelAndChargesTheL2)
+{
+    // L1 -> 1 KiB L2 -> NVM. Two dirty L1 blocks whose clean copies
+    // sit in the L2: the dcache clean is absorbed by the L2 in place
+    // (two SRAM writes), then the L2 clean pushes both to NVM.
+    CacheConfig l2cfg{};
+    l2cfg.sizeBytes = 1024;
+    l2cfg.ways = 4;
+    Cache l2(l2cfg, nvm);
+    Cache l1i(cfg, l2);
+    Cache l1d(cfg, l2);
+    std::uint8_t word[4] = {1, 2, 3, 4};
+    l1d.access(0x100, true, word, 4, 1);
+    l1d.access(0x200, true, word, 4, 2);
+    ASSERT_EQ(l1d.dirtyLines(), 2u);
+    ASSERT_EQ(l2.dirtyLines(), 0u);
+
+    EhsContext ctx{l1i, l1d, energy, nvm.params(), CompressionCosts{},
+                   false, 36, &l2};
+    const EhsCost cost = ctx.persistDirty(10, /*extra_writes=*/1);
+
+    EXPECT_EQ(l1d.dirtyLines(), 0u);
+    EXPECT_EQ(l2.dirtyLines(), 0u);
+    EXPECT_EQ(l1d.validLines(), 2u) << "a clean keeps the contents";
+    // 2 L2 writebacks + 1 commit record, each at 10 cycles; 36
+    // register words; 2 absorbed writes at one cycle each.
+    EXPECT_EQ(cost.nvmBlockWrites, 3u);
+    EXPECT_EQ(cost.cycles, 3 * 10 + 36 + 2u);
+    EXPECT_DOUBLE_EQ(cost.energy,
+                     3 * nvm.params().writeEnergy +
+                         36 * energy.nvffWrite +
+                         2 * energy.cacheAccessEnergy(1024));
+}
+
 // --- Simulator wiring ----------------------------------------------------
-
-std::vector<std::string>
-componentNames(const Simulator &sim)
-{
-    std::vector<std::string> names;
-    for (const SimComponent *c : sim.hooks().components())
-        names.emplace_back(c->name());
-    return names;
-}
-
-TEST(SimulatorComponents, BaselineWiresTheMinimalSet)
-{
-    Simulator sim(baselineConfig("crc32"));
-    EXPECT_EQ(componentNames(sim),
-              (std::vector<std::string>{"telemetry", "compression-stack",
-                                        "ehs"}));
-}
-
-TEST(SimulatorComponents, FullPlatformFollowsTheCanonicalOrder)
-{
-    SimConfig config = accKaguraConfig("crc32");
-    config.enableDecay = true;
-    config.enablePrefetch = true;
-    Simulator sim(config);
-    EXPECT_EQ(componentNames(sim),
-              (std::vector<std::string>{"telemetry", "kagura",
-                                        "compression-stack", "decay",
-                                        "prefetch", "ehs"}));
-}
 
 TEST(SimulatorComponents, CheckpointWordsStartFromTheCoreConstant)
 {

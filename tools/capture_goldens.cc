@@ -9,15 +9,20 @@
  *
  *   capture_goldens standard > tests/data/golden_results.txt
  *   capture_goldens ehs      > tests/data/golden_ehs_results.txt
+ *   capture_goldens axes     > tests/data/golden_axes_results.txt
+ *   capture_goldens metrics  > tests/data/golden_metric_set.txt
  *
  * "standard" emits one row per suite workload with the FNV-1a
  * fingerprint of the canonical SimResult encoding under the baseline,
  * ACC, and ACC+Kagura configs. "ehs" emits one row per workload with
  * the ACC+Kagura config run under each of the three EHS persistence
  * designs (NVSRAMCache, NvMR, SweepCache) -- the parity table the
- * component-refactor suite checks.
+ * component-refactor suite checks. "axes" emits one `AXIS APP
+ * fingerprint` row per design axis of tools/golden_axes.hh and app;
+ * "metrics" prints the full-platform run's MetricSet
+ * (golden::metricLines).
  *
- * Both modes take an optional `--tag-layout KIND` axis (baseline,
+ * Every mode takes an optional `--tag-layout KIND` axis (baseline,
  * superblock, signature) applied to both caches of every config, so
  * future layout work can pin its own fingerprints:
  *
@@ -34,6 +39,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "golden_axes.hh"
 #include "runner/config_hash.hh"
 #include "runner/result_codec.hh"
 #include "sim/experiment.hh"
@@ -101,15 +107,42 @@ captureEhs()
 }
 
 int
+captureAxes()
+{
+    for (const golden::Axis &axis : golden::axes()) {
+        for (const std::string &app : golden::axisApps()) {
+            std::printf("%s %s %016llx\n", axis.name, app.c_str(),
+                        static_cast<unsigned long long>(
+                            fingerprint(axis.make(app))));
+            std::fflush(stdout);
+        }
+    }
+    return 0;
+}
+
+int
+captureMetrics()
+{
+    Simulator sim(withLayout(golden::fullPlatformConfig()));
+    sim.run();
+    std::fputs(golden::metricLines(sim.metricSet()).c_str(), stdout);
+    return 0;
+}
+
+int
 usage()
 {
     std::fprintf(stderr,
-                 "usage: capture_goldens standard|ehs "
+                 "usage: capture_goldens standard|ehs|axes|metrics "
                  "[--tag-layout KIND]\n"
                  "  standard  golden_results.txt rows "
                  "(baseline/ACC/ACC+Kagura)\n"
                  "  ehs       golden_ehs_results.txt rows "
                  "(NVSRAM/NvMR/SweepCache under ACC+Kagura)\n"
+                 "  axes      golden_axes_results.txt rows "
+                 "(design axes x apps)\n"
+                 "  metrics   golden_metric_set.txt "
+                 "(full-platform MetricSet)\n"
                  "  --tag-layout KIND  baseline | superblock | "
                  "signature (both caches; default baseline)\n");
     return 2;
@@ -140,5 +173,9 @@ main(int argc, char **argv)
         return captureStandard();
     if (std::strcmp(mode, "ehs") == 0)
         return captureEhs();
+    if (std::strcmp(mode, "axes") == 0)
+        return captureAxes();
+    if (std::strcmp(mode, "metrics") == 0)
+        return captureMetrics();
     return usage();
 }

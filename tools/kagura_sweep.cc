@@ -265,8 +265,8 @@ cmdGrid(Args &args)
         wallSum += static_cast<double>(r.wallCycles);
     inform("grid: %zu jobs in %.1fs; mean wall %.0f cycles", jobs.size(),
            elapsed, results.empty() ? 0.0 : wallSum / results.size());
-    // The [runner] line splits the jobs into cache hits and simulations;
-    // rerunning a finished grid is all hits.
+    // The [runner] line counts the cache hits and the simulations the
+    // misses ran; rerunning a finished grid is all hits.
     runner::printSummary(stdout, runner::jobCount());
     return 0;
 }
