@@ -121,15 +121,11 @@ count(std::uint64_t v)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(abl_hierarchy, "Ablation",
+             "Memory hierarchies: shared L2 x EHS designs",
+             "(repository extension; per-level telemetry must be "
+             "live)")
 {
-    bench::init(argc, argv);
-    bench::banner("Ablation",
-                  "Memory hierarchies: shared L2 x EHS designs",
-                  "(repository extension; per-level telemetry must be "
-                  "live)");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     unsigned cellsRun = 0;
     unsigned violations = 0;

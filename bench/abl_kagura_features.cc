@@ -12,15 +12,11 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(abl_kagura_features, "Ablation", "Kagura mechanism ablation",
+             "(repository extension; the paper's Tables II/IV and "
+             "Figs. 21/22 sweep parameters, this removes "
+             "mechanisms outright)")
 {
-    bench::init(argc, argv);
-    bench::banner("Ablation", "Kagura mechanism ablation",
-                  "(repository extension; the paper's Tables II/IV and "
-                  "Figs. 21/22 sweep parameters, this removes "
-                  "mechanisms outright)");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     const SuiteResult base = runSuite("base", baselineConfig, apps);
 

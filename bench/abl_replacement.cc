@@ -20,13 +20,9 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(abl_replacement, "Ablation", "Replacement policies",
+             "(repository extension; the paper fixes LRU)")
 {
-    bench::init(argc, argv);
-    bench::banner("Ablation", "Replacement policies",
-                  "(repository extension; the paper fixes LRU)");
-
     const std::vector<std::string> &apps = bench::sweepApps();
 
     TextTable table;

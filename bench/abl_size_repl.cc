@@ -67,14 +67,10 @@ rate(double r)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(abl_size_repl, "Ablation", "Size-aware replacement x EHS designs",
+             "(repository extension; OPTgen bound must dominate "
+             "every online policy)")
 {
-    bench::init(argc, argv);
-    bench::banner("Ablation", "Size-aware replacement x EHS designs",
-                  "(repository extension; OPTgen bound must dominate "
-                  "every online policy)");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     const char *stackNames[] = {"+ACC", "+ACC+Kagura"};
     unsigned violations = 0;

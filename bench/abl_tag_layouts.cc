@@ -94,14 +94,11 @@ capacity(const tags::TagLayoutStats &stats)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(abl_tag_layouts,
+             "Ablation", "Compressed-tag layouts x EHS designs",
+             "(repository extension; superblock/signature "
+             "telemetry must be live)")
 {
-    bench::init(argc, argv);
-    bench::banner("Ablation", "Compressed-tag layouts x EHS designs",
-                  "(repository extension; superblock/signature "
-                  "telemetry must be live)");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     const char *stackNames[] = {"+ACC", "+ACC+Kagura"};
     std::uint64_t sbCompactions = 0;

@@ -1,10 +1,11 @@
 /**
  * @file
- * Shared helpers for the per-figure/table bench binaries: standard
- * header banners, suite-comparison tables, and the canonical
- * configuration builders. Every binary prints (a) the paper's reported
- * numbers for its experiment and (b) our measured reproduction, in the
- * same rows/series layout as the paper.
+ * The kagura_bench harness: the bench registry and its command-line
+ * driver, plus the shared helpers the benches build on (suite
+ * comparison tables, canonical configuration builders). Every bench
+ * prints (a) the paper's reported numbers for its experiment and
+ * (b) our measured reproduction, in the same rows/series layout as
+ * the paper.
  */
 
 #ifndef KAGURA_BENCH_BENCH_COMMON_HH
@@ -21,15 +22,68 @@ namespace kagura
 namespace bench
 {
 
+/** One registered bench: its CLI name, banner text and body. */
+struct BenchEntry
+{
+    const char *name;
+    const char *experimentId;
+    const char *title;
+    const char *paperSummary;
+    /** Prints the bench's tables; the return value is its exit status. */
+    int (*body)();
+};
+
+/** Every bench linked into this binary, in registration order. */
+std::vector<BenchEntry> &registry();
+
+/** Appends one entry to registry() during static initialisation. */
+struct Registrar
+{
+    explicit Registrar(const BenchEntry &entry)
+    {
+        registry().push_back(entry);
+    }
+};
+
 /**
- * Parse the standard bench flags and arm the runner harness. Call
- * first thing in every bench main:
+ * Define and register a bench:
+ *
+ *   KAGURA_BENCH(fig13_main_speedup, "Fig. 13", "Main speedup result",
+ *                "<what the paper reports>")
+ *   {
+ *       ...print tables...
+ *       return 0;
+ *   }
+ *
+ * The driver prints the banner before the body runs and the body's
+ * [runner] telemetry line after it.
+ */
+#define KAGURA_BENCH(name, id, title, summary)                            \
+    static int kaguraBenchBody_##name();                                  \
+    static const ::kagura::bench::Registrar kaguraBenchRegistrar_##name{  \
+        {#name, id, title, summary, &kaguraBenchBody_##name}};            \
+    static int kaguraBenchBody_##name()
+
+/**
+ * The kagura_bench command line over @p entries:
+ *
+ *   kagura_bench [flags] NAME...      run the named benches in order
+ *   kagura_bench [flags] all          every bench, fig* tab* abl* ext*
+ *   kagura_bench --list               one "NAME  ID -- TITLE" line each
+ *
+ * Flags (any position):
  *
  *   --jobs N      worker threads (default: KAGURA_JOBS env, else
  *                 hardware_concurrency)
  *   --repeats N   trace seeds per configuration (default: the
  *                 KAGURA_REPEATS env, else 5)
  *   --no-cache    skip the persistent result cache for this run
+ *   --metrics-out PATH
+ *                 one kagura.metrics/v1 export for the whole run
+ *                 (also KAGURA_METRICS_OUT); every record carries
+ *                 the bench label of the bench that emitted it
+ *   --metrics-timeseries
+ *                 per-power-cycle series in that export
  *   --register-trace NAME=FILE
  *                 register a kagura.trace/v1 file as workload NAME
  *   --apps A,B    replace the default suite list (also the
@@ -37,11 +91,17 @@ namespace bench
  *                 the known workloads -- kernels and registered
  *                 traces -- and an unknown name is a fatal error
  *                 listing the valid choices, never a silent fallback
+ *   --summary PATH
+ *                 with `all`: write the kagura.bench/v1 sweep summary
+ *                 (pr from the BENCH_PR env)
  *
- * Also registers an atexit hook that prints the runner telemetry
- * summary ([runner] jobs=... hit_rate=...) after the tables.
+ * Each bench prints its banner, its tables, then its own [runner]
+ * line (the runner counters it moved, plus its wall time). Every
+ * name is checked before anything runs; an unknown one is fatal and
+ * lists the valid names. Returns 1 when any bench returned nonzero
+ * (the rest still run), else 0.
  */
-void init(int argc, char **argv);
+int runBenches(int argc, char **argv, std::vector<BenchEntry> entries);
 
 /**
  * Split a comma-separated workload selection and validate every name
@@ -51,14 +111,12 @@ void init(int argc, char **argv);
  */
 std::vector<std::string> parseAppList(const std::string &csv);
 
-/** Print the standard experiment banner. */
-void banner(const std::string &experiment_id, const std::string &title,
-            const std::string &paper_summary);
-
 /**
  * Print a per-app comparison table: one row per application, one
  * column per configuration, cells = speedup (%) over the baseline
- * suite, plus an average row.
+ * suite, plus an average row. The "ACC+Kagura" column's
+ * speedupGeomean() is noted for the sweep summary (fig13's is its
+ * fig13_speedup_geomean).
  */
 void printSpeedupTable(const SuiteResult &baseline,
                        const std::vector<SuiteResult> &configs);
@@ -70,7 +128,7 @@ void printEnergyTable(const SuiteResult &baseline,
 /**
  * Emit one per-app table cell as a labelled gauge record (no-op
  * without a metrics sink). Benches that lay out their own tables use
- * this to still land in the kagura.bench/v1 summary.
+ * this to still land in the metrics export.
  */
 void emitCell(const char *name, const std::string &app,
               const std::string &config, double value);

@@ -12,14 +12,11 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(ext_more_compressors,
+             "Ext. Sec. IX", "Extended compression algorithms",
+             "(repository extension; adds BPC and FVC to the "
+             "Fig. 23 sweep)")
 {
-    bench::init(argc, argv);
-    bench::banner("Ext. Sec. IX", "Extended compression algorithms",
-                  "(repository extension; adds BPC and FVC to the "
-                  "Fig. 23 sweep)");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     const SuiteResult base = runSuite("base", baselineConfig, apps);
 

@@ -13,14 +13,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(ext_peripheral_regions, "Ext. VII-A", "Atomic peripheral regions",
+             "region checkpoints consume extra energy, giving "
+             "Kagura more opportunities (Sections VII-A/VII-C)")
 {
-    bench::init(argc, argv);
-    bench::banner("Ext. VII-A", "Atomic peripheral regions",
-                  "region checkpoints consume extra energy, giving "
-                  "Kagura more opportunities (Sections VII-A/VII-C)");
-
     const std::vector<std::string> &apps = bench::sweepApps();
 
     TextTable table;

@@ -12,15 +12,11 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig01_cache_size_motivation,
+             "Fig. 1", "Speedup vs cache size (no compression)",
+             "256 B is the sweet spot; >=512 B declines (leakage/checkpoint), "
+             "128 B suffers misses")
 {
-    bench::init(argc, argv);
-    bench::banner(
-        "Fig. 1", "Speedup vs cache size (no compression)",
-        "256 B is the sweet spot; >=512 B declines (leakage/checkpoint), "
-        "128 B suffers misses");
-
     const unsigned sizes[] = {128, 256, 512, 1024, 2048, 4096};
 
     SuiteResult reference = runSuite("256B", [](const std::string &app) {

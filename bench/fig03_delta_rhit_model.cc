@@ -27,15 +27,11 @@ minDeltaRhit(double a, double e, double f, double e_comp, double e_decomp,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig03_delta_rhit_model, "Fig. 3",
+             "Minimum Delta R_hit for net energy benefit",
+             "threshold falls as a/e/f fall, rises with "
+             "(E_comp+E_decomp)/E_miss")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 3",
-                  "Minimum Delta R_hit for net energy benefit",
-                  "threshold falls as a/e/f fall, rises with "
-                  "(E_comp+E_decomp)/E_miss");
-
     struct Point
     {
         double a, e, f;

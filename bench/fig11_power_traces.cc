@@ -12,13 +12,9 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig11_power_traces, "Fig. 11", "Ambient power traces",
+             "solar/thermal mostly stable; RFHome weak and bursty")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 11", "Ambient power traces",
-                  "solar/thermal mostly stable; RFHome weak and bursty");
-
     TextTable table;
     table.setHeader({"trace", "mean power (uW)", "min (uW)", "max (uW)",
                      "stable fraction"});

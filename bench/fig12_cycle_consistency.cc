@@ -14,14 +14,11 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig12_cycle_consistency,
+             "Fig. 12", "Neighbouring power-cycle consistency",
+             "avg diff: load 5.73% store 14.11% CPI 5.26%; "
+             "<20%-pairs: load 86.91% store 80.27% CPI 88.48%")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 12", "Neighbouring power-cycle consistency",
-                  "avg diff: load 5.73% store 14.11% CPI 5.26%; "
-                  "<20%-pairs: load 86.91% store 80.27% CPI 88.48%");
-
     TextTable table;
     table.setHeader({"app", "load diff", "store diff", "CPI diff",
                      "load<20%", "store<20%", "CPI<20%"});

@@ -15,15 +15,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig13_main_speedup, "Fig. 13", "Main speedup result",
+             "ACC +0.0022%, ACC+Kagura +4.74% (max +17.87%), ideal +6.19%; "
+             "instrs/cycle: ACC +0.28%, Kagura +4.57%")
 {
-    bench::init(argc, argv);
-    bench::banner(
-        "Fig. 13", "Main speedup result",
-        "ACC +0.0022%, ACC+Kagura +4.74% (max +17.87%), ideal +6.19%; "
-        "instrs/cycle: ACC +0.28%, Kagura +4.57%");
-
     const SuiteResult base = runSuite("baseline", baselineConfig);
     const SuiteResult acc = runSuite("ACC", accConfig);
     const SuiteResult kagura = runSuite("ACC+Kagura", accKaguraConfig);

@@ -13,14 +13,11 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig14_cycle_length_dist,
+             "Fig. 14", "Power-cycle length distribution",
+             "most cycles of an app have comparable length "
+             "(thousands of committed instructions)")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 14", "Power-cycle length distribution",
-                  "most cycles of an app have comparable length "
-                  "(thousands of committed instructions)");
-
     TextTable table;
     table.setHeader({"app", "cycles", "mean instrs", "stddev", "p.d. "
                      "histogram (0..2x mean, 12 bins)"});

@@ -10,14 +10,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig15_miss_rates, "Fig. 15", "Cache miss rates",
+             "ACC: -1.45% I / -2.29% D (absolute); ACC+Kagura: "
+             "-2.71% I / -3.24% D")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 15", "Cache miss rates",
-                  "ACC: -1.45% I / -2.29% D (absolute); ACC+Kagura: "
-                  "-2.71% I / -3.24% D");
-
     const SuiteResult base = runSuite("baseline", baselineConfig);
     const SuiteResult acc = runSuite("ACC", accConfig);
     const SuiteResult kagura = runSuite("ACC+Kagura", accKaguraConfig);

@@ -11,14 +11,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig16_energy_breakdown, "Fig. 16", "Normalised energy breakdown",
+             "ACC compress/decompress overheads 6.88%/3.06%; with "
+             "Kagura 4.12%/2.75%; total -4.53% vs baseline")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 16", "Normalised energy breakdown",
-                  "ACC compress/decompress overheads 6.88%/3.06%; with "
-                  "Kagura 4.12%/2.75%; total -4.53% vs baseline");
-
     const SuiteResult base = runSuite("baseline", baselineConfig);
     const SuiteResult acc = runSuite("ACC", accConfig);
     const SuiteResult kagura = runSuite("ACC+Kagura", accKaguraConfig);

@@ -12,14 +12,11 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig17_arith_intensity,
+             "Fig. 17", "Speedup vs arithmetic intensity",
+             "Kagura's improvement is inversely related to "
+             "arithmetic intensity")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 17", "Speedup vs arithmetic intensity",
-                  "Kagura's improvement is inversely related to "
-                  "arithmetic intensity");
-
     const std::vector<std::string> &apps = intensityStudyNames();
     const SuiteResult base = runSuite("baseline", baselineConfig, apps);
     const SuiteResult kagura =

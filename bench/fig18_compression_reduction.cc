@@ -10,13 +10,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig18_compression_reduction,
+             "Fig. 18", "Compression reduction ratio by Kagura",
+             "~9.85% average, >40% for g721d/g721e")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 18", "Compression reduction ratio by Kagura",
-                  "~9.85% average, >40% for g721d/g721e");
-
     const SuiteResult acc = runSuite("ACC", accConfig);
     const SuiteResult kagura = runSuite("ACC+Kagura", accKaguraConfig);
 

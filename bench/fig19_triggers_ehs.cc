@@ -27,15 +27,12 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig19_triggers_ehs,
+             "Fig. 19", "Trigger strategies on EHS designs",
+             "mem trigger: +4.74/+5.54/+3.15% on NVSRAM/NvMR/"
+             "Sweep; vol trigger degrades ACC by -0.23/-2.81% on "
+             "the monitor-less designs")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 19", "Trigger strategies on EHS designs",
-                  "mem trigger: +4.74/+5.54/+3.15% on NVSRAM/NvMR/"
-                  "Sweep; vol trigger degrades ACC by -0.23/-2.81% on "
-                  "the monitor-less designs");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     const EhsKind designs[] = {EhsKind::NvsramCache, EhsKind::NvMR,
                                EhsKind::SweepCache, EhsKind::TaskBased,

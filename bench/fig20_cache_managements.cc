@@ -11,14 +11,11 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig20_cache_managements,
+             "Fig. 20", "Kagura with other cache managements",
+             "EDBP +5.32% -> +12.14% with ACC+Kagura; IPEX "
+             "+12.73% -> +18.37%")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 20", "Kagura with other cache managements",
-                  "EDBP +5.32% -> +12.14% with ACC+Kagura; IPEX "
-                  "+12.73% -> +18.37%");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     const SuiteResult base = runSuite("base", baselineConfig, apps);
 

@@ -10,14 +10,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig21_adapt_schemes, "Fig. 21", "R_thres adaptation schemes",
+             "AIMD best; MIAD/MIMD poor (aggressive increase "
+             "suppresses useful compressions)")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 21", "R_thres adaptation schemes",
-                  "AIMD best; MIAD/MIMD poor (aggressive increase "
-                  "suppresses useful compressions)");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     const SuiteResult base = runSuite("base", baselineConfig, apps);
 

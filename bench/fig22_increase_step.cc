@@ -10,14 +10,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig22_increase_step, "Fig. 22", "R_thres increase step",
+             "10% best; 5% too conservative, 15-20% too "
+             "aggressive")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 22", "R_thres increase step",
-                  "10% best; 5% too conservative, 15-20% too "
-                  "aggressive");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     const SuiteResult base = runSuite("base", baselineConfig, apps);
 

@@ -10,14 +10,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig23_algorithms, "Fig. 23", "Compression algorithms",
+             "ACC: 0.0022/1.50/0.99/1.00% for BDI/FPC/C-Pack/DZC; "
+             "with Kagura: 4.74/4.40/4.10/2.41%")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 23", "Compression algorithms",
-                  "ACC: 0.0022/1.50/0.99/1.00% for BDI/FPC/C-Pack/DZC; "
-                  "with Kagura: 4.74/4.40/4.10/2.41%");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     const SuiteResult base = runSuite("base", baselineConfig, apps);
 

@@ -10,14 +10,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig25_cache_ways, "Fig. 25", "Cache associativity",
+             "ACC+Kagura gains 4.74%..5.73% from direct-mapped to "
+             "8-way")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 25", "Cache associativity",
-                  "ACC+Kagura gains 4.74%..5.73% from direct-mapped to "
-                  "8-way");
-
     const std::vector<std::string> &apps = bench::sweepApps();
 
     TextTable table;

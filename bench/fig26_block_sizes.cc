@@ -10,13 +10,9 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig26_block_sizes, "Fig. 26", "Cache block sizes",
+             "good ACC+Kagura performance from 16 B to 64 B")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 26", "Cache block sizes",
-                  "good ACC+Kagura performance from 16 B to 64 B");
-
     const std::vector<std::string> &apps = bench::sweepApps();
 
     TextTable table;

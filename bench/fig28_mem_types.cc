@@ -10,14 +10,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig28_mem_types, "Fig. 28", "Main memory types",
+             "promising speedups with all NVMs (4.74% ReRAM, "
+             "4.67% PCM, 4.68% STTRAM)")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 28", "Main memory types",
-                  "promising speedups with all NVMs (4.74% ReRAM, "
-                  "4.67% PCM, 4.68% STTRAM)");
-
     const std::vector<std::string> &apps = bench::sweepApps();
 
     TextTable table;

@@ -14,15 +14,12 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig29_capacitor_sizes,
+             "Fig. 29 / Table III", "Capacitor sizes and leakage",
+             "best gain near the default 4.7 uF; leakage share "
+             "grows with capacitance (0.01% at 4.7 uF, several "
+             "percent at 1 mF)")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 29 / Table III", "Capacitor sizes and leakage",
-                  "best gain near the default 4.7 uF; leakage share "
-                  "grows with capacitance (0.01% at 4.7 uF, several "
-                  "percent at 1 mF)");
-
     const std::vector<std::string> &apps = bench::sweepApps();
 
     // Table III: capacitor leakage as a share of one app's total

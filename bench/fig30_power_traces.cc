@@ -10,14 +10,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(fig30_power_traces, "Fig. 30", "Power traces",
+             "ACC+Kagura: 4.74% RFHome, 4.58% solar, 4.54% "
+             "thermal")
 {
-    bench::init(argc, argv);
-    bench::banner("Fig. 30", "Power traces",
-                  "ACC+Kagura: 4.74% RFHome, 4.58% solar, 4.54% "
-                  "thermal");
-
     const std::vector<std::string> &apps = bench::sweepApps();
 
     TextTable table;

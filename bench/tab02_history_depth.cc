@@ -10,13 +10,10 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(tab02_history_depth,
+             "Table II", "History depth for N_prev estimation",
+             "speedup 4.74/4.09/3.35/2.60% for 1/2/3/4 cycles")
 {
-    bench::init(argc, argv);
-    bench::banner("Table II", "History depth for N_prev estimation",
-                  "speedup 4.74/4.09/3.35/2.60% for 1/2/3/4 cycles");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     const SuiteResult base = runSuite("base", baselineConfig, apps);
 

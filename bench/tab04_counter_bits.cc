@@ -10,13 +10,9 @@
 
 using namespace kagura;
 
-int
-main(int argc, char **argv)
+KAGURA_BENCH(tab04_counter_bits, "Table IV", "Saturating counter width",
+             "speedup 3.98/4.74/4.21% for 1/2/3 bits")
 {
-    bench::init(argc, argv);
-    bench::banner("Table IV", "Saturating counter width",
-                  "speedup 3.98/4.74/4.21% for 1/2/3 bits");
-
     const std::vector<std::string> &apps = bench::sweepApps();
     const SuiteResult base = runSuite("base", baselineConfig, apps);
 

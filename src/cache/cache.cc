@@ -713,10 +713,9 @@ Cache::flushAndInvalidate()
 }
 
 void
-Cache::invalidateAll()
+Cache::invalidateAll(tags::ResetCause cause)
 {
-    // No writeback: line state and tag metadata die with the power.
-    resetAllLines(tags::ResetCause::PowerLoss);
+    resetAllLines(cause);
 }
 
 FlushOutcome

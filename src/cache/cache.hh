@@ -180,8 +180,13 @@ class Cache : public hier::MemLevel
     /** Write back every dirty line and invalidate (JIT checkpoint). */
     FlushOutcome flushAndInvalidate();
 
-    /** Invalidate without writeback (tests; write-through designs). */
-    void invalidateAll();
+    /**
+     * Invalidate without writeback (tests; write-through designs; a
+     * level that is never dirty). @p cause tells the tag layout
+     * whether its metadata went out with a checkpoint (Flush) or died
+     * with the power (PowerLoss).
+     */
+    void invalidateAll(tags::ResetCause cause = tags::ResetCause::PowerLoss);
 
     /**
      * Write back every dirty line but keep contents valid (used by

@@ -4,7 +4,8 @@
  * one constexpr name table, declared next to the enum in enum order;
  * the name lookup, its case-insensitive inverse, value iteration and
  * help-text lists are all derived from that table here. parseNumber()
- * is the whole-string number reader. The canonical key
+ * is the whole-string number reader; parseIntegerLiteral() adds the
+ * 0x/0 base prefixes. The canonical key
  * (SimConfig::canonicalKey / parse) and both CLIs spell values only
  * through these, so every name is declared exactly once.
  */
@@ -128,6 +129,25 @@ parseNumber(std::string_view text, T &out, int base = 10)
         return false;
     out = value;
     return true;
+}
+
+/**
+ * parseNumber() of an integer spelled like a C literal: a 0x/0X
+ * prefix reads hex, a leading 0 octal, anything else decimal (the
+ * bases strtoull(..., 0) reads, minus its silent truncation).
+ */
+template <typename T>
+bool
+parseIntegerLiteral(std::string_view text, T &out)
+{
+    int base = 10;
+    if (text.starts_with("0x") || text.starts_with("0X")) {
+        base = 16;
+        text.remove_prefix(2);
+    } else if (text.size() > 1 && text[0] == '0') {
+        base = 8;
+    }
+    return parseNumber(text, out, base);
 }
 
 } // namespace kagura

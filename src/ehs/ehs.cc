@@ -49,10 +49,9 @@ EhsContext::persistCost(const FlushTotals &moved,
 }
 
 EhsCost
-EhsContext::persistDirty(Cycles per_write_latency,
-                         unsigned extra_writes, bool clean_icache)
+EhsContext::persistDirty(Cycles per_write_latency, unsigned extra_writes)
 {
-    // Level order matters: the L1 cleans park their dirty blocks in
+    // Level order matters: the dcache clean parks its dirty blocks in
     // the L2, which the L2 clean then pushes the rest of the way.
     FlushTotals moved;
     moved.nvmBlockWrites = extra_writes;
@@ -61,8 +60,6 @@ EhsContext::persistDirty(Cycles per_write_latency,
         moved.decompressions += out.decompressions;
         moved.absorbedWrites += out.absorbedWrites;
     };
-    if (clean_icache)
-        add(icache.cleanAll());
     add(dcache.cleanAll());
     if (l2)
         add(l2->cleanAll()); // absorbs nothing: NVM sits below it

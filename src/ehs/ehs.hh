@@ -133,15 +133,14 @@ struct EhsContext
 
     /**
      * The commit-boundary persist (region sweep, task commit, epoch
-     * drain, atomic-region entry): clean the icache when
-     * @p clean_icache, then the dcache, then the L2 if there is one,
-     * and return persistCost() of what moved plus @p extra_writes NVM
-     * block writes (a commit record). The returned nvmBlockWrites
-     * counts the extra writes too.
+     * drain, atomic-region entry): clean the dcache, then the L2 if
+     * there is one (the icache is never dirty), and return
+     * persistCost() of what moved plus @p extra_writes NVM block
+     * writes (a commit record). The returned nvmBlockWrites counts
+     * the extra writes too.
      */
     EhsCost persistDirty(Cycles per_write_latency,
-                         unsigned extra_writes = 0,
-                         bool clean_icache = false);
+                         unsigned extra_writes = 0);
 };
 
 /** Abstract EHS persistence design. */

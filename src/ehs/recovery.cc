@@ -43,18 +43,19 @@ applyFailureActions(const RecoveryModel &model, EhsContext &ctx)
     // the L2's so their writebacks can land in (and dirty) the shared
     // level, exactly as the pre-contract NVSRAMCache path did --
     // reordering would change cache state and break the goldens.
+    // Nothing writes through the icache, so it never holds a dirty
+    // line (pinned by a test): it is reset without a writeback walk,
+    // its tag metadata counted as flushed or lost per the L1 action.
     FlushTotals totals;
-    if (model.l1Action == FailureAction::FlushDirty) {
-        const FlushOutcome iflush = ctx.icache.flushAndInvalidate();
+    const bool flush_l1 = model.l1Action == FailureAction::FlushDirty;
+    ctx.icache.invalidateAll(flush_l1 ? tags::ResetCause::Flush
+                                      : tags::ResetCause::PowerLoss);
+    if (flush_l1) {
         const FlushOutcome dflush = ctx.dcache.flushAndInvalidate();
-        totals.nvmBlockWrites =
-            iflush.nvmBlockWrites + dflush.nvmBlockWrites;
-        totals.decompressions =
-            iflush.decompressions + dflush.decompressions;
-        totals.absorbedWrites =
-            iflush.absorbedWrites + dflush.absorbedWrites;
+        totals.nvmBlockWrites = dflush.nvmBlockWrites;
+        totals.decompressions = dflush.decompressions;
+        totals.absorbedWrites = dflush.absorbedWrites;
     } else {
-        ctx.icache.invalidateAll();
         ctx.dcache.invalidateAll();
     }
     if (ctx.l2) {

@@ -111,7 +111,8 @@ struct FlushTotals
 /**
  * Apply @p model's per-level power-failure actions to the caches in
  * @p ctx, in the pinned order (icache, dcache, then the L2 if one
- * exists) the pre-contract designs used. The single mutation site for
+ * exists) the pre-contract designs used; the icache is never dirty,
+ * so it is reset without a writeback walk. The single mutation site for
  * failure-time cache state -- the PowerStateMachine and the unit
  * tests both go through it.
  */

@@ -1,7 +1,10 @@
 #include "metrics/json.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+
+#include "common/logging.hh"
 
 namespace kagura
 {
@@ -20,6 +23,50 @@ Value::find(std::string_view key) const
             return &v;
     }
     return nullptr;
+}
+
+std::string
+escape(std::string_view text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (const char c : text) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += detail::vformat("\\u%04x",
+                                       static_cast<unsigned>(
+                                           static_cast<unsigned char>(c)));
+            else
+                out.push_back(c);
+        }
+    }
+    return out;
+}
+
+std::string
+number(double v)
+{
+    if (!std::isfinite(v))
+        return "0";
+    if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15)
+        return detail::vformat("%lld", static_cast<long long>(v));
+    return detail::vformat("%.17g", v);
 }
 
 namespace

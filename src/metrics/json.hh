@@ -2,9 +2,9 @@
  * @file
  * A minimal recursive-descent JSON parser, just big enough to read
  * back what the metrics sinks emit (objects, arrays, strings with
- * escapes, numbers, booleans, null). Used by the schema validator,
- * the metrics_agg aggregation tool, and the round-trip tests -- no
- * external JSON dependency.
+ * escapes, numbers, booleans, null), plus the two scalar writers the
+ * sinks and the bench summary share. Used by the schema validators,
+ * bench_diff and the round-trip tests -- no external JSON dependency.
  */
 
 #ifndef KAGURA_METRICS_JSON_HH
@@ -61,6 +61,16 @@ struct Value
  */
 bool parse(std::string_view text, Value &out,
            std::string *error = nullptr);
+
+/** @p text escaped for a JSON string (quotes, backslash, controls). */
+std::string escape(std::string_view text);
+
+/**
+ * Round-trip-exact JSON number. Counters are integral doubles and
+ * print without an exponent; NaN/inf (never produced by instruments,
+ * but defend anyway) degrade to 0 since JSON has no spelling for them.
+ */
+std::string number(double v);
 
 } // namespace json
 } // namespace metrics

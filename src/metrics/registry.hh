@@ -13,7 +13,7 @@
  *
  * Two usage patterns:
  *  - Registry::global() -- process-wide telemetry (runner pool and
- *    cache activity); exported once per bench run.
+ *    cache activity); exported once per kagura_bench run.
  *  - a per-simulation MetricSet (alias of Registry) owned by each
  *    Simulator and populated from the component stats at the end of a
  *    run; labels() carries the workload/config identity into exports.

@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <cinttypes>
-#include <cmath>
 
 #include "common/logging.hh"
+#include "metrics/json.hh"
 
 namespace kagura
 {
@@ -13,56 +13,6 @@ namespace metrics
 
 namespace
 {
-
-/** JSON string escaping (quotes, backslash, control characters). */
-std::string
-jsonEscape(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += detail::vformat("\\u%04x",
-                                       static_cast<unsigned>(
-                                           static_cast<unsigned char>(c)));
-            else
-                out.push_back(c);
-        }
-    }
-    return out;
-}
-
-/**
- * Round-trip-exact JSON number. Counters are integral doubles and
- * print without an exponent; NaN/inf (never produced by instruments,
- * but defend anyway) degrade to 0 since JSON has no spelling for them.
- */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15)
-        return detail::vformat("%lld", static_cast<long long>(v));
-    return detail::vformat("%.17g", v);
-}
 
 std::string
 jsonLabels(const std::map<std::string, std::string> &labels)
@@ -74,9 +24,9 @@ jsonLabels(const std::map<std::string, std::string> &labels)
             out += ",";
         first = false;
         out += '"';
-        out += jsonEscape(k);
+        out += json::escape(k);
         out += "\":\"";
-        out += jsonEscape(v);
+        out += json::escape(v);
         out += '"';
     }
     out += "}";
@@ -92,25 +42,25 @@ recordToJson(const Record &rec)
     out += schemaName;
     out += "\",\"kind\":\"";
     out += recordKindName(rec.kind);
-    out += "\",\"name\":\"" + jsonEscape(rec.name) + "\"";
+    out += "\",\"name\":\"" + json::escape(rec.name) + "\"";
     out += ",\"labels\":" + jsonLabels(rec.labels);
     if (rec.kind == RecordKind::Histogram ||
         rec.kind == RecordKind::Timer) {
         out += detail::vformat(",\"count\":%" PRIu64, rec.count);
-        out += ",\"sum\":" + jsonNumber(rec.sum);
+        out += ",\"sum\":" + json::number(rec.sum);
         out += ",\"buckets\":[";
         for (std::size_t i = 0; i < rec.bucketCounts.size(); ++i) {
             if (i)
                 out += ",";
             out += "{\"le\":";
-            out += i < rec.bounds.size() ? jsonNumber(rec.bounds[i])
+            out += i < rec.bounds.size() ? json::number(rec.bounds[i])
                                          : std::string("\"inf\"");
             out += detail::vformat(",\"count\":%" PRIu64 "}",
                                    rec.bucketCounts[i]);
         }
         out += "]";
     } else {
-        out += ",\"value\":" + jsonNumber(rec.value);
+        out += ",\"value\":" + json::number(rec.value);
     }
     out += "}";
     return out;
@@ -196,7 +146,7 @@ CsvSink::write(const Record &record)
             if (i)
                 buckets += "|";
             buckets += i < record.bounds.size()
-                           ? jsonNumber(record.bounds[i])
+                           ? json::number(record.bounds[i])
                            : std::string("inf");
             buckets += detail::vformat(":%" PRIu64,
                                        record.bucketCounts[i]);
@@ -205,9 +155,9 @@ CsvSink::write(const Record &record)
     const std::string line =
         std::string(schemaName) + "," + recordKindName(record.kind) +
         "," + csvField(record.name) + "," + csvField(labels) + "," +
-        jsonNumber(record.value) +
+        json::number(record.value) +
         detail::vformat(",%" PRIu64 ",", record.count) +
-        jsonNumber(record.sum) + "," + csvField(buckets);
+        json::number(record.sum) + "," + csvField(buckets);
 
     std::lock_guard<std::mutex> lock(mutex);
     if (!wroteHeader) {

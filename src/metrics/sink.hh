@@ -10,10 +10,11 @@
  * consumers; histograms are flattened into a `buckets` column.
  *
  * A process-wide *default sink* is how the bench harness arms export:
- * `bench::init` opens one from --metrics-out / KAGURA_METRICS_OUT and
- * everything else (headline emission, registry export, per-simulation
- * sets) writes through emitRecord(), which is a no-op when no sink is
- * attached -- the instruments themselves never check.
+ * `bench::runBenches` opens one from --metrics-out /
+ * KAGURA_METRICS_OUT and everything else (headline emission, registry
+ * export, per-simulation sets) writes through emitRecord(), which is a
+ * no-op when no sink is attached -- the instruments themselves never
+ * check.
  */
 
 #ifndef KAGURA_METRICS_SINK_HH

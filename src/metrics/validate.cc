@@ -162,5 +162,35 @@ validateRecordStream(std::string_view text, std::string *error,
     return true;
 }
 
+bool
+validateBenchSummary(const json::Value &doc, std::string *error)
+{
+    if (!doc.isObject())
+        return fail(error, "top-level value is not an object");
+    const json::Value *schema = doc.find("schema");
+    if (!schema || !schema->isString() ||
+        schema->str != "kagura.bench/v1")
+        return fail(error, "schema is not \"kagura.bench/v1\"");
+    for (const char *field :
+         {"total_wall_seconds", "benches_passed", "benches_failed",
+          "sims_run", "runner_jobs", "cache_hits", "cache_lookups",
+          "cache_hit_rate"}) {
+        const json::Value *v = doc.find(field);
+        if (!isFiniteNumber(v) || v->number < 0.0)
+            return fail(error, std::string("field '") + field +
+                                   "' missing or not a finite "
+                                   "non-negative number");
+    }
+    const json::Value *geo = doc.find("fig13_speedup_geomean");
+    if (!geo ||
+        (!geo->isNull() && (!geo->isNumber() || !(geo->number > 0.0))))
+        return fail(error, "field 'fig13_speedup_geomean' must be null "
+                           "or a positive number");
+    const json::Value *pr = doc.find("pr");
+    if (!pr || !pr->isString())
+        return fail(error, "field 'pr' missing or not a string");
+    return true;
+}
+
 } // namespace metrics
 } // namespace kagura

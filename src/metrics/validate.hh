@@ -1,8 +1,9 @@
 /**
  * @file
- * Schema validation for kagura.metrics/v1 JSON-lines exports. Shared
- * by the metrics_agg checker tool and the round-trip tests, so "the
- * emitter and the validator agree" is enforced in exactly one place.
+ * Schema validation for kagura.metrics/v1 JSON-lines exports and
+ * kagura.bench/v1 sweep summaries. Shared by bench_diff and the
+ * round-trip tests, so "the writer and the validator agree" is
+ * enforced in exactly one place.
  */
 
 #ifndef KAGURA_METRICS_VALIDATE_HH
@@ -37,6 +38,16 @@ bool validateRecordLine(std::string_view line, std::string *error);
  */
 bool validateRecordStream(std::string_view text, std::string *error,
                           std::size_t *records_out = nullptr);
+
+/**
+ * Validate a parsed kagura.bench/v1 summary (kagura_bench --summary):
+ * the schema tag, a string `pr`, finite non-negative run totals
+ * (wall, passed/failed, sims, jobs, cache hits/lookups/rate) and a
+ * `fig13_speedup_geomean` that is null or positive. Other fields --
+ * the per-bench `benches` map, fields of older revisions -- are
+ * optional. Returns false and fills @p error on the first violation.
+ */
+bool validateBenchSummary(const json::Value &doc, std::string *error);
 
 } // namespace metrics
 } // namespace kagura

@@ -13,7 +13,7 @@
  * key byte-for-byte, so even a hash collision degrades to a miss, and
  * `cat` on an entry shows a human exactly which configuration it
  * holds. Entries are written to a temp file and renamed into place,
- * so concurrent bench binaries sharing one cache directory never
+ * so concurrent processes sharing one cache directory never
  * observe a half-written entry; a corrupt or truncated file (killed
  * process, disk full) is treated as a miss with a single warning,
  * never an error.

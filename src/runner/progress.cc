@@ -31,6 +31,20 @@ Progress::snapshot() const
     return s;
 }
 
+TelemetrySnapshot
+TelemetrySnapshot::since(const TelemetrySnapshot &before) const
+{
+    TelemetrySnapshot d;
+    d.jobsQueued = jobsQueued - before.jobsQueued;
+    d.jobsRunning = jobsRunning;
+    d.jobsDone = jobsDone - before.jobsDone;
+    d.simulations = simulations - before.simulations;
+    d.cacheHits = cacheHits - before.cacheHits;
+    d.cacheMisses = cacheMisses - before.cacheMisses;
+    d.jobSeconds = jobSeconds - before.jobSeconds;
+    return d;
+}
+
 bool
 liveProgressEnabled()
 {
@@ -60,9 +74,8 @@ liveProgressLine(const std::string &what, bool cache_hit, double seconds)
 }
 
 std::string
-summaryLine(unsigned threads)
+summaryLine(const TelemetrySnapshot &s, unsigned threads)
 {
-    const TelemetrySnapshot s = progress().snapshot();
     const std::uint64_t lookups = s.cacheHits + s.cacheMisses;
     return detail::vformat(
         "[runner] jobs=%llu sims=%llu cache_hits=%llu/%llu "
@@ -77,7 +90,7 @@ summaryLine(unsigned threads)
 void
 printSummary(std::FILE *out, unsigned threads)
 {
-    const std::string line = summaryLine(threads);
+    const std::string line = summaryLine(progress().snapshot(), threads);
     std::fprintf(out, "%s\n", line.c_str());
 }
 

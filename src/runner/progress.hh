@@ -44,6 +44,12 @@ struct TelemetrySnapshot
                              static_cast<double>(lookups)
                        : 0.0;
     }
+
+    /**
+     * The counters' growth from @p before to this snapshot
+     * (jobsRunning, a level rather than a count, is copied as is).
+     */
+    TelemetrySnapshot since(const TelemetrySnapshot &before) const;
 };
 
 /** The counters themselves; see progress() for the global instance. */
@@ -90,13 +96,14 @@ void liveProgressLine(const std::string &what, bool cache_hit,
                       double seconds);
 
 /**
- * One-line telemetry summary, e.g.
- *   [runner] 105 jobs, 100 sims, 5/105 cache hits (4.8%), ...
- * The harness prints it after a sweep; run_all_benches.sh greps it.
+ * One-line telemetry summary of @p s, e.g.
+ *   [runner] jobs=105 sims=100 cache_hits=5/105 hit_rate=4.8% ...
+ * kagura_bench prints one per bench (the counters that bench moved);
+ * the CLIs print the whole run's.
  */
-std::string summaryLine(unsigned threads);
+std::string summaryLine(const TelemetrySnapshot &s, unsigned threads);
 
-/** Print summaryLine() to @p out with a trailing newline. */
+/** Print summaryLine() of the whole run to @p out, newline-ended. */
 void printSummary(std::FILE *out, unsigned threads);
 
 } // namespace runner

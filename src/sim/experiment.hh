@@ -3,7 +3,7 @@
  * Experiment runner: sweeps a configuration across the 20-application
  * suite, computes speedups against a baseline, and provides the
  * two-phase ideal-oracle methodology of Section VIII-C. This is the
- * layer every bench binary sits on.
+ * layer every bench sits on.
  *
  * Runs are repeated over several ambient-trace seeds and the metrics
  * averaged pairwise (same seed in numerator and denominator): with a

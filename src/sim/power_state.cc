@@ -37,8 +37,7 @@ PowerStateMachine::updateRegionsActive(std::uint64_t instructions,
     // Region entry: take the extra checkpoint (registers + dirty
     // blocks of every level) so a failure inside can roll back
     // consistently.
-    const EhsCost cost = ctx.persistDirty(ctx.nvm.writeLatency, 0,
-                                          /*clean_icache=*/true);
+    const EhsCost cost = ctx.persistDirty(ctx.nvm.writeLatency);
     meter.spend(EnergyCategory::Checkpoint, cost.energy);
     meter.chargeStaticPower(cost.cycles);
     meter.advanceWall(cost.cycles);

@@ -55,6 +55,9 @@ class Simulator
     /** The backing NVM (post-run functional checks in tests). */
     const Nvm &nvm() const { return *mem; }
 
+    /** The instruction cache (post-run inspection in tests). */
+    const Cache &icache() const { return *iCache; }
+
     /** The data cache (post-run inspection in tests). */
     const Cache &dcache() const { return *dCache; }
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Flag-value spellings of the two CLIs.
+# Flag-value spellings of the CLIs.
 #
 #   cli_values.sh sim PATH/kagura_sim
 #   cli_values.sh grid PATH/kagura_sweep
+#   cli_values.sh bench PATH/kagura_bench
+#   cli_values.sh trace PATH/kagura_trace PATH/trace_gen
 #
 # `sim` drives kagura_sim with --dump-config (nothing is simulated):
 # every accepted spelling must resolve to the expected canonical-key
@@ -10,10 +12,15 @@
 # "unknown workload"). `grid` checks that kagura_sweep grid accepts
 # the same names and aliases (a two-job crc32 grid in a throwaway
 # result cache) and rejects each bad axis value before running a job.
+# `bench` checks that kagura_bench lists 31 distinct benches, rejects
+# an unknown name with the valid list, and rejects malformed
+# --jobs/--repeats values; `trace` checks that kagura_trace's
+# convert-champsim and trace_gen reject malformed numbers.
 set -u
 
 mode=$1
 bin=$2
+bin2=${3:-}
 failures=0
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -147,10 +154,46 @@ grid_checks() {
     reject "bad L2" grid --l2 big
 }
 
+bench_checks() {
+    local names
+    names=$("$bin" --list | awk '{print $1}')
+    [ "$(wc -l <<<"$names")" -eq 31 ] \
+        || fail "--list did not print 31 benches: $names"
+    [ -z "$(sort <<<"$names" | uniq -d)" ] \
+        || fail "--list repeats a name: $(sort <<<"$names" | uniq -d)"
+    reject "valid names: all, fig01_cache_size_motivation," nope
+    reject "unknown bench 'nope'" fig03_delta_rhit_model nope
+
+    for bad in 8x abc -1 0 99999999999; do
+        reject "bad value" --jobs "$bad" fig03_delta_rhit_model
+        reject "bad value" --repeats "$bad" fig03_delta_rhit_model
+    done
+    reject "needs \`all\`" --summary "$tmp/s.json" fig03_delta_rhit_model
+}
+
+trace_checks() {
+    local gen=$bin2
+    for bad in 8x abc -1 99999999999999999999; do
+        for flag in --max-records --data-window --code-window; do
+            reject "bad value" convert-champsim /dev/null \
+                "$tmp/out.kgt" "$flag" "$bad"
+        done
+        bin=$gen reject "bad value" rfhome "$bad"
+        bin=$gen reject "bad value" rfhome 4 "$bad"
+    done
+    local out
+    out=$("$gen" rfhome 0x4 010) || fail "trace_gen rfhome 0x4 010 failed"
+    [ "$(wc -l <<<"$out")" -eq 4 ] \
+        || fail "trace_gen rfhome 0x4 did not print 4 intervals"
+}
+
 case $mode in
   sim) sim_checks ;;
   grid) grid_checks ;;
-  *) echo "usage: $0 sim|grid BINARY"; exit 2 ;;
+  bench) bench_checks ;;
+  trace) trace_checks ;;
+  *) echo "usage: $0 sim|grid|bench BINARY | trace KAGURA_TRACE TRACE_GEN"
+     exit 2 ;;
 esac
 
 if [ "$failures" -ne 0 ]; then

@@ -17,6 +17,7 @@
 #include "ehs/sweepcache.hh"
 #include "ehs/taskbased.hh"
 #include "mem/nvm.hh"
+#include "sim/experiment.hh"
 
 namespace kagura
 {
@@ -105,6 +106,33 @@ TEST(EhsFactory, DeclaredRecoveryModels)
         const RecoveryModel &model = makeEhs(kind)->recovery();
         EXPECT_EQ(model.l1Action, FailureAction::DropVolatile);
         EXPECT_EQ(model.l2Action, FailureAction::DropVolatile);
+    }
+}
+
+TEST(EhsFactory, IcacheIsNeverDirty)
+{
+    // The failure path drops the icache and the commit-boundary
+    // persists skip it without a writeback walk; both rely on nothing
+    // ever writing through it. Every design, with and without the L2
+    // and the atomic regions: no icache line is dirty after the run,
+    // and none was ever written back (evicted or decayed dirty).
+    informEnabled = false;
+    for (EhsKind kind : ehsKindNames) {
+        for (bool l2 : {false, true}) {
+            for (std::uint64_t regions : {0u, 1500u}) {
+                SimConfig cfg = accKaguraConfig("crc32");
+                cfg.ehs = kind;
+                cfg.enableL2 = l2;
+                cfg.ioRegionInterval = regions;
+                Simulator sim(cfg);
+                const SimResult r = sim.run();
+                SCOPED_TRACE(cfg.describe());
+                EXPECT_GT(r.powerFailures, 0u);
+                EXPECT_EQ(sim.icache().dirtyLines(), 0u);
+                EXPECT_EQ(r.icache.writebacks, 0u);
+                EXPECT_EQ(r.icache.decayWritebacks, 0u);
+            }
+        }
     }
 }
 

@@ -21,6 +21,7 @@
 
 #include "common/logging.hh"
 #include "metrics/json.hh"
+#include "metrics/validate.hh"
 
 using namespace kagura;
 using metrics::json::Value;
@@ -59,7 +60,10 @@ readFile(const std::string &path, std::string &out)
     return ok;
 }
 
-/** Load and schema-check one summary; fatal on anything malformed. */
+/**
+ * Load one summary and run the kagura.bench/v1 check on it (both
+ * inputs come from outside this program); fatal when malformed.
+ */
 Value
 loadSummary(const std::string &path)
 {
@@ -68,12 +72,9 @@ loadSummary(const std::string &path)
         fatal("cannot read '%s'", path.c_str());
     Value doc;
     std::string error;
-    if (!metrics::json::parse(text, doc, &error))
+    if (!metrics::json::parse(text, doc, &error) ||
+        !metrics::validateBenchSummary(doc, &error))
         fatal("%s: %s", path.c_str(), error.c_str());
-    const Value *schema = doc.isObject() ? doc.find("schema") : nullptr;
-    if (!schema || !schema->isString() ||
-        schema->str != "kagura.bench/v1")
-        fatal("%s: not a kagura.bench/v1 summary", path.c_str());
     return doc;
 }
 

@@ -316,17 +316,9 @@ main(int argc, char **argv)
         } else if (is("--trace")) {
             named(cfg.trace, traceKindNames);
         } else if (is("--trace-seed")) {
-            // The bases strtoull(..., 0) reads: 0x hex, 0 octal.
-            std::string_view v = nextArg(argc, argv, i);
-            int base = 10;
-            if (v.starts_with("0x") || v.starts_with("0X")) {
-                base = 16;
-                v.remove_prefix(2);
-            } else if (v.size() > 1 && v[0] == '0') {
-                base = 8;
-            }
-            if (!parseNumber(v, cfg.traceSeed, base))
-                badValue(arg, argv[i]);
+            const char *v = nextArg(argc, argv, i);
+            if (!parseIntegerLiteral(std::string_view(v), cfg.traceSeed))
+                badValue(arg, v);
         } else if (is("--decay")) {
             cfg.enableDecay = true;
         } else if (is("--prefetch")) {

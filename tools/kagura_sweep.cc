@@ -9,7 +9,7 @@
  *   cache gc     trim the result cache by size and/or age
  *
  * Grids share the content-addressed result cache (KAGURA_CACHE_DIR)
- * with every bench binary, so rerunning an interrupted grid resumes
+ * with every bench run, so rerunning an interrupted grid resumes
  * it: finished jobs come back as cache hits.
  *
  * Examples:

@@ -21,6 +21,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/spelling.hh"
 #include "metrics/registry.hh"
 #include "metrics/sink.hh"
 #include "runner/cache_store.hh"
@@ -69,6 +70,16 @@ nextArg(int argc, char **argv, int &i)
     if (i + 1 >= argc)
         fatal("flag %s needs a value (see --help)", argv[i]);
     return argv[++i];
+}
+
+/** The next argument as a parseIntegerLiteral() value; fatal if bad. */
+void
+integerArg(int argc, char **argv, int &i, std::uint64_t &out)
+{
+    const char *flag = argv[i];
+    const char *v = nextArg(argc, argv, i);
+    if (!parseIntegerLiteral(std::string_view(v), out))
+        fatal("bad value '%s' for %s (see --help)", v, flag);
 }
 
 int
@@ -153,14 +164,11 @@ cmdConvertChampSim(int argc, char **argv)
         if (std::strcmp(arg, "--name") == 0) {
             opts.name = nextArg(argc, argv, i);
         } else if (std::strcmp(arg, "--max-records") == 0) {
-            opts.maxRecords = std::strtoull(
-                nextArg(argc, argv, i), nullptr, 0);
+            integerArg(argc, argv, i, opts.maxRecords);
         } else if (std::strcmp(arg, "--data-window") == 0) {
-            opts.dataWindowBytes = std::strtoull(
-                nextArg(argc, argv, i), nullptr, 0);
+            integerArg(argc, argv, i, opts.dataWindowBytes);
         } else if (std::strcmp(arg, "--code-window") == 0) {
-            opts.codeWindowBytes = std::strtoull(
-                nextArg(argc, argv, i), nullptr, 0);
+            integerArg(argc, argv, i, opts.codeWindowBytes);
         } else {
             fatal("unknown flag '%s' (see --help)", arg);
         }

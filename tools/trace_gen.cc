@@ -10,10 +10,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.hh"
+#include "common/spelling.hh"
 #include "energy/power_trace.hh"
 
 using namespace kagura;
@@ -35,10 +35,12 @@ main(int argc, char **argv)
     if (!kind)
         fatal("unknown trace kind '%s'", argv[1]);
 
-    const auto intervals =
-        static_cast<std::uint64_t>(std::strtoull(argv[2], nullptr, 0));
-    const std::uint64_t seed =
-        argc > 3 ? std::strtoull(argv[3], nullptr, 0) : 0x6b616775;
+    std::uint64_t intervals = 0;
+    if (!parseIntegerLiteral(std::string_view(argv[2]), intervals))
+        fatal("bad value '%s' for INTERVALS", argv[2]);
+    std::uint64_t seed = 0x6b616775;
+    if (argc > 3 && !parseIntegerLiteral(std::string_view(argv[3]), seed))
+        fatal("bad value '%s' for SEED", argv[3]);
 
     auto trace = makeTrace(*kind, intervals, seed);
     for (std::uint64_t i = 0; i < trace->length(); ++i)
