@@ -1,9 +1,13 @@
 #include "runner/cache_store.hh"
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -18,7 +22,8 @@ namespace
 {
 
 constexpr char entryMagic[4] = {'K', 'G', 'R', 'C'};
-constexpr std::uint32_t entryVersion = 1;
+/** Version 1 entries carry fnv1a64, version 2 ones laneHash64. */
+constexpr std::uint32_t entryVersion = 2;
 
 void
 putU32(std::string &out, std::uint32_t v)
@@ -56,24 +61,77 @@ getU32(std::string_view bytes, std::size_t pos)
     return v;
 }
 
-/** Whole-file read; false on any I/O trouble. */
+/** The 8-byte little-endian word at @p p. */
+std::uint64_t
+loadU64(const unsigned char *p)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    return v;
+}
+
+/** Whole-file read, one read() into a buffer sized to the file. */
 bool
 readFile(const std::string &path, std::string &out)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-    out.clear();
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    const bool ok = !std::ferror(f);
-    std::fclose(f);
+    struct stat st{};
+    bool ok = ::fstat(fd, &st) == 0;
+    if (ok) {
+        out.resize(static_cast<std::size_t>(st.st_size));
+        std::size_t got = 0;
+        while (got < out.size()) {
+            const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+            if (n <= 0) {
+                ok = n == 0; // EOF: the length checks reject a short file
+                break;
+            }
+            got += static_cast<std::size_t>(n);
+        }
+        out.resize(got);
+    }
+    ::close(fd);
     return ok;
 }
 
 } // namespace
+
+std::uint64_t
+laneHash64(std::string_view bytes)
+{
+    // Four lanes have no data dependence on one another, so their
+    // multiplies overlap in the pipeline. The rotate feeds high bits
+    // back into low ones: with xor-multiply alone, flipping bit 63 of
+    // two words of one lane would cancel. Every step is a bijection of
+    // the lane, so any change confined to one word always changes the
+    // result.
+    constexpr std::uint64_t mul = 0x9e3779b97f4a7c15ULL; // odd
+    std::uint64_t lane[4] = {0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL,
+                             0xa4093822299f31d0ULL, 0x082efa98ec4e6c89ULL};
+    const auto *p = reinterpret_cast<const unsigned char *>(bytes.data());
+    const std::size_t n = bytes.size();
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32)
+        for (int l = 0; l < 4; ++l)
+            lane[l] = std::rotl((lane[l] ^ loadU64(p + i + 8 * l)) * mul,
+                                31);
+    std::uint64_t h = lane[0] + std::rotl(lane[1], 16) +
+                      std::rotl(lane[2], 32) + std::rotl(lane[3], 48);
+    for (; i < n; ++i)
+        h = std::rotl((h ^ p[i]) * mul, 31);
+    // Avalanche (the MurmurHash3 finaliser) over the length-mixed sum.
+    h ^= n;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+}
 
 CacheStore::CacheStore()
 {
@@ -157,16 +215,20 @@ CacheStore::lookup(std::uint64_t hash, std::string_view key_text,
     // Header: magic, version, key length, payload length.
     constexpr std::size_t header = 4 + 4 + 8 + 8;
     constexpr std::size_t checksum_bytes = 8;
+    const std::uint32_t version =
+        blob.size() < header ? 0 : getU32(blob, 4);
     if (blob.size() < header + checksum_bytes ||
         std::string_view(blob).substr(0, 4) !=
             std::string_view(entryMagic, 4) ||
-        getU32(blob, 4) != entryVersion) {
+        (version != 1 && version != entryVersion)) {
         warnOnce("corrupt", read_path);
         return false;
     }
+    // Compared without adding the lengths, which could wrap.
     const std::uint64_t key_len = getU64(blob, 8);
     const std::uint64_t payload_len = getU64(blob, 16);
-    if (blob.size() != header + key_len + payload_len + checksum_bytes) {
+    const std::size_t body_len = blob.size() - header - checksum_bytes;
+    if (key_len > body_len || payload_len != body_len - key_len) {
         warnOnce("corrupt", read_path);
         return false;
     }
@@ -174,7 +236,7 @@ CacheStore::lookup(std::uint64_t hash, std::string_view key_text,
         getU64(blob, blob.size() - checksum_bytes);
     const std::string_view body(blob.data(),
                                 blob.size() - checksum_bytes);
-    if (fnv1a64(body) != stored_sum) {
+    if ((version == 1 ? fnv1a64(body) : laneHash64(body)) != stored_sum) {
         warnOnce("corrupt", read_path);
         return false;
     }
@@ -225,7 +287,7 @@ CacheStore::store(std::uint64_t hash, std::string_view key_text,
     putU64(blob, payload.size());
     blob += key_text;
     blob += payload;
-    putU64(blob, fnv1a64(blob));
+    putU64(blob, laneHash64(blob));
 
     // Write-to-temp + rename keeps readers from seeing partial entries.
     const std::string tmp =

@@ -18,6 +18,13 @@
  * process, disk full) is treated as a miss with a single warning,
  * never an error.
  *
+ * Entry format: `KGRC` magic, format version, key length, payload
+ * length, key text, payload, 8-byte checksum of everything before it.
+ * Version 2 entries carry laneHash64(), a word-parallel hash; version
+ * 1 entries carry the byte-serial FNV-1a, which took about half of a
+ * warm cache hit, and are still read. The file name stays the FNV-1a
+ * of the key text (jobHash()), so existing entries keep their paths.
+ *
  * KAGURA_CACHE=off disables the store entirely.
  */
 
@@ -34,6 +41,14 @@ namespace kagura
 {
 namespace runner
 {
+
+/**
+ * The version-2 entry checksum: four lanes of xor-multiply-rotate over
+ * 8-byte little-endian words, a byte tail, then a length-mixing
+ * avalanche. Public so tests can pin its values; stored entries
+ * depend on them.
+ */
+std::uint64_t laneHash64(std::string_view bytes);
 
 /** The on-disk store; use global() unless testing. */
 class CacheStore

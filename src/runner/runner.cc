@@ -56,7 +56,9 @@ execute(const SimJob &job, std::optional<OracleLog> *phase1)
         (job.kind == SimJob::Kind::Plain || shared_phase1) ? 1 : 2;
     progress().noteSimulations(sims);
     metrics::Registry &reg = metrics::Registry::global();
-    reg.counter("runner/simulations").add(sims);
+    // Interned once; the registry never drops an instrument.
+    static metrics::Counter &simulations = reg.counter("runner/simulations");
+    simulations.add(sims);
     switch (job.kind) {
       case SimJob::Kind::Plain: {
           // Recording only observes, so a plain run given a slot is
@@ -102,20 +104,28 @@ runKeyedJob(const SimJob &job, std::string canonical,
     // key cannot capture; such jobs always simulate.
     const bool cacheable = job.config.oracleLog == nullptr;
 
-    CacheStore &cache = CacheStore::global();
+    // Interned once; the registry never drops an instrument.
     metrics::Registry &reg = metrics::Registry::global();
+    static metrics::Counter &jobs_done = reg.counter("runner/jobs_done");
+    static metrics::Timer &job_seconds = reg.timer("runner/job_seconds");
+    static metrics::Counter &cache_hits = reg.counter("runner/cache_hits");
+    static metrics::Counter &cache_misses =
+        reg.counter("runner/cache_misses");
+
+    CacheStore &cache = CacheStore::global();
     const auto start = std::chrono::steady_clock::now();
     const auto elapsed = [&start] {
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - start)
             .count();
     };
-    const auto finish = [&](const std::string &what, bool cached_hit,
-                            double seconds) {
+    const auto finish = [&](bool cached_hit, double seconds) {
         progress().noteDone(seconds);
-        reg.counter("runner/jobs_done").add();
-        reg.timer("runner/job_seconds").observe(seconds);
-        liveProgressLine(what, cached_hit, seconds);
+        jobs_done.add();
+        job_seconds.observe(seconds);
+        // The label is built only for a line that will be printed.
+        if (liveProgressEnabled())
+            liveProgressLine(job.config.describe(), cached_hit, seconds);
     };
 
     JobOutcome outcome;
@@ -131,26 +141,26 @@ runKeyedJob(const SimJob &job, std::string canonical,
         if (cache.lookup(hash, key, payload) &&
             decodeResult(payload, cached)) {
             progress().noteCacheHit();
-            reg.counter("runner/cache_hits").add();
+            cache_hits.add();
             outcome.seconds = elapsed();
-            finish(job.config.describe(), true, outcome.seconds);
+            finish(true, outcome.seconds);
             outcome.result = std::move(cached);
             outcome.cacheHit = true;
             return outcome;
         }
         progress().noteCacheMiss();
-        reg.counter("runner/cache_misses").add();
+        cache_misses.add();
         SimResult result = execute(job, phase1);
         cache.store(hash, key, encodeResult(result));
         outcome.seconds = elapsed();
-        finish(job.config.describe(), false, outcome.seconds);
+        finish(false, outcome.seconds);
         outcome.result = std::move(result);
         return outcome;
     }
 
     SimResult result = execute(job, phase1);
     outcome.seconds = elapsed();
-    finish(job.config.describe(), false, outcome.seconds);
+    finish(false, outcome.seconds);
     outcome.result = std::move(result);
     return outcome;
 }

@@ -5,6 +5,7 @@
 #   cli_values.sh grid PATH/kagura_sweep
 #   cli_values.sh bench PATH/kagura_bench
 #   cli_values.sh trace PATH/kagura_trace PATH/trace_gen
+#   cli_values.sh diff PATH/bench_diff
 #
 # `sim` drives kagura_sim with --dump-config (nothing is simulated):
 # every accepted spelling must resolve to the expected canonical-key
@@ -15,7 +16,10 @@
 # `bench` checks that kagura_bench lists 31 distinct benches, rejects
 # an unknown name with the valid list, and rejects malformed
 # --jobs/--repeats values; `trace` checks that kagura_trace's
-# convert-champsim and trace_gen reject malformed numbers.
+# convert-champsim and trace_gen reject malformed numbers; `diff`
+# feeds bench_diff two hand-written kagura.bench/v1 summaries and
+# checks that it compares only benches of the same shape (jobs and
+# sims) and that its geomean gate fails a drop past the bound.
 set -u
 
 mode=$1
@@ -187,12 +191,44 @@ trace_checks() {
         || fail "trace_gen rfhome 0x4 did not print 4 intervals"
 }
 
+# summary FILE GEOMEAN BENCHES: a kagura.bench/v1 summary whose
+# "benches" map is BENCHES (JSON object members).
+summary() {
+    cat >"$1" <<EOF
+{"schema": "kagura.bench/v1", "pr": "t", "total_wall_seconds": 1,
+ "benches_passed": 2, "benches_failed": 0, "sims_run": 10,
+ "runner_jobs": 20, "cache_hits": 10, "cache_lookups": 20,
+ "cache_hit_rate": 0.5, "fig13_speedup_geomean": $2,
+ "benches": {$3}}
+EOF
+}
+
+diff_checks() {
+    local out
+    summary "$tmp/old.json" 1.0 \
+        '"same": {"job_seconds": 2, "jobs": 10, "sims": 5},
+         "shape": {"job_seconds": 0.05, "jobs": 600, "sims": 0}'
+    summary "$tmp/new.json" 0.98 \
+        '"same": {"job_seconds": 3, "jobs": 10, "sims": 5},
+         "shape": {"job_seconds": 2, "jobs": 120, "sims": 40}'
+    out=$("$bin" "$tmp/old.json" "$tmp/new.json" --max-geomean-drop 5 2>&1) \
+        || fail "a 2% geomean drop failed a 5% bound: $out"
+    grep -qE '^  same +2 -> +3 +\(\+50\.00%\)$' <<<"$out" \
+        || fail "same-shape bench did not print its delta: $out"
+    grep -qxF '  shape                    shape differs: jobs 600 -> 120, sims 0 -> 40' \
+        <<<"$out" || fail "shape change was not reported: $out"
+    grep -qF '3900' <<<"$out" && fail "shape-mismatched delta printed: $out"
+    reject "regressed 2.000%" "$tmp/old.json" "$tmp/new.json" \
+        --max-geomean-drop 1
+}
+
 case $mode in
   sim) sim_checks ;;
   grid) grid_checks ;;
   bench) bench_checks ;;
   trace) trace_checks ;;
-  *) echo "usage: $0 sim|grid|bench BINARY | trace KAGURA_TRACE TRACE_GEN"
+  diff) diff_checks ;;
+  *) echo "usage: $0 sim|grid|bench|diff BINARY | trace KAGURA_TRACE TRACE_GEN"
      exit 2 ;;
 esac
 

@@ -15,7 +15,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include "common/logging.hh"
 #include "runner/cache_maint.hh"
@@ -332,6 +334,175 @@ TEST_F(RunnerTests, CacheStoreMigratesFlatEntriesIntoShards)
     EXPECT_FALSE(store.lookup(hash, "other-key\n", out));
     EXPECT_TRUE(std::filesystem::exists(store.legacyEntryPath(hash)));
     EXPECT_FALSE(std::filesystem::exists(store.entryPath(hash)));
+}
+
+/** Whole-file contents of @p path. */
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+/** @p body followed by its version-2 checksum, little-endian. */
+std::string
+sealed(std::string body)
+{
+    std::uint64_t sum = runner::laneHash64(body);
+    for (int i = 0; i < 8; ++i, sum >>= 8)
+        body.push_back(static_cast<char>(sum & 0xff));
+    return body;
+}
+
+/** The committed version-1 entry (accKaguraConfig("crc32"), plain). */
+std::string
+fixtureEntryPath()
+{
+    const runner::CacheStore fixture(std::string(KAGURA_TEST_DATA_DIR) +
+                                     "/cache_fixture");
+    return fixture.entryPath(
+        runner::jobHash(accKaguraConfig("crc32"), "plain"));
+}
+
+TEST_F(RunnerTests, CacheStoreChecksumIsPinned)
+{
+    // Stored entries carry these values: a change to laneHash64 turns
+    // every version-2 entry into a miss, so it needs a new version.
+    const auto input = [](std::size_t n) {
+        std::string bytes(n, '\0');
+        for (std::size_t i = 0; i < n; ++i)
+            bytes[i] = static_cast<char>((i * 131 + 7) & 0xff);
+        return bytes;
+    };
+    const std::pair<std::size_t, std::uint64_t> pinned[] = {
+        {0, 0x432b8fd49b25d555ull},
+        {1, 0x98f752ac8a60936eull},
+        {31, 0x5c9070da1a007a2dull},
+        {32, 0xd711413456d080d3ull},
+        {33, 0x4dd31b2fe1b8b6fbull},
+        {4096, 0x5e8f4c404f141b8eull},
+    };
+    for (const auto &[n, expected] : pinned)
+        EXPECT_EQ(runner::laneHash64(input(n)), expected)
+            << n << " bytes: 0x" << std::hex
+            << runner::laneHash64(input(n));
+}
+
+TEST_F(RunnerTests, CacheStoreMissesOnAnyFlippedByte)
+{
+    runner::CacheStore store(tempDir("flip"));
+    const std::string key = "k=v\n";
+    store.store(9, key, "payload");
+    const std::string path = store.entryPath(9);
+    const std::string good = readBytes(path);
+    ASSERT_EQ(good.size(), 24 + key.size() + 7 + 8);
+    EXPECT_EQ(good[4], 2) << "new entries are version 2";
+
+    std::string out;
+    for (std::size_t i = 0; i < good.size(); ++i) {
+        std::string bad = good;
+        bad[i] = static_cast<char>(bad[i] ^ 0x5a);
+        writeBytes(path, bad);
+        EXPECT_FALSE(store.lookup(9, key, out)) << "byte " << i;
+    }
+    store.store(9, key, "payload");
+    ASSERT_TRUE(store.lookup(9, key, out));
+    EXPECT_EQ(out, "payload");
+}
+
+TEST_F(RunnerTests, CacheStoreStillVerifiesVersion1Entries)
+{
+    const std::string v1 = readBytes(fixtureEntryPath());
+    ASSERT_GT(v1.size(), 32u);
+    ASSERT_EQ(v1[4], 1) << "the fixture is a version-1 entry";
+
+    const SimConfig config = accKaguraConfig("crc32");
+    const std::string key = runner::jobKeyText(config, "plain");
+    const std::uint64_t hash = runner::jobHash(config, "plain");
+    runner::CacheStore store(tempDir("v1"));
+    fs::create_directories(fs::path(store.entryPath(hash)).parent_path());
+    writeBytes(store.entryPath(hash), v1);
+    std::string out;
+    ASSERT_TRUE(store.lookup(hash, key, out));
+
+    // Flip one payload byte: the FNV-1a check must catch it.
+    std::string bad = v1;
+    bad[bad.size() - 8 - 100] ^= 0x01;
+    writeBytes(store.entryPath(hash), bad);
+    EXPECT_FALSE(store.lookup(hash, key, out));
+}
+
+TEST_F(RunnerTests, CacheStoreRejectsUnknownVersions)
+{
+    runner::CacheStore store(tempDir("v3"));
+    const std::string key = "k=v\n";
+    store.store(5, key, "payload");
+    const std::string path = store.entryPath(5);
+
+    // Version 3 with a checksum that would be valid: still a miss.
+    std::string body = readBytes(path);
+    body.resize(body.size() - 8);
+    body[4] = 3;
+    writeBytes(path, sealed(body));
+    std::string out;
+    EXPECT_FALSE(store.lookup(5, key, out));
+}
+
+TEST_F(RunnerTests, CacheStoreRejectsLengthsThatWrap)
+{
+    // key_len + payload_len wraps to the real body length (8 bytes).
+    std::string blob = "KGRC";
+    blob += std::string("\x02\0\0\0", 4);
+    blob += std::string(8, '\xff');              // key_len = 2^64 - 1
+    blob += std::string("\x09\0\0\0\0\0\0\0", 8); // payload_len = 9
+    blob += "12345678";
+    blob = sealed(blob);
+
+    runner::CacheStore store(tempDir("wrap"));
+    store.store(6, "k", "p"); // creates the shard directory
+    writeBytes(store.entryPath(6), blob);
+    // The only key that could match is everything after the header.
+    std::string out;
+    EXPECT_FALSE(store.lookup(6, blob.substr(24), out));
+}
+
+TEST_F(RunnerTests, MixedVersionCacheReplaysWithoutSimulating)
+{
+    // A cache holding the committed version-1 entry beside version-2
+    // entries written now serves a whole sweep from disk.
+    runner::CacheStore &store = runner::CacheStore::global();
+    store.setDirectory(tempDir("mixed"));
+    store.setEnabled(true);
+    runner::setJobCount(1);
+    const std::vector<runner::SimJob> jobs = {
+        {accKaguraConfig("crc32"), runner::SimJob::Kind::Plain},
+        {accConfig("crc32"), runner::SimJob::Kind::Plain},
+    };
+    const std::string v1_path = store.entryPath(
+        runner::jobHash(jobs[0].config, "plain"));
+    fs::create_directories(fs::path(v1_path).parent_path());
+    fs::copy_file(fixtureEntryPath(), v1_path);
+
+    const auto before = runner::progress().snapshot();
+    const std::vector<SimResult> cold = runner::runJobs(jobs);
+    const auto mid = runner::progress().snapshot();
+    const std::vector<SimResult> warm = runner::runJobs(jobs);
+    const auto after = runner::progress().snapshot().since(mid);
+
+    EXPECT_EQ(mid.since(before).simulations, 1u); // accConfig only
+    EXPECT_EQ(readBytes(v1_path)[4], 1);
+    EXPECT_EQ(after.simulations, 0u);
+    EXPECT_EQ(after.cacheHits, jobs.size());
+    EXPECT_EQ(after.cacheMisses, 0u);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_TRUE(exactlyEqual(cold[i], warm[i])) << i;
 }
 
 TEST_F(RunnerTests, ParseCountAcceptsOnlyWholePositiveNumbers)

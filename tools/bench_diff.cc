@@ -6,10 +6,14 @@
  *
  * Prints the delta for every numeric field the two summaries share,
  * plus per-bench job_seconds deltas when both files carry the
- * optional "benches" map. With --max-geomean-drop, exits nonzero when
- * NEW's fig13_speedup_geomean regresses below OLD's by more than PCT
- * percent (the CI regression gate); without the flag the comparison
- * is report-only and always exits 0 on well-formed inputs.
+ * optional "benches" map. A bench's job_seconds are compared only
+ * when its jobs and sims counts match on both sides; a warm baseline
+ * against a cold run would otherwise read as a 40x slowdown, so a
+ * bench of another shape prints that shape instead. With
+ * --max-geomean-drop, exits nonzero when NEW's fig13_speedup_geomean
+ * regresses below OLD's by more than PCT percent (the CI regression
+ * gate); without the flag the comparison is report-only and always
+ * exits 0 on well-formed inputs.
  */
 
 #include <cmath>
@@ -38,7 +42,8 @@ usage()
         "usage:\n"
         "  bench_diff OLD.json NEW.json [--max-geomean-drop PCT]\n"
         "\n"
-        "Prints per-field and per-bench deltas (NEW relative to OLD).\n"
+        "Prints per-field and per-bench deltas (NEW relative to OLD);\n"
+        "a bench whose jobs/sims counts differ prints those instead.\n"
         "With --max-geomean-drop PCT, exits 1 when the fig13 speedup\n"
         "geomean drops by more than PCT percent.");
 }
@@ -85,6 +90,13 @@ numField(const Value &doc, const char *key)
     const Value *v = doc.find(key);
     return v && v->isNumber() ? v->number
                               : std::numeric_limits<double>::quiet_NaN();
+}
+
+/** "%g" of @p v, or "?" when it is missing (NaN). */
+std::string
+countText(double v)
+{
+    return std::isnan(v) ? "?" : detail::vformat("%g", v);
 }
 
 void
@@ -172,7 +184,20 @@ main(int argc, char **argv)
             const double after_s = numField(*other, "job_seconds");
             if (std::isnan(after_s))
                 continue;
-            printDelta(bench.c_str(), before_s, after_s);
+            const double jobs[2] = {numField(detail, "jobs"),
+                                    numField(*other, "jobs")};
+            const double sims[2] = {numField(detail, "sims"),
+                                    numField(*other, "sims")};
+            // NaN != NaN: a missing count is a shape mismatch too.
+            if (jobs[0] == jobs[1] && sims[0] == sims[1])
+                printDelta(bench.c_str(), before_s, after_s);
+            else
+                std::printf("  %-24s shape differs: jobs %s -> %s, "
+                            "sims %s -> %s\n",
+                            bench.c_str(), countText(jobs[0]).c_str(),
+                            countText(jobs[1]).c_str(),
+                            countText(sims[0]).c_str(),
+                            countText(sims[1]).c_str());
         }
         for (const auto &[bench, detail] : new_benches->object) {
             (void)detail;
