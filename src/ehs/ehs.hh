@@ -26,11 +26,11 @@
  *    speculative work and rolls back to the last fully-persisted
  *    epoch.
  *
- * Every design *declares* its recovery model (commit-boundary kind +
- * per-level power-failure action, ehs/recovery.hh); the
- * PowerStateMachine drives only that declaration. The simulator
- * drives these hooks; every cost is returned as cycles + picojoules
- * so the capacitor can be metered uniformly.
+ * A design declares one fact about power failures -- whether it
+ * JIT-checkpoints (ehs/recovery.hh) -- and the PowerStateMachine
+ * applies the matching failure action itself. The simulator drives
+ * the hooks below; every cost is returned as cycles + picojoules so
+ * the capacitor can be metered uniformly.
  */
 
 #ifndef KAGURA_EHS_EHS_HH
@@ -149,27 +149,19 @@ class EhsDesign
   public:
     virtual ~EhsDesign() = default;
 
-    /** Design identity. */
-    virtual EhsKind kind() const = 0;
-
-    /** Design name for reports. */
-    const char *name() const { return ehsKindName(kind()); }
-
     /**
-     * The design's declared recovery model (commit-boundary kind +
-     * per-level power-failure actions). The PowerStateMachine applies
-     * the declared actions itself (applyFailureActions) and hands the
+     * Does the design JIT-checkpoint when the voltage monitor trips?
+     * If so, a power failure flushes every volatile level
+     * (FailureAction::FlushDirty); otherwise it drops them and
+     * execution resumes from resumeIndex(). The PowerStateMachine
+     * applies the action itself (applyFailureActions) and hands the
      * resulting FlushTotals to onPowerFailure -- designs never touch
-     * cache state on the failure path.
+     * cache state on the failure path. The monitor is what trips the
+     * checkpoint, so a JIT design already pays for one; the others
+     * incur the extended-monitor overhead when Kagura's voltage
+     * trigger is selected (Section VIII-H2).
      */
-    virtual const RecoveryModel &recovery() const = 0;
-
-    /**
-     * Does the design already pay for a JIT voltage monitor? Designs
-     * without one incur the extended-monitor overhead when Kagura's
-     * voltage trigger is selected (Section VIII-H2).
-     */
-    virtual bool hasVoltageMonitor() const = 0;
+    virtual bool jitCheckpoints() const { return false; }
 
     /**
      * 32-bit words of core + controller state this design persists at
@@ -213,9 +205,10 @@ class EhsDesign
     }
 
     /**
-     * Power failure: the per-level actions declared by recovery()
-     * have already been applied; @p flushed is what they moved.
-     * Persist whatever else must survive and return the cost.
+     * Power failure outside an atomic region: the failure action
+     * jitCheckpoints() selects has already been applied; @p flushed
+     * is what it moved. Persist whatever else must survive and
+     * return the cost.
      */
     virtual EhsCost onPowerFailure(const FlushTotals &flushed,
                                    EhsContext &ctx) = 0;
@@ -226,6 +219,7 @@ class EhsDesign
     /**
      * Where execution resumes after a reboot: @p failure_index for
      * JIT designs, the last commit boundary for rollback designs.
+     * The machine counts the ops in between as re-executed.
      */
     virtual std::uint64_t
     resumeIndex(std::uint64_t failure_index) const
@@ -234,22 +228,8 @@ class EhsDesign
     }
 
     /**
-     * The re-execution cost model's accounting hook: the machine
-     * rolled back from @p failure_index to @p resume_index (ops that
-     * will re-execute). Called after resumeIndex on every non-region
-     * power failure.
-     */
-    virtual void
-    noteRollback(std::uint64_t failure_index,
-                 std::uint64_t resume_index)
-    {
-        (void)failure_index;
-        (void)resume_index;
-    }
-
-    /**
      * Per-model recovery telemetry (the sim/ehs/... counters): tasks
-     * committed, re-executed ops, speculative squashes. Designs emit
+     * committed, speculative squashes, region sweeps. Designs emit
      * only counters that moved, so designs without recovery activity
      * add no records.
      */

@@ -53,18 +53,6 @@ NvmrEhs::onStore(Addr addr, EhsContext &ctx)
     return cost;
 }
 
-const RecoveryModel &
-NvmrEhs::recovery() const
-{
-    // Every store already persisted through the map table: nothing
-    // dirty-only lives in SRAM, so all volatile levels simply drop
-    // (ResetCause::PowerLoss).
-    static constexpr RecoveryModel model{CommitBoundary::WriteThrough,
-                                         FailureAction::DropVolatile,
-                                         FailureAction::DropVolatile};
-    return model;
-}
-
 EhsCost
 NvmrEhs::onPowerFailure(const FlushTotals &flushed, EhsContext &ctx)
 {

@@ -27,10 +27,6 @@ class NvmrEhs : public EhsDesign
   public:
     NvmrEhs();
 
-    EhsKind kind() const override { return EhsKind::NvMR; }
-    const RecoveryModel &recovery() const override;
-    bool hasVoltageMonitor() const override { return false; }
-
     EhsCost onStore(Addr addr, EhsContext &ctx) override;
     EhsCost onPowerFailure(const FlushTotals &flushed,
                            EhsContext &ctx) override;

@@ -3,17 +3,6 @@
 namespace kagura
 {
 
-const RecoveryModel &
-NvsramEhs::recovery() const
-{
-    // JIT checkpointing flushes every volatile level on the trip; the
-    // metadata rides out with the data (ResetCause::Flush).
-    static constexpr RecoveryModel model{
-        CommitBoundary::JitCheckpoint, FailureAction::FlushDirty,
-        FailureAction::FlushDirty};
-    return model;
-}
-
 EhsCost
 NvsramEhs::onPowerFailure(const FlushTotals &flushed, EhsContext &ctx)
 {

@@ -15,9 +15,7 @@ namespace kagura
 class NvsramEhs : public EhsDesign
 {
   public:
-    EhsKind kind() const override { return EhsKind::NvsramCache; }
-    const RecoveryModel &recovery() const override;
-    bool hasVoltageMonitor() const override { return true; }
+    bool jitCheckpoints() const override { return true; }
 
     EhsCost onPowerFailure(const FlushTotals &flushed,
                            EhsContext &ctx) override;

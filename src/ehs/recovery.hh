@@ -1,21 +1,15 @@
 /**
  * @file
- * The recovery-model contract (docs/EHS.md): what an EHS design
- * *declares* about how it survives power failures, so the
- * PowerStateMachine can drive every design through one code path
- * instead of each design hand-rolling cache flushes.
+ * The recovery contract (docs/EHS.md): the one fact an EHS design
+ * declares about power failures -- whether it JIT-checkpoints
+ * (EhsDesign::jitCheckpoints) -- and the single place a failure
+ * mutates cache state (applyFailureActions), so the PowerStateMachine
+ * drives every design, and every atomic-region rollback, through one
+ * code path instead of each hand-rolling cache flushes.
  *
- * Three axes:
- *
- *  - CommitBoundary: where durable execution state is established
- *    (JIT checkpoint, per-store write-through, region sweep,
- *    idempotent task commit, or speculative epoch persistence).
- *  - FailureAction, per memory level: what happens to that level's
- *    volatile state when the capacitor trips (flush dirty blocks to
- *    NVM, or drop them and rely on the commit boundary).
- *  - Re-execution: EhsDesign::resumeIndex() names the op the program
- *    restarts from; noteRollback() lets the design meter the
- *    re-executed work that restart implies.
+ * Re-execution: EhsDesign::resumeIndex() names the op the program
+ * restarts from, and the machine counts the ops between it and the
+ * failure point (sim/ehs/reexecuted_ops).
  *
  * The checkpoint *register* budget also lives behind the contract:
  * the platform enumerates every component's register words in a
@@ -35,20 +29,7 @@ namespace kagura
 
 struct EhsContext;
 
-/** Where a design establishes durable commit boundaries. */
-enum class CommitBoundary
-{
-    JitCheckpoint,    ///< NVSRAMCache: checkpoint on the voltage trip
-    WriteThrough,     ///< NvMR: every store is durable as it commits
-    RegionSweep,      ///< SweepCache: sweep at region boundaries
-    IdempotentTask,   ///< TaskBased: Alpaca-style task commits
-    SpeculativeEpoch, ///< SpecPersist: async epoch persistence
-};
-
-/** Human-readable boundary-kind name. */
-const char *commitBoundaryName(CommitBoundary boundary);
-
-/** What a power failure does to one memory level's volatile state. */
+/** What a power failure does to the volatile cache levels. */
 enum class FailureAction
 {
     /**
@@ -57,23 +38,11 @@ enum class FailureAction
      */
     FlushDirty,
     /**
-     * Drop the level outright (tags::ResetCause::PowerLoss); the
-     * commit boundary guarantees nothing dirty-only mattered.
+     * Drop every level outright (tags::ResetCause::PowerLoss): the
+     * design's commit boundary, or the atomic region's entry
+     * checkpoint, guarantees nothing dirty-only mattered.
      */
     DropVolatile,
-};
-
-/** Human-readable failure-action name. */
-const char *failureActionName(FailureAction action);
-
-/** The per-design recovery declaration the PowerStateMachine drives. */
-struct RecoveryModel
-{
-    CommitBoundary boundary;
-    /** Power-failure action for the L1 caches. */
-    FailureAction l1Action;
-    /** Power-failure action for the optional shared L2. */
-    FailureAction l2Action;
 };
 
 /**
@@ -96,9 +65,9 @@ replayLength(std::uint64_t base, std::uint64_t consecutive_failures)
 }
 
 /**
- * What applying the per-level failure actions moved: the flush totals
- * the design's onPowerFailure cost hook is charged for. All zero for
- * DropVolatile designs.
+ * What applying a failure action moved: the flush totals the
+ * design's onPowerFailure cost hook is charged for. All zero for
+ * DropVolatile.
  */
 struct FlushTotals
 {
@@ -109,15 +78,14 @@ struct FlushTotals
 };
 
 /**
- * Apply @p model's per-level power-failure actions to the caches in
- * @p ctx, in the pinned order (icache, dcache, then the L2 if one
- * exists) the pre-contract designs used; the icache is never dirty,
- * so it is reset without a writeback walk. The single mutation site for
- * failure-time cache state -- the PowerStateMachine and the unit
- * tests both go through it.
+ * Apply @p action to every cache level in @p ctx, in the pinned order
+ * (icache, dcache, then the L2 if one exists) the pre-contract
+ * designs used; the icache is never dirty, so it is reset without a
+ * writeback walk. The single mutation site for failure-time cache
+ * state -- the PowerStateMachine (JIT checkpoints, rollbacks and
+ * atomic regions alike) and the unit tests all go through it.
  */
-FlushTotals applyFailureActions(const RecoveryModel &model,
-                                EhsContext &ctx);
+FlushTotals applyFailureActions(FailureAction action, EhsContext &ctx);
 
 /**
  * Per-component checkpoint register word counts (32-bit words), as

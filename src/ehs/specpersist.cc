@@ -13,19 +13,6 @@ SpecPersistEhs::SpecPersistEhs(std::uint64_t epoch_instructions)
         fatal("SpecPersist epoch size must be nonzero");
 }
 
-const RecoveryModel &
-SpecPersistEhs::recovery() const
-{
-    // Durability comes from the asynchronous epoch drain, never from
-    // a failure-time flush: every volatile level drops
-    // (ResetCause::PowerLoss) and execution rolls back to the last
-    // fully persisted epoch boundary.
-    static constexpr RecoveryModel model{
-        CommitBoundary::SpeculativeEpoch, FailureAction::DropVolatile,
-        FailureAction::DropVolatile};
-    return model;
-}
-
 unsigned
 SpecPersistEhs::checkpointRegisterWords(const RegisterBudget &budget) const
 {
@@ -119,13 +106,6 @@ SpecPersistEhs::resumeIndex(std::uint64_t failure_index) const
 }
 
 void
-SpecPersistEhs::noteRollback(std::uint64_t failure_index,
-                             std::uint64_t resume_index)
-{
-    reExecuted += failure_index - resume_index;
-}
-
-void
 SpecPersistEhs::recordMetrics(metrics::MetricSet &set) const
 {
     if (epochCommits)
@@ -134,8 +114,6 @@ SpecPersistEhs::recordMetrics(metrics::MetricSet &set) const
         set.counter("sim/ehs/speculative_squashes").add(squashCount);
     if (syncCommits)
         set.counter("sim/ehs/recovery_commits").add(syncCommits);
-    if (reExecuted)
-        set.counter("sim/ehs/reexecuted_ops").add(reExecuted);
 }
 
 } // namespace kagura

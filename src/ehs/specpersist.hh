@@ -40,10 +40,6 @@ class SpecPersistEhs : public EhsDesign
     /** @param epoch_instructions Committed instructions per epoch. */
     explicit SpecPersistEhs(std::uint64_t epoch_instructions = 800);
 
-    EhsKind kind() const override { return EhsKind::SpecPersist; }
-    const RecoveryModel &recovery() const override;
-    bool hasVoltageMonitor() const override { return false; }
-
     unsigned
     checkpointRegisterWords(const RegisterBudget &budget) const override;
 
@@ -55,8 +51,6 @@ class SpecPersistEhs : public EhsDesign
     EhsCost onReboot(EhsContext &ctx) override;
 
     std::uint64_t resumeIndex(std::uint64_t failure_index) const override;
-    void noteRollback(std::uint64_t failure_index,
-                      std::uint64_t resume_index) override;
     void recordMetrics(metrics::MetricSet &set) const override;
 
     /** Epochs whose write-sets started draining. */
@@ -67,9 +61,6 @@ class SpecPersistEhs : public EhsDesign
 
     /** Synchronous recovery-mode commits (post-squash boundaries). */
     std::uint64_t recoveryCommits() const { return syncCommits; }
-
-    /** Ops re-executed by epoch rollbacks. */
-    std::uint64_t reExecutedOps() const { return reExecuted; }
 
     /** 32-bit words of epoch metadata (two epoch ids + two cursors). */
     static constexpr unsigned epochMetadataWords = 4;
@@ -86,7 +77,6 @@ class SpecPersistEhs : public EhsDesign
     std::uint64_t epochCommits = 0;
     std::uint64_t squashCount = 0;
     std::uint64_t syncCommits = 0;
-    std::uint64_t reExecuted = 0;
     /** Squashes since the last durable advance (recovery-mode depth). */
     std::uint64_t consecutiveSquashes = 0;
 };

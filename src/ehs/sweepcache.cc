@@ -32,18 +32,6 @@ SweepEhs::onInstructionCommit(std::uint64_t count, std::uint64_t op_index,
     return ctx.persistDirty(ctx.nvm.writeLatency / 2);
 }
 
-const RecoveryModel &
-SweepEhs::recovery() const
-{
-    // Everything since the boundary is simply lost on a failure; all
-    // volatile levels drop (ResetCause::PowerLoss) and execution
-    // rolls back to the swept boundary.
-    static constexpr RecoveryModel model{CommitBoundary::RegionSweep,
-                                         FailureAction::DropVolatile,
-                                         FailureAction::DropVolatile};
-    return model;
-}
-
 EhsCost
 SweepEhs::onPowerFailure(const FlushTotals &flushed, EhsContext &ctx)
 {
@@ -73,19 +61,10 @@ SweepEhs::resumeIndex(std::uint64_t failure_index) const
 }
 
 void
-SweepEhs::noteRollback(std::uint64_t failure_index,
-                       std::uint64_t resume_index)
-{
-    reExecuted += failure_index - resume_index;
-}
-
-void
 SweepEhs::recordMetrics(metrics::MetricSet &set) const
 {
     if (sweepCount)
         set.counter("sim/ehs/sweeps").add(sweepCount);
-    if (reExecuted)
-        set.counter("sim/ehs/reexecuted_ops").add(reExecuted);
 }
 
 } // namespace kagura

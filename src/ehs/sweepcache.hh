@@ -25,10 +25,6 @@ class SweepEhs : public EhsDesign
     /** @param region_instructions Committed instructions per region. */
     explicit SweepEhs(std::uint64_t region_instructions = 1500);
 
-    EhsKind kind() const override { return EhsKind::SweepCache; }
-    const RecoveryModel &recovery() const override;
-    bool hasVoltageMonitor() const override { return false; }
-
     EhsCost onInstructionCommit(std::uint64_t count,
                                 std::uint64_t op_index,
                                 EhsContext &ctx) override;
@@ -37,15 +33,10 @@ class SweepEhs : public EhsDesign
     EhsCost onReboot(EhsContext &ctx) override;
 
     std::uint64_t resumeIndex(std::uint64_t failure_index) const override;
-    void noteRollback(std::uint64_t failure_index,
-                      std::uint64_t resume_index) override;
     void recordMetrics(metrics::MetricSet &set) const override;
 
     /** Region sweeps performed. */
     std::uint64_t sweeps() const { return sweepCount; }
-
-    /** Ops re-executed by boundary rollbacks. */
-    std::uint64_t reExecutedOps() const { return reExecuted; }
 
     /** Persist-buffer capacity (entries). */
     static constexpr unsigned persistBufferEntries = 32;
@@ -55,7 +46,6 @@ class SweepEhs : public EhsDesign
     std::uint64_t sinceBoundary = 0;
     std::uint64_t boundaryIndex = 0;
     std::uint64_t sweepCount = 0;
-    std::uint64_t reExecuted = 0;
 };
 
 } // namespace kagura

@@ -13,18 +13,6 @@ TaskBasedEhs::TaskBasedEhs(std::uint64_t task_instructions)
         fatal("TaskBased task size must be nonzero");
 }
 
-const RecoveryModel &
-TaskBasedEhs::recovery() const
-{
-    // Task commits are the only durability points: a failure drops
-    // every volatile level (ResetCause::PowerLoss) and the open task
-    // re-executes from its entry.
-    static constexpr RecoveryModel model{CommitBoundary::IdempotentTask,
-                                         FailureAction::DropVolatile,
-                                         FailureAction::DropVolatile};
-    return model;
-}
-
 unsigned
 TaskBasedEhs::checkpointRegisterWords(const RegisterBudget &budget) const
 {
@@ -118,13 +106,6 @@ TaskBasedEhs::resumeIndex(std::uint64_t failure_index) const
 }
 
 void
-TaskBasedEhs::noteRollback(std::uint64_t failure_index,
-                           std::uint64_t resume_index)
-{
-    reExecuted += failure_index - resume_index;
-}
-
-void
 TaskBasedEhs::recordMetrics(metrics::MetricSet &set) const
 {
     if (taskCommits)
@@ -133,8 +114,6 @@ TaskBasedEhs::recordMetrics(metrics::MetricSet &set) const
         set.counter("sim/ehs/privatized_stores").add(privatizations);
     if (splits)
         set.counter("sim/ehs/task_splits").add(splits);
-    if (reExecuted)
-        set.counter("sim/ehs/reexecuted_ops").add(reExecuted);
 }
 
 } // namespace kagura

@@ -38,10 +38,6 @@ class TaskBasedEhs : public EhsDesign
     /** @param task_instructions Committed instructions per task. */
     explicit TaskBasedEhs(std::uint64_t task_instructions = 400);
 
-    EhsKind kind() const override { return EhsKind::TaskBased; }
-    const RecoveryModel &recovery() const override;
-    bool hasVoltageMonitor() const override { return false; }
-
     unsigned
     checkpointRegisterWords(const RegisterBudget &budget) const override;
 
@@ -54,8 +50,6 @@ class TaskBasedEhs : public EhsDesign
     EhsCost onReboot(EhsContext &ctx) override;
 
     std::uint64_t resumeIndex(std::uint64_t failure_index) const override;
-    void noteRollback(std::uint64_t failure_index,
-                      std::uint64_t resume_index) override;
     void recordMetrics(metrics::MetricSet &set) const override;
 
     /** Tasks committed (write-sets persisted atomically). */
@@ -66,9 +60,6 @@ class TaskBasedEhs : public EhsDesign
 
     /** Commits of split (shortened) replay tasks. */
     std::uint64_t splitCommits() const { return splits; }
-
-    /** Ops re-executed by task rollbacks. */
-    std::uint64_t reExecutedOps() const { return reExecuted; }
 
     /** Privatization-filter capacity (entries). */
     static constexpr std::size_t filterEntries = 16;
@@ -83,7 +74,6 @@ class TaskBasedEhs : public EhsDesign
     std::uint64_t taskCommits = 0;
     std::uint64_t privatizations = 0;
     std::uint64_t splits = 0;
-    std::uint64_t reExecuted = 0;
     /** Failures since the last task commit (split depth). */
     std::uint64_t consecutiveFailures = 0;
 

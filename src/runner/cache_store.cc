@@ -163,13 +163,6 @@ CacheStore::entryPath(std::uint64_t hash) const
                                  static_cast<unsigned long long>(hash));
 }
 
-std::string
-CacheStore::legacyEntryPath(std::uint64_t hash) const
-{
-    return dir + detail::vformat("/%016llx.kgr",
-                                 static_cast<unsigned long long>(hash));
-}
-
 bool
 CacheStore::ensureShardDir(std::uint64_t hash)
 {
@@ -200,17 +193,9 @@ CacheStore::lookup(std::uint64_t hash, std::string_view key_text,
     if (!isEnabled)
         return false;
     const std::string path = entryPath(hash);
-    std::string read_path = path;
     std::string blob;
-    bool from_legacy = false;
-    if (!readFile(read_path, blob)) {
-        // Flat-layout fallback: caches written before sharding keep
-        // their entries at the directory root until touched.
-        read_path = legacyEntryPath(hash);
-        if (!readFile(read_path, blob))
-            return false; // plain miss: entry does not exist
-        from_legacy = true;
-    }
+    if (!readFile(path, blob))
+        return false; // plain miss: entry does not exist
 
     // Header: magic, version, key length, payload length.
     constexpr std::size_t header = 4 + 4 + 8 + 8;
@@ -221,7 +206,7 @@ CacheStore::lookup(std::uint64_t hash, std::string_view key_text,
         std::string_view(blob).substr(0, 4) !=
             std::string_view(entryMagic, 4) ||
         (version != 1 && version != entryVersion)) {
-        warnOnce("corrupt", read_path);
+        warnOnce("corrupt", path);
         return false;
     }
     // Compared without adding the lengths, which could wrap.
@@ -229,7 +214,7 @@ CacheStore::lookup(std::uint64_t hash, std::string_view key_text,
     const std::uint64_t payload_len = getU64(blob, 16);
     const std::size_t body_len = blob.size() - header - checksum_bytes;
     if (key_len > body_len || payload_len != body_len - key_len) {
-        warnOnce("corrupt", read_path);
+        warnOnce("corrupt", path);
         return false;
     }
     const std::uint64_t stored_sum =
@@ -237,21 +222,13 @@ CacheStore::lookup(std::uint64_t hash, std::string_view key_text,
     const std::string_view body(blob.data(),
                                 blob.size() - checksum_bytes);
     if ((version == 1 ? fnv1a64(body) : laneHash64(body)) != stored_sum) {
-        warnOnce("corrupt", read_path);
+        warnOnce("corrupt", path);
         return false;
     }
     // Collision safety: the stored key must match byte for byte.
     if (std::string_view(blob).substr(header, key_len) != key_text)
         return false;
     payload_out = blob.substr(header + key_len, payload_len);
-
-    // Transparent migration: move a validated flat entry into its
-    // shard so the next lookup takes the fast path. Best-effort; a
-    // concurrent migrator winning the rename is fine either way.
-    if (from_legacy && ensureShardDir(hash)) {
-        std::error_code ec;
-        std::filesystem::rename(read_path, path, ec);
-    }
     return true;
 }
 

@@ -6,9 +6,11 @@
  * named by the 64-bit job hash and sharded into 256 subdirectories by
  * the first two hex digits of that name (ab/abcd...ef.kgr), keeping
  * directory listings short once fleet sweeps accumulate tens of
- * thousands of entries. Entries written by older flat layouts are
- * still found -- a lookup falls back to the un-sharded path and
- * migrates the file into its shard on the way out. Each entry stores
+ * thousands of entries. Only the first builds, before sharding, put
+ * entries at the directory root, and their keys carry simulator salt
+ * 1; every key now carries a later salt, so no lookup can name one.
+ * Lookups read only the shard; `cache stats` / `cache gc` still count
+ * and trim root-level files as legacy entries. Each entry stores
  * the full canonical key text alongside the payload: reads verify the
  * key byte-for-byte, so even a hash collision degrades to a miss, and
  * `cat` on an entry shows a human exactly which configuration it
@@ -91,9 +93,6 @@ class CacheStore
 
     /** Sharded entry path for @p hash (tests poke at files directly). */
     std::string entryPath(std::uint64_t hash) const;
-
-    /** Pre-sharding flat path; old entries migrate away from it. */
-    std::string legacyEntryPath(std::uint64_t hash) const;
 
   private:
     void warnOnce(const char *what, const std::string &path);

@@ -68,30 +68,30 @@ PowerStateMachine::powerFail(std::uint64_t op_index)
     if (l2Kagura)
         l2Kagura->onPowerFailure();
 
+    // Every failure mutates cache state through applyFailureActions
+    // (ehs/recovery.cc), the single mutation site.
+    std::uint64_t resume;
     if (inRegion) {
         // Inside an atomic region JIT checkpointing is disabled
         // (Section VII-A): the volatile state is simply lost and
-        // execution rolls back to the region-entry checkpoint.
-        ctx.icache.invalidateAll();
-        ctx.dcache.invalidateAll();
-        if (ctx.l2)
-            ctx.l2->invalidateAll();
-        core.flushFetchBuffer();
+        // execution rolls back to the region-entry checkpoint. The
+        // design has nothing to persist, so it is not told.
+        applyFailureActions(FailureAction::DropVolatile, ctx);
         regionInstr = 0;
-        closeCycle();
-        ++result.powerFailures;
-        (void)op_index;
-        return regionStartIndex;
+        resume = regionStartIndex;
+    } else {
+        // A JIT design flushes every level, the others drop them; the
+        // design is then charged for what moved.
+        const FlushTotals totals = applyFailureActions(
+            ehs.jitCheckpoints() ? FailureAction::FlushDirty
+                                 : FailureAction::DropVolatile,
+            ctx);
+        const EhsCost cost = ehs.onPowerFailure(totals, ctx);
+        meter.spend(EnergyCategory::Checkpoint, cost.energy);
+        meter.advanceWall(cost.cycles);
+        result.activeCycles += cost.cycles;
+        resume = ehs.resumeIndex(op_index);
     }
-
-    // Drive the design's declared recovery model: apply its per-level
-    // failure actions (flush or drop -- the single mutation site in
-    // ehs/recovery.cc), then charge the design for what moved.
-    const FlushTotals totals = applyFailureActions(ehs.recovery(), ctx);
-    const EhsCost cost = ehs.onPowerFailure(totals, ctx);
-    meter.spend(EnergyCategory::Checkpoint, cost.energy);
-    meter.advanceWall(cost.cycles);
-    result.activeCycles += cost.cycles;
 
     // The shadow state and fetch line buffer are volatile and die
     // with the power; the GCPs are controller registers and ride the
@@ -100,8 +100,7 @@ PowerStateMachine::powerFail(std::uint64_t op_index)
 
     closeCycle();
     ++result.powerFailures;
-    const std::uint64_t resume = ehs.resumeIndex(op_index);
-    ehs.noteRollback(op_index, resume);
+    reExecuted += op_index - resume;
     return resume;
 }
 

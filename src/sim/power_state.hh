@@ -131,15 +131,22 @@ class PowerStateMachine
     /** Seal the current power-cycle record (also at end of run). */
     void closeCycle();
 
-    /** Inside a Section VII-A atomic region? */
-    bool inAtomicRegion() const { return inRegion; }
+    /**
+     * Ops rolled back over so far: failure point minus resume point,
+     * summed over every power failure (design rollbacks and atomic
+     * regions alike).
+     */
+    std::uint64_t reExecutedOps() const { return reExecuted; }
 
   private:
     /** Region bookkeeping when ioRegionInterval > 0 (cold path). */
     void updateRegionsActive(std::uint64_t instructions,
                              std::uint64_t op_index);
 
-    /** JIT path on V < V_ckpt; returns the resume op index. */
+    /**
+     * Failure path on V < V_ckpt (JIT checkpoint, design rollback or
+     * atomic-region rollback); returns the resume op index.
+     */
     std::uint64_t powerFail(std::uint64_t op_index);
 
     /** Restore after recharge. */
@@ -156,6 +163,8 @@ class PowerStateMachine
     EhsContext ctx;
 
     PowerCycleRecord current;
+    /** Ops rolled back over (reExecutedOps()). */
+    std::uint64_t reExecuted = 0;
 
     // Section VII-A atomic-region state.
     bool inRegion = false;

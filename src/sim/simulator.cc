@@ -157,7 +157,9 @@ Simulator::run()
                      : 0.0;
     const NvmParams &nvm_p = mem->params();
 
-    const bool pays_monitor = ehs->hasVoltageMonitor();
+    // The voltage monitor that trips a JIT checkpoint (Section
+    // VIII-H2); Kagura's voltage trigger extends it on other designs.
+    const bool pays_monitor = ehs->jitCheckpoints();
     const bool voltage_trigger =
         cfg.kagura.trigger == TriggerKind::Voltage;
     const bool pays_extended_monitor =
@@ -410,7 +412,10 @@ Simulator::recordMetrics()
     if (comp)
         comp->recordMetrics(set, "sim/compressor");
 
-    // The EHS design's recovery counters (sim/ehs/...).
+    // Recovery counters (sim/ehs/...): the machine's rollback count,
+    // then the design's own.
+    if (psm->reExecutedOps())
+        set.counter("sim/ehs/reexecuted_ops").add(psm->reExecutedOps());
     ehs->recordMetrics(set);
 }
 

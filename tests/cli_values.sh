@@ -12,7 +12,8 @@
 # line, and every bad value must exit nonzero with "bad value" (or
 # "unknown workload"). `grid` checks that kagura_sweep grid accepts
 # the same names and aliases (a two-job crc32 grid in a throwaway
-# result cache) and rejects each bad axis value before running a job.
+# result cache), rejects each bad axis value before running a job, and
+# that `cache gc` rejects sizes and ages that are not 64-bit counts.
 # `bench` checks that kagura_bench lists 31 distinct benches, rejects
 # an unknown name with the valid list, and rejects malformed
 # --jobs/--repeats values; `trace` checks that kagura_trace's
@@ -154,6 +155,21 @@ grid_checks() {
     reject "bad value" grid --cap-uf x
     reject "bad value" grid --cap-uf 0
     reject "bad value" grid --seeds abc
+    reject "bad value" grid --seeds 0
+    reject "bad value" grid --seeds -1
+
+    # cache gc sizes and ages: non-numbers, non-finite values and
+    # anything past 64 bits after the suffix are rejected up front.
+    for bad in abc -1 nan inf 1e20 17179869184G; do
+        reject "bad byte count" cache gc --max-bytes "$bad"
+    done
+    for bad in abc -1 nan inf 1e20 213503982334602d; do
+        reject "bad age" cache gc --max-age "$bad"
+    done
+    reject "bad byte suffix" cache gc --max-bytes 5T
+    local out
+    out=$("$bin" cache gc --max-bytes 512M --max-age 30d 2>&1) \
+        || fail "cache gc --max-bytes 512M --max-age 30d failed: $out"
     reject "unknown workload" grid --apps nope
     reject "bad L2" grid --l2 big
 }

@@ -42,14 +42,17 @@ struct EhsTest : testing::Test
     }
 
     /**
-     * A power failure as the PowerStateMachine drives it: apply the
-     * design's declared failure actions, then charge the design.
+     * A power failure as the PowerStateMachine drives it outside an
+     * atomic region: apply the failure action the design's
+     * jitCheckpoints() selects, then charge the design.
      */
     EhsCost
     failPower(EhsDesign &ehs)
     {
-        const FlushTotals totals =
-            applyFailureActions(ehs.recovery(), ctx);
+        const FlushTotals totals = applyFailureActions(
+            ehs.jitCheckpoints() ? FailureAction::FlushDirty
+                                 : FailureAction::DropVolatile,
+            ctx);
         return ehs.onPowerFailure(totals, ctx);
     }
 
@@ -66,47 +69,26 @@ struct EhsTest : testing::Test
 
 TEST(EhsFactory, ProducesAllDesigns)
 {
-    for (EhsKind kind :
-         {EhsKind::NvsramCache, EhsKind::NvMR, EhsKind::SweepCache,
-          EhsKind::TaskBased, EhsKind::SpecPersist}) {
-        auto design = makeEhs(kind);
-        EXPECT_EQ(design->kind(), kind);
-        EXPECT_STREQ(design->name(), ehsKindName(kind));
-    }
+    EXPECT_TRUE(dynamic_cast<NvsramEhs *>(
+        makeEhs(EhsKind::NvsramCache).get()));
+    EXPECT_TRUE(dynamic_cast<NvmrEhs *>(makeEhs(EhsKind::NvMR).get()));
+    EXPECT_TRUE(
+        dynamic_cast<SweepEhs *>(makeEhs(EhsKind::SweepCache).get()));
+    EXPECT_TRUE(dynamic_cast<TaskBasedEhs *>(
+        makeEhs(EhsKind::TaskBased).get()));
+    EXPECT_TRUE(dynamic_cast<SpecPersistEhs *>(
+        makeEhs(EhsKind::SpecPersist).get()));
 }
 
 TEST(EhsFactory, MonitorOwnership)
 {
-    EXPECT_TRUE(makeEhs(EhsKind::NvsramCache)->hasVoltageMonitor());
-    EXPECT_FALSE(makeEhs(EhsKind::NvMR)->hasVoltageMonitor());
-    EXPECT_FALSE(makeEhs(EhsKind::SweepCache)->hasVoltageMonitor());
-    EXPECT_FALSE(makeEhs(EhsKind::TaskBased)->hasVoltageMonitor());
-    EXPECT_FALSE(makeEhs(EhsKind::SpecPersist)->hasVoltageMonitor());
-}
-
-TEST(EhsFactory, DeclaredRecoveryModels)
-{
-    // Only the JIT design flushes at failure; every other boundary
-    // kind drops the volatile levels and re-establishes from its
-    // commit boundary.
-    EXPECT_EQ(makeEhs(EhsKind::NvsramCache)->recovery().boundary,
-              CommitBoundary::JitCheckpoint);
-    EXPECT_EQ(makeEhs(EhsKind::NvsramCache)->recovery().l1Action,
-              FailureAction::FlushDirty);
-    EXPECT_EQ(makeEhs(EhsKind::NvMR)->recovery().boundary,
-              CommitBoundary::WriteThrough);
-    EXPECT_EQ(makeEhs(EhsKind::SweepCache)->recovery().boundary,
-              CommitBoundary::RegionSweep);
-    EXPECT_EQ(makeEhs(EhsKind::TaskBased)->recovery().boundary,
-              CommitBoundary::IdempotentTask);
-    EXPECT_EQ(makeEhs(EhsKind::SpecPersist)->recovery().boundary,
-              CommitBoundary::SpeculativeEpoch);
-    for (EhsKind kind : {EhsKind::NvMR, EhsKind::SweepCache,
-                         EhsKind::TaskBased, EhsKind::SpecPersist}) {
-        const RecoveryModel &model = makeEhs(kind)->recovery();
-        EXPECT_EQ(model.l1Action, FailureAction::DropVolatile);
-        EXPECT_EQ(model.l2Action, FailureAction::DropVolatile);
-    }
+    // Only NVSRAMCache JIT-checkpoints (and so owns the voltage
+    // monitor that trips it): a failure flushes its levels, while
+    // every other design drops them and rolls back or resumes.
+    for (EhsKind kind : ehsKindNames)
+        EXPECT_EQ(makeEhs(kind)->jitCheckpoints(),
+                  kind == EhsKind::NvsramCache)
+            << ehsKindName(kind);
 }
 
 TEST(EhsFactory, IcacheIsNeverDirty)
@@ -259,9 +241,8 @@ TEST_F(EhsTest, SweepRollsBackToTheBoundary)
     ehs.onInstructionCommit(100, 40, ctx); // boundary at op 40
     ehs.onInstructionCommit(50, 70, ctx);  // no boundary
     failPower(ehs);
-    EXPECT_EQ(ehs.resumeIndex(70), 40u);
-    ehs.noteRollback(70, ehs.resumeIndex(70));
-    EXPECT_EQ(ehs.reExecutedOps(), 30u);
+    // The machine counts failure - resume as re-executed ops.
+    EXPECT_EQ(70 - ehs.resumeIndex(70), 30u);
 }
 
 TEST_F(EhsTest, SweepPowerFailureDropsCaches)
@@ -330,9 +311,7 @@ TEST_F(EhsTest, TaskFailureReExecutesOpenTaskFromItsEntry)
     const EhsCost cost = failPower(ehs);
     EXPECT_EQ(cost.nvmBlockWrites, 0u); // nothing flushed
     EXPECT_EQ(dcache.validLines(), 0u); // caches dropped
-    EXPECT_EQ(ehs.resumeIndex(70), 40u);
-    ehs.noteRollback(70, ehs.resumeIndex(70));
-    EXPECT_EQ(ehs.reExecutedOps(), 30u);
+    EXPECT_EQ(70 - ehs.resumeIndex(70), 30u); // re-executed ops
     // The failure closed the open task: the next 50 instructions do
     // not cross a boundary that partial progress would have reached.
     const EhsCost after = ehs.onInstructionCommit(50, 120, ctx);
@@ -415,9 +394,7 @@ TEST_F(EhsTest, SpecRollbackSpansUpToTwoEpochs)
     ehs.onInstructionCommit(100, 10, ctx);
     ehs.onInstructionCommit(100, 20, ctx); // persisted=10, draining=20
     failPower(ehs);
-    EXPECT_EQ(ehs.resumeIndex(25), 10u);
-    ehs.noteRollback(25, ehs.resumeIndex(25));
-    EXPECT_EQ(ehs.reExecutedOps(), 15u);
+    EXPECT_EQ(25 - ehs.resumeIndex(25), 15u); // re-executed ops
     // Recovery re-executes non-speculatively: the first boundary after
     // the squash persists synchronously and the durable point advances
     // with it — one epoch per power cycle suffices for progress.

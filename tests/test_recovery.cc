@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the recovery-model contract (ehs/recovery.hh): the
- * declared failure actions against hand-built cache state, the
+ * Tests for the recovery contract (ehs/recovery.hh): the two failure
+ * actions against hand-built cache state, the
  * state-reset-equals-fresh-cache pin for rollback designs, the
  * per-design checkpoint register budgets, hand-computed re-execution
  * accounting across task/epoch boundaries, and worker-count
@@ -68,36 +68,14 @@ struct RecoveryTest : testing::Test
     Cycles now = 0;
 };
 
-// --- names -----------------------------------------------------------------
-
-TEST(RecoveryNames, AreStable)
-{
-    EXPECT_STREQ(commitBoundaryName(CommitBoundary::JitCheckpoint),
-                 "jit-checkpoint");
-    EXPECT_STREQ(commitBoundaryName(CommitBoundary::WriteThrough),
-                 "write-through");
-    EXPECT_STREQ(commitBoundaryName(CommitBoundary::RegionSweep),
-                 "region-sweep");
-    EXPECT_STREQ(commitBoundaryName(CommitBoundary::IdempotentTask),
-                 "idempotent-task");
-    EXPECT_STREQ(commitBoundaryName(CommitBoundary::SpeculativeEpoch),
-                 "speculative-epoch");
-    EXPECT_STREQ(failureActionName(FailureAction::FlushDirty),
-                 "flush-dirty");
-    EXPECT_STREQ(failureActionName(FailureAction::DropVolatile),
-                 "drop-volatile");
-}
-
 // --- applyFailureActions ---------------------------------------------------
 
 TEST_F(RecoveryTest, FlushDirtyMovesDirtyBlocksToNvm)
 {
     dirtyStore(0x100, 0xaa);
     dirtyStore(0x200, 0xbb);
-    const RecoveryModel model{CommitBoundary::JitCheckpoint,
-                              FailureAction::FlushDirty,
-                              FailureAction::FlushDirty};
-    const FlushTotals totals = applyFailureActions(model, ctx);
+    const FlushTotals totals =
+        applyFailureActions(FailureAction::FlushDirty, ctx);
     EXPECT_EQ(totals.nvmBlockWrites, 2u);
     EXPECT_EQ(totals.decompressions, 0u);
     EXPECT_EQ(dcache.validLines(), 0u);
@@ -110,10 +88,8 @@ TEST_F(RecoveryTest, DropVolatileLosesDirtyOnlyData)
     const std::uint8_t durable[4] = {9, 0, 0, 0};
     nvm.writeBytes(0x100, durable, 4);
     dirtyStore(0x100, 0xcc);
-    const RecoveryModel model{CommitBoundary::RegionSweep,
-                              FailureAction::DropVolatile,
-                              FailureAction::DropVolatile};
-    const FlushTotals totals = applyFailureActions(model, ctx);
+    const FlushTotals totals =
+        applyFailureActions(FailureAction::DropVolatile, ctx);
     EXPECT_EQ(totals.nvmBlockWrites, 0u);
     EXPECT_EQ(totals.decompressions, 0u);
     EXPECT_EQ(totals.absorbedWrites, 0u);
@@ -129,10 +105,7 @@ TEST_F(RecoveryTest, DroppedCacheBehavesLikeAFreshCache)
     // same access sequence (replay determinism depends on it).
     for (unsigned k = 0; k < 32; ++k)
         dirtyStore(0x1000 + k * 64, k);
-    const RecoveryModel model{CommitBoundary::IdempotentTask,
-                              FailureAction::DropVolatile,
-                              FailureAction::DropVolatile};
-    applyFailureActions(model, ctx);
+    applyFailureActions(FailureAction::DropVolatile, ctx);
     EXPECT_EQ(dcache.validLines(), 0u);
     EXPECT_EQ(dcache.dirtyLines(), 0u);
 
@@ -221,10 +194,9 @@ TEST_F(RecoveryTest, TaskRollbackAccountingMatchesHandComputedBoundaries)
     TaskBasedEhs ehs(50);
     ehs.onInstructionCommit(50, 10, ctx); // commit, boundary at 10
     ehs.onInstructionCommit(49, 90, ctx); // open task
-    const std::uint64_t resume = ehs.resumeIndex(95);
-    EXPECT_EQ(resume, 10u);
-    ehs.noteRollback(95, resume);
-    EXPECT_EQ(ehs.reExecutedOps(), 85u);
+    // Resume at op 10; the machine counts failure - resume as
+    // re-executed ops.
+    EXPECT_EQ(95 - ehs.resumeIndex(95), 85u);
     EXPECT_EQ(ehs.tasksCommitted(), 1u);
 }
 
@@ -233,10 +205,8 @@ TEST_F(RecoveryTest, EpochRollbackAccountingMatchesHandComputedBoundaries)
     SpecPersistEhs ehs(50);
     ehs.onInstructionCommit(50, 10, ctx); // epoch 1 drains
     ehs.onInstructionCommit(50, 20, ctx); // epoch 1 durable, 2 drains
-    const std::uint64_t resume = ehs.resumeIndex(33);
-    EXPECT_EQ(resume, 10u); // up-to-two-epoch rollback
-    ehs.noteRollback(33, resume);
-    EXPECT_EQ(ehs.reExecutedOps(), 23u);
+    // Up-to-two-epoch rollback: resume at op 10.
+    EXPECT_EQ(33 - ehs.resumeIndex(33), 23u); // re-executed ops
     EXPECT_EQ(ehs.epochsCommitted(), 2u);
 }
 

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "common/logging.hh"
+#include "metrics/registry.hh"
 #include "sim/experiment.hh"
 
 namespace kagura
@@ -21,6 +22,16 @@ struct RegionTests : testing::Test
 {
     RegionTests() { informEnabled = false; }
 };
+
+/** The `sim/ehs/reexecuted_ops` counter of @p sim's run; 0 if absent. */
+std::uint64_t
+reExecutedOps(const Simulator &sim)
+{
+    for (const metrics::Record &rec : sim.metricSet().snapshot())
+        if (rec.name == "sim/ehs/reexecuted_ops")
+            return static_cast<std::uint64_t>(rec.value);
+    return 0;
+}
 
 TEST_F(RegionTests, RegionsAddCheckpointEnergy)
 {
@@ -48,6 +59,16 @@ TEST_F(RegionTests, RollbackReExecutesInstructions)
     // count exceeds the trace length.
     EXPECT_GT(r.committedInstructions,
               cachedWorkload("crc32").committedInstructions());
+
+    // The machine counts every op the region rollbacks replay: at
+    // least each extra load and store the run committed.
+    std::uint64_t stream_mem_ops = 0;
+    for (const MicroOp &op : cachedWorkload("crc32").ops())
+        stream_mem_ops += op.type == MicroOp::Type::Load ||
+                          op.type == MicroOp::Type::Store;
+    const std::uint64_t replayed = reExecutedOps(sim);
+    EXPECT_GT(replayed, 0u);
+    EXPECT_GE(replayed, r.loads + r.stores - stream_mem_ops);
 }
 
 TEST_F(RegionTests, NoRegionsMeansExactCommitCount)
@@ -57,6 +78,8 @@ TEST_F(RegionTests, NoRegionsMeansExactCommitCount)
     Simulator sim(cfg);
     EXPECT_EQ(sim.run().committedInstructions,
               cachedWorkload("crc32").committedInstructions());
+    // NVSRAMCache resumes where it failed: nothing is re-executed.
+    EXPECT_EQ(reExecutedOps(sim), 0u);
 }
 
 TEST_F(RegionTests, FunctionalStateSurvivesRollback)

@@ -287,9 +287,6 @@ TEST_F(RunnerTests, CacheStoreShardsEntriesBySubdirectory)
     EXPECT_NE(store.entryPath(0x0000000000000007ULL)
                   .find("/00/0000000000000007.kgr"),
               std::string::npos);
-    EXPECT_EQ(store.legacyEntryPath(0xab123456789abcdeULL)
-                  .find("/ab/"),
-              std::string::npos);
 
     // Entries with distinct high bytes land in distinct shard dirs.
     store.store(0x1100000000000001ULL, "a\n", "pay-a");
@@ -302,38 +299,6 @@ TEST_F(RunnerTests, CacheStoreShardsEntriesBySubdirectory)
     std::string out;
     ASSERT_TRUE(store.lookup(0x1100000000000001ULL, "a\n", out));
     EXPECT_EQ(out, "pay-a");
-}
-
-TEST_F(RunnerTests, CacheStoreMigratesFlatEntriesIntoShards)
-{
-    const std::string dir = tempDir("migrate");
-    const std::uint64_t hash = 0xcd00000000000042ULL;
-    const std::string key = "legacy-key\n";
-
-    // Plant a valid entry at the pre-sharding flat path by writing it
-    // sharded, then moving the file to the directory root.
-    runner::CacheStore store(dir);
-    store.store(hash, key, "legacy-payload");
-    std::filesystem::rename(store.entryPath(hash),
-                            store.legacyEntryPath(hash));
-    ASSERT_FALSE(std::filesystem::exists(store.entryPath(hash)));
-
-    // The lookup still hits -- and migrates the entry into its shard.
-    std::string out;
-    ASSERT_TRUE(store.lookup(hash, key, out));
-    EXPECT_EQ(out, "legacy-payload");
-    EXPECT_TRUE(std::filesystem::exists(store.entryPath(hash)));
-    EXPECT_FALSE(std::filesystem::exists(store.legacyEntryPath(hash)));
-    ASSERT_TRUE(store.lookup(hash, key, out)); // sharded fast path
-    EXPECT_EQ(out, "legacy-payload");
-
-    // A key-mismatched flat entry is a miss and must NOT migrate
-    // (the next reader revalidates it from the flat path).
-    std::filesystem::rename(store.entryPath(hash),
-                            store.legacyEntryPath(hash));
-    EXPECT_FALSE(store.lookup(hash, "other-key\n", out));
-    EXPECT_TRUE(std::filesystem::exists(store.legacyEntryPath(hash)));
-    EXPECT_FALSE(std::filesystem::exists(store.entryPath(hash)));
 }
 
 /** Whole-file contents of @p path. */
@@ -603,10 +568,10 @@ TEST_F(RunnerTests, CacheStatsCountsEntriesShardsAndDebris)
     store.store(0x0100000000000001ull, "k1", "payload-one");
     store.store(0x0100000000000002ull, "k2", "payload-two");
     store.store(0x0200000000000001ull, "k3", "payload-three");
-    // One legacy flat entry and one writer-crash temp file.
+    // One legacy flat entry (the pre-sharding layout) and one
+    // writer-crash temp file.
     {
-        std::ofstream legacy(
-            store.legacyEntryPath(0x0300000000000001ull));
+        std::ofstream legacy(dir + "/0300000000000001.kgr");
         legacy << "legacy-bytes";
         std::ofstream temp(dir + "/tmp-999-0");
         temp << "partial";

@@ -28,6 +28,7 @@
 #include "common/spelling.hh"
 #include "runner/cache_maint.hh"
 #include "runner/cache_store.hh"
+#include "runner/env.hh"
 #include "runner/progress.hh"
 #include "runner/runner.hh"
 #include "sim/experiment.hh"
@@ -63,13 +64,29 @@ usage()
         enumNameList(traceKindNames, ",").c_str());
 }
 
+/**
+ * @p value * @p scale as a whole count; fatal "bad @p what" when the
+ * product is negative, not a number, or past what 64 bits hold.
+ */
+std::uint64_t
+scaledCount(double value, double scale, const char *what,
+            const std::string &text)
+{
+    const double scaled = value * scale;
+    // False for NaN too; 2^64 is the first value uint64_t cannot hold,
+    // and casting it (or infinity) would be undefined.
+    if (!(scaled >= 0 && scaled < 0x1p64))
+        fatal("bad %s '%s'", what, text.c_str());
+    return static_cast<std::uint64_t>(scaled);
+}
+
 /** "512M" -> bytes; suffixes K/M/G (binary). */
 std::uint64_t
 parseBytes(const std::string &text)
 {
     char *end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || value < 0)
+    if (end == text.c_str())
         fatal("bad byte count '%s'", text.c_str());
     double scale = 1;
     if (*end == 'K' || *end == 'k')
@@ -80,7 +97,7 @@ parseBytes(const std::string &text)
         scale = 1024.0 * 1024 * 1024;
     else if (*end != '\0')
         fatal("bad byte suffix in '%s'", text.c_str());
-    return static_cast<std::uint64_t>(value * scale);
+    return scaledCount(value, scale, "byte count", text);
 }
 
 /** "12h" / "30d" / "3600" (seconds) -> seconds. */
@@ -89,7 +106,7 @@ parseAge(const std::string &text)
 {
     char *end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || value < 0)
+    if (end == text.c_str())
         fatal("bad age '%s'", text.c_str());
     double scale = 1;
     if (*end == 's')
@@ -102,7 +119,7 @@ parseAge(const std::string &text)
         scale = 86400;
     else if (*end != '\0')
         fatal("bad age suffix in '%s'", text.c_str());
-    return static_cast<std::uint64_t>(value * scale);
+    return scaledCount(value, scale, "age", text);
 }
 
 std::vector<std::string>
@@ -204,7 +221,7 @@ cmdGrid(Args &args)
             }
         } else if (arg == "--seeds") {
             const std::string v = args.value(arg);
-            if (!parseNumber(v, seeds))
+            if (!runner::parseCount(v.c_str(), seeds))
                 fatal("grid: bad value '%s' for --seeds", v.c_str());
         } else if (arg == "--kagura") {
             withKagura = true;
@@ -214,8 +231,6 @@ cmdGrid(Args &args)
     }
     if (apps.empty())
         apps = {"crc32", "dijkstra", "sha"};
-    if (seeds == 0)
-        seeds = 1;
     if (l2Specs.empty())
         l2Specs = {"none"};
 
