@@ -10,7 +10,6 @@
 
 #include "common/logging.hh"
 #include "metrics/json.hh"
-#include "metrics/registry.hh"
 #include "metrics/sink.hh"
 #include "runner/cache_store.hh"
 #include "runner/env.hh"
@@ -199,26 +198,6 @@ pickBenches(const std::vector<BenchEntry> &entries,
     return picked;
 }
 
-/** The runner counters of @p t as headline records (no-op without a sink). */
-void
-emitRunnerHeadlines(const runner::TelemetrySnapshot &t)
-{
-    if (!metrics::defaultSink())
-        return;
-    metrics::emitHeadline("runner/jobs_done",
-                          static_cast<double>(t.jobsDone));
-    metrics::emitHeadline("runner/simulations",
-                          static_cast<double>(t.simulations));
-    metrics::emitHeadline("runner/cache_hits",
-                          static_cast<double>(t.cacheHits));
-    metrics::emitHeadline("runner/cache_misses",
-                          static_cast<double>(t.cacheMisses));
-    metrics::emitHeadline("runner/cache_hit_rate", t.hitRate());
-    metrics::emitHeadline("runner/job_seconds", t.jobSeconds);
-    metrics::emitHeadline("runner/threads",
-                          static_cast<double>(runner::jobCount()));
-}
-
 /** Banner, body, then the bench's own [runner] line. */
 BenchRun
 runOne(const BenchEntry &entry)
@@ -247,7 +226,7 @@ runOne(const BenchEntry &entry)
                     .c_str(),
                 wall);
     std::fflush(stdout);
-    emitRunnerHeadlines(run.telemetry);
+    runner::emitTelemetry(run.telemetry);
     return run;
 }
 
@@ -384,9 +363,9 @@ runBenches(int argc, char **argv, std::vector<BenchEntry> entries)
             std::printf("  FAILED  %s\n", name);
     }
     if (metrics::defaultSink()) {
-        // Process-wide runner/pool telemetry belongs to no one bench.
+        // The whole run's counters belong to no one bench.
         metrics::defaultLabels().erase("bench");
-        metrics::emitRegistry(metrics::Registry::global());
+        runner::emitTelemetry(total);
         metrics::setDefaultSink(nullptr);
     }
     if (!opts.summaryPath.empty())

@@ -22,21 +22,14 @@ KAGURA_BENCH(fig13_main_speedup, "Fig. 13", "Main speedup result",
     const SuiteResult base = runSuite("baseline", baselineConfig);
     const SuiteResult acc = runSuite("ACC", accConfig);
     const SuiteResult kagura = runSuite("ACC+Kagura", accKaguraConfig);
-    // Ideal variants via the suite-runner oracle convention: Record =
-    // intermittence-aware ideal, Replay = reuse-only ideal (phase 1
-    // under infinite energy).
+    // Ideal variants: the reuse-only ideal records phase 1 at infinite
+    // energy, the intermittence-aware ideal under the real trace.
     const SuiteResult ideal_acc =
-        runSuite("idealACC", [](const std::string &app) {
-            SimConfig cfg = accConfig(app);
-            cfg.oracle = OracleMode::Replay;
-            return cfg;
-        });
+        runSuite("idealACC", accConfig, suiteApps(),
+                 runner::SimJob::Kind::IdealUnaware);
     const SuiteResult ideal_kagura =
-        runSuite("idealKagura", [](const std::string &app) {
-            SimConfig cfg = accKaguraConfig(app);
-            cfg.oracle = OracleMode::Record;
-            return cfg;
-        });
+        runSuite("idealKagura", accKaguraConfig, suiteApps(),
+                 runner::SimJob::Kind::IdealAware);
 
     std::printf("\nTop: speedup over the compressor-free baseline\n");
     bench::printSpeedupTable(base,

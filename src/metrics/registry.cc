@@ -26,17 +26,6 @@ recordKindName(RecordKind kind)
     panic("unknown RecordKind %d", static_cast<int>(kind));
 }
 
-Registry &
-Registry::global()
-{
-    // Intentionally leaked: the global registry is read by atexit
-    // hooks registered before its first use, so a static-duration
-    // instance could be destroyed before they run. Instruments it
-    // hands out stay valid for the whole process lifetime.
-    static Registry *instance = new Registry;
-    return *instance;
-}
-
 /** Find-or-create under the caller-held registry mutex. */
 Registry::Entry &
 Registry::fetch(std::string_view name, RecordKind kind)

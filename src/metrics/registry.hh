@@ -1,8 +1,8 @@
 /**
  * @file
  * The metrics registry: a thread-safe, hierarchical namespace of
- * typed instruments (slash-separated names, e.g. "runner/cache_hits"
- * or "dcache/acc/gcp").
+ * typed instruments (slash-separated names, e.g. "sim/loads" or
+ * "dcache/acc/gcp").
  *
  * Instruments are interned on first use and live for the registry's
  * lifetime, so the reference an accessor returns stays valid forever
@@ -11,12 +11,11 @@
  * Requesting an existing name with a different instrument type is a
  * programming error and panics.
  *
- * Two usage patterns:
- *  - Registry::global() -- process-wide telemetry (runner pool and
- *    cache activity); exported once per kagura_bench run.
- *  - a per-simulation MetricSet (alias of Registry) owned by each
- *    Simulator and populated from the component stats at the end of a
- *    run; labels() carries the workload/config identity into exports.
+ * Its one use is the per-simulation MetricSet (alias of Registry)
+ * each Simulator owns, populated from the component stats at the end
+ * of a run; labels() carries the workload/config identity into
+ * exports. Runner activity is not a registry: it is counted once, in
+ * runner::progress(), and exported by runner::emitTelemetry().
  */
 
 #ifndef KAGURA_METRICS_REGISTRY_HH
@@ -81,9 +80,6 @@ class Registry
     Registry() = default;
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
-
-    /** Process-wide registry (runner and harness telemetry). */
-    static Registry &global();
 
     /** Intern/fetch the counter @p name. */
     Counter &counter(std::string_view name);

@@ -188,9 +188,9 @@ namespace
 
 /**
  * Default-sink slot: owner + lock-free reader pointer. The owner is
- * intentionally leaked (like Registry::global()) so atexit exporters
- * can never observe a destroyed sink; emitters flush explicitly, so
- * skipping the destructor's fclose loses no data.
+ * intentionally leaked so atexit exporters can never observe a
+ * destroyed sink; emitters flush explicitly, so skipping the
+ * destructor's fclose loses no data.
  */
 std::unique_ptr<Sink> &
 defaultSinkOwner()

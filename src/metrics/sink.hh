@@ -11,10 +11,10 @@
  *
  * A process-wide *default sink* is how the bench harness arms export:
  * `bench::runBenches` opens one from --metrics-out /
- * KAGURA_METRICS_OUT and everything else (headline emission, registry
- * export, per-simulation sets) writes through emitRecord(), which is a
- * no-op when no sink is attached -- the instruments themselves never
- * check.
+ * KAGURA_METRICS_OUT and everything else (headline emission, the
+ * runner counters of runner::emitTelemetry(), per-simulation metric
+ * sets) writes through emitRecord(), which is a no-op when no sink is
+ * attached -- the instruments themselves never check.
  */
 
 #ifndef KAGURA_METRICS_SINK_HH
@@ -129,7 +129,7 @@ std::map<std::string, std::string> &defaultLabels();
  */
 void emitRecord(Record record);
 
-/** Emit every instrument of @p registry through emitRecord(). */
+/** Emit every instrument of @p registry (a MetricSet) through emitRecord(). */
 void emitRegistry(const Registry &registry);
 
 /** Emit one headline scalar (a bench's top-line number). */

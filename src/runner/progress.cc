@@ -4,6 +4,8 @@
 #include <mutex>
 
 #include "common/logging.hh"
+#include "metrics/sink.hh"
+#include "runner/runner.hh"
 
 namespace kagura
 {
@@ -27,6 +29,8 @@ Progress::snapshot() const
     s.simulations = simulations.load();
     s.cacheHits = cacheHits.load();
     s.cacheMisses = cacheMisses.load();
+    s.phase1Reused = phase1Reused.load();
+    s.phase1FromPlain = phase1FromPlain.load();
     s.jobSeconds = static_cast<double>(jobNanos.load()) * 1e-9;
     return s;
 }
@@ -41,6 +45,8 @@ TelemetrySnapshot::since(const TelemetrySnapshot &before) const
     d.simulations = simulations - before.simulations;
     d.cacheHits = cacheHits - before.cacheHits;
     d.cacheMisses = cacheMisses - before.cacheMisses;
+    d.phase1Reused = phase1Reused - before.phase1Reused;
+    d.phase1FromPlain = phase1FromPlain - before.phase1FromPlain;
     d.jobSeconds = jobSeconds - before.jobSeconds;
     return d;
 }
@@ -92,6 +98,25 @@ printSummary(std::FILE *out, unsigned threads)
 {
     const std::string line = summaryLine(progress().snapshot(), threads);
     std::fprintf(out, "%s\n", line.c_str());
+}
+
+void
+emitTelemetry(const TelemetrySnapshot &s)
+{
+    if (!metrics::defaultSink())
+        return;
+    const auto count = [](const char *name, std::uint64_t value) {
+        metrics::emitHeadline(name, static_cast<double>(value));
+    };
+    count("runner/jobs_done", s.jobsDone);
+    count("runner/simulations", s.simulations);
+    count("runner/cache_hits", s.cacheHits);
+    count("runner/cache_misses", s.cacheMisses);
+    metrics::emitHeadline("runner/cache_hit_rate", s.hitRate());
+    count("runner/phase1_reused", s.phase1Reused);
+    count("runner/phase1_from_plain", s.phase1FromPlain);
+    metrics::emitHeadline("runner/job_seconds", s.jobSeconds);
+    count("runner/threads", jobCount());
 }
 
 } // namespace runner

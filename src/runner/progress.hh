@@ -1,11 +1,15 @@
 /**
  * @file
- * Runner telemetry: process-wide counters for job and cache activity,
- * plus an optional live per-job progress line (KAGURA_PROGRESS=1).
+ * Runner telemetry: the one record of job, simulation, cache and
+ * phase-1 sharing activity, plus an optional live per-job progress
+ * line (KAGURA_PROGRESS=1) and the end-of-run export of the counters
+ * (emitTelemetry()).
  *
  * All counters are atomics -- workers bump them concurrently -- and
  * the struct-of-atomics is the only mutable global the runner adds;
  * it is monotonic (never reset mid-run), so readers need no lock.
+ * Callers that want one bench's or one run's share take the
+ * since() delta of two snapshots.
  */
 
 #ifndef KAGURA_RUNNER_PROGRESS_HH
@@ -32,6 +36,10 @@ struct TelemetrySnapshot
     std::uint64_t simulations = 0;
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
+    /** Ideal-unaware jobs that replayed a group-mate's phase-1 log. */
+    std::uint64_t phase1Reused = 0;
+    /** Ideal-aware jobs that replayed the log a plain job recorded. */
+    std::uint64_t phase1FromPlain = 0;
     /** Wall time spent inside simulation jobs, summed over workers. */
     double jobSeconds = 0.0;
 
@@ -72,6 +80,8 @@ class Progress
     void noteSimulations(unsigned n) { simulations += n; }
     void noteCacheHit() { ++cacheHits; }
     void noteCacheMiss() { ++cacheMisses; }
+    void notePhase1Reused() { ++phase1Reused; }
+    void notePhase1FromPlain() { ++phase1FromPlain; }
 
     TelemetrySnapshot snapshot() const;
 
@@ -82,6 +92,8 @@ class Progress
     std::atomic<std::uint64_t> simulations{0};
     std::atomic<std::uint64_t> cacheHits{0};
     std::atomic<std::uint64_t> cacheMisses{0};
+    std::atomic<std::uint64_t> phase1Reused{0};
+    std::atomic<std::uint64_t> phase1FromPlain{0};
     std::atomic<std::uint64_t> jobNanos{0};
 };
 
@@ -105,6 +117,15 @@ std::string summaryLine(const TelemetrySnapshot &s, unsigned threads);
 
 /** Print summaryLine() of the whole run to @p out, newline-ended. */
 void printSummary(std::FILE *out, unsigned threads);
+
+/**
+ * Write @p s as `runner/...` headline records through the default
+ * metrics sink (no-op without one): jobs_done, simulations,
+ * cache_hits, cache_misses, cache_hit_rate, phase1_reused,
+ * phase1_from_plain, job_seconds (summed over workers) and threads
+ * (jobCount()).
+ */
+void emitTelemetry(const TelemetrySnapshot &s);
 
 } // namespace runner
 } // namespace kagura

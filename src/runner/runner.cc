@@ -7,17 +7,17 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "common/logging.hh"
-#include "metrics/registry.hh"
 #include "metrics/sink.hh"
 #include "runner/cache_store.hh"
 #include "runner/config_hash.hh"
+#include "runner/env.hh"
 #include "runner/progress.hh"
 #include "runner/result_codec.hh"
-#include "runner/thread_pool.hh"
 #include "sim/experiment.hh"
 
 namespace kagura
@@ -55,10 +55,6 @@ execute(const SimJob &job, std::optional<OracleLog> *phase1)
     const unsigned sims =
         (job.kind == SimJob::Kind::Plain || shared_phase1) ? 1 : 2;
     progress().noteSimulations(sims);
-    metrics::Registry &reg = metrics::Registry::global();
-    // Interned once; the registry never drops an instrument.
-    static metrics::Counter &simulations = reg.counter("runner/simulations");
-    simulations.add(sims);
     switch (job.kind) {
       case SimJob::Kind::Plain: {
           // Recording only observes, so a plain run given a slot is
@@ -78,11 +74,11 @@ execute(const SimJob &job, std::optional<OracleLog> *phase1)
       }
       case SimJob::Kind::IdealAware:
         if (shared_phase1)
-            reg.counter("runner/phase1_from_plain").add();
+            progress().notePhase1FromPlain();
         return runIdealOnce(job.config, true, phase1);
       case SimJob::Kind::IdealUnaware:
         if (shared_phase1)
-            reg.counter("runner/phase1_reused").add();
+            progress().notePhase1Reused();
         return runIdealOnce(job.config, false, phase1);
     }
     panic("unknown SimJob::Kind %d", static_cast<int>(job.kind));
@@ -104,14 +100,6 @@ runKeyedJob(const SimJob &job, std::string canonical,
     // key cannot capture; such jobs always simulate.
     const bool cacheable = job.config.oracleLog == nullptr;
 
-    // Interned once; the registry never drops an instrument.
-    metrics::Registry &reg = metrics::Registry::global();
-    static metrics::Counter &jobs_done = reg.counter("runner/jobs_done");
-    static metrics::Timer &job_seconds = reg.timer("runner/job_seconds");
-    static metrics::Counter &cache_hits = reg.counter("runner/cache_hits");
-    static metrics::Counter &cache_misses =
-        reg.counter("runner/cache_misses");
-
     CacheStore &cache = CacheStore::global();
     const auto start = std::chrono::steady_clock::now();
     const auto elapsed = [&start] {
@@ -121,8 +109,6 @@ runKeyedJob(const SimJob &job, std::string canonical,
     };
     const auto finish = [&](bool cached_hit, double seconds) {
         progress().noteDone(seconds);
-        jobs_done.add();
-        job_seconds.observe(seconds);
         // The label is built only for a line that will be printed.
         if (liveProgressEnabled())
             liveProgressLine(job.config.describe(), cached_hit, seconds);
@@ -141,7 +127,6 @@ runKeyedJob(const SimJob &job, std::string canonical,
         if (cache.lookup(hash, key, payload) &&
             decodeResult(payload, cached)) {
             progress().noteCacheHit();
-            cache_hits.add();
             outcome.seconds = elapsed();
             finish(true, outcome.seconds);
             outcome.result = std::move(cached);
@@ -149,7 +134,6 @@ runKeyedJob(const SimJob &job, std::string canonical,
             return outcome;
         }
         progress().noteCacheMiss();
-        cache_misses.add();
         SimResult result = execute(job, phase1);
         cache.store(hash, key, encodeResult(result));
         outcome.seconds = elapsed();
@@ -166,7 +150,7 @@ runKeyedJob(const SimJob &job, std::string canonical,
 }
 
 /**
- * The pool tasks for @p jobs, each a list of job indices run in
+ * The tasks for @p jobs, each a list of job indices run in
  * order. Intermittence-unaware ideal jobs with one unawarePhase1Key()
  * share a task, so its jobs can share one phase-1 log. Plain and
  * intermittence-aware ideal jobs with one canonicalKey() share a
@@ -263,8 +247,31 @@ setJobCount(unsigned n)
 unsigned
 jobCount()
 {
-    const unsigned n = requestedJobs.load();
-    return n ? n : ThreadPool::defaultThreadCount();
+    if (const unsigned n = requestedJobs.load())
+        return n;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return envCount("KAGURA_JOBS", hw ? hw : 1);
+}
+
+void
+parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
+{
+    // The k-th claim takes index n - 1 - k. Each index is claimed once;
+    // the workers' last claims overshoot n and stop them.
+    std::atomic<std::size_t> claims{0};
+    const auto drain = [&claims, &fn, n] {
+        for (std::size_t k = claims.fetch_add(1, std::memory_order_relaxed);
+             k < n; k = claims.fetch_add(1, std::memory_order_relaxed))
+            fn(n - 1 - k);
+    };
+    const std::size_t helpers =
+        n > 1 ? std::min<std::size_t>(jobCount(), n) - 1 : 0;
+    std::vector<std::jthread> threads;
+    threads.reserve(helpers);
+    for (std::size_t t = 0; t < helpers; ++t)
+        threads.emplace_back(drain);
+    drain();
+    // ~jthread joins, so every call's writes are visible on return.
 }
 
 JobOutcome
@@ -287,21 +294,11 @@ runJobs(const std::vector<SimJob> &jobs)
     std::vector<std::string> keys;
     const std::vector<std::vector<std::size_t>> groups =
         taskGroups(jobs, keys);
-    const unsigned workers = jobCount();
-    if (workers <= 1 || groups.size() <= 1) {
-        for (const std::vector<std::size_t> &group : groups)
-            runGroup(jobs, group, keys, results);
-        return results;
-    }
-
     // Deterministic aggregation: every job owns slot i regardless of
     // which worker runs it or when it finishes.
-    ThreadPool pool(workers);
-    for (const std::vector<std::size_t> &group : groups)
-        pool.submit([&jobs, &group, &keys, &results] {
-            runGroup(jobs, group, keys, results);
-        });
-    pool.wait();
+    parallelFor(groups.size(), [&](std::size_t g) {
+        runGroup(jobs, groups[g], keys, results);
+    });
     return results;
 }
 

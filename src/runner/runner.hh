@@ -15,6 +15,11 @@
  * intermittence-aware job runs in one task with the plain job of its
  * config, whose simulation is its phase 1.
  *
+ * Scheduling is parallelFor(): the calling thread plus up to
+ * jobCount() - 1 std::jthreads claim task indices from one atomic
+ * cursor, highest index first. Every runner event is counted once, in
+ * runner::progress() (progress.hh).
+ *
  * Knobs: --jobs / KAGURA_JOBS (worker count, default
  * hardware_concurrency), KAGURA_CACHE=off, KAGURA_CACHE_DIR,
  * KAGURA_PROGRESS=1 (live per-job lines on stderr).
@@ -23,6 +28,8 @@
 #ifndef KAGURA_RUNNER_RUNNER_HH
 #define KAGURA_RUNNER_RUNNER_HH
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -61,6 +68,16 @@ void setJobCount(unsigned n);
 
 /** The worker count runJobs() would use right now (>= 1). */
 unsigned jobCount();
+
+/**
+ * Call @p fn(i) once for every i in [0, n) and return when all calls
+ * have finished. The calling thread and min(jobCount(), n) - 1
+ * std::jthreads claim indices from one atomic cursor, highest index
+ * first. With one worker or n <= 1 the caller makes every call itself
+ * and no thread starts. @p fn must be safe to call concurrently for
+ * distinct indices.
+ */
+void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn);
 
 /**
  * Execute one job: consult the persistent cache, simulate on a miss,

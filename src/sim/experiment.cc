@@ -81,31 +81,10 @@ accKaguraConfig(const std::string &workload)
     return cfg;
 }
 
-/**
- * Translate the suite-runner oracle convention into a runner job:
- * OracleMode::Record marks the intermittence-aware ideal and Replay
- * the infinite-energy phase-1 variant; both run two-phase as a single
- * job carrying the oracle-free base config.
- */
-static runner::SimJob
-suiteJob(SimConfig cfg)
-{
-    runner::SimJob job;
-    if (cfg.oracle != OracleMode::Off) {
-        job.kind = cfg.oracle == OracleMode::Record
-                       ? runner::SimJob::Kind::IdealAware
-                       : runner::SimJob::Kind::IdealUnaware;
-        cfg.oracle = OracleMode::Off;
-        cfg.oracleLog = nullptr;
-    }
-    job.config = std::move(cfg);
-    return job;
-}
-
 SuiteResult
 runSuite(const std::string &label,
          const std::function<SimConfig(const std::string &)> &make,
-         const std::vector<std::string> &apps)
+         const std::vector<std::string> &apps, runner::SimJob::Kind kind)
 {
     // Build the full (app x seed) job list up front, then let the
     // runner execute it in parallel. Aggregation is index-based --
@@ -116,9 +95,10 @@ runSuite(const std::string &label,
     jobs.reserve(apps.size() * repeats);
     for (const std::string &app : apps) {
         for (unsigned rep = 0; rep < repeats; ++rep) {
-            SimConfig cfg = make(app);
-            cfg.traceSeed = suiteSeed(rep);
-            jobs.push_back(suiteJob(std::move(cfg)));
+            runner::SimJob &job = jobs.emplace_back();
+            job.config = make(app);
+            job.config.traceSeed = suiteSeed(rep);
+            job.kind = kind;
         }
     }
     std::vector<SimResult> results = runner::runJobs(jobs);
@@ -178,24 +158,6 @@ runIdealOnce(const SimConfig &base, bool intermittence_aware,
     replay.oracleLog = &*log;
     Simulator phase2(replay);
     return phase2.run();
-}
-
-std::vector<SimResult>
-runIdeal(const SimConfig &base, bool intermittence_aware)
-{
-    const unsigned repeats = suiteRepeats;
-    std::vector<runner::SimJob> jobs;
-    jobs.reserve(repeats);
-    for (unsigned rep = 0; rep < repeats; ++rep) {
-        runner::SimJob job;
-        job.kind = intermittence_aware
-                       ? runner::SimJob::Kind::IdealAware
-                       : runner::SimJob::Kind::IdealUnaware;
-        job.config = base;
-        job.config.traceSeed = suiteSeed(rep);
-        jobs.push_back(std::move(job));
-    }
-    return runner::runJobs(jobs);
 }
 
 double

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "runner/runner.hh"
 #include "sim/simulator.hh"
 
 namespace kagura
@@ -84,26 +85,20 @@ void setSuiteApps(std::vector<std::string> apps);
 
 /**
  * Run @p make(app) for every app in @p apps (default: suiteApps()),
- * once per trace seed, and collect the results. Jobs execute on the
- * src/runner subsystem: in parallel across runner::jobCount()
- * workers and memoised in the persistent result cache, with the
- * SuiteResult bit-identical at any worker count.
+ * once per trace seed, as jobs of @p kind, and collect the results.
+ * The ideal kinds run the two-phase oracle of runIdealOnce() on the
+ * oracle-free config @p make returns: IdealAware records phase 1
+ * under the real trace ("ideal Kagura"), IdealUnaware at infinite
+ * energy (the oracle knows reuse but not outages -- "ideal ACC").
+ * Jobs execute on the src/runner subsystem: in parallel across
+ * runner::jobCount() workers and memoised in the persistent result
+ * cache, with the SuiteResult bit-identical at any worker count.
  */
 SuiteResult
 runSuite(const std::string &label,
          const std::function<SimConfig(const std::string &)> &make,
-         const std::vector<std::string> &apps = suiteApps());
-
-/**
- * Ideal-oracle runs for one app config (two-phase, once per seed):
- * phase 1 executes @p base with recording; phase 2 replays against
- * the log. When @p intermittence_aware is false, phase 1 runs with
- * infinite energy (the oracle knows reuse but not outages -- "ideal
- * ACC"); when true, phase 1 sees the same power trace ("ideal
- * Kagura").
- */
-std::vector<SimResult> runIdeal(const SimConfig &base,
-                                bool intermittence_aware);
+         const std::vector<std::string> &apps = suiteApps(),
+         runner::SimJob::Kind kind = runner::SimJob::Kind::Plain);
 
 /**
  * One ideal-oracle two-phase run (uses @p base's trace seed). A run
@@ -124,14 +119,6 @@ SimResult runIdealOnce(const SimConfig &base, bool intermittence_aware,
  * there record the same log.
  */
 std::string unawarePhase1Key(const SimConfig &base);
-
-/**
- * Suite-runner convention for ideal configs: a config returned by the
- * make() callback with oracle == OracleMode::Record is executed as an
- * intermittence-aware ideal (phase 1 under the real trace); with
- * oracle == OracleMode::Replay as the intermittence-unaware ideal
- * (phase 1 under infinite energy). OracleMode::Off runs normally.
- */
 
 /** Speedup of one run over one baseline run: wall ratio - 1, in %. */
 double speedupPct(const SimResult &config, const SimResult &baseline);

@@ -4,14 +4,20 @@
  * test-local registries: every selected bench runs even after one
  * fails, the exit status reports the failure, the --summary file
  * passes the kagura.bench/v1 check, and a --metrics-out export of a
- * multi-bench run keeps each record's bench label. The real 31-bench
+ * multi-bench run keeps each record's bench label and closes with the
+ * whole run's runner counters, once each. The real 31-bench
  * registry's --list / unknown-name behaviour is driven through the
  * binary by tests/cli_values.sh.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,6 +27,8 @@
 #include "metrics/json.hh"
 #include "metrics/sink.hh"
 #include "metrics/validate.hh"
+#include "runner/cache_store.hh"
+#include "runner/runner.hh"
 
 namespace kagura
 {
@@ -43,6 +51,23 @@ failsOnce()
     ++runsSeen;
     metrics::emitHeadline("bench/test_value", 2.0);
     return 1;
+}
+
+/**
+ * passes() plus two ideal-unaware crc32 jobs that share one phase-1
+ * log: cold, three simulations and one phase-1 reuse; warm, two hits.
+ */
+int
+runsIdealPair()
+{
+    std::vector<runner::SimJob> jobs(2);
+    for (unsigned i = 0; i < jobs.size(); ++i) {
+        jobs[i].kind = runner::SimJob::Kind::IdealUnaware;
+        jobs[i].config = accConfig("crc32");
+        jobs[i].config.traceSeed = suiteSeed(i);
+    }
+    runner::runJobs(jobs);
+    return passes();
 }
 
 /** runBenches() over @p entries with @p args after the program name. */
@@ -139,12 +164,43 @@ TEST(BenchDriver, MetricsExportKeepsEachBenchLabel)
 {
     const std::string path =
         testing::TempDir() + "kagura-bench-driver-metrics.jsonl";
+    // alpha runs twice against a fresh cache: cold, then all hits.
+    runner::CacheStore &cache = runner::CacheStore::global();
+    const bool saved_enabled = cache.enabled();
+    const std::string saved_dir = cache.directory();
+    const std::string cache_dir = testing::TempDir() +
+                                  "kagura-bench-driver-cache-" +
+                                  std::to_string(::getpid());
+    std::filesystem::remove_all(cache_dir);
+    cache.setDirectory(cache_dir);
+    cache.setEnabled(true);
+    const std::vector<bench::BenchEntry> entries = {
+        {"alpha", "Test", "first", "runs an ideal pair", &runsIdealPair},
+        {"beta", "Test", "second", "fails", &failsOnce},
+    };
     testing::internal::CaptureStdout();
-    const int status =
-        drive(twoOkOneBad, {"alpha", "beta", "--metrics-out", path});
-    testing::internal::GetCapturedStdout();
+    const int status = drive(
+        entries, {"alpha", "alpha", "beta", "--metrics-out", path});
+    const std::string out = testing::internal::GetCapturedStdout();
+    cache.setDirectory(saved_dir);
+    cache.setEnabled(saved_enabled);
+    std::filesystem::remove_all(cache_dir);
     EXPECT_EQ(status, 1);
     EXPECT_EQ(metrics::defaultSink(), nullptr);
+
+    unsigned long long jobs = 0, sims = 0, hits = 0, lookups = 0;
+    const std::size_t total_at = out.find("\nTOTAL  wall=");
+    ASSERT_NE(total_at, std::string::npos) << out;
+    ASSERT_EQ(std::sscanf(out.c_str() + total_at,
+                          "\nTOTAL  wall=%*fs  jobs=%llu  sims=%llu  "
+                          "cache_hits=%llu/%llu",
+                          &jobs, &sims, &hits, &lookups),
+              4)
+        << out;
+    EXPECT_EQ(jobs, 4u);
+    EXPECT_EQ(sims, 3u);
+    EXPECT_EQ(hits, 2u);
+    EXPECT_EQ(lookups, 4u);
 
     const std::string text = slurp(path);
     std::string error;
@@ -153,19 +209,26 @@ TEST(BenchDriver, MetricsExportKeepsEachBenchLabel)
         << error;
     EXPECT_GT(records, 0u);
 
-    // Each bench's own headline and runner counters carry its label.
+    // Each bench's own headline and runner counters carry its label;
+    // the unlabelled records after the last bench are the whole run's.
     std::set<std::string> test_value_benches;
     std::set<std::string> runner_benches;
+    std::map<std::string, std::vector<double>> run_counters;
     std::istringstream lines(text);
     for (std::string line; std::getline(lines, line);) {
         metrics::json::Value rec;
         ASSERT_TRUE(metrics::json::parse(line, rec));
+        const std::string &name = rec.find("name")->str;
+        EXPECT_NE(name.rfind("runner/pool/", 0), 0u) << line;
         const metrics::json::Value *labels = rec.find("labels");
         const metrics::json::Value *bench =
             labels ? labels->find("bench") : nullptr;
-        if (!bench)
+        if (!bench) {
+            const metrics::json::Value *value = rec.find("value");
+            ASSERT_NE(value, nullptr) << line;
+            run_counters[name].push_back(value->number);
             continue;
-        const std::string &name = rec.find("name")->str;
+        }
         if (name == "bench/test_value")
             test_value_benches.insert(bench->str);
         else if (name == "runner/jobs_done")
@@ -174,6 +237,16 @@ TEST(BenchDriver, MetricsExportKeepsEachBenchLabel)
     const std::set<std::string> both = {"alpha", "beta"};
     EXPECT_EQ(test_value_benches, both);
     EXPECT_EQ(runner_benches, both);
+    const std::map<std::string, double> whole_run = {
+        {"runner/jobs_done", static_cast<double>(jobs)},
+        {"runner/simulations", static_cast<double>(sims)},
+        {"runner/cache_hits", static_cast<double>(hits)},
+        {"runner/phase1_reused", 1.0},
+    };
+    for (const auto &[name, value] : whole_run) {
+        ASSERT_EQ(run_counters[name].size(), 1u) << name;
+        EXPECT_EQ(run_counters[name][0], value) << name;
+    }
     std::remove(path.c_str());
 }
 

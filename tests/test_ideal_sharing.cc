@@ -21,10 +21,9 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "metrics/registry.hh"
 #include "runner/cache_store.hh"
+#include "runner/progress.hh"
 #include "runner/runner.hh"
-#include "runner/thread_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 
@@ -33,40 +32,25 @@ namespace kagura
 namespace
 {
 
-/** Runs @p n index-slotted tasks on a small pool (test set-up only). */
-template <typename Fn>
-void
-parallelFor(std::size_t n, Fn fn)
-{
-    runner::ThreadPool pool(4);
-    for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); });
-    pool.wait();
-}
+using runner::parallelFor;
 
 std::uint64_t
 phase1Reused()
 {
-    return metrics::Registry::global()
-        .counter("runner/phase1_reused")
-        .get();
+    return runner::progress().snapshot().phase1Reused;
 }
 
-/** Simulators run so far (runner/simulations). */
+/** Simulators run so far. */
 std::uint64_t
 simulations()
 {
-    return metrics::Registry::global()
-        .counter("runner/simulations")
-        .get();
+    return runner::progress().snapshot().simulations;
 }
 
 std::uint64_t
 phase1FromPlain()
 {
-    return metrics::Registry::global()
-        .counter("runner/phase1_from_plain")
-        .get();
+    return runner::progress().snapshot().phase1FromPlain;
 }
 
 /** Power-trace settings that differ from SimConfig{} in every field. */

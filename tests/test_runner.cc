@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -17,7 +18,9 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "runner/cache_maint.hh"
@@ -27,7 +30,6 @@
 #include "runner/progress.hh"
 #include "runner/result_codec.hh"
 #include "runner/runner.hh"
-#include "runner/thread_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 
@@ -141,16 +143,25 @@ TEST_F(RunnerTests, SuiteResultIsBitIdenticalAcrossWorkerCounts)
 TEST_F(RunnerTests, IdealJobsAreDeterministicAcrossWorkerCounts)
 {
     suiteRepeats = 2;
-    SimConfig base = accConfig("crc32");
+    const std::vector<std::string> apps = {"crc32"};
+    const auto ideal = [&apps] {
+        return runSuite("ideal", accConfig, apps,
+                        runner::SimJob::Kind::IdealAware);
+    };
 
     runner::setJobCount(1);
-    const std::vector<SimResult> serial = runIdeal(base, true);
+    const SuiteResult serial = ideal();
     runner::setJobCount(4);
-    const std::vector<SimResult> parallel = runIdeal(base, true);
+    const SuiteResult parallel = ideal();
 
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        EXPECT_TRUE(exactlyEqual(serial[i], parallel[i]));
+    ASSERT_EQ(serial.apps.size(), 1u);
+    ASSERT_EQ(parallel.apps.size(), 1u);
+    const std::vector<SimResult> &a = serial.apps[0].runs;
+    const std::vector<SimResult> &b = parallel.apps[0].runs;
+    ASSERT_EQ(a.size(), 2u);
+    ASSERT_EQ(b.size(), a.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_TRUE(exactlyEqual(a[i], b[i]));
 }
 
 TEST_F(RunnerTests, CodecRoundTripsEveryFieldExactly)
@@ -532,32 +543,34 @@ TEST_F(RunnerTests, WarmCacheReproducesColdResultsWithoutSimulating)
                              warm.apps[0].runs[0]));
 }
 
-TEST_F(RunnerTests, ThreadPoolRunsEverySubmittedTask)
+/**
+ * The scheduler behind runJobs(): every index runs exactly once at
+ * any worker count, and one worker means the caller makes every call.
+ */
+TEST_F(RunnerTests, ParallelForRunsEveryIndexOnce)
 {
-    runner::ThreadPool pool(4);
-    constexpr int tasks = 200;
-    std::vector<int> hits(tasks, 0);
-    for (int i = 0; i < tasks; ++i)
-        pool.submit([&hits, i] { hits[i] = i + 1; });
-    pool.wait();
-    for (int i = 0; i < tasks; ++i)
-        EXPECT_EQ(hits[i], i + 1);
-
-    // The pool is reusable after a wait().
-    pool.submit([&hits] { hits[0] = -1; });
-    pool.wait();
-    EXPECT_EQ(hits[0], -1);
-}
-
-TEST_F(RunnerTests, InlinePoolExecutesAtWait)
-{
-    runner::ThreadPool pool(1);
-    EXPECT_EQ(pool.threadCount(), 0u); // inline mode, no threads
-    bool ran = false;
-    pool.submit([&ran] { ran = true; });
-    EXPECT_FALSE(ran); // deferred until wait()
-    pool.wait();
-    EXPECT_TRUE(ran);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+        runner::setJobCount(workers);
+        for (const std::size_t n : {0u, 1u, 3u, 200u}) {
+            std::vector<std::atomic<int>> calls(n);
+            std::vector<std::thread::id> ran_on(n);
+            runner::parallelFor(n, [&](std::size_t i) {
+                ASSERT_LT(i, n);
+                calls[i].fetch_add(1);
+                ran_on[i] = std::this_thread::get_id();
+            });
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(calls[i].load(), 1)
+                    << "index " << i << " of " << n << " at " << workers
+                    << " workers";
+                if (workers == 1) {
+                    EXPECT_EQ(ran_on[i], caller)
+                        << "index " << i << " of " << n;
+                }
+            }
+        }
+    }
 }
 
 TEST_F(RunnerTests, CacheStatsCountsEntriesShardsAndDebris)

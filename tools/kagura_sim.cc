@@ -24,7 +24,6 @@
 
 #include "common/logging.hh"
 #include "common/spelling.hh"
-#include "metrics/registry.hh"
 #include "metrics/sink.hh"
 #include "runner/cache_store.hh"
 #include "runner/progress.hh"
@@ -418,7 +417,7 @@ main(int argc, char **argv)
     if (!quiet && !json)
         runner::printSummary(stdout, runner::jobCount());
     if (metrics::Sink *sink = metrics::defaultSink()) {
-        metrics::emitRegistry(metrics::Registry::global());
+        runner::emitTelemetry(runner::progress().snapshot());
         sink->flush();
     }
     return 0;

@@ -22,9 +22,9 @@
 
 #include "common/logging.hh"
 #include "common/spelling.hh"
-#include "metrics/registry.hh"
 #include "metrics/sink.hh"
 #include "runner/cache_store.hh"
+#include "runner/progress.hh"
 #include "runner/runner.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
@@ -283,7 +283,7 @@ cmdReplay(int argc, char **argv)
                     energyDeltaPct(result, b));
     }
     if (metrics::Sink *sink = metrics::defaultSink()) {
-        metrics::emitRegistry(metrics::Registry::global());
+        runner::emitTelemetry(runner::progress().snapshot());
         sink->flush();
     }
     return 0;
