@@ -93,89 +93,52 @@ mergeOutcome(const AccessOutcome &out, hier::LevelEvents &ev)
 Cache::Cache(const CacheConfig &config, hier::MemLevel &next_level,
              const Compressor *compressor, CompressionGovernor *governor)
     : cfg(validated(config)), blockShift(floorLog2(cfg.blockSize)),
-      next(next_level), comp(compressor),
-      gov(governor), shadow(config.sets(), config.ways, config.blockSize)
+      next(next_level), comp(compressor), gov(governor),
+      slotsPerSet(2 * cfg.ways),
+      lines(static_cast<std::size_t>(cfg.sets()) * slotsPerSet),
+      setBytes(cfg.sets(), 0), arena(lines.size() * cfg.blockSize, 0),
+      cands(slotsPerSet),
+      shadow(config.sets(), config.ways, config.blockSize)
 {
-    // One tag slot per potential resident (2x ways when compressed)
-    // and one fixed arena slice per slot, all allocated up front so
-    // the access path never touches the heap.
-    const std::size_t slots_per_set = 2 * cfg.ways;
-    arena.assign(static_cast<std::size_t>(cfg.sets()) * slots_per_set *
-                     cfg.blockSize,
-                 0);
-    setArray.assign(cfg.sets(), Set(slots_per_set));
-    for (unsigned s = 0; s < cfg.sets(); ++s) {
-        for (std::size_t w = 0; w < slots_per_set; ++w) {
-            setArray[s][w].arenaOffset =
-                (s * slots_per_set + w) * cfg.blockSize;
-        }
-    }
-
+    // One line record per potential resident (2x ways when
+    // compressed) and one fixed arena slice per record, all allocated
+    // up front so the access path never touches the heap.
     repl::PolicyGeometry geom;
     geom.sets = cfg.sets();
     geom.ways = cfg.ways;
-    geom.slotsPerSet = static_cast<unsigned>(slots_per_set);
+    geom.slotsPerSet = slotsPerSet;
     geom.blockSize = cfg.blockSize;
     geom.segmentBytes = cfg.segmentBytes;
     repl_ = repl::makePolicy(cfg.replacement, geom);
-    candScratch.reserve(slots_per_set);
+    replHooks = repl_->hooks();
 
     tags::TagGeometry tgeom;
     tgeom.sets = cfg.sets();
     tgeom.ways = cfg.ways;
-    tgeom.slotsPerSet = static_cast<unsigned>(slots_per_set);
+    tgeom.slotsPerSet = slotsPerSet;
     tgeom.blockSize = cfg.blockSize;
     tgeom.segmentBytes = cfg.segmentBytes;
     tgeom.sigBits = cfg.sigBits;
     tagLayout_ = tags::makeTagLayout(cfg.tagLayout, tgeom);
 }
 
-unsigned
-Cache::setIndex(Addr addr) const
-{
-    return tagLayout_->setIndex(blockOf(addr));
-}
-
-std::uint64_t
-Cache::tagOf(Addr addr) const
-{
-    return tagLayout_->tagOf(blockOf(addr));
-}
-
-Addr
-Cache::blockBase(Addr addr) const
-{
-    return blockOf(addr) << blockShift;
-}
-
 Cache::Line *
-Cache::findLine(Addr addr, unsigned *rechecks)
+Cache::findLine(const Place &place, unsigned *rechecks)
 {
-    const unsigned set_idx = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
-    const std::size_t slot = tagLayout_->lookup(set_idx, tag, rechecks);
+    const std::size_t slot =
+        tagLayout_->lookup(place.set, place.tag, rechecks);
     if (slot == tags::noSlot)
         return nullptr;
-    Line &line = setArray[set_idx][slot];
-    kagura_assert(line.valid && line.tag == tag);
+    Line &line = setLines(place.set)[slot];
+    kagura_assert(line.valid && line.tag == place.tag);
     return &line;
 }
 
 const Cache::Line *
 Cache::findLine(Addr addr) const
 {
-    return const_cast<Cache *>(this)->findLine(addr, nullptr);
-}
-
-unsigned
-Cache::setOccupancy(const Set &set) const
-{
-    unsigned bytes = 0;
-    for (const Line &line : set) {
-        if (line.valid)
-            bytes += line.occupied;
-    }
-    return bytes;
+    Cache *self = const_cast<Cache *>(this);
+    return self->findLine(placeOf(addr), nullptr);
 }
 
 unsigned
@@ -207,8 +170,11 @@ Cache::writeback(Line &line, AccessOutcome &out)
 }
 
 void
-Cache::evictLine(Set &set, Line &line, bool dead, AccessOutcome &out)
+Cache::evictLine(unsigned set, std::size_t slot, bool dead,
+                 AccessOutcome &out)
 {
+    Line *const set_lines = setLines(set);
+    Line &line = set_lines[slot];
     const unsigned occupied = line.occupied;
     const bool was_dirty = line.dirty;
 
@@ -221,86 +187,86 @@ Cache::evictLine(Set &set, Line &line, bool dead, AccessOutcome &out)
     if (line.dirty)
         writeback(line, out);
 
-    // Could compression have made room instead? True when the set
-    // still holds an uncompressed line that is not known to be
-    // incompressible (including the victim itself).
-    bool avoidable = false;
-    for (const Line &peer : set) {
-        if (peer.valid && !peer.compressed && !peer.incompressible) {
-            avoidable = true;
-            break;
-        }
-    }
-
+    setBytes[set] -= occupied;
     line.valid = false;
     line.occupied = 0;
     ++out.evictions;
     ++stat.evictions;
-    tagLayout_->noteEviction(indexOf(set), slotOf(set, line));
-    repl_->noteEviction(indexOf(set), slotOf(set, line), occupied,
-                        was_dirty, dead);
-    if (gov)
+    tagLayout_->noteEviction(set, slot);
+    repl_->noteEviction(set, slot, occupied, was_dirty, dead);
+    if (gov) {
+        // Could compression have made room instead? True when the set
+        // still holds (or the victim was) an uncompressed line that
+        // is not known to be incompressible.
+        bool avoidable = !line.compressed && !line.incompressible;
+        for (std::size_t peer = 0; peer < slotsPerSet && !avoidable;
+             ++peer) {
+            const Line &other = set_lines[peer];
+            avoidable = other.valid && !other.compressed &&
+                        !other.incompressible;
+        }
         gov->noteEviction(line.base, avoidable);
+    }
 }
 
 void
-Cache::makeRoom(Set &set, unsigned needed, bool may_compress,
+Cache::makeRoom(unsigned set, unsigned needed, bool may_compress,
                 const Line *exclude, std::uint64_t incoming_tag,
                 Cycles now, AccessOutcome &out)
 {
     const unsigned capacity = cfg.ways * cfg.blockSize;
     kagura_assert(needed <= capacity);
-
-    auto free_bytes = [&]() { return capacity - setOccupancy(set); };
-    // The tag-array side of admission is the layout's call: baseline
-    // wants any invalid slot (the historical free-tag rule), grouped
-    // layouts admit a sibling of a resident superblock for free.
-    auto free_tag = [&]() {
-        return tagLayout_->canAdmit(indexOf(set), incoming_tag);
-    };
+    Line *const set_lines = setLines(set);
+    const unsigned &used = setBytes[set];
 
     repl::SelectContext ctx;
-    ctx.setIndex = indexOf(set);
+    ctx.setIndex = set;
     ctx.useCounter = useCounter;
 
-    const auto candidateOf = [this](const Set &owning, const Line &line) {
-        repl::Candidate cand;
-        cand.slot = slotOf(owning, line);
+    // Candidates are written in place, one per eligible line in slot
+    // order; only the fields some policy reads cost anything beyond a
+    // copy (co-residency is asked only of grouped layouts, deadness
+    // only with a decay predictor attached).
+    const bool grouped = tagLayout_->grouped();
+    const auto candidate = [&](std::size_t n, std::size_t slot) {
+        const Line &line = set_lines[slot];
+        repl::Candidate &cand = cands[n];
+        cand.slot = slot;
         cand.base = line.base;
         cand.lastUse = line.lastUse;
         cand.inserted = line.inserted;
         cand.occupied = line.occupied;
         cand.compressed = line.compressed;
         cand.dirty = line.dirty;
+        cand.dead = false;
         cand.coResident =
-            tagLayout_->coResidents(indexOf(owning), cand.slot);
-        cand.tagGroup = tagLayout_->groupOf(indexOf(owning), cand.slot);
-        return cand;
+            grouped ? tagLayout_->coResidents(set, slot) : 1;
+        return &cand;
     };
 
     // First, compress resident uncompressed lines to carve out space
     // -- this is the "compress existing blocks to make room" behaviour
     // Section I describes, and exactly the work Kagura's Regular Mode
-    // avoids. The policy picks which line to shrink (historically
-    // LRU-first for every policy; repl::ReplacementPolicy keeps that
-    // default).
-    while (may_compress && comp && free_bytes() < needed) {
-        candScratch.clear();
-        for (Line &line : set) {
+    // avoids. The line to shrink is the least recently used one,
+    // whatever the eviction policy.
+    while (may_compress && comp && capacity - used < needed) {
+        std::size_t n = 0;
+        for (std::size_t slot = 0; slot < slotsPerSet; ++slot) {
+            const Line &line = set_lines[slot];
             if (!line.valid || line.compressed || line.incompressible ||
                 &line == exclude) {
                 continue;
             }
             if (gov && !gov->shouldCompress(line.base))
                 continue;
-            candScratch.push_back(candidateOf(set, line));
+            candidate(n++, slot);
         }
-        if (candScratch.empty())
+        if (n == 0)
             break;
-        const std::size_t pick = repl_->compressionVictim(
-            candScratch.data(), candScratch.size(), ctx);
-        kagura_assert(pick < candScratch.size());
-        Line *victim = &set[candScratch[pick].slot];
+        const std::size_t pick =
+            repl::ReplacementPolicy::compressionVictim(cands.data(), n);
+        const std::size_t slot = cands[pick].slot;
+        Line *victim = &set_lines[slot];
         bool worthwhile = false;
         const unsigned footprint =
             compressedFootprint(lineData(*victim), worthwhile);
@@ -317,39 +283,42 @@ Cache::makeRoom(Set &set, unsigned needed, bool may_compress,
         if (gov)
             gov->noteCompression(victim->base);
         victim->compressed = true;
-        victim->occupied = footprint;
-        tagLayout_->noteResize(ctx.setIndex, candScratch[pick].slot,
-                               footprint);
+        resize(set, *victim, footprint);
+        tagLayout_->noteResize(set, slot, footprint);
     }
 
     // Then evict lines until both space and a tag slot exist. The
     // policy sees every valid line with its compressed footprint and
     // EDBP dead flag; predicted-dead lines go first (the shared
-    // eviction rule), then the policy's own order.
-    while (free_bytes() < needed || !free_tag()) {
-        candScratch.clear();
-        for (Line &line : set) {
+    // eviction rule), then the policy's own order. The tag-array side
+    // of admission is the layout's call: baseline wants any invalid
+    // slot (the historical free-tag rule), grouped layouts admit a
+    // sibling of a resident superblock for free.
+    while (capacity - used < needed ||
+           !tagLayout_->canAdmit(set, incoming_tag)) {
+        std::size_t n = 0;
+        for (std::size_t slot = 0; slot < slotsPerSet; ++slot) {
+            const Line &line = set_lines[slot];
             if (!line.valid || &line == exclude)
                 continue;
-            repl::Candidate cand = candidateOf(set, line);
-            cand.dead = decay && decay->isDead(line.lastTouch, now);
-            candScratch.push_back(cand);
+            repl::Candidate *cand = candidate(n++, slot);
+            cand->dead = decay && decay->isDead(line.lastTouch, now);
         }
-        kagura_assert(!candScratch.empty());
-        const std::size_t pick =
-            repl_->victim(candScratch.data(), candScratch.size(), ctx);
-        kagura_assert(pick < candScratch.size());
-        evictLine(set, set[candScratch[pick].slot], candScratch[pick].dead,
-                  out);
+        kagura_assert(n != 0);
+        const std::size_t pick = repl_->victim(cands.data(), n, ctx);
+        kagura_assert(pick < n);
+        evictLine(set, cands[pick].slot, cands[pick].dead, out);
     }
 }
 
 void
-Cache::decaySweep(Set &set, Cycles now, AccessOutcome &out)
+Cache::decaySweep(unsigned set, Cycles now, AccessOutcome &out)
 {
     if (!decay)
         return;
-    for (Line &line : set) {
+    Line *const set_lines = setLines(set);
+    for (std::size_t slot = 0; slot < slotsPerSet; ++slot) {
+        Line &line = set_lines[slot];
         if (line.valid && line.dirty && decay->isDead(line.lastTouch, now)) {
             // Predicted dead: persist it now so the checkpoint (and any
             // later eviction) finds it clean.
@@ -365,32 +334,30 @@ Cache::decaySweep(Set &set, Cycles now, AccessOutcome &out)
 }
 
 Cache::Line &
-Cache::fillLine(Addr addr, Cycles now, AccessOutcome &out)
+Cache::fillLine(const Place &place, Cycles now, AccessOutcome &out)
 {
-    Set &set = setArray[setIndex(addr)];
-    const Addr base = blockBase(addr);
+    const Addr base = place.base;
 
     // Fetch the block from the next level into inline scratch *before*
     // makeRoom can write back a victim: NVM addresses wrap modulo the
     // array size, so an eviction may overwrite the very bytes being
     // fetched. The fetch's critical-path latency is kept aside in
     // fillLat: demand misses add it, prefetch fills drop it.
-    Block data(cfg.blockSize);
+    std::uint8_t data[Block::maxBytes];
+    const MutByteSpan fetched{data, cfg.blockSize};
     hier::LevelEvents fetch;
-    next.fetchBlock(base, data.span(), fetch, now);
-    mergeEvents(fetch, out);
+    next.fetchBlock(base, fetched, fetch, now);
     fillLat = fetch.latency;
 
     // Engage the compressor datapath (energy is paid whenever it
     // runs), then decide compressed placement separately.
     const bool engage = comp && gov && gov->runCompressor(base);
-    const bool place = engage && gov->shouldCompress(base);
+    const bool place_compressed = engage && gov->shouldCompress(base);
     bool compressed = false;
     unsigned footprint = cfg.blockSize;
     if (engage) {
         bool worthwhile = false;
-        const unsigned compact =
-            compressedFootprint(data.span(), worthwhile);
+        const unsigned compact = compressedFootprint(fetched, worthwhile);
         ++out.compressions;
         ++stat.compressions;
         shadow.setCompressible(base, worthwhile);
@@ -398,7 +365,7 @@ Cache::fillLine(Addr addr, Cycles now, AccessOutcome &out)
                                   -64, 64);
         if (!worthwhile)
             gov->noteIncompressible(base);
-        if (place && worthwhile) {
+        if (place_compressed && worthwhile) {
             compressed = true;
             footprint = compact;
             ++out.compactions;
@@ -407,31 +374,35 @@ Cache::fillLine(Addr addr, Cycles now, AccessOutcome &out)
         }
     }
 
-    const std::uint64_t tag = tagOf(addr);
-    makeRoom(set, footprint, place, nullptr, tag, now, out);
+    makeRoom(place.set, footprint, place_compressed, nullptr, place.tag,
+             now, out);
 
     // The layout records the fill and picks the line slot (baseline:
     // the first invalid slot -- the historical "reuse or append"
     // order exactly; makeRoom guarantees one exists).
-    const std::size_t slot_idx =
-        tagLayout_->allocate(setIndex(addr), tag, footprint);
-    kagura_assert(slot_idx < set.size());
-    Line *slot = &set[slot_idx];
-    kagura_assert(!slot->valid);
+    const std::size_t slot =
+        tagLayout_->allocate(place.set, place.tag, footprint);
+    kagura_assert(slot < slotsPerSet);
+    Line &line = setLines(place.set)[slot];
+    kagura_assert(!line.valid);
 
-    slot->valid = true;
-    slot->dirty = false;
-    slot->compressed = compressed;
-    slot->incompressible = engage && !compressed && place;
-    slot->tag = tag;
-    slot->base = base;
-    slot->occupied = footprint;
-    slot->lastUse = ++useCounter;
-    slot->inserted = slot->lastUse;
-    slot->lastTouch = now;
-    std::memcpy(lineData(*slot).data(), data.data(), cfg.blockSize);
-    repl_->noteFill(setIndex(addr), slotOf(set, *slot), base, footprint);
-    return *slot;
+    line.valid = true;
+    line.dirty = false;
+    line.compressed = compressed;
+    line.incompressible = engage && !compressed && place_compressed;
+    line.tag = place.tag;
+    line.base = base;
+    resize(place.set, line, footprint);
+    line.lastUse = ++useCounter;
+    line.inserted = line.lastUse;
+    line.lastTouch = now;
+    copyBytes(lineData(line).data(), data, cfg.blockSize);
+    if (replHooks.fill)
+        repl_->noteFill(place.set, slot, base, footprint);
+    // Merged last, long after the next level's stores to @c fetch: a
+    // merge right behind them stalls on store forwarding.
+    mergeEvents(fetch, out);
+    return line;
 }
 
 AccessOutcome
@@ -455,11 +426,12 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
     ++stat.accesses;
 
     const unsigned depth = shadow.touch(addr);
-    Set &set = setArray[setIndex(addr)];
+    const Place place = placeOf(addr);
+    const unsigned set = place.set;
     decaySweep(set, now, out);
 
     unsigned rechecks = 0;
-    Line *line = findLine(addr, &rechecks);
+    Line *line = findLine(place, &rechecks);
     // Signature layouts serialize a full-width comparison behind each
     // signature match (true hit or false positive alike); charge one
     // cycle per re-check on the demand path. Zero for exact-match
@@ -468,7 +440,8 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
     if (line) {
         out.hit = true;
         ++stat.hits;
-        repl_->noteTouch(setIndex(addr), slotOf(set, *line), is_write);
+        if (replHooks.touch)
+            repl_->noteTouch(set, line - setLines(set), is_write);
         if (line->compressed) {
             out.hitCompressed = true;
             ++out.decompressions;
@@ -490,11 +463,11 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
             ++stat.compressionEnabledHits;
             if (gov) {
                 gov->noteCompressionEnabledHit(line->base);
-                for (const Line &peer : set) {
-                    if (peer.valid && peer.compressed &&
-                        &peer != line) {
+                const Line *set_lines = setLines(set);
+                for (std::size_t slot = 0; slot < slotsPerSet; ++slot) {
+                    const Line &peer = set_lines[slot];
+                    if (peer.valid && peer.compressed && &peer != line)
                         gov->noteCompressionContribution(peer.base);
-                    }
                 }
             }
         }
@@ -518,12 +491,12 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
             kagura_assert(is_write && data != nullptr &&
                           size == cfg.blockSize);
             hier::LevelEvents fwd;
-            next.absorbBlock(blockBase(addr), ConstByteSpan{data, size},
-                             fwd, now);
+            next.absorbBlock(place.base, ConstByteSpan{data, size}, fwd,
+                             now);
             mergeEvents(fwd, out);
             return out;
         }
-        line = &fillLine(addr, now, out);
+        line = &fillLine(place, now, out);
         out.latency += fillLat;
         if (line->compressed && comp)
             out.latency += comp->costs().compressLatency;
@@ -534,13 +507,11 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
     const unsigned occupiedBeforeWrite = line->occupied;
     if (is_write) {
         kagura_assert(data != nullptr);
-        std::memcpy(lineData(*line).data() + offset, data, size);
+        copyBytes(lineData(*line).data() + offset, data, size);
         line->dirty = true;
         if (line->compressed) {
-            Set &owning_set = setArray[setIndex(addr)];
             const unsigned capacity = cfg.ways * cfg.blockSize;
-            const unsigned free_bytes =
-                capacity - setOccupancy(owning_set);
+            const unsigned free_bytes = capacity - setBytes[set];
             if (gov && !gov->shouldCompress(line->base) &&
                 free_bytes >= cfg.blockSize - line->occupied) {
                 // Compression is disabled (Kagura's Regular Mode) and
@@ -552,7 +523,7 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
                 if (comp)
                     out.latency += comp->costs().decompressLatency;
                 line->compressed = false;
-                line->occupied = cfg.blockSize;
+                resize(set, *line, cfg.blockSize);
             } else {
                 // Contents changed; the block must be recompressed, and
                 // it may no longer fit in its old footprint.
@@ -576,29 +547,25 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
                         makeRoom(set, cfg.blockSize - line->occupied,
                                  gov && gov->shouldCompress(line->base),
                                  line, line->tag, now, out);
-                    line->occupied = cfg.blockSize;
+                    resize(set, *line, cfg.blockSize);
                 } else if (footprint > line->occupied) {
                     makeRoom(set, footprint - line->occupied,
                              gov && gov->shouldCompress(line->base), line,
                              line->tag, now, out);
-                    line->occupied = footprint;
+                    resize(set, *line, footprint);
                 } else {
-                    line->occupied = footprint;
+                    resize(set, *line, footprint);
                 }
             }
         }
     } else if (data) {
-        std::memcpy(data, lineData(*line).data() + offset, size);
+        copyBytes(data, lineData(*line).data() + offset, size);
     }
 
-    if (line->occupied != occupiedBeforeWrite) {
-        tagLayout_->noteResize(setIndex(addr), slotOf(set, *line),
-                               line->occupied);
-        repl_->noteResize(setIndex(addr), slotOf(set, *line),
-                          line->occupied);
-    }
-    repl_->noteAccess(setIndex(addr), blockBase(addr), out.hit,
-                      line->occupied);
+    if (line->occupied != occupiedBeforeWrite)
+        tagLayout_->noteResize(set, line - setLines(set), line->occupied);
+    if (replHooks.access)
+        repl_->noteAccess(set, place.base, out.hit, line->occupied);
 
     line->lastUse = ++useCounter;
     line->lastTouch = now;
@@ -606,7 +573,7 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
     // Demand miss: let the prefetcher chase the next line.
     if (!out.hit && pf) {
         Addr next = 0;
-        if (pf->next(blockBase(addr), next)) {
+        if (pf->next(place.base, next)) {
             AccessOutcome pf_out = prefetchFill(next, now);
             out.nvmBlockReads += pf_out.nvmBlockReads;
             out.nvmBlockWrites += pf_out.nvmBlockWrites;
@@ -624,9 +591,10 @@ Cache::prefetchFill(Addr addr, Cycles now)
 {
     AccessOutcome out;
     clock = now;
-    if (findLine(addr))
+    const Place place = placeOf(addr);
+    if (findLine(place))
         return out;
-    fillLine(addr, now, out);
+    fillLine(place, now, out);
     ++stat.prefetchFills;
     return out;
 }
@@ -636,19 +604,17 @@ Cache::writebackAllDirty()
 {
     FlushOutcome flush;
     hier::LevelEvents ev;
-    for (Set &set : setArray) {
-        for (Line &line : set) {
-            if (!line.valid || !line.dirty)
-                continue;
-            ++flush.dirtyBlocks;
-            if (line.compressed) {
-                ++flush.decompressions;
-                ++stat.decompressions;
-            }
-            next.absorbBlock(line.base, lineData(line), ev, clock);
-            ++stat.writebacks;
-            line.dirty = false;
+    for (Line &line : lines) {
+        if (!line.valid || !line.dirty)
+            continue;
+        ++flush.dirtyBlocks;
+        if (line.compressed) {
+            ++flush.decompressions;
+            ++stat.decompressions;
         }
+        next.absorbBlock(line.base, lineData(line), ev, clock);
+        ++stat.writebacks;
+        line.dirty = false;
     }
     // The terminal NVM absorbs each block as exactly one write, so
     // these equal dirtyBlocks (the historical accounting) when no
@@ -688,12 +654,11 @@ Cache::absorbBlock(Addr base, ConstByteSpan src, hier::LevelEvents &ev,
 void
 Cache::resetAllLines(tags::ResetCause cause)
 {
-    for (Set &set : setArray) {
-        for (Line &line : set) {
-            line.valid = false;
-            line.occupied = 0;
-        }
+    for (Line &line : lines) {
+        line.valid = false;
+        line.occupied = 0;
     }
+    std::fill(setBytes.begin(), setBytes.end(), 0u);
     shadow.invalidateAll();
     tagLayout_->reset(cause);
     repl_->noteCacheCleared();
@@ -727,7 +692,7 @@ Cache::cleanAll()
 bool
 Cache::writebackBlock(Addr addr)
 {
-    Line *line = findLine(addr);
+    Line *line = const_cast<Line *>(findLine(addr));
     if (!line || !line->dirty)
         return false;
     AccessOutcome scratch;
@@ -752,11 +717,9 @@ unsigned
 Cache::validLines() const
 {
     unsigned count = 0;
-    for (const Set &set : setArray) {
-        for (const Line &line : set) {
-            if (line.valid)
-                ++count;
-        }
+    for (const Line &line : lines) {
+        if (line.valid)
+            ++count;
     }
     return count;
 }
@@ -765,11 +728,9 @@ unsigned
 Cache::dirtyLines() const
 {
     unsigned count = 0;
-    for (const Set &set : setArray) {
-        for (const Line &line : set) {
-            if (line.valid && line.dirty)
-                ++count;
-        }
+    for (const Line &line : lines) {
+        if (line.valid && line.dirty)
+            ++count;
     }
     return count;
 }

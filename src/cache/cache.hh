@@ -12,9 +12,10 @@
  * functional correctness; compression determines only the space a line
  * occupies and the energy/latency events reported to the caller.
  *
- * Storage is a single flat arena (sets x 2*ways x block_size bytes)
- * allocated once at construction; every line owns a fixed slice of it,
- * so fills, hits, writebacks and compression probes never touch the
+ * Storage is flat and allocated once at construction: one array of
+ * line records (sets x 2*ways, set-major), one data arena with a fixed
+ * block-sized slice per record, and one running data-space total per
+ * set. Fills, hits, writebacks and compression probes never touch the
  * heap (see docs/ARCHITECTURE.md).
  *
  * The cache is policy-free: a CompressionGovernor (ACC, Kagura, or a
@@ -274,43 +275,53 @@ class Cache : public hier::MemLevel
   private:
     struct Line
     {
-        bool valid = false;
-        bool dirty = false;
-        bool compressed = false;
-        /** The line proved incompressible last time we tried. */
-        bool incompressible = false;
-        std::uint64_t tag = 0;
         /** Block base address (for writebacks). */
         Addr base = 0;
-        /** Segment-rounded bytes of data space this line occupies. */
-        unsigned occupied = 0;
+        std::uint64_t tag = 0;
         /** LRU timestamp (global access counter). */
         std::uint64_t lastUse = 0;
         /** Insertion timestamp (FIFO replacement). */
         std::uint64_t inserted = 0;
         /** Cycle of the last touch (decay). */
         Cycles lastTouch = 0;
-        /** Byte offset of this line's slice of the data arena. */
-        std::size_t arenaOffset = 0;
+        /** Segment-rounded bytes of data space this line occupies. */
+        unsigned occupied = 0;
+        bool valid = false;
+        bool dirty = false;
+        bool compressed = false;
+        /** The line proved incompressible last time we tried. */
+        bool incompressible = false;
     };
 
-    using Set = std::vector<Line>;
+    /** Where one address lives: computed once per access. */
+    struct Place
+    {
+        unsigned set;
+        std::uint64_t tag;
+        Addr base;
+    };
 
-    unsigned setIndex(Addr addr) const;
-    std::uint64_t tagOf(Addr addr) const;
-    Addr blockBase(Addr addr) const;
+    Place placeOf(Addr addr) const
+    {
+        const std::uint64_t block = blockOf(addr);
+        return {tagLayout_->setIndex(block), tagLayout_->tagOf(block),
+                block << blockShift};
+    }
+
+    /** The first of @p set's line records (slotsPerSet of them). */
+    Line *setLines(unsigned set)
+    {
+        return lines.data() + static_cast<std::size_t>(set) * slotsPerSet;
+    }
 
     /**
-     * Find the resident line for @p addr, or nullptr. The probe goes
+     * Find the resident line at @p place, or nullptr. The probe goes
      * through the tag layout; layouts with an imprecise first-level
      * match report extra full-tag probes through @p rechecks (the
      * demand path charges them as latency).
      */
-    Line *findLine(Addr addr, unsigned *rechecks = nullptr);
+    Line *findLine(const Place &place, unsigned *rechecks = nullptr);
     const Line *findLine(Addr addr) const;
-
-    /** Bytes of data space used in @p set. */
-    unsigned setOccupancy(const Set &set) const;
 
     /** Segment-rounded footprint for a compressed size. */
     unsigned roundToSegments(std::uint64_t bytes) const;
@@ -319,16 +330,28 @@ class Cache : public hier::MemLevel
     unsigned compressedFootprint(ConstByteSpan data,
                                  bool &worthwhile) const;
 
+    /** Set @p line (resident in @p set) to occupy @p bytes. */
+    void
+    resize(unsigned set, Line &line, unsigned bytes)
+    {
+        setBytes[set] = setBytes[set] - line.occupied + bytes;
+        line.occupied = bytes;
+    }
+
     /** The uncompressed contents of @p line (its arena slice). */
     MutByteSpan
     lineData(Line &line)
     {
-        return {arena.data() + line.arenaOffset, cfg.blockSize};
+        return {arena.data() + (static_cast<std::size_t>(
+                                    &line - lines.data())
+                                << blockShift),
+                cfg.blockSize};
     }
     ConstByteSpan
     lineData(const Line &line) const
     {
-        return {arena.data() + line.arenaOffset, cfg.blockSize};
+        return const_cast<Cache *>(this)->lineData(
+            const_cast<Line &>(line));
     }
 
     /**
@@ -343,15 +366,16 @@ class Cache : public hier::MemLevel
      * room is being made for (grouped layouts admit a sibling of a
      * resident superblock without spending a tag entry).
      */
-    void makeRoom(Set &set, unsigned needed, bool may_compress,
+    void makeRoom(unsigned set, unsigned needed, bool may_compress,
                   const Line *exclude, std::uint64_t incoming_tag,
                   Cycles now, AccessOutcome &out);
 
-    /** Evict @p line from @p set (writeback if dirty). */
-    void evictLine(Set &set, Line &line, bool dead, AccessOutcome &out);
+    /** Evict the line in @p slot of @p set (writeback if dirty). */
+    void evictLine(unsigned set, std::size_t slot, bool dead,
+                   AccessOutcome &out);
 
     /** Apply EDBP eager writebacks to the set being accessed. */
-    void decaySweep(Set &set, Cycles now, AccessOutcome &out);
+    void decaySweep(unsigned set, Cycles now, AccessOutcome &out);
 
     /**
      * The access path shared by demand accesses and the MemLevel
@@ -364,8 +388,8 @@ class Cache : public hier::MemLevel
                              unsigned size, Cycles now,
                              bool write_no_allocate);
 
-    /** Fill @p addr into its set, returns the new line. */
-    Line &fillLine(Addr addr, Cycles now, AccessOutcome &out);
+    /** Fill the block at @p place, returns the new line. */
+    Line &fillLine(const Place &place, Cycles now, AccessOutcome &out);
 
     /** Write @p line's contents back to the next level. */
     void writeback(Line &line, AccessOutcome &out);
@@ -391,27 +415,22 @@ class Cache : public hier::MemLevel
     Prefetcher *pf = nullptr;
     const char *name_ = "cache";
 
-    /** Tag-slot index of @p line within @p set. */
-    std::size_t slotOf(const Set &set, const Line &line) const
-    {
-        return static_cast<std::size_t>(&line - set.data());
-    }
-
-    /** Set index of @p set within the set array. */
-    unsigned indexOf(const Set &set) const
-    {
-        return static_cast<unsigned>(&set - setArray.data());
-    }
-
-    std::vector<Set> setArray;
-    /** Block contents for every tag slot, one fixed slice per line. */
+    /** Line records per set (2 x ways: the decoupled-tag headroom). */
+    unsigned slotsPerSet;
+    /** Every line record, set-major (sets x slotsPerSet). */
+    std::vector<Line> lines;
+    /** Data space in use per set: the valid lines' occupied bytes. */
+    std::vector<unsigned> setBytes;
+    /** Block contents, one fixed slice per line record, same order. */
     std::vector<std::uint8_t> arena;
     /** Victim selection (per-set policy state lives inside). */
     std::unique_ptr<repl::ReplacementPolicy> repl_;
+    /** The hooks repl_ overrides (the only ones the cache calls). */
+    repl::Hooks replHooks;
     /** Tag organization (per-set tag state lives inside). */
     std::unique_ptr<tags::TagLayout> tagLayout_;
-    /** Scratch candidate list reused across makeRoom calls. */
-    std::vector<repl::Candidate> candScratch;
+    /** Candidate scratch (slotsPerSet entries), filled in place. */
+    std::vector<repl::Candidate> cands;
     ShadowTags shadow;
     CacheStats stat;
     std::uint64_t useCounter = 0;

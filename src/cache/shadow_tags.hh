@@ -65,10 +65,6 @@ class ShadowTags
     unsigned realWays() const { return ways; }
 
   private:
-    unsigned ways;
-    unsigned blockShift;
-    SetSplit split;
-
     struct Entry
     {
         std::uint64_t tag;
@@ -76,8 +72,27 @@ class ShadowTags
         bool rated;
     };
 
-    /** Per set: entries ordered MRU first. Invalid slots hold ~0ULL. */
-    std::vector<std::vector<Entry>> stacks;
+    /** The 2 x ways stack of the set holding @p block, MRU first. */
+    Entry *
+    stackOf(std::uint64_t block)
+    {
+        return entries.data() +
+               static_cast<std::size_t>(split.set(block)) * depth;
+    }
+    const Entry *
+    stackOf(std::uint64_t block) const
+    {
+        return const_cast<ShadowTags *>(this)->stackOf(block);
+    }
+
+    unsigned ways;
+    /** Stack depth per set (2 x ways). */
+    unsigned depth;
+    unsigned blockShift;
+    SetSplit split;
+
+    /** Every set's stack, set-major. Invalid entries hold ~0ULL. */
+    std::vector<Entry> entries;
 };
 
 } // namespace kagura

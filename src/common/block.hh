@@ -35,6 +35,62 @@ using ConstByteSpan = std::span<const std::uint8_t>;
 /** Writable view of a caller-provided byte buffer. */
 using MutByteSpan = std::span<std::uint8_t>;
 
+/**
+ * memcpy for the sizes the block pipeline moves: demand accesses (1, 2,
+ * 4, 8 B) and blocks (16, 32, 64 B) take fixed-size copies the
+ * compiler inlines as a few moves; any other size calls memcpy. A
+ * runtime-sized memcpy of a few dozen bytes otherwise becomes a libc
+ * call or a slow-starting `rep movs` on every fill and writeback.
+ */
+inline void
+copyBytes(std::uint8_t *dst, const std::uint8_t *src, std::size_t n)
+{
+    switch (n) {
+      case 1:
+        *dst = *src;
+        return;
+      case 2:
+        std::memcpy(dst, src, 2);
+        return;
+      case 4:
+        std::memcpy(dst, src, 4);
+        return;
+      case 8:
+        std::memcpy(dst, src, 8);
+        return;
+      case 16:
+        std::memcpy(dst, src, 16);
+        return;
+      case 32:
+        std::memcpy(dst, src, 32);
+        return;
+      case 64:
+        std::memcpy(dst, src, 64);
+        return;
+      default:
+        std::memcpy(dst, src, n);
+    }
+}
+
+/** memset(dst, 0, n) with copyBytes()'s fixed-size block cases. */
+inline void
+zeroBytes(std::uint8_t *dst, std::size_t n)
+{
+    switch (n) {
+      case 16:
+        std::memset(dst, 0, 16);
+        return;
+      case 32:
+        std::memset(dst, 0, 32);
+        return;
+      case 64:
+        std::memset(dst, 0, 64);
+        return;
+      default:
+        std::memset(dst, 0, n);
+    }
+}
+
 /** One cache block: fixed inline storage, logical size <= maxBytes. */
 class Block
 {

@@ -20,6 +20,17 @@ namespace kagura
 /** Everything one micro-op group cost. */
 struct StepResult
 {
+    /**
+     * A group of @p instructions_; a load or store when @p is_mem.
+     * Setting these through a constructor (not assignments over a
+     * value-initialised struct) lets the compiler zero the rest with
+     * a few vector stores instead of a memset of the whole result.
+     */
+    StepResult(std::uint64_t instructions_, bool is_mem, bool is_store)
+        : instructions(instructions_), isMem(is_mem), isStore(is_store)
+    {
+    }
+
     /** Total cycles the group occupied the pipeline. */
     Cycles cycles = 0;
     /** Committed instructions (ALU groups expand to their count). */

@@ -1,8 +1,6 @@
 #include "core/workload.hh"
 
 #include <algorithm>
-#include <mutex>
-#include <unordered_map>
 
 #include "common/rng.hh"
 
@@ -204,20 +202,27 @@ TraceRecorder::writeMemory(Addr addr, std::uint64_t value, unsigned size,
 }
 
 const Workload &
+WorkloadMemo::get(const std::string &name)
+{
+    Entry *entry = nullptr;
+    {
+        // unordered_map never invalidates references on insert, so
+        // the entry outlives the lock.
+        std::lock_guard<std::mutex> lock(mutex);
+        entry = &entries[name];
+    }
+    std::call_once(entry->built,
+                   [&] { entry->workload.emplace(build(name)); });
+    return *entry->workload;
+}
+
+const Workload &
 cachedWorkload(const std::string &name)
 {
-    // Process-wide mutable state: the memo map is shared by every
-    // Simulator, including concurrent runner workers. The mutex
-    // serialises lookup/insert; unordered_map never invalidates
-    // references on insert, so the returned Workload stays valid (and
-    // is only ever read) after the lock is released.
-    static std::mutex mutex;
-    static std::unordered_map<std::string, Workload> cache;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = cache.find(name);
-    if (it == cache.end())
-        it = cache.emplace(name, makeWorkload(name)).first;
-    return it->second;
+    // Process-wide: shared by every Simulator, including concurrent
+    // runner workers.
+    static WorkloadMemo memo(&makeWorkload);
+    return memo.get(name);
 }
 
 } // namespace kagura

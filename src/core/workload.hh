@@ -15,9 +15,13 @@
 #define KAGURA_CORE_WORKLOAD_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -214,9 +218,40 @@ const std::vector<std::string> &extensionWorkloadNames();
 Workload makeWorkload(const std::string &name);
 
 /**
+ * Build-once memo of workloads by name. The memo's lock guards only
+ * the name -> entry map; each entry's build runs outside it, exactly
+ * once (a per-entry once-flag), so different names build concurrently
+ * while callers of one name wait for its single build and then share
+ * the result. Entries are never erased or moved, so a returned
+ * reference stays valid (and is only ever read) for the memo's life.
+ */
+class WorkloadMemo
+{
+  public:
+    using Build = std::function<Workload(const std::string &name)>;
+
+    explicit WorkloadMemo(Build build) : build(std::move(build)) {}
+
+    /** The workload named @p name, built on first request. */
+    const Workload &get(const std::string &name);
+
+  private:
+    struct Entry
+    {
+        std::once_flag built;
+        std::optional<Workload> workload;
+    };
+
+    Build build;
+    std::mutex mutex;
+    std::unordered_map<std::string, Entry> entries;
+};
+
+/**
  * Memoised variant of makeWorkload: kernels are deterministic, so the
  * recorded trace is built once per process and shared by every run
  * (the benchmark harness sweeps dozens of configurations per app).
+ * One process-wide WorkloadMemo.
  */
 const Workload &cachedWorkload(const std::string &name);
 

@@ -164,6 +164,15 @@ class EhsDesign
     virtual bool jitCheckpoints() const { return false; }
 
     /**
+     * Does the design override onStore() / onInstructionCommit()? The
+     * PowerStateMachine calls a per-op hook only when its predicate
+     * holds, so a design that persists nothing per store or per
+     * commit costs no indirect call per simulated op.
+     */
+    virtual bool observesStores() const { return false; }
+    virtual bool observesCommits() const { return false; }
+
+    /**
      * 32-bit words of core + controller state this design persists at
      * its commit boundaries, selected from the platform-assembled
      * per-component budget. The default persists everything (the JIT
@@ -180,7 +189,10 @@ class EhsDesign
                budget.l2Gcp + budget.l2Kagura;
     }
 
-    /** A store committed to @p addr; returns the persistence cost. */
+    /**
+     * A store committed to @p addr; returns the persistence cost.
+     * Called only when observesStores().
+     */
     virtual EhsCost
     onStore(Addr addr, EhsContext &ctx)
     {
@@ -191,8 +203,8 @@ class EhsDesign
 
     /**
      * @p count instructions committed (called once per micro-op
-     * group); region-based designs sweep here. @p op_index is the
-     * workload cursor *after* the group.
+     * group, when observesCommits()); region-based designs sweep
+     * here. @p op_index is the workload cursor *after* the group.
      */
     virtual EhsCost
     onInstructionCommit(std::uint64_t count, std::uint64_t op_index,

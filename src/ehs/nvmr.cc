@@ -11,8 +11,8 @@ EhsCost
 NvmrEhs::onStore(Addr addr, EhsContext &ctx)
 {
     EhsCost cost;
-    const Addr block = addr / ctx.dcache.config().blockSize *
-                       ctx.dcache.config().blockSize;
+    const std::uint64_t block_num = ctx.dcache.blockOf(addr);
+    const Addr block = addr & ~Addr{ctx.dcache.config().blockSize - 1};
 
     // Functionally persist the block now and mark the cached copy
     // clean: with renaming there is never dirty-only data in SRAM.
@@ -24,8 +24,7 @@ NvmrEhs::onStore(Addr addr, EhsContext &ctx)
         ctx.l2->writebackBlock(block);
 
     // Map-table cache lookup: a miss walks the in-NVM map table.
-    const std::size_t mtc_slot =
-        (block / ctx.dcache.config().blockSize) % mtcEntries;
+    const std::size_t mtc_slot = block_num % mtcEntries;
     if (!mtcValid[mtc_slot] || mtc[mtc_slot] != block) {
         mtcValid[mtc_slot] = true;
         mtc[mtc_slot] = block;

@@ -27,6 +27,7 @@ class NvmrEhs : public EhsDesign
   public:
     NvmrEhs();
 
+    bool observesStores() const override { return true; }
     EhsCost onStore(Addr addr, EhsContext &ctx) override;
     EhsCost onPowerFailure(const FlushTotals &flushed,
                            EhsContext &ctx) override;

@@ -43,6 +43,7 @@ class SpecPersistEhs : public EhsDesign
     unsigned
     checkpointRegisterWords(const RegisterBudget &budget) const override;
 
+    bool observesCommits() const override { return true; }
     EhsCost onInstructionCommit(std::uint64_t count,
                                 std::uint64_t op_index,
                                 EhsContext &ctx) override;

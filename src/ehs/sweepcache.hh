@@ -25,6 +25,7 @@ class SweepEhs : public EhsDesign
     /** @param region_instructions Committed instructions per region. */
     explicit SweepEhs(std::uint64_t region_instructions = 1500);
 
+    bool observesCommits() const override { return true; }
     EhsCost onInstructionCommit(std::uint64_t count,
                                 std::uint64_t op_index,
                                 EhsContext &ctx) override;

@@ -27,10 +27,9 @@ TaskBasedEhs::checkpointRegisterWords(const RegisterBudget &budget) const
 EhsCost
 TaskBasedEhs::onStore(Addr addr, EhsContext &ctx)
 {
-    const Addr block = addr / ctx.dcache.config().blockSize *
-                       ctx.dcache.config().blockSize;
-    const std::size_t slot =
-        (block / ctx.dcache.config().blockSize) % filterEntries;
+    const std::uint64_t block_num = ctx.dcache.blockOf(addr);
+    const Addr block = addr & ~Addr{ctx.dcache.config().blockSize - 1};
+    const std::size_t slot = block_num % filterEntries;
     if (filterValid[slot] && filter[slot] == block)
         return {};
 

@@ -41,6 +41,8 @@ class TaskBasedEhs : public EhsDesign
     unsigned
     checkpointRegisterWords(const RegisterBudget &budget) const override;
 
+    bool observesStores() const override { return true; }
+    bool observesCommits() const override { return true; }
     EhsCost onStore(Addr addr, EhsContext &ctx) override;
     EhsCost onInstructionCommit(std::uint64_t count,
                                 std::uint64_t op_index,

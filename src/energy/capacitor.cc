@@ -9,7 +9,8 @@
 namespace kagura
 {
 
-Capacitor::Capacitor(const CapacitorConfig &config) : cfg(config)
+Capacitor::Capacitor(const CapacitorConfig &config)
+    : cfg(config), halfCapacitance(0.5 * config.capacitance)
 {
     if (cfg.capacitance <= 0.0)
         fatal("capacitance must be positive (got %g F)", cfg.capacitance);

@@ -93,7 +93,13 @@ class Capacitor
     discharge(double joules)
     {
         kagura_assert(joules >= 0.0);
-        energyJ = std::max(energyJ - joules, 0.0);
+        // A predicted branch, not std::max: the clamp almost never
+        // fires, and a branch keeps it off the energy dependence
+        // chain. Same value as max(e, 0) for finite operands.
+        const double left = energyJ - joules;
+        energyJ = left;
+        if (left < 0.0) [[unlikely]]
+            energyJ = 0.0;
     }
 
     /**
@@ -140,7 +146,11 @@ class Capacitor
     double
     voltageAt(double joules) const
     {
-        return std::sqrt(2.0 * joules / cfg.capacitance);
+        // sqrt(2 E / C) with the doubling moved onto C: 2E and C/2 are
+        // both exact, so the quotient rounds the same real number to
+        // the same double, one multiply shorter on the per-step
+        // energy dependence chain.
+        return std::sqrt(joules / halfCapacitance);
     }
 
     /**
@@ -152,6 +162,8 @@ class Capacitor
     double energyReaching(double volts) const;
 
     CapacitorConfig cfg;
+    /** capacitance / 2 (exact), the voltageAt() divisor. */
+    double halfCapacitance;
     double energyJ;
     /** leakagePerFarad * capacitance, the leakagePower() prefix. */
     double leakagePerVolt;

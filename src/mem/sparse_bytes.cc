@@ -1,21 +1,52 @@
 #include "mem/sparse_bytes.hh"
 
-#include <cstring>
+#include "common/block.hh"
 
 namespace kagura
 {
 
-std::uint8_t *
-SparseBytes::findPage(std::uint64_t page) const
+namespace
 {
-    MemoEntry &entry = memo[page & (memoSlots - 1)];
-    if (entry.page == page)
-        return entry.bytes;
-    const auto it = pages.find(page);
-    if (it == pages.end())
-        return nullptr;
-    entry = {page, it->second.get()};
-    return entry.bytes;
+
+/** Initial page-table size (a power of two). */
+constexpr std::size_t initialSlots = 16;
+
+} // namespace
+
+SparseBytes::SparseBytes(std::uint64_t capacity)
+    : cap(capacity), table(initialSlots), tableShift(64 - 4)
+{
+    static_assert(initialSlots == 1u << 4, "tableShift out of sync");
+}
+
+void
+SparseBytes::insert(std::uint64_t page, std::uint8_t *bytes)
+{
+    const std::size_t mask = table.size() - 1;
+    std::size_t i = home(page);
+    while (table[i].bytes != nullptr)
+        i = (i + 1) & mask;
+    table[i] = {page, bytes};
+}
+
+std::uint8_t *
+SparseBytes::addPage(std::uint64_t page)
+{
+    pages.push_back(std::make_unique<std::uint8_t[]>(pageBytes));
+    std::uint8_t *bytes = pages.back().get();
+    if (2 * pages.size() > table.size()) {
+        // Double the table and re-place every page: pages keep their
+        // bytes, only their slots move.
+        std::vector<Slot> old(2 * table.size());
+        old.swap(table);
+        --tableShift;
+        for (const Slot &slot : old) {
+            if (slot.bytes)
+                insert(slot.page, slot.bytes);
+        }
+    }
+    insert(page, bytes);
+    return bytes;
 }
 
 void
@@ -27,9 +58,9 @@ SparseBytes::read(std::uint64_t addr, std::uint8_t *dst,
                    std::size_t done, std::size_t len) {
                    const std::uint8_t *bytes = findPage(page);
                    if (bytes)
-                       std::memcpy(dst + done, bytes + in_page, len);
+                       copyBytes(dst + done, bytes + in_page, len);
                    else
-                       std::memset(dst + done, 0, len);
+                       zeroBytes(dst + done, len);
                });
 }
 
@@ -41,14 +72,9 @@ SparseBytes::write(std::uint64_t addr, const std::uint8_t *src,
                [&](std::uint64_t page, std::size_t in_page,
                    std::size_t done, std::size_t len) {
                    std::uint8_t *bytes = findPage(page);
-                   if (!bytes) {
-                       auto fresh =
-                           std::make_unique<std::uint8_t[]>(pageBytes);
-                       bytes = fresh.get();
-                       pages.emplace(page, std::move(fresh));
-                       memo[page & (memoSlots - 1)] = {page, bytes};
-                   }
-                   std::memcpy(bytes + in_page, src + done, len);
+                   if (!bytes)
+                       bytes = addPage(page);
+                   copyBytes(bytes + in_page, src + done, len);
                });
 }
 

@@ -10,13 +10,14 @@
  * modulo the capacity, reduced only when one lies outside it; copies
  * then run as page-sized memcpy chunks.
  *
- * A small direct-mapped memo of page pointers sits in front of the
- * page map, so a read of a recently used page costs no hash probe.
- * Pages are never freed, so a memoised pointer stays valid for the
- * store's lifetime. Even the const read() updates the memo: a store
- * must not be read from two threads at once. No store is shared
- * today -- each Nvm belongs to one Simulator and each TraceRecorder
- * to one workload build.
+ * Pages are found through one flat open-addressing table of
+ * (page number, bytes) pairs: a multiplicative hash picks the first
+ * probe and a linear scan the rest, and the table doubles before it
+ * is half full, so a lookup -- of a written page or of one never
+ * written -- is a multiply and, almost always, one probe. Pages are
+ * never freed or moved, so a page pointer stays valid for the
+ * store's lifetime. Reads change nothing, so concurrent reads of one
+ * store are safe; a write must not race anything.
  */
 
 #ifndef KAGURA_MEM_SPARSE_BYTES_HH
@@ -25,7 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 namespace kagura
 {
@@ -40,18 +41,13 @@ class SparseBytes
     /** Bytes per materialised page. */
     static constexpr std::uint64_t pageBytes = 1ULL << pageShift;
 
-    /** Page-memo slots; page p uses slot p mod memoSlots. */
-    static constexpr std::size_t memoSlots = 32;
-
     /**
      * @param capacity Size of the address space; addresses are taken
      *        modulo it. 0 selects the whole 64-bit space (addresses
      *        wrap only at 2^64).
      */
-    explicit SparseBytes(std::uint64_t capacity = 0) : cap(capacity) {}
+    explicit SparseBytes(std::uint64_t capacity = 0);
 
-    // The memo points into the page map: copying or moving the store
-    // would leave one side's memo pointing at the other's pages.
     SparseBytes(const SparseBytes &) = delete;
     SparseBytes &operator=(const SparseBytes &) = delete;
 
@@ -101,22 +97,49 @@ class SparseBytes
         }
     }
 
-    /** The materialised page @p page, or nullptr if never written. */
-    std::uint8_t *findPage(std::uint64_t page) const;
-
-    /** One memo slot: a page number and its bytes. */
-    struct MemoEntry
+    /** One page-table slot: a page number and its bytes. */
+    struct Slot
     {
         /** No page number reaches this (pages are addr >> pageShift). */
         std::uint64_t page = ~0ULL;
         std::uint8_t *bytes = nullptr;
     };
 
+    /** The table slot a probe for @p page starts at. */
+    std::size_t
+    home(std::uint64_t page) const
+    {
+        return static_cast<std::size_t>(
+            (page * 0x9e3779b97f4a7c15ULL) >> tableShift);
+    }
+
+    /** The materialised page @p page, or nullptr if never written. */
+    std::uint8_t *
+    findPage(std::uint64_t page) const
+    {
+        const std::size_t mask = table.size() - 1;
+        for (std::size_t i = home(page);; i = (i + 1) & mask) {
+            const Slot &slot = table[i];
+            if (slot.page == page)
+                return slot.bytes;
+            if (slot.bytes == nullptr)
+                return nullptr;
+        }
+    }
+
+    /** Materialise page @p page (not present yet); returns its bytes. */
+    std::uint8_t *addPage(std::uint64_t page);
+
+    /** Put @p page's bytes in its probe chain (table has room). */
+    void insert(std::uint64_t page, std::uint8_t *bytes);
+
     std::uint64_t cap;
-    std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>>
-        pages;
-    /** Materialised pages only, indexed by page number mod memoSlots. */
-    mutable MemoEntry memo[memoSlots];
+    /** Every materialised page, in the order it was first written. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> pages;
+    /** Open-addressing page table; power-of-two size, under half full. */
+    std::vector<Slot> table;
+    /** 64 - log2(table.size()): the hash keeps the top bits. */
+    unsigned tableShift;
 };
 
 } // namespace kagura

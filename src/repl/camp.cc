@@ -8,7 +8,8 @@ namespace repl
 {
 
 CampPolicy::CampPolicy(const PolicyGeometry &geometry)
-    : ReplacementPolicy(geometry)
+    : ReplacementPolicy(geometry,
+                        Hooks{.fill = true, .touch = true, .eviction = true})
 {
     rrpv.assign(static_cast<std::size_t>(geom.sets) * geom.slotsPerSet,
                 maxRrpv);
@@ -64,10 +65,8 @@ CampPolicy::noteTouch(unsigned set, std::size_t slot, bool)
 }
 
 void
-CampPolicy::noteEviction(unsigned set, std::size_t slot, unsigned occupied,
-                         bool dirty, bool dead)
+CampPolicy::noteEvicted(unsigned set, std::size_t slot)
 {
-    ReplacementPolicy::noteEviction(set, slot, occupied, dirty, dead);
     // Age the survivors so stale lines drift toward eviction even
     // without hits (the RRIP aging step, folded into eviction time).
     for (std::size_t peer = 0; peer < geom.slotsPerSet; ++peer) {

@@ -8,7 +8,8 @@ namespace repl
 {
 
 CrripPolicy::CrripPolicy(const PolicyGeometry &geometry)
-    : ReplacementPolicy(geometry)
+    : ReplacementPolicy(geometry,
+                        Hooks{.fill = true, .touch = true, .eviction = true})
 {
     rrpv.assign(static_cast<std::size_t>(geom.sets) * geom.slotsPerSet,
                 maxRrpv);
@@ -61,10 +62,8 @@ CrripPolicy::noteTouch(unsigned set, std::size_t slot, bool)
 }
 
 void
-CrripPolicy::noteEviction(unsigned set, std::size_t slot, unsigned occupied,
-                          bool dirty, bool dead)
+CrripPolicy::noteEvicted(unsigned set, std::size_t slot)
 {
-    ReplacementPolicy::noteEviction(set, slot, occupied, dirty, dead);
     // SRRIP ages every survivor until one saturates; with eviction
     // already decided by the max-RRPV scan, a single increment per
     // eviction gives the same drift without the inner loop.

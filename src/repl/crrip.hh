@@ -32,8 +32,7 @@ class CrripPolicy : public ReplacementPolicy
     void noteFill(unsigned set, std::size_t slot, Addr base,
                   unsigned occupied) override;
     void noteTouch(unsigned set, std::size_t slot, bool is_write) override;
-    void noteEviction(unsigned set, std::size_t slot, unsigned occupied,
-                      bool dirty, bool dead) override;
+    void noteEvicted(unsigned set, std::size_t slot) override;
     void noteCacheCleared() override;
 
     static constexpr unsigned maxRrpv = 3;

@@ -30,10 +30,8 @@ DishPolicy::victim(const Candidate *cands, std::size_t n,
 }
 
 void
-DishPolicy::noteEviction(unsigned set, std::size_t slot,
-                         unsigned occupied, bool dirty, bool dead)
+DishPolicy::noteEvicted(unsigned, std::size_t)
 {
-    ReplacementPolicy::noteEviction(set, slot, occupied, dirty, dead);
     if (lastVictimCoResident <= 1)
         ++loneEvictions;
     else

@@ -31,14 +31,16 @@ namespace repl
 class DishPolicy : public ReplacementPolicy
 {
   public:
-    using ReplacementPolicy::ReplacementPolicy;
+    explicit DishPolicy(const PolicyGeometry &geometry)
+        : ReplacementPolicy(geometry, Hooks{.eviction = true})
+    {
+    }
     ReplKind kind() const override { return ReplKind::Dish; }
     std::size_t victim(const Candidate *cands, std::size_t n,
                        const SelectContext &ctx) override;
     void recordMetrics(metrics::MetricSet &mset,
                        std::string_view prefix) const override;
-    void noteEviction(unsigned set, std::size_t slot, unsigned occupied,
-                      bool dirty, bool dead) override;
+    void noteEvicted(unsigned set, std::size_t slot) override;
 
   private:
     /** Co-residency of the victim the last victim() call picked. */

@@ -16,28 +16,15 @@ namespace kagura
 namespace repl
 {
 
-ReplacementPolicy::ReplacementPolicy(const PolicyGeometry &geometry)
-    : geom(geometry)
+ReplacementPolicy::ReplacementPolicy(const PolicyGeometry &geometry,
+                                     const Hooks &hooks)
+    : geom(geometry), hooks_(hooks)
 {
     const unsigned seg = geom.segmentBytes ? geom.segmentBytes : 1;
     victimSegments.assign(geom.blockSize / seg + 1, 0);
 }
 
 ReplacementPolicy::~ReplacementPolicy() = default;
-
-std::size_t
-ReplacementPolicy::compressionVictim(const Candidate *cands, std::size_t n,
-                                     const SelectContext &)
-{
-    // Historical rule for every policy: least recently used first,
-    // strict comparison, first candidate wins ties.
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-        if (cands[i].lastUse < cands[best].lastUse)
-            best = i;
-    }
-    return best;
-}
 
 void
 ReplacementPolicy::noteFill(unsigned, std::size_t, Addr, unsigned)
@@ -46,11 +33,6 @@ ReplacementPolicy::noteFill(unsigned, std::size_t, Addr, unsigned)
 
 void
 ReplacementPolicy::noteTouch(unsigned, std::size_t, bool)
-{
-}
-
-void
-ReplacementPolicy::noteResize(unsigned, std::size_t, unsigned)
 {
 }
 
@@ -65,8 +47,8 @@ ReplacementPolicy::noteCacheCleared()
 }
 
 void
-ReplacementPolicy::noteEviction(unsigned, std::size_t, unsigned occupied,
-                                bool dirty, bool dead)
+ReplacementPolicy::noteEviction(unsigned set, std::size_t slot,
+                                unsigned occupied, bool dirty, bool dead)
 {
     const unsigned seg = geom.segmentBytes ? geom.segmentBytes : 1;
     const std::size_t bucket =
@@ -78,6 +60,13 @@ ReplacementPolicy::noteEviction(unsigned, std::size_t, unsigned occupied,
         ++deadVictims;
     if (occupied < geom.blockSize)
         ++compressedVictims;
+    if (hooks_.eviction)
+        noteEvicted(set, slot);
+}
+
+void
+ReplacementPolicy::noteEvicted(unsigned, std::size_t)
+{
 }
 
 void

@@ -18,11 +18,15 @@
  *    policy -- and deadFirstScan() encodes it for implementations.
  *
  *  - compressionVictim() picks which resident *uncompressed* line to
- *    compress when carving room. The historical rule -- kept
- *    bit-identical -- is LRU-first for every policy, regardless of
- *    the eviction order (the pre-refactor makeRoom comment claimed
- *    "then evict LRU"; the code actually evicted dead-first then
- *    policy-order, which is what victim() now encodes).
+ *    compress when carving room. It is one fixed rule, not a policy
+ *    choice: LRU-first for every policy, regardless of the eviction
+ *    order (the pre-refactor makeRoom comment claimed "then evict
+ *    LRU"; the code actually evicted dead-first then policy-order,
+ *    which is what victim() now encodes).
+ *
+ *  - A policy declares the observation hooks it overrides (Hooks);
+ *    the cache calls only those, so a policy that keeps no per-line
+ *    state costs no indirect call per access.
  *
  *  - noteCacheCleared() fires whenever the cache is invalidated
  *    (checkpoint flush, power failure, reboot). Policies must drop
@@ -71,12 +75,6 @@ struct Candidate
      * Evicting the last co-resident frees the shared tag entry.
      */
     unsigned coResident = 1;
-    /**
-     * In-set id of the tag entry covering this line. Candidates with
-     * equal tagGroup share one tag entry, so a policy can prefer
-     * draining one superblock over spreading evictions.
-     */
-    std::uint64_t tagGroup = 0;
 };
 
 /** Context one selection happens under. */
@@ -99,6 +97,19 @@ struct PolicyGeometry
     unsigned segmentBytes = 0;
 };
 
+/**
+ * The observation hooks a policy overrides. The cache calls a hook
+ * only when its flag is set, so a policy that leaves a flag clear
+ * must not override that hook (it would never run).
+ */
+struct Hooks
+{
+    bool fill = false;     ///< noteFill
+    bool touch = false;    ///< noteTouch
+    bool access = false;   ///< noteAccess
+    bool eviction = false; ///< noteEvicted
+};
+
 /** Attainable-upper-bound tallies (offline oracle policies only). */
 struct UpperBoundStats
 {
@@ -110,7 +121,8 @@ struct UpperBoundStats
 class ReplacementPolicy
 {
   public:
-    explicit ReplacementPolicy(const PolicyGeometry &geometry);
+    explicit ReplacementPolicy(const PolicyGeometry &geometry,
+                               const Hooks &hooks = Hooks{});
     virtual ~ReplacementPolicy();
 
     ReplacementPolicy(const ReplacementPolicy &) = delete;
@@ -131,14 +143,24 @@ class ReplacementPolicy
     /**
      * Choose which uncompressed resident line to compress to carve
      * room (candidates pre-filtered to compressible lines, tag-slot
-     * order). Default: least recently used -- the historical rule for
-     * every policy.
+     * order): the least recently used, first candidate on ties. One
+     * rule for every policy -- the historical makeRoom behaviour.
      */
-    virtual std::size_t compressionVictim(const Candidate *cands,
-                                          std::size_t n,
-                                          const SelectContext &ctx);
+    static std::size_t
+    compressionVictim(const Candidate *cands, std::size_t n)
+    {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < n; ++i) {
+            if (cands[i].lastUse < cands[best].lastUse)
+                best = i;
+        }
+        return best;
+    }
 
-    // --- observation hooks (defaults: no-ops) ---------------------------
+    /** The observation hooks this policy overrides. */
+    const Hooks &hooks() const { return hooks_; }
+
+    // --- observation hooks (defaults: no-ops; see Hooks) ----------------
 
     /** A line was filled into @p slot of @p set. */
     virtual void noteFill(unsigned set, std::size_t slot, Addr base,
@@ -146,10 +168,6 @@ class ReplacementPolicy
 
     /** A resident line was hit by a demand access. */
     virtual void noteTouch(unsigned set, std::size_t slot, bool is_write);
-
-    /** A resident line's footprint changed (write recompression). */
-    virtual void noteResize(unsigned set, std::size_t slot,
-                            unsigned occupied);
 
     /**
      * One demand access to @p set completed (hit or miss);
@@ -167,12 +185,15 @@ class ReplacementPolicy
     virtual void noteCacheCleared();
 
     /**
-     * @p slot of @p set was evicted. Overrides must call the base,
-     * which maintains the eviction/size histogram every policy
-     * reports.
+     * @p slot of @p set was evicted: count the victim in the
+     * eviction/size histogram every policy reports, then call
+     * noteEvicted() when the policy declares Hooks::eviction.
      */
-    virtual void noteEviction(unsigned set, std::size_t slot,
-                              unsigned occupied, bool dirty, bool dead);
+    void noteEviction(unsigned set, std::size_t slot, unsigned occupied,
+                      bool dirty, bool dead);
+
+    /** The policy's own side of an eviction (Hooks::eviction). */
+    virtual void noteEvicted(unsigned set, std::size_t slot);
 
     /**
      * Export per-policy eviction telemetry into @p mset under
@@ -225,6 +246,7 @@ class ReplacementPolicy
     PolicyGeometry geom;
 
   private:
+    Hooks hooks_;
     /** Victim footprints in segments: histogram counts + extremes. */
     std::vector<std::uint64_t> victimSegments;
     std::uint64_t dirtyVictims = 0;

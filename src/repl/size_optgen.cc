@@ -11,7 +11,7 @@ namespace repl
 {
 
 SizeOptgenPolicy::SizeOptgenPolicy(const PolicyGeometry &geometry)
-    : LruPolicy(geometry)
+    : LruPolicy(geometry, Hooks{.access = true})
 {
     sets.reserve(geom.sets);
     for (unsigned s = 0; s < geom.sets; ++s)

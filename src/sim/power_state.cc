@@ -11,6 +11,7 @@ PowerStateMachine::PowerStateMachine(
     CompressionCosts comp_costs, bool has_compression,
     unsigned reg_words, Cache *l2_cache)
     : cfg(config), meter(meter_), core(core_), ehs(ehs_),
+      storeHook(ehs_.observesStores()), commitHook(ehs_.observesCommits()),
       kagura(kagura_), l2Kagura(l2_kagura), result(result_),
       ctx{icache,     dcache,          config.energy, nvm_params,
           comp_costs, has_compression, reg_words,     l2_cache}

@@ -72,6 +72,8 @@ class PowerStateMachine
     Cycles
     noteStore(Addr addr)
     {
+        if (!storeHook)
+            return 0;
         const EhsCost c = ehs.onStore(addr, ctx);
         meter.spend(EnergyCategory::Memory, c.energy);
         return c.cycles;
@@ -84,6 +86,8 @@ class PowerStateMachine
     Cycles
     noteCommit(std::uint64_t instructions, std::uint64_t next_index)
     {
+        if (!commitHook)
+            return 0;
         const EhsCost c =
             ehs.onInstructionCommit(instructions, next_index, ctx);
         meter.spend(EnergyCategory::Checkpoint, c.energy);
@@ -156,6 +160,9 @@ class PowerStateMachine
     EnergyMeter &meter;
     Core &core;
     EhsDesign &ehs;
+    /** ehs.observesStores() / observesCommits(), asked once. */
+    const bool storeHook;
+    const bool commitHook;
     KaguraController *kagura;
     KaguraController *l2Kagura;
     SimResult &result;

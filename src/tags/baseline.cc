@@ -1,5 +1,7 @@
 #include "tags/baseline.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace kagura
@@ -9,8 +11,8 @@ namespace tags
 
 BaselineTags::BaselineTags(const TagGeometry &geometry)
     : TagLayout(geometry, 0),
-      entries(static_cast<std::size_t>(geometry.sets) *
-              geometry.slotsPerSet),
+      tags(static_cast<std::size_t>(geometry.sets) * geometry.slotsPerSet,
+           freeTag),
       liveCnt(geometry.sets, 0)
 {
 }
@@ -20,9 +22,9 @@ BaselineTags::lookup(unsigned set, std::uint64_t tag,
                      unsigned *rechecks) const
 {
     (void)rechecks; // full tags: first-level match is exact
+    const std::uint64_t *row = setTags(set);
     for (std::size_t slot = 0; slot < geom.slotsPerSet; ++slot) {
-        const Entry &entry = entries[at(set, slot)];
-        if (entry.valid && entry.tag == tag)
+        if (row[slot] == tag)
             return slot;
     }
     return noSlot;
@@ -40,12 +42,11 @@ BaselineTags::allocate(unsigned set, std::uint64_t tag,
                        unsigned occupied)
 {
     (void)occupied; // data-arena bookkeeping stays with the Cache
+    std::uint64_t *row = setTags(set);
     for (std::size_t slot = 0; slot < geom.slotsPerSet; ++slot) {
-        Entry &entry = entries[at(set, slot)];
-        if (entry.valid)
+        if (row[slot] != freeTag)
             continue;
-        entry.valid = true;
-        entry.tag = tag;
+        row[slot] = tag;
         ++liveCnt[set];
         return slot;
     }
@@ -64,11 +65,11 @@ BaselineTags::noteResize(unsigned set, std::size_t slot,
 void
 BaselineTags::noteEviction(unsigned set, std::size_t slot)
 {
-    Entry &entry = entries[at(set, slot)];
-    if (!entry.valid)
+    std::uint64_t &entry = setTags(set)[slot];
+    if (entry == freeTag)
         panic("BaselineTags::noteEviction: set %u slot %zu not live",
               set, slot);
-    entry.valid = false;
+    entry = freeTag;
     --liveCnt[set];
 }
 
@@ -76,10 +77,8 @@ void
 BaselineTags::reset(ResetCause cause)
 {
     (void)cause; // baseline keeps TagLayoutStats all-zero by contract
-    for (Entry &entry : entries)
-        entry.valid = false;
-    for (unsigned &count : liveCnt)
-        count = 0;
+    std::fill(tags.begin(), tags.end(), freeTag);
+    std::fill(liveCnt.begin(), liveCnt.end(), 0u);
 }
 
 unsigned
@@ -90,29 +89,21 @@ BaselineTags::coResidents(unsigned set, std::size_t slot) const
     return 1;
 }
 
-std::uint64_t
-BaselineTags::groupOf(unsigned set, std::size_t slot) const
-{
-    (void)set;
-    return slot;
-}
-
 void
 BaselineTags::selfCheck() const
 {
     for (unsigned set = 0; set < geom.sets; ++set) {
+        const std::uint64_t *row = setTags(set);
         unsigned live = 0;
         for (std::size_t slot = 0; slot < geom.slotsPerSet; ++slot) {
-            const Entry &entry = entries[at(set, slot)];
-            if (!entry.valid)
+            if (row[slot] == freeTag)
                 continue;
             ++live;
             for (std::size_t other = slot + 1;
                  other < geom.slotsPerSet; ++other) {
-                const Entry &rhs = entries[at(set, other)];
-                if (rhs.valid && rhs.tag == entry.tag)
+                if (row[other] == row[slot])
                     panic("BaselineTags: duplicate tag %llu in set %u",
-                          static_cast<unsigned long long>(entry.tag),
+                          static_cast<unsigned long long>(row[slot]),
                           set);
             }
         }

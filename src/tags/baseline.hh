@@ -44,24 +44,26 @@ class BaselineTags : public TagLayout
     void noteEviction(unsigned set, std::size_t slot) override;
     void reset(ResetCause cause) override;
     unsigned coResidents(unsigned set, std::size_t slot) const override;
-    std::uint64_t groupOf(unsigned set,
-                          std::size_t slot) const override;
     void selfCheck() const override;
 
   private:
-    struct Entry
-    {
-        bool valid = false;
-        std::uint64_t tag = 0;
-    };
+    /** Marks a free slot; no tag reaches it (tags are block / sets). */
+    static constexpr std::uint64_t freeTag = ~0ULL;
 
-    std::size_t at(unsigned set, std::size_t slot) const
+    /** The first of @p set's slotsPerSet tags. */
+    const std::uint64_t *
+    setTags(unsigned set) const
     {
-        return static_cast<std::size_t>(set) * geom.slotsPerSet + slot;
+        return tags.data() + static_cast<std::size_t>(set) * geom.slotsPerSet;
+    }
+    std::uint64_t *
+    setTags(unsigned set)
+    {
+        return tags.data() + static_cast<std::size_t>(set) * geom.slotsPerSet;
     }
 
-    std::vector<Entry> entries;    ///< sets x slotsPerSet, flattened
-    std::vector<unsigned> liveCnt; ///< valid entries per set
+    std::vector<std::uint64_t> tags; ///< sets x slotsPerSet, flattened
+    std::vector<unsigned> liveCnt;   ///< valid entries per set
 };
 
 } // namespace tags

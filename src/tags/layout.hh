@@ -158,25 +158,21 @@ class TagLayout
 
     /**
      * How many resident blocks share @p slot's tag entry (including
-     * itself). 1 for ungrouped layouts; replacement policies see this
-     * as Candidate::coResident.
+     * itself). Always 1 for ungrouped layouts, so callers ask only
+     * when grouped(); replacement policies see this as
+     * Candidate::coResident.
      */
     virtual unsigned coResidents(unsigned set,
                                  std::size_t slot) const = 0;
-
-    /**
-     * In-set id of the tag entry covering @p slot (the superblock id
-     * for grouped layouts, the slot index otherwise). Equal ids mean
-     * evicting one candidate changes the other's entry.
-     */
-    virtual std::uint64_t groupOf(unsigned set,
-                                  std::size_t slot) const = 0;
 
     /**
      * Validate every internal invariant, panicking on violation.
      * Test-only (the property suites call it after each step).
      */
     virtual void selfCheck() const = 0;
+
+    /** Do blocks share tag entries (groupShift > 0)? */
+    bool grouped() const { return groupShift != 0; }
 
     const TagGeometry &geometry() const { return geom; }
     const TagLayoutStats &stats() const { return stat; }

@@ -108,13 +108,6 @@ SignatureTags::coResidents(unsigned set, std::size_t slot) const
     return 1;
 }
 
-std::uint64_t
-SignatureTags::groupOf(unsigned set, std::size_t slot) const
-{
-    (void)set;
-    return slot;
-}
-
 void
 SignatureTags::selfCheck() const
 {

@@ -72,8 +72,6 @@ class SignatureTags : public TagLayout
     void noteEviction(unsigned set, std::size_t slot) override;
     void reset(ResetCause cause) override;
     unsigned coResidents(unsigned set, std::size_t slot) const override;
-    std::uint64_t groupOf(unsigned set,
-                          std::size_t slot) const override;
     void selfCheck() const override;
 
   private:

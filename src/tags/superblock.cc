@@ -210,16 +210,6 @@ SuperblockTags::coResidents(unsigned set, std::size_t slot) const
     return entries[entryAt(set, ref.entry)].liveBlocks;
 }
 
-std::uint64_t
-SuperblockTags::groupOf(unsigned set, std::size_t slot) const
-{
-    const SlotRef &ref = slotRefs[slotAt(set, slot)];
-    if (ref.entry == noEntry)
-        panic("SuperblockTags::groupOf: set %u slot %zu not live",
-              set, slot);
-    return entries[entryAt(set, ref.entry)].sbTag;
-}
-
 void
 SuperblockTags::selfCheck() const
 {

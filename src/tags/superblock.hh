@@ -49,8 +49,6 @@ class SuperblockTags : public TagLayout
     void noteEviction(unsigned set, std::size_t slot) override;
     void reset(ResetCause cause) override;
     unsigned coResidents(unsigned set, std::size_t slot) const override;
-    std::uint64_t groupOf(unsigned set,
-                          std::size_t slot) const override;
     void selfCheck() const override;
 
   private:

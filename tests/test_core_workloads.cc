@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "core/core.hh"
 #include "core/workload.hh"
@@ -146,6 +152,56 @@ TEST(Workloads, CachedBuilderReturnsSameObject)
     const Workload &a = cachedWorkload("crc32");
     const Workload &b = cachedWorkload("crc32");
     EXPECT_EQ(&a, &b);
+}
+
+TEST(Workloads, MemoBuildsEachNameOnceOutsideItsLock)
+{
+    // Four threads ask for one name while its build is still running:
+    // they must share one object from one build. The slow build waits
+    // for a second name's build to finish, which it can only do if the
+    // memo does not hold its lock across builds.
+    std::atomic<int> builds{0};
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool slow_started = false;
+    bool other_built = false;
+    bool overlapped = false;
+    WorkloadMemo memo([&](const std::string &name) {
+        ++builds;
+        std::unique_lock<std::mutex> lock(mutex);
+        if (name == "crc32") {
+            slow_started = true;
+            cv.notify_all();
+            overlapped = cv.wait_for(lock, std::chrono::seconds(10),
+                                     [&] { return other_built; });
+        } else {
+            other_built = true;
+            cv.notify_all();
+        }
+        lock.unlock();
+        return makeWorkload(name);
+    });
+
+    std::vector<const Workload *> seen(4, nullptr);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        threads.emplace_back([&, i] { seen[i] = &memo.get("crc32"); });
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return slow_started; });
+    }
+    const Workload &other = memo.get("sha");
+    for (std::thread &thread : threads)
+        thread.join();
+
+    EXPECT_TRUE(overlapped);
+    EXPECT_EQ(builds.load(), 2);
+    for (const Workload *wl : seen)
+        EXPECT_EQ(wl, seen[0]);
+    EXPECT_EQ(seen[0]->name(), "crc32");
+    EXPECT_EQ(&memo.get("crc32"), seen[0]);
+    EXPECT_EQ(&memo.get("sha"), &other);
+    EXPECT_EQ(builds.load(), 2);
 }
 
 TEST(Workloads, DeterministicAcrossBuilds)

@@ -236,7 +236,7 @@ TEST(ReplPolicyInterface, VictimIsAlwaysALegalCandidate)
             }
 
             const std::size_t comp_pick =
-                policy->compressionVictim(cands.data(), n, ctx);
+                repl::ReplacementPolicy::compressionVictim(cands.data(), n);
             ASSERT_LT(comp_pick, n) << replacementPolicyName(kind);
 
             // Churn observable state so later trials see it.
@@ -258,30 +258,22 @@ TEST(ReplPolicyInterface, CompressionVictimIsLruFirstForEveryPolicy)
 {
     // The historical makeRoom rule (and the one its old comment
     // misstated): the line compressed to carve room is the least
-    // recently used one regardless of the eviction policy.
-    repl::PolicyGeometry geom;
-    geom.sets = 4;
-    geom.ways = 2;
-    geom.slotsPerSet = 4;
-    geom.blockSize = 32;
-    geom.segmentBytes = 8;
-
-    for (ReplKind kind : replKindNames) {
-        auto policy = repl::makePolicy(kind, geom);
-        // Conflicting orders: slot 1 is LRU-oldest, slot 2 is
-        // FIFO-oldest, slot 0 is first in scan order.
-        std::vector<repl::Candidate> cands(3);
-        cands[0] = {0, 0x000, 50, 30, 32, false, false, false};
-        cands[1] = {1, 0x100, 10, 40, 32, false, false, false};
-        cands[2] = {2, 0x200, 90, 5, 32, false, false, false};
-        repl::SelectContext ctx;
-        ctx.setIndex = 0;
-        ctx.useCounter = 1234;
-        EXPECT_EQ(policy->compressionVictim(cands.data(), cands.size(),
-                                            ctx),
-                  1u)
-            << replacementPolicyName(kind);
-    }
+    // recently used one regardless of the eviction policy. It is one
+    // static rule, so no policy can override it.
+    // Conflicting orders: slot 1 is LRU-oldest, slot 2 is FIFO-oldest,
+    // slot 0 is first in scan order.
+    std::vector<repl::Candidate> cands(3);
+    cands[0] = {0, 0x000, 50, 30, 32, false, false, false};
+    cands[1] = {1, 0x100, 10, 40, 32, false, false, false};
+    cands[2] = {2, 0x200, 90, 5, 32, false, false, false};
+    EXPECT_EQ(repl::ReplacementPolicy::compressionVictim(cands.data(),
+                                                         cands.size()),
+              1u);
+    // Ties keep the first candidate in slot order.
+    cands[2].lastUse = 10;
+    EXPECT_EQ(repl::ReplacementPolicy::compressionVictim(cands.data(),
+                                                         cands.size()),
+              1u);
 }
 
 TEST_F(ReplacementTest, FifoCompressesTheLruLineNotTheOldestInsertion)

@@ -2,7 +2,7 @@
  * @file
  * Tests for the paged byte store behind the NVM array and the
  * workload recorder: zero-default reads, wrap-around at a capacity
- * that is not page- or block-aligned, pages that share a memo slot,
+ * that is not page- or block-aligned, pages at a power-of-two stride,
  * equivalence with a flat array under seeded random traffic, and lazy
  * allocation of a large NVM.
  */
@@ -26,6 +26,10 @@ namespace
 
 /** Three pages plus a tail that is a multiple of neither 4 KiB nor 32. */
 constexpr std::uint64_t oddCapacity = 3 * SparseBytes::pageBytes + 1000;
+
+/** A power-of-two page stride: pages this far apart collide in any
+ *  table indexed by the low bits of the page number. */
+constexpr std::uint64_t stride = 32;
 
 TEST(SparseBytes, UntouchedBytesReadZero)
 {
@@ -95,10 +99,10 @@ TEST(SparseBytes, RandomTrafficMatchesAFlatArray)
     // 10k seeded reads and writes of 1..300 bytes at addresses up to
     // three capacities out, against a flat array indexed modulo the
     // capacity byte by byte (the NVM's historical semantics). The
-    // second capacity spans more pages than the memo has slots.
+    // second capacity spans enough pages to grow the page table
+    // several times.
     for (const std::uint64_t capacity :
-         {oddCapacity,
-          5 * SparseBytes::memoSlots * SparseBytes::pageBytes + 1000}) {
+         {oddCapacity, 5 * stride * SparseBytes::pageBytes + 1000}) {
         SparseBytes store(capacity);
         std::vector<std::uint8_t> flat(capacity, 0);
         Rng rng(0x5ba25e);
@@ -135,8 +139,8 @@ pageAddr(std::uint64_t page, std::uint64_t offset = 0)
 
 TEST(SparseBytes, PagesSharingAMemoSlotKeepTheirOwnBytes)
 {
-    // Pages 3, 3 + slots and 3 + 2 * slots all map to memo slot 3.
-    constexpr std::uint64_t slots = SparseBytes::memoSlots;
+    // Pages 3, 3 + slots and 3 + 2 * slots share their low bits.
+    constexpr std::uint64_t slots = stride;
     SparseBytes store(pageAddr(4 * slots));
     const std::uint64_t pages[] = {3, 3 + slots, 3 + 2 * slots};
     for (std::uint8_t i = 0; i < 3; ++i) {
@@ -144,7 +148,7 @@ TEST(SparseBytes, PagesSharingAMemoSlotKeepTheirOwnBytes)
         store.write(pageAddr(pages[i], 7), &byte, 1);
     }
     EXPECT_EQ(store.pagesTouched(), 3u);
-    // Alternate between the colliders so every read evicts the memo.
+    // Alternate between the colliders.
     for (int round = 0; round < 3; ++round) {
         for (std::uint8_t i = 0; i < 3; ++i) {
             std::uint8_t got[2] = {0xff, 0xff};
@@ -157,12 +161,13 @@ TEST(SparseBytes, PagesSharingAMemoSlotKeepTheirOwnBytes)
 
 TEST(SparseBytes, UnwrittenPageReadsZeroAfterAColliderWasWritten)
 {
-    constexpr std::uint64_t slots = SparseBytes::memoSlots;
+    constexpr std::uint64_t slots = stride;
     SparseBytes store(pageAddr(4 * slots));
     std::vector<std::uint8_t> ones(SparseBytes::pageBytes, 0x11);
     store.write(pageAddr(5), ones.data(), ones.size());
 
-    // Page 5 + slots was never written; the memo slot holds page 5.
+    // Page 5 + slots was never written; page 5, sharing its low bits,
+    // was.
     std::vector<std::uint8_t> out(SparseBytes::pageBytes, 0xff);
     store.read(pageAddr(5 + slots), out.data(), out.size());
     for (std::uint8_t byte : out)
@@ -186,9 +191,9 @@ TEST(SparseBytes, RunsCrossPageBoundariesAndTheCapacityEnd)
 {
     // Capacity ends 1000 bytes into page 2 * slots + 1; a 3-page
     // buffer starting 100 bytes below page 2 * slots crosses two page
-    // boundaries and then wraps into pages 0 and 1, which share memo
-    // slots with pages slots and slots + 1.
-    constexpr std::uint64_t slots = SparseBytes::memoSlots;
+    // boundaries and then wraps into pages 0 and 1, which share their
+    // low bits with pages slots and slots + 1.
+    constexpr std::uint64_t slots = stride;
     const std::uint64_t capacity = pageAddr(2 * slots + 1, 1000);
     SparseBytes store(capacity);
     std::vector<std::uint8_t> flat(capacity, 0);
@@ -246,9 +251,9 @@ TEST(SparseBytes, UnalignedCapacityReducesOnlyOutOfRangeAddresses)
 
 TEST(SparseBytes, UnboundedSpaceMemoKeepsPagesAcrossTheTop)
 {
-    // Capacity 0: the last page below 2^64 and page slots - 1 share a
-    // memo slot, and a run crossing 2^64 touches both plus page 0.
-    constexpr std::uint64_t slots = SparseBytes::memoSlots;
+    // Capacity 0: the last page below 2^64 and page slots - 1 share
+    // their low bits, and a run crossing 2^64 touches both plus page 0.
+    constexpr std::uint64_t slots = stride;
     SparseBytes store;
     std::uint8_t bytes[64];
     for (unsigned i = 0; i < 64; ++i)

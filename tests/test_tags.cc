@@ -163,11 +163,9 @@ TEST(SuperblockTagsUnit, SiblingFillsCompactIntoOneSharedTag)
     for (unsigned k = 0; k < tags::blocksPerSuperblock; ++k)
         EXPECT_EQ(stats.sbFillDegree[k], 1u) << "degree " << k + 1;
 
-    // All four share one entry: same group, 4 co-residents each.
+    // All four share one entry: 4 co-residents each.
     for (int i = 0; i < 4; ++i) {
         EXPECT_EQ(layout.coResidents(1, slots[i]), 4u);
-        EXPECT_EQ(layout.groupOf(1, slots[i]),
-                  layout.groupOf(1, slots[0]));
         EXPECT_EQ(layout.lookup(1, tags4[i], nullptr), slots[i]);
     }
 
