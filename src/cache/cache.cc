@@ -122,18 +122,6 @@ Cache::Cache(const CacheConfig &config, hier::MemLevel &next_level,
     tagLayout_ = tags::makeTagLayout(cfg.tagLayout, tgeom);
 }
 
-Cache::Line *
-Cache::findLine(const Place &place, unsigned *rechecks)
-{
-    const std::size_t slot =
-        tagLayout_->lookup(place.set, place.tag, rechecks);
-    if (slot == tags::noSlot)
-        return nullptr;
-    Line &line = setLines(place.set)[slot];
-    kagura_assert(line.valid && line.tag == place.tag);
-    return &line;
-}
-
 const Cache::Line *
 Cache::findLine(Addr addr) const
 {
@@ -403,14 +391,6 @@ Cache::fillLine(const Place &place, Cycles now, AccessOutcome &out)
     // merge right behind them stalls on store forwarding.
     mergeEvents(fetch, out);
     return line;
-}
-
-AccessOutcome
-Cache::access(Addr addr, bool is_write, std::uint8_t *data, unsigned size,
-              Cycles now)
-{
-    kagura_assert(size >= 1 && size <= 8);
-    return accessImpl(addr, is_write, data, size, now, false);
 }
 
 AccessOutcome

@@ -169,8 +169,13 @@ class Cache : public hier::MemLevel
      * @param size Access size in bytes (1..8).
      * @param now Current cycle (LRU timestamps, decay).
      */
-    AccessOutcome access(Addr addr, bool is_write, std::uint8_t *data,
-                         unsigned size, Cycles now);
+    AccessOutcome
+    access(Addr addr, bool is_write, std::uint8_t *data, unsigned size,
+           Cycles now)
+    {
+        kagura_assert(size >= 1 && size <= 8);
+        return accessImpl(addr, is_write, data, size, now, false);
+    }
 
     /**
      * Fill @p addr without a demand access (prefetch); no-op if
@@ -320,7 +325,17 @@ class Cache : public hier::MemLevel
      * match report extra full-tag probes through @p rechecks (the
      * demand path charges them as latency).
      */
-    Line *findLine(const Place &place, unsigned *rechecks = nullptr);
+    Line *
+    findLine(const Place &place, unsigned *rechecks = nullptr)
+    {
+        const std::size_t slot =
+            tagLayout_->lookup(place.set, place.tag, rechecks);
+        if (slot == tags::noSlot)
+            return nullptr;
+        Line &line = setLines(place.set)[slot];
+        kagura_assert(line.valid && line.tag == place.tag);
+        return &line;
+    }
     const Line *findLine(Addr addr) const;
 
     /** Segment-rounded footprint for a compressed size. */

@@ -76,12 +76,15 @@ class Capacitor
     double storedJoules() const { return energyJ; }
 
     /** Add harvested energy (joules); clamps at the vMax ceiling. */
-    void
-    charge(double joules)
+    void charge(double joules) { energyJ = charged(energyJ, joules); }
+
+    /** charge() applied to a stored energy the caller holds. */
+    double
+    charged(double stored, double joules) const
     {
         kagura_assert(joules >= 0.0);
         const double cap = 0.5 * cfg.capacitance * cfg.vMax * cfg.vMax;
-        energyJ = std::min(energyJ + joules, cap);
+        return std::min(stored + joules, cap);
     }
 
     /**
@@ -89,28 +92,43 @@ class Capacitor
      * rather than going negative (brown-out is detected by threshold
      * comparisons, not by negative energy).
      */
-    void
-    discharge(double joules)
+    void discharge(double joules) { energyJ = drained(energyJ, joules); }
+
+    /**
+     * discharge() applied to a stored energy the caller holds: what is
+     * left of @p stored after drawing @p joules. Callers drawing a
+     * series keep the level in a local and setStoredJoules() once --
+     * a ledger store between two discharges could alias energyJ, so
+     * the compiler would reload it from memory on every draw.
+     */
+    static double
+    drained(double stored, double joules)
     {
         kagura_assert(joules >= 0.0);
         // A predicted branch, not std::max: the clamp almost never
         // fires, and a branch keeps it off the energy dependence
         // chain. Same value as max(e, 0) for finite operands.
-        const double left = energyJ - joules;
-        energyJ = left;
+        double left = stored - joules;
         if (left < 0.0) [[unlikely]]
-            energyJ = 0.0;
+            left = 0.0;
+        return left;
     }
+
+    /** Set the stored energy (the end of a drained() series). */
+    void setStoredJoules(double joules) { energyJ = joules; }
 
     /**
      * Leakage power at the current charge level. Leakage scales with
      * both capacitance and charge level; a simple I = k C V model
      * captures the Table III capacity trend.
      */
+    Watts leakagePower() const { return leakagePowerAt(energyJ); }
+
+    /** leakagePower() at stored energy @p stored (see drained()). */
     Watts
-    leakagePower() const
+    leakagePowerAt(double stored) const
     {
-        return leakagePerVolt * voltage() / cfg.vMax;
+        return leakagePerVolt * voltageAt(stored) / cfg.vMax;
     }
 
     // The two thresholds the power state machine polls every step

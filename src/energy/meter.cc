@@ -22,14 +22,17 @@ EnergyMeter::EnergyMeter(const CapacitorConfig &cap_config,
 void
 EnergyMeter::rechargeUntilRestore()
 {
-    const Cycles ivl = traceIntervalCycles;
+    // The level stays in a local across the loop (see
+    // Capacitor::drained()).
+    double stored = cap.storedJoules();
     std::uint64_t guard = 0;
-    while (!cap.aboveRestore()) {
-        advanceWall(ivl);
+    while (!(stored >= cap.restoreJoules())) {
+        stored = harvestTo(stored, wallCycles + traceIntervalCycles);
         // Off-state losses: the capacitor's own leakage (everything
         // else is power-gated).
-        const double leak = cap.leakagePower() * energy.traceInterval;
-        cap.discharge(leak);
+        const double leak =
+            cap.leakagePowerAt(stored) * energy.traceInterval;
+        stored = Capacitor::drained(stored, leak);
         ledger.add(EnergyCategory::Others, joulesToPico(leak));
         if (++guard > 50'000'000)
             fatal("power trace '%s' cannot recharge the %g uF capacitor "
@@ -37,6 +40,7 @@ EnergyMeter::rechargeUntilRestore()
                   trace->name().c_str(),
                   cap.config().capacitance * 1e6, cap.config().vRestore);
     }
+    cap.setStoredJoules(stored);
 }
 
 } // namespace kagura

@@ -23,6 +23,7 @@
 #ifndef KAGURA_ENERGY_METER_HH
 #define KAGURA_ENERGY_METER_HH
 
+#include <cstddef>
 #include <memory>
 
 #include "energy/capacitor.hh"
@@ -63,11 +64,29 @@ class EnergyMeter
     void
     spend(EnergyCategory cat, PicoJoules pj)
     {
-        if (pj <= 0.0)
-            return;
-        ledger.add(cat, pj);
-        if (!infinite)
-            cap.discharge(picoToJoules(pj));
+        cap.setStoredJoules(drawFrom(cap.storedJoules(), cat, pj));
+    }
+
+    /** One draw of a batch: @p pj picojoules for @p cat (<= 0: none). */
+    struct Draw
+    {
+        EnergyCategory cat;
+        PicoJoules pj;
+    };
+
+    /**
+     * spend() each of @p draws in order -- the same ledger and the
+     * same stored energy as the calls one by one, with the level held
+     * in a register across the batch (see Capacitor::drained()).
+     */
+    template <std::size_t N>
+    void
+    spendEach(const Draw (&draws)[N])
+    {
+        double stored = cap.storedJoules();
+        for (const Draw &draw : draws)
+            stored = drawFrom(stored, draw.cat, draw.pj);
+        cap.setStoredJoules(stored);
     }
 
     /** Leakage + standby power over @p n active cycles. */
@@ -77,26 +96,23 @@ class EnergyMeter
         if (n == 0)
             return;
         const double dt = static_cast<double>(n) * cycleSeconds;
-        spend(EnergyCategory::CacheOther,
-              joulesToPico(cacheLeakage * dt));
-        spend(EnergyCategory::Memory, joulesToPico(nvmStandby * dt));
-        spend(EnergyCategory::Others,
-              joulesToPico((energy.coreLeakage + cap.leakagePower()) *
-                           dt));
+        double stored = cap.storedJoules();
+        stored = drawFrom(stored, EnergyCategory::CacheOther,
+                          joulesToPico(cacheLeakage * dt));
+        stored = drawFrom(stored, EnergyCategory::Memory,
+                          joulesToPico(nvmStandby * dt));
+        stored = drawFrom(
+            stored, EnergyCategory::Others,
+            joulesToPico((energy.coreLeakage + cap.leakagePowerAt(stored)) *
+                         dt));
+        cap.setStoredJoules(stored);
     }
 
     /** Advance wall time by @p n cycles, harvesting from the trace. */
     void
     advanceWall(Cycles n)
     {
-        const Cycles ivl = traceIntervalCycles;
-        const Cycles end = wallCycles + n;
-        while ((harvestedIntervals + 1) * ivl <= end) {
-            cap.charge(trace->power(harvestedIntervals) *
-                       energy.traceInterval);
-            ++harvestedIntervals;
-        }
-        wallCycles = end;
+        cap.setStoredJoules(harvestTo(cap.storedJoules(), wallCycles + n));
     }
 
     /** Hibernate until the capacitor recovers to V_rst. */
@@ -131,6 +147,34 @@ class EnergyMeter
     const PowerTrace &powerTrace() const { return *trace; }
 
   private:
+    /**
+     * Move wall time to @p end, harvesting every trace interval that
+     * completes into @p stored (a level the caller holds); returns it.
+     */
+    double
+    harvestTo(double stored, Cycles end)
+    {
+        const Cycles ivl = traceIntervalCycles;
+        while ((harvestedIntervals + 1) * ivl <= end) {
+            stored = cap.charged(stored, trace->power(harvestedIntervals) *
+                                             energy.traceInterval);
+            ++harvestedIntervals;
+        }
+        wallCycles = end;
+        return stored;
+    }
+
+    /** spend() on a stored energy the caller holds; returns the rest. */
+    double
+    drawFrom(double stored, EnergyCategory cat, PicoJoules pj)
+    {
+        if (pj <= 0.0)
+            return stored;
+        ledger.add(cat, pj);
+        return infinite ? stored
+                        : Capacitor::drained(stored, picoToJoules(pj));
+    }
+
     const EnergyModel &energy;
     EnergyLedger &ledger;
     Capacitor cap;

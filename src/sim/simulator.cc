@@ -185,42 +185,44 @@ Simulator::run()
         const unsigned nvm_writes =
             sr.icache.nvmBlockWrites + sr.dcache.nvmBlockWrites;
 
-        meter->spend(
-            EnergyCategory::CacheOther,
-            static_cast<double>(icache_accesses) * icache_access +
-                (sr.isMem ? dcache_access : 0.0));
         // L2 array energy: one access per block the L1s pushed down or
         // pulled up. nextLevelAccesses is zero whenever the next level
-        // is the NVM terminal, so single-level runs never take this
-        // branch (bit-identity).
+        // is the NVM terminal, so single-level runs never draw it
+        // (bit-identity). A draw of 0 is skipped, exactly like the
+        // spend() it stands for.
         const unsigned l2_accesses = sr.icache.nextLevelAccesses +
                                      sr.dcache.nextLevelAccesses;
-        if (l2_accesses > 0)
-            meter->spend(EnergyCategory::CacheOther,
-                         static_cast<double>(l2_accesses) *
-                             l2cache_access);
-        if (compressions > 0)
-            meter->spend(EnergyCategory::Compress,
-                         compressions * ccosts.compressEnergy +
-                             compactions * cfg.energy.compactionEnergy);
-        if (decompressions > 0)
-            meter->spend(EnergyCategory::Decompress,
-                         decompressions * ccosts.decompressEnergy);
-        if (nvm_reads || nvm_writes)
-            meter->spend(EnergyCategory::Memory,
-                         nvm_reads * nvm_p.readEnergy +
-                             nvm_writes * nvm_p.writeEnergy);
-        meter->spend(EnergyCategory::Others,
-                     static_cast<double>(sr.instructions) *
-                         cfg.energy.corePerInstr);
-        if (pays_monitor)
-            meter->spend(EnergyCategory::Others,
-                         static_cast<double>(sr.instructions) *
-                             cfg.energy.monitorSample);
-        if (pays_extended_monitor)
-            meter->spend(EnergyCategory::Others,
-                         static_cast<double>(sr.instructions) *
-                             cfg.energy.extendedMonitorSample);
+        const double instructions = static_cast<double>(sr.instructions);
+        const EnergyMeter::Draw draws[] = {
+            {EnergyCategory::CacheOther,
+             static_cast<double>(icache_accesses) * icache_access +
+                 (sr.isMem ? dcache_access : 0.0)},
+            {EnergyCategory::CacheOther,
+             l2_accesses > 0
+                 ? static_cast<double>(l2_accesses) * l2cache_access
+                 : 0.0},
+            {EnergyCategory::Compress,
+             compressions > 0
+                 ? compressions * ccosts.compressEnergy +
+                       compactions * cfg.energy.compactionEnergy
+                 : 0.0},
+            {EnergyCategory::Decompress,
+             decompressions > 0 ? decompressions * ccosts.decompressEnergy
+                                : 0.0},
+            {EnergyCategory::Memory,
+             nvm_reads || nvm_writes
+                 ? nvm_reads * nvm_p.readEnergy +
+                       nvm_writes * nvm_p.writeEnergy
+                 : 0.0},
+            {EnergyCategory::Others, instructions * cfg.energy.corePerInstr},
+            {EnergyCategory::Others,
+             pays_monitor ? instructions * cfg.energy.monitorSample : 0.0},
+            {EnergyCategory::Others,
+             pays_extended_monitor
+                 ? instructions * cfg.energy.extendedMonitorSample
+                 : 0.0},
+        };
+        meter->spendEach(draws);
 
         // --- EHS persistence hooks --------------------------------------
         Cycles extra_cycles = 0;
