@@ -302,8 +302,6 @@ Cache::makeRoom(unsigned set, unsigned needed, bool may_compress,
 void
 Cache::decaySweep(unsigned set, Cycles now, AccessOutcome &out)
 {
-    if (!decay)
-        return;
     Line *const set_lines = setLines(set);
     for (std::size_t slot = 0; slot < slotsPerSet; ++slot) {
         Line &line = set_lines[slot];
@@ -408,7 +406,8 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
     const unsigned depth = shadow.touch(addr);
     const Place place = placeOf(addr);
     const unsigned set = place.set;
-    decaySweep(set, now, out);
+    if (decay)
+        decaySweep(set, now, out);
 
     unsigned rechecks = 0;
     Line *line = findLine(place, &rechecks);

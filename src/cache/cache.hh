@@ -389,7 +389,8 @@ class Cache : public hier::MemLevel
     void evictLine(unsigned set, std::size_t slot, bool dead,
                    AccessOutcome &out);
 
-    /** Apply EDBP eager writebacks to the set being accessed. */
+    /** Apply EDBP eager writebacks to the set being accessed (decay
+     *  attached). */
     void decaySweep(unsigned set, Cycles now, AccessOutcome &out);
 
     /**

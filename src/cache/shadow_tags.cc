@@ -7,83 +7,78 @@
 namespace kagura
 {
 
-namespace
-{
-constexpr std::uint64_t invalidTag = ~0ULL;
-} // namespace
-
 ShadowTags::ShadowTags(unsigned sets_, unsigned ways_, unsigned block_size)
     : ways(ways_), depth(2 * ways_), blockShift(floorLog2(block_size)),
       split(sets_)
 {
     kagura_assert(isPowerOfTwo(block_size));
     kagura_assert(sets_ > 0 && ways > 0);
-    entries.assign(static_cast<std::size_t>(sets_) * depth,
-                   Entry{invalidTag, false, false});
+    entries.assign(static_cast<std::size_t>(sets_) * depth, invalidEntry);
+}
+
+unsigned
+ShadowTags::find(const std::uint64_t *stack, std::uint64_t key) const
+{
+    // Every entry is compared, deepest first, so the match comes out
+    // of a conditional move instead of a data-dependent loop exit (a
+    // stack holds each tag at most once).
+    unsigned found = depthMiss;
+    for (unsigned i = depth; i-- > 0;) {
+        if ((stack[i] & ~ratingBits) == key)
+            found = i;
+    }
+    return found;
 }
 
 unsigned
 ShadowTags::touch(Addr addr)
 {
     const std::uint64_t block = addr >> blockShift;
-    Entry *stack = stackOf(block);
-    const std::uint64_t tag = split.line(block);
+    std::uint64_t *stack = stackOf(block);
+    const std::uint64_t key = split.line(block) << 2;
+    const unsigned depth_found = find(stack, key);
 
-    unsigned hit = depthMiss;
-    for (unsigned i = 0; i < depth; ++i) {
-        if (stack[i].tag == tag) {
-            hit = i;
-            break;
-        }
+    // Promote to MRU, shifting the entries above it down one place; on
+    // a miss the LRU tag falls off the end and the new entry is
+    // unrated. Every position is rewritten through a mask, so the
+    // shift has no data-dependent branch either.
+    const bool hit = depth_found != depthMiss;
+    const unsigned last = hit ? depth_found : depth - 1;
+    const std::uint64_t promoted = hit ? stack[last] : key;
+    for (unsigned i = depth - 1; i > 0; --i) {
+        const std::uint64_t moves = 0 - std::uint64_t{i <= last};
+        stack[i] = (stack[i - 1] & moves) | (stack[i] & ~moves);
     }
-
-    // Promote to MRU (shifting the intervening entries down). On a
-    // miss the LRU tag falls off the end.
-    const unsigned last = hit == depthMiss ? depth - 1 : hit;
-    const Entry promoted =
-        hit == depthMiss ? Entry{tag, false, false} : stack[hit];
-    for (unsigned i = last; i > 0; --i)
-        stack[i] = stack[i - 1];
     stack[0] = promoted;
-    return hit;
+    return depth_found;
 }
 
 int
 ShadowTags::compressibleRating(Addr addr) const
 {
     const std::uint64_t block = addr >> blockShift;
-    const Entry *stack = stackOf(block);
-    const std::uint64_t tag = split.line(block);
-    for (unsigned i = 0; i < depth; ++i) {
-        if (stack[i].tag == tag) {
-            if (!stack[i].rated)
-                return 0;
-            return stack[i].compressible ? 1 : -1;
-        }
-    }
-    return 0;
+    const std::uint64_t *stack = stackOf(block);
+    const unsigned at = find(stack, split.line(block) << 2);
+    if (at == depthMiss || !(stack[at] & rated))
+        return 0;
+    return stack[at] & compressible ? 1 : -1;
 }
 
 void
-ShadowTags::setCompressible(Addr addr, bool compressible)
+ShadowTags::setCompressible(Addr addr, bool is_compressible)
 {
     const std::uint64_t block = addr >> blockShift;
-    Entry *stack = stackOf(block);
-    const std::uint64_t tag = split.line(block);
-    for (unsigned i = 0; i < depth; ++i) {
-        if (stack[i].tag == tag) {
-            stack[i].compressible = compressible;
-            stack[i].rated = true;
-            return;
-        }
-    }
+    std::uint64_t *stack = stackOf(block);
+    const std::uint64_t key = split.line(block) << 2;
+    const unsigned at = find(stack, key);
+    if (at != depthMiss)
+        stack[at] = key | rated | (is_compressible ? compressible : 0);
 }
 
 void
 ShadowTags::invalidateAll()
 {
-    std::fill(entries.begin(), entries.end(),
-              Entry{invalidTag, false, false});
+    std::fill(entries.begin(), entries.end(), invalidEntry);
 }
 
 } // namespace kagura

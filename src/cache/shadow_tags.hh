@@ -56,7 +56,7 @@ class ShadowTags
     int compressibleRating(Addr addr) const;
 
     /** Record the compressor's verdict for @p addr (MRU or not). */
-    void setCompressible(Addr addr, bool compressible);
+    void setCompressible(Addr addr, bool is_compressible);
 
     /** Drop every tag (power failure). */
     void invalidateAll();
@@ -65,25 +65,32 @@ class ShadowTags
     unsigned realWays() const { return ways; }
 
   private:
-    struct Entry
-    {
-        std::uint64_t tag;
-        bool compressible;
-        bool rated;
-    };
+    /**
+     * One stack entry in a word: the tag above two rating bits, so a
+     * touch scans and shifts with conditional moves. Tags are block
+     * numbers over the set count, far below 2^62.
+     */
+    static constexpr std::uint64_t rated = 1;
+    static constexpr std::uint64_t compressible = 2;
+    static constexpr std::uint64_t ratingBits = rated | compressible;
+    /** An entry no tag matches. */
+    static constexpr std::uint64_t invalidEntry = ~0ULL;
 
     /** The 2 x ways stack of the set holding @p block, MRU first. */
-    Entry *
+    std::uint64_t *
     stackOf(std::uint64_t block)
     {
         return entries.data() +
                static_cast<std::size_t>(split.set(block)) * depth;
     }
-    const Entry *
+    const std::uint64_t *
     stackOf(std::uint64_t block) const
     {
         return const_cast<ShadowTags *>(this)->stackOf(block);
     }
+
+    /** Depth of the entry for tag word @p key in @p stack, or depthMiss. */
+    unsigned find(const std::uint64_t *stack, std::uint64_t key) const;
 
     unsigned ways;
     /** Stack depth per set (2 x ways). */
@@ -91,8 +98,8 @@ class ShadowTags
     unsigned blockShift;
     SetSplit split;
 
-    /** Every set's stack, set-major. Invalid entries hold ~0ULL. */
-    std::vector<Entry> entries;
+    /** Every set's stack, set-major. */
+    std::vector<std::uint64_t> entries;
 };
 
 } // namespace kagura

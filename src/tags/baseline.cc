@@ -22,12 +22,16 @@ BaselineTags::lookup(unsigned set, std::uint64_t tag,
                      unsigned *rechecks) const
 {
     (void)rechecks; // full tags: first-level match is exact
+    // Every slot is compared, last to first, so the first match in
+    // slot order comes out of a conditional move instead of a
+    // data-dependent loop exit (a set holds each tag at most once).
     const std::uint64_t *row = setTags(set);
-    for (std::size_t slot = 0; slot < geom.slotsPerSet; ++slot) {
+    std::size_t found = noSlot;
+    for (std::size_t slot = geom.slotsPerSet; slot-- > 0;) {
         if (row[slot] == tag)
-            return slot;
+            found = slot;
     }
-    return noSlot;
+    return found;
 }
 
 bool
@@ -42,15 +46,18 @@ BaselineTags::allocate(unsigned set, std::uint64_t tag,
                        unsigned occupied)
 {
     (void)occupied; // data-arena bookkeeping stays with the Cache
+    // The first free slot, found like lookup()'s match.
     std::uint64_t *row = setTags(set);
-    for (std::size_t slot = 0; slot < geom.slotsPerSet; ++slot) {
-        if (row[slot] != freeTag)
-            continue;
-        row[slot] = tag;
-        ++liveCnt[set];
-        return slot;
+    std::size_t slot = noSlot;
+    for (std::size_t at = geom.slotsPerSet; at-- > 0;) {
+        if (row[at] == freeTag)
+            slot = at;
     }
-    panic("BaselineTags::allocate: set %u has no free slot", set);
+    if (slot == noSlot)
+        panic("BaselineTags::allocate: set %u has no free slot", set);
+    row[slot] = tag;
+    ++liveCnt[set];
+    return slot;
 }
 
 void
