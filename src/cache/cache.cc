@@ -671,7 +671,7 @@ Cache::cleanAll()
 bool
 Cache::writebackBlock(Addr addr)
 {
-    Line *line = const_cast<Line *>(findLine(addr));
+    Line *line = findLine(placeOf(addr));
     if (!line || !line->dirty)
         return false;
     AccessOutcome scratch;
