@@ -43,7 +43,28 @@ class ShadowTags
      * (0 = MRU) or depthMiss, then promotes it to MRU (allocating and
      * displacing the LRU tag as needed).
      */
-    unsigned touch(Addr addr);
+    unsigned
+    touch(Addr addr)
+    {
+        const std::uint64_t block = addr >> blockShift;
+        std::uint64_t *stack = stackOf(block);
+        const std::uint64_t key = split.line(block) << 2;
+        const unsigned depth_found = find(stack, key);
+
+        // Promote to MRU, shifting the entries above it down one place;
+        // on a miss the LRU tag falls off the end and the new entry is
+        // unrated. Every position is rewritten through a mask, so the
+        // shift has no data-dependent branch either.
+        const bool hit = depth_found != depthMiss;
+        const unsigned last = hit ? depth_found : depth - 1;
+        const std::uint64_t promoted = hit ? stack[last] : key;
+        for (unsigned i = depth - 1; i > 0; --i) {
+            const std::uint64_t moves = 0 - std::uint64_t{i <= last};
+            stack[i] = (stack[i - 1] & moves) | (stack[i] & ~moves);
+        }
+        stack[0] = promoted;
+        return depth_found;
+    }
 
     /**
      * Compressibility reputation of @p addr: +1 if the compressor
@@ -90,7 +111,19 @@ class ShadowTags
     }
 
     /** Depth of the entry for tag word @p key in @p stack, or depthMiss. */
-    unsigned find(const std::uint64_t *stack, std::uint64_t key) const;
+    unsigned
+    find(const std::uint64_t *stack, std::uint64_t key) const
+    {
+        // Every entry is compared, deepest first, so the match comes out
+        // of a conditional move instead of a data-dependent loop exit (a
+        // stack holds each tag at most once).
+        unsigned found = depthMiss;
+        for (unsigned i = depth; i-- > 0;) {
+            if ((stack[i] & ~ratingBits) == key)
+                found = i;
+        }
+        return found;
+    }
 
     unsigned ways;
     /** Stack depth per set (2 x ways). */

@@ -27,21 +27,14 @@ Core::merge(AccessOutcome &dst, const AccessOutcome &src)
 }
 
 void
-Core::fetch(Addr pc, Cycles now, StepResult &result)
+Core::fetchFromArray(Addr pc, Cycles now, StepResult &result)
 {
-    const Addr block = icache.blockOf(pc);
-    if (fetchBlockValid && block == fetchBlock) {
-        // Line-buffer hit: the instruction issues without touching the
-        // ICache array (one pipeline cycle, no array energy).
-        ++result.cycles;
-        return;
-    }
     AccessOutcome access = icache.access(pc, false, nullptr, 4, now);
     merge(result.icache, access);
     ++result.icacheArrayAccesses;
     result.cycles += access.latency;
     fetchBlockValid = true;
-    fetchBlock = block;
+    fetchBlock = icache.blockOf(pc);
 }
 
 StepResult

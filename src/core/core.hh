@@ -89,7 +89,20 @@ class Core
      * the block (standard embedded-core line buffer: sequential
      * fetches within one block cost no array access).
      */
-    void fetch(Addr pc, Cycles now, StepResult &result);
+    void
+    fetch(Addr pc, Cycles now, StepResult &result)
+    {
+        if (fetchBlockValid && icache.blockOf(pc) == fetchBlock) {
+            // Line-buffer hit: the instruction issues without touching
+            // the ICache array (one pipeline cycle, no array energy).
+            ++result.cycles;
+            return;
+        }
+        fetchFromArray(pc, now, result);
+    }
+
+    /** The line-buffer miss side of fetch(): one ICache access. */
+    void fetchFromArray(Addr pc, Cycles now, StepResult &result);
 
     Cache &icache;
     Cache &dcache;
