@@ -82,26 +82,6 @@ withL2(SimConfig cfg, L2Variant v)
     return cfg;
 }
 
-/** Suite-aggregated L2 counters (all apps, all seeds). */
-CacheStats
-suiteL2Stats(const SuiteResult &suite)
-{
-    CacheStats total;
-    for (const AppResult &app : suite.apps) {
-        for (const SimResult &run : app.runs) {
-            total.accesses += run.l2cache.accesses;
-            total.hits += run.l2cache.hits;
-            total.misses += run.l2cache.misses;
-            total.evictions += run.l2cache.evictions;
-            total.writebacks += run.l2cache.writebacks;
-            total.compressions += run.l2cache.compressions;
-            total.compactions += run.l2cache.compactions;
-            total.decompressions += run.l2cache.decompressions;
-        }
-    }
-    return total;
-}
-
 std::string
 rate(double r)
 {
@@ -162,7 +142,7 @@ KAGURA_BENCH(abl_hierarchy, "Ablation",
                 apps);
             ++cellsRun;
 
-            const CacheStats l2 = suiteL2Stats(cell);
+            const CacheStats l2 = bench::suiteSum(cell, {&SimResult::l2cache});
             const double l2_hit_rate =
                 l2.accesses ? static_cast<double>(l2.hits) /
                                   static_cast<double>(l2.accesses)

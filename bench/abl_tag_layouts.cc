@@ -46,31 +46,19 @@ namespace
 double
 suiteHitRate(const SuiteResult &suite)
 {
-    std::uint64_t hits = 0;
-    std::uint64_t accesses = 0;
-    for (const AppResult &app : suite.apps) {
-        for (const SimResult &run : app.runs) {
-            hits += run.icache.hits + run.dcache.hits;
-            accesses += run.icache.accesses + run.dcache.accesses;
-        }
-    }
-    return accesses ? static_cast<double>(hits) /
-                          static_cast<double>(accesses)
-                    : 0.0;
+    const CacheStats both =
+        bench::suiteSum(suite, {&SimResult::icache, &SimResult::dcache});
+    return both.accesses ? static_cast<double>(both.hits) /
+                               static_cast<double>(both.accesses)
+                         : 0.0;
 }
 
 /** Suite-aggregated tag telemetry (both caches, all seeds). */
 tags::TagLayoutStats
 suiteTagStats(const SuiteResult &suite)
 {
-    tags::TagLayoutStats total;
-    for (const AppResult &app : suite.apps) {
-        for (const SimResult &run : app.runs) {
-            total.add(run.icacheTags);
-            total.add(run.dcacheTags);
-        }
-    }
-    return total;
+    return bench::suiteSum(suite,
+                           {&SimResult::icacheTags, &SimResult::dcacheTags});
 }
 
 std::string

@@ -11,6 +11,7 @@
 #ifndef KAGURA_BENCH_BENCH_COMMON_HH
 #define KAGURA_BENCH_BENCH_COMMON_HH
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,20 @@ double speedupGeomean(const SuiteResult &cfg, const SuiteResult &baseline);
  * memory-/compute-bound corners of the suite.
  */
 const std::vector<std::string> &sweepApps();
+
+/** The @p members of every run of @p suite, summed (addFields). */
+template <typename Stats>
+Stats
+suiteSum(const SuiteResult &suite,
+         std::initializer_list<Stats SimResult::*> members)
+{
+    Stats total;
+    for (const AppResult &app : suite.apps)
+        for (const SimResult &run : app.runs)
+            for (Stats SimResult::*member : members)
+                addFields(total, run.*member);
+    return total;
+}
 
 } // namespace bench
 } // namespace kagura

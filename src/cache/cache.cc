@@ -4,37 +4,9 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "metrics/registry.hh"
 
 namespace kagura
 {
-
-void
-CacheStats::recordMetrics(metrics::MetricSet &set,
-                          std::string_view prefix) const
-{
-    const auto leaf = [&prefix](const char *name) {
-        std::string full(prefix);
-        full += '/';
-        full += name;
-        return full;
-    };
-    set.counter(leaf("accesses")).add(accesses);
-    set.counter(leaf("hits")).add(hits);
-    set.counter(leaf("misses")).add(misses);
-    set.counter(leaf("evictions")).add(evictions);
-    set.counter(leaf("writebacks")).add(writebacks);
-    set.counter(leaf("compressions")).add(compressions);
-    set.counter(leaf("compactions")).add(compactions);
-    set.counter(leaf("decompressions")).add(decompressions);
-    set.counter(leaf("compressed_hits")).add(compressedHits);
-    set.counter(leaf("compression_enabled_hits"))
-        .add(compressionEnabledHits);
-    set.counter(leaf("wasted_decompressions")).add(wastedDecompressions);
-    set.counter(leaf("prefetch_fills")).add(prefetchFills);
-    set.counter(leaf("decay_writebacks")).add(decayWritebacks);
-    set.gauge(leaf("miss_rate")).set(missRate());
-}
 
 namespace
 {

@@ -34,13 +34,13 @@
 
 #include "cache/decay.hh"
 #include "common/block.hh"
+#include "common/fields.hh"
 #include "cache/governor.hh"
 #include "cache/prefetcher.hh"
 #include "cache/shadow_tags.hh"
 #include "common/types.hh"
 #include "compress/compressor.hh"
 #include "hier/mem_level.hh"
-#include "metrics/fwd.hh"
 #include "repl/policy.hh"
 #include "tags/layout.hh"
 
@@ -134,13 +134,28 @@ struct CacheStats
                         : 0.0;
     }
 
-    /**
-     * Export every counter (plus the derived miss rate) into @p set
-     * under "<prefix>/..." names. Intended for a fresh per-run
-     * MetricSet: counters record absolute end-of-run values.
-     */
-    void recordMetrics(metrics::MetricSet &set,
-                       std::string_view prefix) const;
+    /** The field list (common/fields.hh), in codec order. */
+    static constexpr auto
+    fields()
+    {
+        return std::tuple{
+            Member{"accesses", &CacheStats::accesses},
+            Member{"hits", &CacheStats::hits},
+            Member{"misses", &CacheStats::misses},
+            Member{"evictions", &CacheStats::evictions},
+            Member{"writebacks", &CacheStats::writebacks},
+            Member{"compressions", &CacheStats::compressions},
+            Member{"compactions", &CacheStats::compactions},
+            Member{"decompressions", &CacheStats::decompressions},
+            Member{"compressed_hits", &CacheStats::compressedHits},
+            Member{"compression_enabled_hits",
+                   &CacheStats::compressionEnabledHits},
+            Member{"wasted_decompressions", &CacheStats::wastedDecompressions},
+            Member{"prefetch_fills", &CacheStats::prefetchFills},
+            Member{"decay_writebacks", &CacheStats::decayWritebacks},
+            Derived{"miss_rate", &CacheStats::missRate},
+        };
+    }
 };
 
 /** The compressed cache (itself one pluggable hierarchy level). */

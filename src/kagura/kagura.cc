@@ -2,30 +2,11 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <string>
 
 #include "common/logging.hh"
-#include "metrics/registry.hh"
 
 namespace kagura
 {
-
-void
-KaguraStats::recordMetrics(metrics::MetricSet &set,
-                           std::string_view prefix) const
-{
-    const auto leaf = [&](std::string_view name, std::uint64_t value) {
-        std::string full(prefix);
-        full += '/';
-        full += name;
-        set.counter(full).add(value);
-    };
-    leaf("mode_switches", modeSwitches);
-    leaf("mem_ops_in_rm", memOpsInRm);
-    leaf("rm_evictions", rmEvictions);
-    leaf("rewards", rewards);
-    leaf("punishments", punishments);
-}
 
 KaguraController::KaguraController(const KaguraConfig &config,
                                    CompressionGovernor *inner_)

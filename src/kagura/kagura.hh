@@ -22,11 +22,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <string_view>
 
 #include "cache/governor.hh"
+#include "common/fields.hh"
 #include "kagura/adapt_policy.hh"
-#include "metrics/fwd.hh"
 
 namespace kagura
 {
@@ -107,13 +106,18 @@ struct KaguraStats
     /** Punishment counter decrements. */
     std::uint64_t punishments = 0;
 
-    /**
-     * Export every counter into @p set under "<prefix>/..." names.
-     * Intended for a fresh per-run MetricSet: counters record
-     * absolute end-of-run values.
-     */
-    void recordMetrics(metrics::MetricSet &set,
-                       std::string_view prefix) const;
+    /** The field list (common/fields.hh), in codec order. */
+    static constexpr auto
+    fields()
+    {
+        return std::tuple{
+            Member{"mode_switches", &KaguraStats::modeSwitches},
+            Member{"mem_ops_in_rm", &KaguraStats::memOpsInRm},
+            Member{"rm_evictions", &KaguraStats::rmEvictions},
+            Member{"rewards", &KaguraStats::rewards},
+            Member{"punishments", &KaguraStats::punishments},
+        };
+    }
 };
 
 /** The Kagura controller; wraps an inner governor (typically ACC). */

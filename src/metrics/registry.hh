@@ -28,6 +28,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fields.hh"
 #include "metrics/metric.hh"
 
 namespace kagura
@@ -140,6 +141,33 @@ class Registry
     std::map<std::string, Entry, std::less<>> entries;
     std::map<std::string, std::string> labelMap;
 };
+
+/**
+ * Export field-listed @p stats (common/fields.hh) into a fresh @p set
+ * as "<prefix>/<row>": a counter per counter row, a gauge per derived
+ * row, and a "<row>/<k>" counter per nonzero element k of an array.
+ */
+template <typename T>
+void
+recordFields(Registry &set, std::string_view prefix, const T &stats)
+{
+    forEachRow<T>([&](const auto &row) {
+        std::string name(prefix);
+        name += '/';
+        name += row.name;
+        if constexpr (!isStored<decltype(row)>) {
+            set.gauge(name).set((stats.*row.value)());
+        } else if constexpr (isArray<decltype(stats.*row.member)>) {
+            const auto &bins = stats.*row.member;
+            for (std::size_t k = 0; k < std::size(bins); ++k)
+                if (bins[k])
+                    set.counter(name + '/' + std::to_string(k + 1))
+                        .add(bins[k]);
+        } else {
+            set.counter(name).add(stats.*row.member);
+        }
+    });
+}
 
 } // namespace metrics
 } // namespace kagura

@@ -1,7 +1,11 @@
 #include "runner/result_codec.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <tuple>
+#include <type_traits>
+#include <vector>
 
 namespace kagura
 {
@@ -11,56 +15,107 @@ namespace runner
 namespace
 {
 
-constexpr char magic[4] = {'K', 'G', 'R', 'B'};
+constexpr std::string_view magic = "KGRB";
+
+/**
+ * The optional trailing sections, in the order they are written and
+ * must decode. The first is untagged: its first word
+ * (replOptAccesses) is nonzero whenever the section is, since hits
+ * never exceed accesses. Each later one sits behind a u64 0 marker,
+ * which therefore cannot start the untagged one, and its u32 id.
+ */
+constexpr Section optionalSections[] = {Section::Optgen, Section::TagStats,
+                                        Section::L2Stats};
+
+/** The id a tagged section carries: 1 for tag stats, 2 for L2. */
+constexpr std::uint32_t
+sectionId(Section section)
+{
+    return static_cast<std::uint32_t>(section) - 1;
+}
+
+/**
+ * Are all of @p bytes zero? A section holds only counters, so its
+ * bytes are zero exactly when its counters are.
+ */
+bool
+allZero(std::string_view bytes)
+{
+    return bytes.find_first_not_of('\0') == std::string_view::npos;
+}
 
 // ---- encoding ------------------------------------------------------
 
+/** Append @p v little-endian. */
+template <typename Word>
 void
-putU32(std::string &out, std::uint32_t v)
+putWord(std::string &out, Word v)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    char raw[sizeof(Word)];
+    for (std::size_t i = 0; i < sizeof(Word); ++i)
+        raw[i] = static_cast<char>(v >> (8 * i));
+    out.append(raw, sizeof(Word));
 }
 
+/**
+ * Write @p value the way its type implies: a u64 counter; an array
+ * of them; length-prefixed text; count-prefixed records; the energy
+ * ledger as count-prefixed doubles; the oracle log as count-prefixed
+ * tallies sorted by address (its canonical order); any other struct
+ * through its field list.
+ */
+template <typename T>
 void
-putU64(std::string &out, std::uint64_t v)
+put(std::string &out, const T &value)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    if constexpr (std::is_same_v<T, std::uint64_t>) {
+        putWord(out, value);
+    } else if constexpr (std::is_array_v<T>) {
+        for (const auto &element : value)
+            put(out, element);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        putWord(out, static_cast<std::uint32_t>(value.size()));
+        out += value;
+    } else if constexpr (std::is_same_v<T, std::vector<PowerCycleRecord>>) {
+        putWord<std::uint64_t>(out, value.size());
+        for (const auto &record : value)
+            put(out, record);
+    } else if constexpr (std::is_same_v<T, EnergyLedger>) {
+        putWord<std::uint32_t>(out, EnergyLedger::numCategories);
+        for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c)
+            putWord(out, std::bit_cast<std::uint64_t>(
+                             value.total(static_cast<EnergyCategory>(c))));
+    } else if constexpr (std::is_same_v<T, OracleLog>) {
+        // (address, beneficial, useless); addresses are unique.
+        using Tally = std::tuple<Addr, std::uint32_t, std::uint32_t>;
+        std::vector<Tally> tallies;
+        tallies.reserve(value.size());
+        value.forEachTally([&tallies](auto... tally) {
+            tallies.emplace_back(tally...);
+        });
+        std::sort(tallies.begin(), tallies.end());
+        putWord<std::uint64_t>(out, tallies.size());
+        for (const auto &[addr, beneficial, useless] : tallies) {
+            putWord(out, addr);
+            putWord(out, beneficial);
+            putWord(out, useless);
+        }
+    } else {
+        forEachRow<T>([&](const auto &row) {
+            if constexpr (isStored<decltype(row)>)
+                put(out, value.*row.member);
+        });
+    }
 }
 
+/** Write the rows of @p r that ride in @p section. */
 void
-putDouble(std::string &out, double v)
+putSection(std::string &out, const SimResult &r, Section section)
 {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
-}
-
-void
-putString(std::string &out, const std::string &s)
-{
-    putU32(out, static_cast<std::uint32_t>(s.size()));
-    out += s;
-}
-
-void
-putCacheStats(std::string &out, const CacheStats &s)
-{
-    putU64(out, s.accesses);
-    putU64(out, s.hits);
-    putU64(out, s.misses);
-    putU64(out, s.evictions);
-    putU64(out, s.writebacks);
-    putU64(out, s.compressions);
-    putU64(out, s.compactions);
-    putU64(out, s.decompressions);
-    putU64(out, s.compressedHits);
-    putU64(out, s.compressionEnabledHits);
-    putU64(out, s.wastedDecompressions);
-    putU64(out, s.prefetchFills);
-    putU64(out, s.decayWritebacks);
+    forEachRow<SimResult>([&](const auto &row) {
+        if (row.section == section)
+            put(out, r.*row.member);
+    });
 }
 
 // ---- decoding ------------------------------------------------------
@@ -72,136 +127,102 @@ struct Reader
     std::size_t pos = 0;
     bool ok = true;
 
-    bool
-    take(void *dst, std::size_t n)
-    {
-        if (!ok || bytes.size() - pos < n) {
-            ok = false;
-            return false;
-        }
-        std::memcpy(dst, bytes.data() + pos, n);
-        pos += n;
-        return true;
-    }
+    /** Bytes not yet read. */
+    std::size_t left() const { return bytes.size() - pos; }
 
-    std::uint32_t
-    u32()
+    void fail() { ok = false; }
+
+    /** The next little-endian word, or 0 (and !ok) past the end. */
+    template <typename Word>
+    Word
+    word()
     {
-        unsigned char raw[4] = {};
-        if (!take(raw, sizeof(raw)))
+        if (!ok || left() < sizeof(Word)) {
+            fail();
             return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(raw[i]) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        unsigned char raw[8] = {};
-        if (!take(raw, sizeof(raw)))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(raw[i]) << (8 * i);
-        return v;
-    }
-
-    double
-    f64()
-    {
-        const std::uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        const std::uint32_t len = u32();
-        if (!ok || bytes.size() - pos < len) {
-            ok = false;
-            return {};
         }
-        std::string s(bytes.substr(pos, len));
-        pos += len;
-        return s;
+        unsigned char raw[sizeof(Word)];
+        std::memcpy(raw, bytes.data() + pos, sizeof(Word));
+        Word v = 0;
+        for (std::size_t i = 0; i < sizeof(Word); ++i)
+            v |= Word{raw[i]} << (8 * i);
+        pos += sizeof(Word);
+        return v;
     }
+
+    std::uint32_t u32() { return word<std::uint32_t>(); }
+    std::uint64_t u64() { return word<std::uint64_t>(); }
 };
 
-/**
- * Ids of the tagged extension sections. Extension sections trail the
- * untagged OPTgen section behind a u64 0 marker: the OPTgen section's
- * first word (replOptAccesses) is nonzero by construction, so a zero
- * word in its position unambiguously announces "tagged section next".
- * Sections are emitted (and must decode) in ascending id order, each
- * behind its own zero marker, and only when non-empty -- the canonical
- * form every pre-existing byte stream already satisfies.
- */
-constexpr std::uint32_t tagStatsSection = 1;
-constexpr std::uint32_t l2StatsSection = 2;
-
-/** Is any counter set? (Emission gate for the L2 section.) */
-bool
-anyStats(const CacheStats &s)
+/** Read what put() wrote for @p value, rejecting non-canonical input. */
+template <typename T>
+void
+read(Reader &in, T &value)
 {
-    return s.accesses || s.hits || s.misses || s.evictions ||
-           s.writebacks || s.compressions || s.compactions ||
-           s.decompressions || s.compressedHits ||
-           s.compressionEnabledHits || s.wastedDecompressions ||
-           s.prefetchFills || s.decayWritebacks;
+    if constexpr (std::is_same_v<T, std::uint64_t>) {
+        value = in.u64();
+    } else if constexpr (std::is_array_v<T>) {
+        for (auto &element : value)
+            read(in, element);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        const std::uint32_t size = in.u32();
+        if (in.left() < size)
+            return in.fail();
+        value = in.bytes.substr(in.pos, size);
+        in.pos += size;
+    } else if constexpr (std::is_same_v<T, std::vector<PowerCycleRecord>>) {
+        // Bound the count by the bytes left before allocating: a
+        // record takes a u64 per member.
+        const std::uint64_t count = in.u64();
+        if (count > in.left() / (8 * memberCount<PowerCycleRecord>()))
+            return in.fail();
+        value.resize(count);
+        for (auto &record : value)
+            read(in, record);
+    } else if constexpr (std::is_same_v<T, EnergyLedger>) {
+        if (in.u32() != EnergyLedger::numCategories)
+            return in.fail();
+        for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c) {
+            const auto cat = static_cast<EnergyCategory>(c);
+            const std::uint64_t bits = in.u64();
+            value.add(cat, std::bit_cast<double>(bits));
+            // 0 + x turns -0 into +0 and quiets a signalling NaN:
+            // accept only patterns that survive, so a decode
+            // re-encodes to the bytes it read.
+            if (std::bit_cast<std::uint64_t>(value.total(cat)) != bits)
+                return in.fail();
+        }
+    } else if constexpr (std::is_same_v<T, OracleLog>) {
+        const std::uint64_t count = in.u64();
+        if (count > in.left() / 16)
+            return in.fail();
+        Addr last = 0;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            const Addr addr = in.u64();
+            const std::uint32_t beneficial = in.u32();
+            const std::uint32_t useless = in.u32();
+            // Strictly ascending, as the encoder sorts them.
+            if (i != 0 && addr <= last)
+                return in.fail();
+            last = addr;
+            value.addTally(addr, beneficial, useless);
+        }
+    } else {
+        forEachRow<T>([&](const auto &row) {
+            if constexpr (isStored<decltype(row)>)
+                read(in, value.*row.member);
+        });
+    }
 }
 
+/** Read the rows of @p r that ride in @p section. */
 void
-putTagStats(std::string &out, const tags::TagLayoutStats &s)
+readSection(Reader &in, SimResult &r, Section section)
 {
-    putU64(out, s.tagCompactions);
-    putU64(out, s.sbAllocations);
-    for (unsigned i = 0; i < tags::blocksPerSuperblock; ++i)
-        putU64(out, s.sbFillDegree[i]);
-    putU64(out, s.sigRechecks);
-    putU64(out, s.sigFalsePositives);
-    putU64(out, s.metadataFlushes);
-    putU64(out, s.metadataLosses);
-    putU64(out, s.occupancySamples);
-    putU64(out, s.tagsLiveSum);
-    putU64(out, s.residentBlockSum);
-}
-
-void
-readCacheStats(Reader &in, CacheStats &s)
-{
-    s.accesses = in.u64();
-    s.hits = in.u64();
-    s.misses = in.u64();
-    s.evictions = in.u64();
-    s.writebacks = in.u64();
-    s.compressions = in.u64();
-    s.compactions = in.u64();
-    s.decompressions = in.u64();
-    s.compressedHits = in.u64();
-    s.compressionEnabledHits = in.u64();
-    s.wastedDecompressions = in.u64();
-    s.prefetchFills = in.u64();
-    s.decayWritebacks = in.u64();
-}
-
-void
-readTagStats(Reader &in, tags::TagLayoutStats &s)
-{
-    s.tagCompactions = in.u64();
-    s.sbAllocations = in.u64();
-    for (unsigned i = 0; i < tags::blocksPerSuperblock; ++i)
-        s.sbFillDegree[i] = in.u64();
-    s.sigRechecks = in.u64();
-    s.sigFalsePositives = in.u64();
-    s.metadataFlushes = in.u64();
-    s.metadataLosses = in.u64();
-    s.occupancySamples = in.u64();
-    s.tagsLiveSum = in.u64();
-    s.residentBlockSum = in.u64();
+    forEachRow<SimResult>([&](const auto &row) {
+        if (row.section == section)
+            read(in, r.*row.member);
+    });
 }
 
 } // namespace
@@ -210,93 +231,24 @@ std::string
 encodeResult(const SimResult &r)
 {
     std::string out;
-    out.reserve(512 + 32 * r.cycles.size());
-    out.append(magic, sizeof(magic));
-    putU32(out, resultFormatVersion);
+    out.reserve(1024 + 32 * r.cycles.size() + 16 * r.oracle.size());
+    out += magic;
+    putWord(out, resultFormatVersion);
+    putSection(out, r, Section::Body);
 
-    putString(out, r.workload);
-    putU64(out, r.wallCycles);
-    putU64(out, r.activeCycles);
-    putU64(out, r.committedInstructions);
-    putU64(out, r.loads);
-    putU64(out, r.stores);
-    putU64(out, r.powerFailures);
-
-    putU64(out, r.cycles.size());
-    for (const PowerCycleRecord &rec : r.cycles) {
-        putU64(out, rec.instructions);
-        putU64(out, rec.loads);
-        putU64(out, rec.stores);
-        putU64(out, rec.activeCycles);
-    }
-
-    putCacheStats(out, r.icache);
-    putCacheStats(out, r.dcache);
-
-    putU32(out, static_cast<std::uint32_t>(EnergyLedger::numCategories));
-    for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c)
-        putDouble(out, r.ledger.total(static_cast<EnergyCategory>(c)));
-
-    putU64(out, r.kagura.modeSwitches);
-    putU64(out, r.kagura.memOpsInRm);
-    putU64(out, r.kagura.rmEvictions);
-    putU64(out, r.kagura.rewards);
-    putU64(out, r.kagura.punishments);
-    putU64(out, r.oracleVetoes);
-
-    // Oracle log, sorted by address for a canonical byte stream.
-    struct Entry
-    {
-        Addr addr;
-        std::uint32_t beneficial;
-        std::uint32_t useless;
-    };
-    std::vector<Entry> entries;
-    entries.reserve(r.oracle.size());
-    r.oracle.forEachTally(
-        [&entries](Addr addr, std::uint32_t beneficial,
-                   std::uint32_t useless) {
-            entries.push_back({addr, beneficial, useless});
-        });
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.addr < b.addr;
-              });
-    putU64(out, entries.size());
-    for (const Entry &e : entries) {
-        putU64(out, e.addr);
-        putU32(out, e.beneficial);
-        putU32(out, e.useless);
-    }
-
-    // Trailing optional section: the size-aware OPTgen upper bound.
-    // Emitted only when the run produced one, so every pre-existing
-    // configuration (online policies) still encodes to the exact
-    // byte stream the committed goldens fingerprint.
-    if (r.replOptAccesses) {
-        putU64(out, r.replOptAccesses);
-        putU64(out, r.replOptHits);
-    }
-
-    // Tagged extension section: tag-layout telemetry. A leading u64 0
-    // cannot be the start of the OPTgen section (its first word is
-    // nonzero), so it marks "section id follows". Emitted only when a
-    // non-baseline layout produced counters, preserving every
-    // pre-subsystem byte stream.
-    if (r.icacheTags.any() || r.dcacheTags.any()) {
-        putU64(out, 0);
-        putU32(out, tagStatsSection);
-        putTagStats(out, r.icacheTags);
-        putTagStats(out, r.dcacheTags);
-    }
-
-    // Tagged extension section: shared-L2 telemetry. Nonzero only for
-    // hierarchy configs, so single-level encodings stay byte-exact.
-    if (anyStats(r.l2cache) || r.l2cacheTags.any()) {
-        putU64(out, 0);
-        putU32(out, l2StatsSection);
-        putCacheStats(out, r.l2cache);
-        putTagStats(out, r.l2cacheTags);
+    // An optional section is written only when one of its counters is
+    // nonzero, so a run without OPTgen, tag-layout or L2 telemetry
+    // encodes to the byte stream that predates the section.
+    for (const Section section : optionalSections) {
+        const std::size_t start = out.size();
+        if (section != Section::Optgen) {
+            putWord<std::uint64_t>(out, 0);
+            putWord(out, sectionId(section));
+        }
+        const std::size_t content = out.size();
+        putSection(out, r, section);
+        if (allZero(std::string_view(out).substr(content)))
+            out.resize(start);
     }
     return out;
 }
@@ -304,109 +256,41 @@ encodeResult(const SimResult &r)
 bool
 decodeResult(std::string_view bytes, SimResult &out)
 {
-    Reader in{bytes};
-    char m[4] = {};
-    if (!in.take(m, sizeof(m)) || std::memcmp(m, magic, sizeof(m)) != 0)
+    if (!bytes.starts_with(magic))
         return false;
+    Reader in{bytes, magic.size()};
     if (in.u32() != resultFormatVersion)
         return false;
 
     SimResult r;
-    r.workload = in.str();
-    r.wallCycles = in.u64();
-    r.activeCycles = in.u64();
-    r.committedInstructions = in.u64();
-    r.loads = in.u64();
-    r.stores = in.u64();
-    r.powerFailures = in.u64();
+    readSection(in, r, Section::Body);
 
-    const std::uint64_t cycle_count = in.u64();
-    // Sanity bound: each record needs 32 bytes of payload.
-    if (!in.ok || cycle_count > bytes.size() / 32 + 1)
-        return false;
-    r.cycles.resize(cycle_count);
-    for (PowerCycleRecord &rec : r.cycles) {
-        rec.instructions = in.u64();
-        rec.loads = in.u64();
-        rec.stores = in.u64();
-        rec.activeCycles = in.u64();
-    }
-
-    readCacheStats(in, r.icache);
-    readCacheStats(in, r.dcache);
-
-    if (in.u32() != EnergyLedger::numCategories)
-        return false;
-    for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c)
-        r.ledger.add(static_cast<EnergyCategory>(c), in.f64());
-
-    r.kagura.modeSwitches = in.u64();
-    r.kagura.memOpsInRm = in.u64();
-    r.kagura.rmEvictions = in.u64();
-    r.kagura.rewards = in.u64();
-    r.kagura.punishments = in.u64();
-    r.oracleVetoes = in.u64();
-
-    const std::uint64_t tally_count = in.u64();
-    if (!in.ok || tally_count > bytes.size() / 16 + 1)
-        return false;
-    for (std::uint64_t i = 0; i < tally_count; ++i) {
-        const Addr addr = in.u64();
-        const std::uint32_t beneficial = in.u32();
-        const std::uint32_t useless = in.u32();
-        if (!in.ok)
-            return false;
-        r.oracle.addTally(addr, beneficial, useless);
-    }
-
-    // Optional trailing sections. The first remaining word
-    // disambiguates: nonzero is the untagged OPTgen upper bound
-    // (replOptAccesses != 0 by construction), zero is the marker for
-    // a tagged extension section. Any number of tagged sections may
-    // follow, each behind its own zero marker, ids strictly ascending.
-    bool sawTags = false;
-    bool sawL2 = false;
-    if (in.ok && in.pos != bytes.size()) {
-        const std::uint64_t first = in.u64();
-        bool marker_consumed = (first == 0);
-        if (first != 0) {
-            r.replOptAccesses = first;
-            r.replOptHits = in.u64();
-        }
-        std::uint32_t last_id = 0;
-        while (in.ok && (marker_consumed || in.pos != bytes.size())) {
-            if (!marker_consumed && in.u64() != 0)
-                return false;
-            marker_consumed = false;
+    // The optional sections, each at most once and in order. A
+    // nonzero word opens the untagged one; a zero marker, a tagged
+    // one. The payload must be consumed exactly.
+    Section last = Section::Body;
+    while (in.ok && in.left() != 0) {
+        const std::size_t start = in.pos;
+        Section section = Section::Optgen;
+        if (in.u64() == 0) {
             const std::uint32_t id = in.u32();
-            if (!in.ok || id <= last_id)
+            if (id < sectionId(Section::TagStats) ||
+                id > sectionId(Section::L2Stats))
                 return false;
-            last_id = id;
-            switch (id) {
-            case tagStatsSection:
-                sawTags = true;
-                readTagStats(in, r.icacheTags);
-                readTagStats(in, r.dcacheTags);
-                break;
-            case l2StatsSection:
-                sawL2 = true;
-                readCacheStats(in, r.l2cache);
-                readTagStats(in, r.l2cacheTags);
-                break;
-            default:
-                return false;
-            }
+            section = static_cast<Section>(id + 1);
+        } else {
+            in.pos = start; // the word is the section's first
         }
+        if (section <= last)
+            return false;
+        last = section;
+        const std::size_t content = in.pos;
+        readSection(in, r, section);
+        // Canonical form: the encoder drops an all-zero section.
+        if (allZero(bytes.substr(content, in.pos - content)))
+            return false;
     }
-    // Canonical form: each tagged section exists iff it has content
-    // (mirrors the encoder, so decode(encode(r)) is byte-exact).
-    if (sawTags && !r.icacheTags.any() && !r.dcacheTags.any())
-        return false;
-    if (sawL2 && !anyStats(r.l2cache) && !r.l2cacheTags.any())
-        return false;
-
-    // A well-formed payload is consumed exactly.
-    if (!in.ok || in.pos != bytes.size())
+    if (!in.ok)
         return false;
     out = std::move(r);
     return true;

@@ -32,8 +32,8 @@ std::string encodeResult(const SimResult &result);
 
 /**
  * Parse @p bytes into @p out. Returns false (leaving @p out
- * unspecified) on a short, corrupt, or version-mismatched payload --
- * the cache treats that as a miss, never as an error.
+ * unspecified) on a short, corrupt, non-canonical or version-mismatched
+ * payload -- the cache treats that as a miss, never as an error.
  */
 bool decodeResult(std::string_view bytes, SimResult &out);
 

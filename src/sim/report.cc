@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdarg>
 
+#include "metrics/json.hh"
 #include "runner/result_codec.hh"
 
 namespace kagura
@@ -11,6 +12,7 @@ namespace kagura
 namespace
 {
 
+/** Append printf-formatted numbers (a %.3f double fits 1 KiB). */
 void
 appendf(std::string &out, const char *fmt, ...)
     __attribute__((format(printf, 2, 3)));
@@ -26,26 +28,27 @@ appendf(std::string &out, const char *fmt, ...)
     out += buf;
 }
 
+/**
+ * Append field-listed @p stats (common/fields.hh) as a JSON object:
+ * counters as integers, derived rows to six places.
+ */
+template <typename T>
 void
-appendCacheStats(std::string &out, const char *name,
-                 const CacheStats &stats)
+appendFields(std::string &out, const T &stats)
 {
-    appendf(out,
-            "\"%s\":{\"accesses\":%" PRIu64 ",\"hits\":%" PRIu64
-            ",\"misses\":%" PRIu64 ",\"evictions\":%" PRIu64
-            ",\"writebacks\":%" PRIu64 ",\"compressions\":%" PRIu64
-            ",\"compactions\":%" PRIu64 ",\"decompressions\":%" PRIu64
-            ",\"compressed_hits\":%" PRIu64
-            ",\"compression_enabled_hits\":%" PRIu64
-            ",\"wasted_decompressions\":%" PRIu64
-            ",\"prefetch_fills\":%" PRIu64
-            ",\"decay_writebacks\":%" PRIu64 ",\"miss_rate\":%.6f}",
-            name, stats.accesses, stats.hits, stats.misses,
-            stats.evictions, stats.writebacks, stats.compressions,
-            stats.compactions, stats.decompressions,
-            stats.compressedHits, stats.compressionEnabledHits,
-            stats.wastedDecompressions, stats.prefetchFills,
-            stats.decayWritebacks, stats.missRate());
+    char sep = '{';
+    forEachRow<T>([&](const auto &row) {
+        out += sep;
+        sep = ',';
+        out += '"';
+        out += row.name;
+        out += "\":";
+        if constexpr (isStored<decltype(row)>)
+            appendf(out, "%" PRIu64, stats.*row.member);
+        else
+            appendf(out, "%.6f", (stats.*row.value)());
+    });
+    out += '}';
 }
 
 } // namespace
@@ -55,8 +58,9 @@ toJson(const SimResult &r, bool include_cycles)
 {
     std::string out;
     out.reserve(2048);
-    out += "{";
-    appendf(out, "\"workload\":\"%s\",", r.workload.c_str());
+    out += "{\"workload\":\"";
+    out += metrics::json::escape(r.workload);
+    out += "\",";
     appendf(out, "\"wall_cycles\":%" PRIu64 ",", r.wallCycles);
     appendf(out, "\"active_cycles\":%" PRIu64 ",", r.activeCycles);
     appendf(out, "\"committed_instructions\":%" PRIu64 ",",
@@ -75,30 +79,20 @@ toJson(const SimResult &r, bool include_cycles)
     }
     appendf(out, "\"total\":%.3f},", r.ledger.grandTotal());
 
-    appendCacheStats(out, "icache", r.icache);
-    out += ",";
-    appendCacheStats(out, "dcache", r.dcache);
-    out += ",";
-
-    appendf(out,
-            "\"kagura\":{\"mode_switches\":%" PRIu64
-            ",\"mem_ops_in_rm\":%" PRIu64 ",\"rm_evictions\":%" PRIu64
-            ",\"rewards\":%" PRIu64 ",\"punishments\":%" PRIu64 "},",
-            r.kagura.modeSwitches, r.kagura.memOpsInRm,
-            r.kagura.rmEvictions, r.kagura.rewards,
-            r.kagura.punishments);
-    appendf(out, "\"oracle_vetoes\":%" PRIu64, r.oracleVetoes);
+    out += "\"icache\":";
+    appendFields(out, r.icache);
+    out += ",\"dcache\":";
+    appendFields(out, r.dcache);
+    out += ",\"kagura\":";
+    appendFields(out, r.kagura);
+    appendf(out, ",\"oracle_vetoes\":%" PRIu64, r.oracleVetoes);
 
     if (include_cycles) {
         out += ",\"cycles\":[";
         for (std::size_t i = 0; i < r.cycles.size(); ++i) {
-            const PowerCycleRecord &rec = r.cycles[i];
-            appendf(out,
-                    "%s{\"instructions\":%" PRIu64 ",\"loads\":%" PRIu64
-                    ",\"stores\":%" PRIu64 ",\"active_cycles\":%" PRIu64
-                    "}",
-                    i ? "," : "", rec.instructions, rec.loads,
-                    rec.stores, rec.activeCycles);
+            if (i)
+                out += ',';
+            appendFields(out, r.cycles[i]);
         }
         out += "]";
     }

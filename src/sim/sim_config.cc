@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "common/fields.hh"
 #include "common/spelling.hh"
 #include "core/workload.hh"
 #include "trace/trace_workload.hh"
@@ -298,24 +299,6 @@ constexpr std::tuple configFields{
 // Forgotten-field guard: each struct's member count must equal its
 // row count, so a member added without a row fails the build instead
 // of silently mapping two behaviours onto one cache entry.
-
-/** Converts to any member type, so brace-initializing counts fields. */
-struct AnyMember
-{
-    template <typename T>
-    operator T() const;
-};
-
-/** Number of members of aggregate @p T. */
-template <typename T, std::size_t... I>
-constexpr std::size_t
-memberCount(std::index_sequence<I...> = {})
-{
-    if constexpr (requires { T{(void(I), AnyMember{})..., AnyMember{}}; })
-        return memberCount<T>(std::make_index_sequence<sizeof...(I) + 1>{});
-    else
-        return sizeof...(I);
-}
 
 template <typename T, typename Rows>
 constexpr bool coveredBy = memberCount<T>() == std::tuple_size_v<Rows>;

@@ -4,6 +4,10 @@
  * (Figs. 12, 13-bottom, 14) and the aggregate SimResult. Split from
  * the simulator so result consumers (runner codec, reports, metrics)
  * need not see the simulation machinery.
+ *
+ * Each field here and in the nested stats structs is declared once: a
+ * member plus its row in the struct's fields() (common/fields.hh),
+ * which the codec, the JSON report and the metric export all walk.
  */
 
 #ifndef KAGURA_SIM_SIM_RESULT_HH
@@ -14,6 +18,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "common/fields.hh"
 #include "energy/ledger.hh"
 #include "kagura/kagura.hh"
 #include "kagura/oracle.hh"
@@ -28,6 +33,18 @@ struct PowerCycleRecord
     std::uint64_t loads = 0;
     std::uint64_t stores = 0;
     Cycles activeCycles = 0;
+
+    /** The field list (common/fields.hh), in codec order. */
+    static constexpr auto
+    fields()
+    {
+        return std::tuple{
+            Member{"instructions", &PowerCycleRecord::instructions},
+            Member{"loads", &PowerCycleRecord::loads},
+            Member{"stores", &PowerCycleRecord::stores},
+            Member{"active_cycles", &PowerCycleRecord::activeCycles},
+        };
+    }
 
     /** Cycles-per-instruction within the cycle. */
     double
@@ -128,6 +145,39 @@ struct SimResult
     compressions() const
     {
         return icache.compressions + dcache.compressions;
+    }
+
+    /**
+     * The field list (common/fields.hh), in byte order: the body in
+     * row order, then each optional section in Section order.
+     */
+    static constexpr auto
+    fields()
+    {
+        return std::tuple{
+            Member{"workload", &SimResult::workload},
+            Member{"wall_cycles", &SimResult::wallCycles},
+            Member{"active_cycles", &SimResult::activeCycles},
+            Member{"committed_instructions",
+                   &SimResult::committedInstructions},
+            Member{"loads", &SimResult::loads},
+            Member{"stores", &SimResult::stores},
+            Member{"power_failures", &SimResult::powerFailures},
+            Member{"cycles", &SimResult::cycles},
+            Member{"icache", &SimResult::icache},
+            Member{"dcache", &SimResult::dcache},
+            Member{"energy_pj", &SimResult::ledger},
+            Member{"kagura", &SimResult::kagura},
+            Member{"oracle_vetoes", &SimResult::oracleVetoes},
+            Member{"oracle", &SimResult::oracle},
+            Member{"repl_opt_accesses", &SimResult::replOptAccesses,
+                   Section::Optgen},
+            Member{"repl_opt_hits", &SimResult::replOptHits, Section::Optgen},
+            Member{"icache_tags", &SimResult::icacheTags, Section::TagStats},
+            Member{"dcache_tags", &SimResult::dcacheTags, Section::TagStats},
+            Member{"l2", &SimResult::l2cache, Section::L2Stats},
+            Member{"l2_tags", &SimResult::l2cacheTags, Section::L2Stats},
+        };
     }
 };
 

@@ -320,18 +320,22 @@ Simulator::recordMetrics()
 {
     metrics::MetricSet &set = *mset;
 
-    // Replacement and tag-layout telemetry lives in the policy and
-    // layout objects (per-policy eviction/size histograms), not in
-    // CacheStats. The baseline layout keeps its counters at zero by
-    // contract, so it records nothing.
+    // Replacement telemetry lives in the policy objects (per-policy
+    // eviction/size histograms), not in CacheStats. The baseline tag
+    // layout keeps its counters at zero by contract, so it records
+    // nothing.
     iCache->replPolicy().recordMetrics(set, "sim/icache/repl");
     dCache->replPolicy().recordMetrics(set, "sim/dcache/repl");
-    iCache->tagLayout().recordMetrics(set, "sim/icache/tags");
-    dCache->tagLayout().recordMetrics(set, "sim/dcache/tags");
-    if (l2Cache) {
+    if (l2Cache)
         l2Cache->replPolicy().recordMetrics(set, "sim/l2/repl");
-        l2Cache->tagLayout().recordMetrics(set, "sim/l2/tags");
-    }
+    const auto recordTags = [&set](std::string_view prefix,
+                                   const tags::TagLayoutStats &stats) {
+        if (anyNonzero(stats))
+            metrics::recordFields(set, prefix, stats);
+    };
+    recordTags("sim/icache/tags", result.icacheTags);
+    recordTags("sim/dcache/tags", result.dcacheTags);
+    recordTags("sim/l2/tags", result.l2cacheTags);
 
     // The finished SimResult: counters, gauges, the Fig. 12 per-cycle
     // histogram, the optional time series, cache/ledger breakdowns.
@@ -365,43 +369,40 @@ Simulator::recordMetrics()
         per_cycle.observe(static_cast<double>(rec.instructions));
 
     // Optional per-power-cycle time series (--metrics-timeseries):
-    // one gauge record per completed cycle and series, indexed by a
-    // cycle_index label so downstream tools can reconstruct the
-    // trajectory exactly instead of through histogram buckets.
+    // one gauge record per completed cycle and PowerCycleRecord row,
+    // indexed by a cycle_index label so downstream tools can
+    // reconstruct the trajectory exactly instead of through histogram
+    // buckets.
     if (metrics::timeseriesEnabled() && metrics::defaultSink()) {
         std::size_t index = 0;
         for (const PowerCycleRecord &rec : result.cycles) {
-            const auto emit = [&](const char *name, double value) {
+            forEachRow<PowerCycleRecord>([&](const auto &row) {
                 metrics::Record record;
                 record.kind = metrics::RecordKind::Gauge;
-                record.name = name;
+                record.name = "sim/cycle/";
+                record.name += row.name;
                 record.labels = set.labels();
                 record.labels["cycle_index"] = std::to_string(index);
-                record.value = value;
+                record.value = static_cast<double>(rec.*row.member);
                 metrics::emitRecord(std::move(record));
-            };
-            emit("sim/cycle/instructions",
-                 static_cast<double>(rec.instructions));
-            emit("sim/cycle/loads", static_cast<double>(rec.loads));
-            emit("sim/cycle/stores", static_cast<double>(rec.stores));
-            emit("sim/cycle/active_cycles",
-                 static_cast<double>(rec.activeCycles));
+            });
             ++index;
         }
     }
 
-    result.icache.recordMetrics(set, "sim/icache");
-    result.dcache.recordMetrics(set, "sim/dcache");
+    metrics::recordFields(set, "sim/icache", result.icache);
+    metrics::recordFields(set, "sim/dcache", result.dcache);
     if (cfg.enableL2)
-        result.l2cache.recordMetrics(set, "sim/l2");
+        metrics::recordFields(set, "sim/l2", result.l2cache);
     result.ledger.recordMetrics(set, "sim/energy");
 
     // The Kagura controllers, each under its own prefix so the two
     // levels' stats never collide.
     if (kaguraCtl)
-        kaguraCtl->stats().recordMetrics(set, "sim/kagura");
+        metrics::recordFields(set, "sim/kagura", kaguraCtl->stats());
     if (l2KaguraCtl)
-        l2KaguraCtl->stats().recordMetrics(set, "sim/l2/kagura");
+        metrics::recordFields(set, "sim/l2/kagura",
+                              l2KaguraCtl->stats());
 
     // The compression stack: per-cache ACC predictors and the
     // algorithm.

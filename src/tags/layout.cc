@@ -1,9 +1,6 @@
 #include "tags/layout.hh"
 
-#include <string>
-
 #include "common/logging.hh"
-#include "metrics/registry.hh"
 #include "tags/baseline.hh"
 #include "tags/signature.hh"
 #include "tags/superblock.hh"
@@ -12,44 +9,6 @@ namespace kagura
 {
 namespace tags
 {
-
-void
-TagLayoutStats::recordMetrics(metrics::MetricSet &set,
-                              std::string_view prefix) const
-{
-    const auto leaf = [&prefix](const char *name) {
-        std::string full(prefix);
-        full += '/';
-        full += name;
-        return full;
-    };
-    set.counter(leaf("compactions")).add(tagCompactions);
-    set.counter(leaf("sb_allocations")).add(sbAllocations);
-    for (unsigned i = 0; i < blocksPerSuperblock; ++i) {
-        if (!sbFillDegree[i])
-            continue;
-        std::string name(prefix);
-        name += "/sb_fill_degree/";
-        name += std::to_string(i + 1);
-        set.counter(name).add(sbFillDegree[i]);
-    }
-    set.counter(leaf("sig_rechecks")).add(sigRechecks);
-    set.counter(leaf("sig_false_positives")).add(sigFalsePositives);
-    set.counter(leaf("metadata_flushes")).add(metadataFlushes);
-    set.counter(leaf("metadata_losses")).add(metadataLosses);
-    set.counter(leaf("occupancy_samples")).add(occupancySamples);
-    set.counter(leaf("tags_live_sum")).add(tagsLiveSum);
-    set.counter(leaf("resident_block_sum")).add(residentBlockSum);
-}
-
-void
-TagLayout::recordMetrics(metrics::MetricSet &mset,
-                         std::string_view prefix) const
-{
-    if (!stat.any())
-        return; // baseline: keep the metric namespace untouched
-    stat.recordMetrics(mset, prefix);
-}
 
 std::unique_ptr<TagLayout>
 makeTagLayout(TagLayoutKind kind, const TagGeometry &geometry)

@@ -37,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 
 #include "common/types.hh"
 #include "tags/kind.hh"
@@ -176,10 +175,6 @@ class TagLayout
 
     const TagGeometry &geometry() const { return geom; }
     const TagLayoutStats &stats() const { return stat; }
-
-    /** Export telemetry under "<prefix>/..." (no-op when all-zero). */
-    void recordMetrics(metrics::MetricSet &mset,
-                       std::string_view prefix) const;
 
   protected:
     const TagGeometry geom;

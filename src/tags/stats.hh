@@ -10,16 +10,16 @@
  * configuration still produces an all-zero TagLayoutStats and the
  * canonical SimResult byte stream (and therefore the committed golden
  * fingerprints) is unchanged. The runner codec only appends a
- * tag-stats section when any counter is nonzero.
+ * tag-stats section when any counter is nonzero. Each counter is
+ * declared once: a member plus its row in fields().
  */
 
 #ifndef KAGURA_TAGS_STATS_HH
 #define KAGURA_TAGS_STATS_HH
 
 #include <cstdint>
-#include <string_view>
 
-#include "metrics/fwd.hh"
+#include "common/fields.hh"
 
 namespace kagura
 {
@@ -60,36 +60,8 @@ struct TagLayoutStats
     /** Sum over samples of resident blocks in the filled set. */
     std::uint64_t residentBlockSum = 0;
 
-    /** Any counter nonzero? (Gates the optional codec section.) */
-    bool
-    any() const
-    {
-        std::uint64_t sum = tagCompactions + sbAllocations +
-                            sigRechecks + sigFalsePositives +
-                            metadataFlushes + metadataLosses +
-                            occupancySamples + tagsLiveSum +
-                            residentBlockSum;
-        for (std::uint64_t bin : sbFillDegree)
-            sum += bin;
-        return sum != 0;
-    }
-
     /** Accumulate @p other (suite/seed aggregation). */
-    void
-    add(const TagLayoutStats &other)
-    {
-        tagCompactions += other.tagCompactions;
-        sbAllocations += other.sbAllocations;
-        for (unsigned i = 0; i < blocksPerSuperblock; ++i)
-            sbFillDegree[i] += other.sbFillDegree[i];
-        sigRechecks += other.sigRechecks;
-        sigFalsePositives += other.sigFalsePositives;
-        metadataFlushes += other.metadataFlushes;
-        metadataLosses += other.metadataLosses;
-        occupancySamples += other.occupancySamples;
-        tagsLiveSum += other.tagsLiveSum;
-        residentBlockSum += other.residentBlockSum;
-    }
+    void add(const TagLayoutStats &other) { addFields(*this, other); }
 
     /** Mean resident blocks per set at fill time (0 when idle). */
     double
@@ -111,12 +83,23 @@ struct TagLayoutStats
                    : 0.0;
     }
 
-    /**
-     * Export every counter into @p set under "<prefix>/..." names
-     * (no-op series are still recorded; callers gate on any()).
-     */
-    void recordMetrics(metrics::MetricSet &set,
-                       std::string_view prefix) const;
+    /** The field list (common/fields.hh), in codec order. */
+    static constexpr auto
+    fields()
+    {
+        return std::tuple{
+            Member{"compactions", &TagLayoutStats::tagCompactions},
+            Member{"sb_allocations", &TagLayoutStats::sbAllocations},
+            Member{"sb_fill_degree", &TagLayoutStats::sbFillDegree},
+            Member{"sig_rechecks", &TagLayoutStats::sigRechecks},
+            Member{"sig_false_positives", &TagLayoutStats::sigFalsePositives},
+            Member{"metadata_flushes", &TagLayoutStats::metadataFlushes},
+            Member{"metadata_losses", &TagLayoutStats::metadataLosses},
+            Member{"occupancy_samples", &TagLayoutStats::occupancySamples},
+            Member{"tags_live_sum", &TagLayoutStats::tagsLiveSum},
+            Member{"resident_block_sum", &TagLayoutStats::residentBlockSum},
+        };
+    }
 };
 
 } // namespace tags

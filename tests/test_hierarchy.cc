@@ -683,7 +683,7 @@ TEST(L2StatsCodec, AllZeroStatsEncodeExactlyAsBefore)
     SimResult out;
     ASSERT_TRUE(runner::decodeResult(without, out));
     EXPECT_EQ(out.l2cache.accesses, 0u);
-    EXPECT_FALSE(out.l2cacheTags.any());
+    EXPECT_FALSE(anyNonzero(out.l2cacheTags));
 }
 
 TEST(L2StatsCodec, MalformedSectionsAreRejected)

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/logging.hh"
+#include "metrics/json.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 
@@ -66,6 +69,25 @@ TEST_F(ReportTests, NumbersMatchTheResult)
     EXPECT_NE(json.find("\"power_failures\":" +
                         std::to_string(r.powerFailures)),
               std::string::npos);
+}
+
+TEST_F(ReportTests, WorkloadNameSurvivesAsJsonText)
+{
+    // A trace workload's name comes from the trace header: any bytes,
+    // any length up to 64 KiB.
+    for (const std::string &name :
+         {std::string("a\"b\\c"), std::string(2000, 'n')}) {
+        SimResult r;
+        r.workload = name;
+        metrics::json::Value doc;
+        std::string error;
+        ASSERT_TRUE(metrics::json::parse(toJson(r, true), doc, &error))
+            << error;
+        const metrics::json::Value *workload = doc.find("workload");
+        ASSERT_NE(workload, nullptr);
+        ASSERT_TRUE(workload->isString());
+        EXPECT_EQ(workload->str, name);
+    }
 }
 
 TEST_F(ReportTests, WriteJsonEndsWithNewline)

@@ -10,7 +10,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -19,10 +21,14 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
+#include "metrics/registry.hh"
 #include "runner/cache_maint.hh"
 #include "runner/cache_store.hh"
 #include "runner/config_hash.hh"
@@ -39,6 +45,119 @@ namespace
 {
 
 namespace fs = std::filesystem;
+
+/**
+ * Give every row of @p value (common/fields.hh) a distinct nonzero
+ * value drawn from @p next, so a decoder that swaps, skips or drops
+ * any field reads back something different.
+ */
+template <typename T>
+void
+fillEveryRow(T &value, std::uint64_t &next)
+{
+    if constexpr (std::is_same_v<T, std::uint64_t>) {
+        value = next++;
+    } else if constexpr (std::is_array_v<T>) {
+        for (auto &element : value)
+            fillEveryRow(element, next);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        value = "jpegd";
+    } else if constexpr (std::is_same_v<T, std::vector<PowerCycleRecord>>) {
+        value.resize(3);
+        for (PowerCycleRecord &rec : value)
+            fillEveryRow(rec, next);
+    } else if constexpr (std::is_same_v<T, EnergyLedger>) {
+        for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c)
+            value.add(static_cast<EnergyCategory>(c),
+                      0.1 * static_cast<double>(next++) + 0.2);
+    } else if constexpr (std::is_same_v<T, OracleLog>) {
+        // Inserted out of address order: the encoder sorts them.
+        for (const Addr addr : {0x2040u, 0x1000u, 0x3080u}) {
+            const auto beneficial = static_cast<std::uint32_t>(next++);
+            value.addTally(addr, beneficial,
+                           static_cast<std::uint32_t>(next++));
+        }
+    } else {
+        forEachRow<T>([&](const auto &row) {
+            if constexpr (isStored<decltype(row)>)
+                fillEveryRow(value.*row.member, next);
+        });
+    }
+}
+
+/** A SimResult whose every field, in every section, is nonzero. */
+SimResult
+everyFieldResult()
+{
+    SimResult r;
+    std::uint64_t next = 1;
+    fillEveryRow(r, next);
+    return r;
+}
+
+/** Expect @p a and @p b equal row by row; @p path names the row. */
+template <typename T>
+void
+expectSameRows(const T &a, const T &b, const std::string &path)
+{
+    if constexpr (std::is_same_v<T, std::uint64_t> ||
+                  std::is_same_v<T, std::string>) {
+        EXPECT_EQ(a, b) << path;
+    } else if constexpr (std::is_array_v<T>) {
+        for (std::size_t i = 0; i < std::extent_v<T>; ++i)
+            expectSameRows(a[i], b[i], path + "/" + std::to_string(i + 1));
+    } else if constexpr (std::is_same_v<T, std::vector<PowerCycleRecord>>) {
+        ASSERT_EQ(a.size(), b.size()) << path;
+        for (std::size_t i = 0; i < a.size(); ++i)
+            expectSameRows(a[i], b[i], path + "/" + std::to_string(i));
+    } else if constexpr (std::is_same_v<T, EnergyLedger>) {
+        for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c) {
+            const auto cat = static_cast<EnergyCategory>(c);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.total(cat)),
+                      std::bit_cast<std::uint64_t>(b.total(cat)))
+                << path << "/" << energyCategorySlug(cat);
+        }
+    } else if constexpr (std::is_same_v<T, OracleLog>) {
+        EXPECT_TRUE(a == b) << path;
+    } else {
+        forEachRow<T>([&](const auto &row) {
+            if constexpr (isStored<decltype(row)>)
+                expectSameRows(a.*row.member, b.*row.member,
+                               path + "/" + std::string(row.name));
+        });
+    }
+}
+
+/**
+ * Expect the metric export of @p stats to hold exactly one name per
+ * row: an array row names each (nonzero) element.
+ */
+template <typename T>
+void
+expectOneMetricPerRow(const T &stats)
+{
+    std::vector<std::string> expected;
+    forEachRow<T>([&](const auto &row) {
+        const std::string name = "s/" + std::string(row.name);
+        std::size_t elements = 1;
+        if constexpr (isStored<decltype(row)>)
+            if constexpr (isArray<decltype(stats.*row.member)>)
+                elements = std::size(stats.*row.member);
+        if (elements == 1)
+            expected.push_back(name);
+        else
+            for (std::size_t k = 1; k <= elements; ++k)
+                expected.push_back(name + "/" + std::to_string(k));
+    });
+    std::sort(expected.begin(), expected.end());
+
+    metrics::MetricSet set;
+    metrics::recordFields(set, "s", stats);
+    std::vector<std::string> names;
+    for (const metrics::Record &record : set.snapshot())
+        names.push_back(record.name);
+    EXPECT_EQ(names, expected);
+}
 
 /**
  * Quiet, hermetic fixture: the global cache store is parked disabled
@@ -81,36 +200,6 @@ class RunnerTests : public testing::Test
                                 "-" + std::to_string(::getpid());
         std::filesystem::remove_all(dir);
         return dir;
-    }
-
-    /** A SimResult exercising every field the codec serialises. */
-    static SimResult
-    richResult()
-    {
-        SimResult r;
-        r.workload = "jpegd";
-        r.wallCycles = 123456789;
-        r.activeCycles = 23456;
-        r.committedInstructions = 99999;
-        r.loads = 1234;
-        r.stores = 567;
-        r.powerFailures = 21;
-        r.cycles.push_back({100, 10, 5, 2000});
-        r.cycles.push_back({250, 17, 9, 4100});
-        r.icache.accesses = 1000;
-        r.icache.hits = 900;
-        r.icache.misses = 100;
-        r.dcache.accesses = 800;
-        r.dcache.compressions = 42;
-        r.ledger.add(EnergyCategory::Compress, 1.25);
-        r.ledger.add(EnergyCategory::Memory, 3.0e7);
-        r.ledger.add(EnergyCategory::Others, 0.1 + 0.2); // non-exact sum
-        r.kagura.modeSwitches = 7;
-        r.kagura.rewards = 3;
-        r.oracleVetoes = 11;
-        r.oracle.addTally(0x1000, 3, 1);
-        r.oracle.addTally(0x2040, 0, 5);
-        return r;
     }
 
     unsigned savedRepeats = 0;
@@ -166,20 +255,64 @@ TEST_F(RunnerTests, IdealJobsAreDeterministicAcrossWorkerCounts)
 
 TEST_F(RunnerTests, CodecRoundTripsEveryFieldExactly)
 {
-    const SimResult r = richResult();
+    const SimResult r = everyFieldResult();
     const std::string bytes = runner::encodeResult(r);
 
     SimResult back;
     ASSERT_TRUE(runner::decodeResult(bytes, back));
+    expectSameRows(r, back, "result");
     EXPECT_TRUE(exactlyEqual(r, back));
-    EXPECT_EQ(back.workload, "jpegd");
-    EXPECT_EQ(back.cycles.size(), 2u);
-    EXPECT_EQ(back.cycles[1].activeCycles, 4100u);
-    EXPECT_EQ(back.icache.hits, 900u);
-    EXPECT_EQ(back.ledger.total(EnergyCategory::Others), 0.1 + 0.2);
-    EXPECT_TRUE(back.oracle == r.oracle);
-    EXPECT_TRUE(back.oracle.worthCompressing(0x1000, false));
-    EXPECT_FALSE(back.oracle.worthCompressing(0x2040, true));
+
+    expectOneMetricPerRow(r.icache);
+    expectOneMetricPerRow(r.dcache);
+    expectOneMetricPerRow(r.l2cache);
+    expectOneMetricPerRow(r.icacheTags);
+    expectOneMetricPerRow(r.dcacheTags);
+    expectOneMetricPerRow(r.l2cacheTags);
+    expectOneMetricPerRow(r.kagura);
+}
+
+TEST_F(RunnerTests, CodecMutationsDecodeCanonicallyOrNotAtAll)
+{
+    // The canonical-form promise of result_codec.hh, against input
+    // from outside the program (cache entries are read from disk):
+    // any byte string either fails to decode or decodes to a result
+    // that re-encodes to exactly those bytes. The all-zero result
+    // puts 0.0 in every ledger slot, where a sign flip reads -0.0.
+    unsigned accepted = 0;
+    unsigned rejected = 0;
+    const auto check = [&](const std::string &bytes,
+                           const std::string &what) {
+        SimResult out;
+        if (!runner::decodeResult(bytes, out)) {
+            ++rejected;
+            return;
+        }
+        ++accepted;
+        EXPECT_TRUE(runner::encodeResult(out) == bytes) << what;
+    };
+
+    Rng rng(0x6b677262);
+    for (const SimResult &base : {everyFieldResult(), SimResult{}}) {
+        const std::string good = runner::encodeResult(base);
+        for (std::size_t n = 0; n < good.size(); ++n)
+            check(good.substr(0, n), "truncated to " + std::to_string(n));
+        for (std::size_t bit = 0; bit < 8 * good.size(); ++bit) {
+            std::string bytes = good;
+            bytes[bit / 8] ^= static_cast<char>(1 << bit % 8);
+            check(bytes, "bit " + std::to_string(bit) + " flipped");
+        }
+        for (int i = 0; i < 2000; ++i) {
+            std::string bytes = good;
+            const std::size_t at = rng.below(bytes.size() + 1);
+            bytes.insert(at, 1, static_cast<char>(rng.below(256)));
+            check(bytes, "byte inserted at " + std::to_string(at));
+        }
+    }
+    // Both outcomes occur: cuts at section boundaries and flips
+    // inside counters decode; most others do not.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 TEST_F(RunnerTests, CodecRoundTripsARealRun)
@@ -196,7 +329,7 @@ TEST_F(RunnerTests, CodecRoundTripsARealRun)
 
 TEST_F(RunnerTests, CodecRejectsTruncatedAndCorruptPayloads)
 {
-    const std::string bytes = runner::encodeResult(richResult());
+    const std::string bytes = runner::encodeResult(everyFieldResult());
     SimResult out;
     EXPECT_FALSE(runner::decodeResult("", out));
     EXPECT_FALSE(runner::decodeResult("garbage", out));

@@ -349,9 +349,9 @@ checkRandomizedTraffic(TagLayoutKind kind, CacheConfig cfg)
     // The non-baseline layouts must have exercised their machinery;
     // the baseline must have stayed silent (encoding contract).
     if (kind == TagLayoutKind::Baseline) {
-        EXPECT_FALSE(cache.tagStats().any());
+        EXPECT_FALSE(anyNonzero(cache.tagStats()));
     } else {
-        EXPECT_TRUE(cache.tagStats().any());
+        EXPECT_TRUE(anyNonzero(cache.tagStats()));
     }
     if (kind == TagLayoutKind::Superblock) {
         EXPECT_GT(cache.tagStats().sbAllocations, 0u);
@@ -621,8 +621,8 @@ TEST(TagStatsCodec, AllZeroStatsEncodeExactlyAsBefore)
 
     SimResult out;
     ASSERT_TRUE(runner::decodeResult(without, out));
-    EXPECT_FALSE(out.icacheTags.any());
-    EXPECT_FALSE(out.dcacheTags.any());
+    EXPECT_FALSE(anyNonzero(out.icacheTags));
+    EXPECT_FALSE(anyNonzero(out.dcacheTags));
 }
 
 TEST(TagStatsCodec, MalformedSectionsAreRejected)
