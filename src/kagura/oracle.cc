@@ -24,15 +24,14 @@ OracleRecorder::noteCompression(Addr addr)
 {
     // A new compression episode opens for this block. If one was
     // already open (recompression after a store), settle it first.
-    auto it = pending.find(addr);
-    if (it != pending.end()) {
-        if (it->second)
+    if (bool *beneficial = pending.find(addr)) {
+        if (*beneficial)
             outcomes.addBeneficial(addr);
         else
             outcomes.addUseless(addr);
-        it->second = false;
+        *beneficial = false;
     } else {
-        pending.emplace(addr, false);
+        pending[addr] = false;
     }
     if (inner)
         inner->noteCompression(addr);
@@ -41,9 +40,8 @@ OracleRecorder::noteCompression(Addr addr)
 void
 OracleRecorder::noteCompressionEnabledHit(Addr addr)
 {
-    auto it = pending.find(addr);
-    if (it != pending.end())
-        it->second = true;
+    if (bool *beneficial = pending.find(addr))
+        *beneficial = true;
     if (inner)
         inner->noteCompressionEnabledHit(addr);
 }
@@ -60,9 +58,8 @@ OracleRecorder::noteCompressionContribution(Addr addr)
 {
     // The block's compression helped create the capacity behind a
     // compression-enabled hit: its open episode is beneficial.
-    auto it = pending.find(addr);
-    if (it != pending.end())
-        it->second = true;
+    if (bool *beneficial = pending.find(addr))
+        *beneficial = true;
     if (inner)
         inner->noteCompressionContribution(addr);
 }
@@ -107,12 +104,12 @@ OracleRecorder::noteCacheCleared()
     // whatever benefit it accumulated -- blocks compressed but never
     // re-used before the outage are exactly the "useless compressions"
     // of Section IV.
-    for (auto &[addr, beneficial] : pending) {
+    pending.forEach([this](Addr addr, bool beneficial) {
         if (beneficial)
             outcomes.addBeneficial(addr);
         else
             outcomes.addUseless(addr);
-    }
+    });
     pending.clear();
     if (inner)
         inner->noteCacheCleared();
@@ -121,14 +118,14 @@ OracleRecorder::noteCacheCleared()
 void
 OracleRecorder::closePending(Addr addr)
 {
-    auto it = pending.find(addr);
-    if (it == pending.end())
+    const bool *beneficial = pending.find(addr);
+    if (!beneficial)
         return;
-    if (it->second)
+    if (*beneficial)
         outcomes.addBeneficial(addr);
     else
         outcomes.addUseless(addr);
-    pending.erase(it);
+    pending.erase(addr);
 }
 
 OracleReplayer::OracleReplayer(const OracleLog &log,

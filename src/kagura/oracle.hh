@@ -19,9 +19,9 @@
 #define KAGURA_KAGURA_ORACLE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "cache/governor.hh"
+#include "common/addr_map.hh"
 
 namespace kagura
 {
@@ -57,12 +57,12 @@ class OracleLog
     bool
     worthCompressing(Addr addr, bool fallback) const
     {
-        auto it = tallies.find(addr);
-        if (it == tallies.end())
+        const Tally *tally = tallies.find(addr);
+        if (!tally)
             return fallback;
-        if (it->second.beneficial > 0)
+        if (tally->beneficial > 0)
             return true;
-        return it->second.useless > 0 ? false : fallback;
+        return tally->useless > 0 ? false : fallback;
     }
 
     /** Number of distinct addresses with recorded outcomes. */
@@ -76,8 +76,9 @@ class OracleLog
     void
     forEachTally(Fn &&fn) const
     {
-        for (const auto &[addr, tally] : tallies)
+        tallies.forEach([&fn](Addr addr, const Tally &tally) {
             fn(addr, tally.beneficial, tally.useless);
+        });
     }
 
     /** Insert a pre-counted tally (deserialisation). */
@@ -89,17 +90,17 @@ class OracleLog
         t.useless += useless;
     }
 
-    /** Exact content equality (codec round-trip tests). */
+    /** Exact content equality, in any order (codec round-trip tests). */
     bool operator==(const OracleLog &other) const = default;
 
     /** Fold another log's tallies into this one (per-cache merge). */
     void
     merge(const OracleLog &other)
     {
-        for (const auto &[addr, tally] : other.tallies) {
-            tallies[addr].beneficial += tally.beneficial;
-            tallies[addr].useless += tally.useless;
-        }
+        other.forEachTally([this](Addr addr, std::uint32_t beneficial,
+                                  std::uint32_t useless) {
+            addTally(addr, beneficial, useless);
+        });
     }
 
   private:
@@ -111,7 +112,7 @@ class OracleLog
         bool operator==(const Tally &) const = default;
     };
 
-    std::unordered_map<Addr, Tally> tallies;
+    AddrMap<Tally> tallies;
 };
 
 /**
@@ -145,7 +146,7 @@ class OracleRecorder : public CompressionGovernor
     CompressionGovernor *inner;
     OracleLog outcomes;
     /** Open episodes: address -> has already proven beneficial. */
-    std::unordered_map<Addr, bool> pending;
+    AddrMap<bool> pending;
 };
 
 /**

@@ -1,11 +1,14 @@
 /**
  * @file
  * Unit tests for the common infrastructure: RNG determinism, stats
- * accumulators, histograms, and the table printers.
+ * accumulators, histograms, the table printers, and AddrMap.
  */
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
+#include "common/addr_map.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -225,6 +228,59 @@ TEST(BarChart, PrintsWithoutCrashing)
     ASSERT_NE(devnull, nullptr);
     chart.print(20, devnull);
     std::fclose(devnull);
+}
+
+TEST(AddrMap, MatchesAStandardMapUnderRandomInsertsAndErases)
+{
+    // Few distinct keys over a wide range, so erases hit long probe
+    // runs and the backward shift has entries to move.
+    AddrMap<unsigned> map;
+    std::unordered_map<Addr, unsigned> model;
+    Rng rng(0xadd7);
+    for (int i = 0; i < 20000; ++i) {
+        const Addr addr = rng.chance(0.01) ? ~0ULL : rng.below(200) * 32;
+        if (rng.chance(0.4)) {
+            map.erase(addr);
+            model.erase(addr);
+        } else {
+            ++map[addr];
+            ++model[addr];
+        }
+        if (i % 5000 == 4999) {
+            map.clear();
+            model.clear();
+        }
+        ASSERT_EQ(map.size(), model.size());
+    }
+    for (Addr addr = 0; addr < 200 * 32; addr += 32) {
+        const unsigned *value = map.find(addr);
+        const auto it = model.find(addr);
+        ASSERT_EQ(value != nullptr, it != model.end()) << addr;
+        if (value) {
+            EXPECT_EQ(*value, it->second) << addr;
+        }
+    }
+    std::size_t visited = 0;
+    map.forEach([&](Addr addr, unsigned value) {
+        ++visited;
+        EXPECT_EQ(model.at(addr), value);
+    });
+    EXPECT_EQ(visited, model.size());
+}
+
+TEST(AddrMap, EqualityIgnoresInsertionOrder)
+{
+    AddrMap<int> a, b;
+    for (Addr addr = 0; addr < 100; ++addr) {
+        a[addr * 64] = static_cast<int>(addr);
+        b[(99 - addr) * 64] = static_cast<int>(99 - addr);
+    }
+    EXPECT_TRUE(a == b);
+    b[64] = 7;
+    EXPECT_FALSE(a == b);
+    b.erase(64);
+    EXPECT_FALSE(a == b);
+    EXPECT_TRUE(AddrMap<int>{} == AddrMap<int>{});
 }
 
 } // namespace
