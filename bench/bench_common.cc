@@ -9,6 +9,7 @@
 #include <map>
 
 #include "common/logging.hh"
+#include "common/stats.hh"
 #include "metrics/json.hh"
 #include "metrics/sink.hh"
 #include "runner/cache_store.hh"
@@ -484,6 +485,49 @@ printSpeedupTable(const SuiteResult &baseline,
         metrics::emitHeadline("bench/speedup_geomean", geomean,
                               {{"config", cfg.label}});
     }
+}
+
+void
+printPairedDeltaTable(const SuiteResult &baseline,
+                      const SuiteResult &reference,
+                      const SuiteResult &candidate)
+{
+    // Fixed, so a rerun prints the same intervals.
+    constexpr std::uint64_t ciSeed = 0x6b616775ULL;
+    const auto row = [&](const std::string &label,
+                         const std::vector<std::vector<double>> &deltas,
+                         TextTable &table) {
+        const BootstrapCi ci = bootstrapMeanCi(deltas, ciSeed);
+        bool single = false;
+        for (const std::vector<double> &seeds : deltas)
+            single = single || seeds.size() < 2;
+        const char *verdict =
+            single || !ci.resolved()
+                ? "unresolved"
+                : (ci.lo > 0.0 ? candidate.label : reference.label)
+                      .c_str();
+        table.addRow({label, TextTable::pct(ci.mean),
+                      "[" + TextTable::pct(ci.lo) + ", " +
+                          TextTable::pct(ci.hi) + "]",
+                      verdict});
+    };
+
+    TextTable table;
+    table.setHeader({"app", candidate.label + " - " + reference.label,
+                     "95% CI", "ahead"});
+    std::vector<std::vector<double>> suite;
+    for (const AppResult &entry : baseline.apps) {
+        const AppResult &ref = reference.forApp(entry.app);
+        const AppResult &cand = candidate.forApp(entry.app);
+        std::vector<double> deltas;
+        for (std::size_t i = 0; i < entry.runs.size(); ++i)
+            deltas.push_back(speedupPct(cand.runs[i], entry.runs[i]) -
+                             speedupPct(ref.runs[i], entry.runs[i]));
+        row(entry.app, {deltas}, table);
+        suite.push_back(std::move(deltas));
+    }
+    row("SUITE", suite, table);
+    table.print();
 }
 
 void

@@ -122,6 +122,18 @@ std::vector<std::string> parseAppList(const std::string &csv);
 void printSpeedupTable(const SuiteResult &baseline,
                        const std::vector<SuiteResult> &configs);
 
+/**
+ * Print the paired per-seed speedup delta of @p candidate over
+ * @p reference (both against @p baseline, seed by seed), per app and
+ * for the suite, each with a seeded 95% bootstrap CI
+ * (bootstrapMeanCi; the suite row resamples within every app). A row
+ * whose CI spans zero -- or that has a single seed -- reads
+ * "unresolved" instead of naming a winner.
+ */
+void printPairedDeltaTable(const SuiteResult &baseline,
+                           const SuiteResult &reference,
+                           const SuiteResult &candidate);
+
 /** Per-app + average energy-delta (%) table against the baseline. */
 void printEnergyTable(const SuiteResult &baseline,
                       const std::vector<SuiteResult> &configs);

@@ -35,6 +35,10 @@ KAGURA_BENCH(fig13_main_speedup, "Fig. 13", "Main speedup result",
     bench::printSpeedupTable(base,
                              {acc, kagura, ideal_acc, ideal_kagura});
 
+    std::printf("\nKagura vs ACC: per-seed paired speedup delta, 95%% "
+                "bootstrap CI\n");
+    bench::printPairedDeltaTable(base, acc, kagura);
+
     // Bottom: committed instructions per power cycle.
     std::printf("\nBottom: committed instructions per power cycle "
                 "(increase over baseline)\n");

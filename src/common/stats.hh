@@ -1,8 +1,9 @@
 /**
  * @file
- * Lightweight statistics primitives: running scalars, means, and
+ * Lightweight statistics primitives: running scalars, means,
  * fixed-bucket histograms used for per-power-cycle metrics (e.g. the
- * cycle-length distribution of Fig. 14).
+ * cycle-length distribution of Fig. 14), and the seeded bootstrap CI
+ * the paired comparisons report.
  */
 
 #ifndef KAGURA_COMMON_STATS_HH
@@ -14,6 +15,8 @@
 #include <limits>
 #include <string>
 #include <vector>
+
+#include "common/rng.hh"
 
 namespace kagura
 {
@@ -164,6 +167,61 @@ geoMean(const std::vector<double> &values)
     for (double v : values)
         acc += std::log(v);
     return std::exp(acc / static_cast<double>(values.size()));
+}
+
+/** A mean with its 95% confidence interval. */
+struct BootstrapCi
+{
+    double mean = 0.0;
+    double lo = 0.0;
+    double hi = 0.0;
+
+    /** Does the interval exclude zero? */
+    bool resolved() const { return lo > 0.0 || hi < 0.0; }
+};
+
+/**
+ * Seeded percentile bootstrap of the mean of per-group means: each of
+ * @p resamples replicates redraws every group's samples with
+ * replacement (stratified: a group keeps its size) and averages the
+ * group means; the interval is the replicates' 2.5th..97.5th
+ * percentiles. One group of per-seed paired deltas gives an app's CI;
+ * one group per app gives the suite's. Deterministic in @p seed.
+ * Every group must be nonempty.
+ */
+inline BootstrapCi
+bootstrapMeanCi(const std::vector<std::vector<double>> &groups,
+                std::uint64_t seed, unsigned resamples = 4000)
+{
+    BootstrapCi ci;
+    if (groups.empty())
+        return ci;
+    const auto group_count = static_cast<double>(groups.size());
+    for (const std::vector<double> &group : groups) {
+        double sum = 0.0;
+        for (double v : group)
+            sum += v;
+        ci.mean += sum / static_cast<double>(group.size()) / group_count;
+    }
+    Rng rng(seed);
+    std::vector<double> means(resamples);
+    for (double &mean : means) {
+        mean = 0.0;
+        for (const std::vector<double> &group : groups) {
+            double sum = 0.0;
+            for (std::size_t i = 0; i < group.size(); ++i)
+                sum += group[rng.below(group.size())];
+            mean += sum / static_cast<double>(group.size()) / group_count;
+        }
+    }
+    std::sort(means.begin(), means.end());
+    const auto at = [&means](double q) {
+        return means[static_cast<std::size_t>(
+            q * static_cast<double>(means.size() - 1) + 0.5)];
+    };
+    ci.lo = at(0.025);
+    ci.hi = at(0.975);
+    return ci;
 }
 
 } // namespace kagura

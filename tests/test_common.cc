@@ -283,5 +283,41 @@ TEST(AddrMap, EqualityIgnoresInsertionOrder)
     EXPECT_TRUE(AddrMap<int>{} == AddrMap<int>{});
 }
 
+TEST(BootstrapCi, SameSeedGivesTheSameInterval)
+{
+    const std::vector<std::vector<double>> groups = {
+        {0.3, -0.1, 0.8, 0.2, -0.4}, {1.0, 0.5}, {-0.2, 0.1, 0.0}};
+    const BootstrapCi a = bootstrapMeanCi(groups, 42);
+    const BootstrapCi b = bootstrapMeanCi(groups, 42);
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.lo, b.lo);
+    EXPECT_EQ(a.hi, b.hi);
+    EXPECT_LE(a.lo, a.mean);
+    EXPECT_GE(a.hi, a.mean);
+    const BootstrapCi c = bootstrapMeanCi(groups, 43);
+    EXPECT_EQ(a.mean, c.mean);
+    EXPECT_TRUE(a.lo != c.lo || a.hi != c.hi)
+        << "the seed should drive the resampling";
+}
+
+TEST(BootstrapCi, AllPositiveDeltasResolveAboveZero)
+{
+    const BootstrapCi ci =
+        bootstrapMeanCi({{0.2, 0.5, 0.1, 0.9, 0.3, 0.4}}, 7);
+    EXPECT_GT(ci.lo, 0.0);
+    EXPECT_TRUE(ci.resolved());
+    EXPECT_NEAR(ci.mean, 0.4, 1e-12);
+}
+
+TEST(BootstrapCi, SymmetricDeltasAreUnresolved)
+{
+    const BootstrapCi ci = bootstrapMeanCi(
+        {{-1.0, 1.0, -0.5, 0.5, -2.0, 2.0}, {0.3, -0.3}}, 7);
+    EXPECT_LT(ci.lo, 0.0);
+    EXPECT_GT(ci.hi, 0.0);
+    EXPECT_FALSE(ci.resolved());
+    EXPECT_NEAR(ci.mean, 0.0, 1e-12);
+}
+
 } // namespace
 } // namespace kagura
