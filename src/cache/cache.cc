@@ -31,35 +31,6 @@ validated(const CacheConfig &cfg)
     return cfg;
 }
 
-/**
- * Merge a deeper level's events into this access's outcome --
- * everything but latency, which each call site charges (or drops)
- * according to its own critical-path rule.
- */
-void
-mergeEvents(const hier::LevelEvents &ev, AccessOutcome &out)
-{
-    out.nvmBlockReads += ev.nvmBlockReads;
-    out.nvmBlockWrites += ev.nvmBlockWrites;
-    out.compressions += ev.compressions;
-    out.compactions += ev.compactions;
-    out.decompressions += ev.decompressions;
-    out.evictions += ev.evictions;
-    out.nextLevelAccesses += ev.accesses;
-}
-
-/** The reverse direction: report this level's outcome upward. */
-void
-mergeOutcome(const AccessOutcome &out, hier::LevelEvents &ev)
-{
-    ev.nvmBlockReads += out.nvmBlockReads;
-    ev.nvmBlockWrites += out.nvmBlockWrites;
-    ev.compressions += out.compressions;
-    ev.compactions += out.compactions;
-    ev.decompressions += out.decompressions;
-    ev.evictions += out.evictions;
-}
-
 } // namespace
 
 Cache::Cache(const CacheConfig &config, hier::MemLevel &next_level,
@@ -124,7 +95,7 @@ Cache::writeback(Line &line, AccessOutcome &out)
     next.absorbBlock(line.base, lineData(line), ev, clock);
     // No latency merge: writebacks sit behind the store buffer (the
     // historical single-level accounting charged none either).
-    mergeEvents(ev, out);
+    out += ev;
     ++stat.writebacks;
     line.dirty = false;
 }
@@ -358,8 +329,9 @@ Cache::fillLine(const Place &place, Cycles now, AccessOutcome &out)
     if (replHooks.fill)
         repl_->noteFill(place.set, slot, base, footprint);
     // Merged last, long after the next level's stores to @c fetch: a
-    // merge right behind them stalls on store forwarding.
-    mergeEvents(fetch, out);
+    // merge right behind them stalls on store forwarding. Latency is
+    // the caller's to charge.
+    out += fetch;
     return line;
 }
 
@@ -444,7 +416,7 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
             hier::LevelEvents fwd;
             next.absorbBlock(place.base, ConstByteSpan{data, size}, fwd,
                              now);
-            mergeEvents(fwd, out);
+            out += fwd;
             return out;
         }
         line = &fillLine(place, now, out);
@@ -525,13 +497,9 @@ Cache::accessImpl(Addr addr, bool is_write, std::uint8_t *data,
     if (!out.hit && pf) {
         Addr next = 0;
         if (pf->next(place.base, next)) {
-            AccessOutcome pf_out = prefetchFill(next, now);
-            out.nvmBlockReads += pf_out.nvmBlockReads;
-            out.nvmBlockWrites += pf_out.nvmBlockWrites;
-            out.compressions += pf_out.compressions;
-            out.decompressions += pf_out.decompressions;
-            out.evictions += pf_out.evictions;
-            // Prefetch latency is off the critical path (no += latency).
+            // Prefetch latency is off the critical path: only the
+            // events merge.
+            out += prefetchFill(next, now);
         }
     }
     return out;
@@ -574,6 +542,8 @@ Cache::writebackAllDirty()
     flush.nvmBlockWrites = ev.nvmBlockWrites;
     flush.decompressions += ev.decompressions;
     flush.absorbedWrites = ev.hits;
+    flush.compressions = ev.compressions;
+    flush.compactions = ev.compactions;
     return flush;
 }
 
@@ -583,10 +553,10 @@ Cache::fetchBlock(Addr base, MutByteSpan dst, hier::LevelEvents &ev,
 {
     AccessOutcome out =
         accessImpl(base, false, dst.data(), cfg.blockSize, now, false);
-    ev.accesses += 1;
+    ev.nextLevelAccesses += 1;
     ev.hits += out.hit ? 1 : 0;
     ev.latency += out.latency;
-    mergeOutcome(out, ev);
+    ev += out;
 }
 
 void
@@ -597,9 +567,9 @@ Cache::absorbBlock(Addr base, ConstByteSpan src, hier::LevelEvents &ev,
     AccessOutcome out =
         accessImpl(base, true, const_cast<std::uint8_t *>(src.data()),
                    cfg.blockSize, now, true);
-    ev.accesses += 1;
+    ev.nextLevelAccesses += 1;
     ev.hits += out.hit ? 1 : 0;
-    mergeOutcome(out, ev);
+    ev += out;
 }
 
 void

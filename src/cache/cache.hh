@@ -75,23 +75,16 @@ struct CacheConfig
     }
 };
 
-/** Everything energy/latency-relevant that one access caused. */
-struct AccessOutcome
+/**
+ * Everything energy/latency-relevant that one access caused: the
+ * event counts (merged with hier::EventCounts::operator+=) plus the
+ * access's own hit flags and critical-path latency.
+ */
+struct AccessOutcome : hier::EventCounts
 {
     bool hit = false;
     /** The hit target was stored compressed (decompression on path). */
     bool hitCompressed = false;
-    unsigned nvmBlockReads = 0;
-    unsigned nvmBlockWrites = 0;
-    unsigned compressions = 0;
-    /** Compressions that actually stored a smaller block (data-array
-     *  segment rewrite -- the costlier event). */
-    unsigned compactions = 0;
-    unsigned decompressions = 0;
-    unsigned evictions = 0;
-    /** Block operations this access caused at the next *cache* level
-     *  (0 when the next level is the NVM terminal). */
-    unsigned nextLevelAccesses = 0;
     Cycles latency = 0;
 };
 
@@ -106,6 +99,9 @@ struct FlushOutcome
     /** Writebacks absorbed by an intermediate cache level (hit and
      *  updated in place; they cost an SRAM write, not an NVM one). */
     unsigned absorbedWrites = 0;
+    /** Recompressions that absorbing caused at that level. */
+    unsigned compressions = 0;
+    unsigned compactions = 0;
 };
 
 /** Aggregate cache statistics. */

@@ -3,14 +3,18 @@
  * Fundamental scalar types shared by every subsystem of the Kagura
  * simulator: addresses, cycle counts, and energy quantities.
  *
- * All energy bookkeeping uses picojoules held in double precision; at the
- * scales this simulator covers (pJ per event, uJ per power cycle, mJ per
- * run) a double keeps far more than enough significand.
+ * Energy constants (Table I) are given in picojoules as doubles; the
+ * capacitor, every draw, the harvest and the ledger count integer
+ * zeptojoules (1 zJ = 1e-21 J). An int64 holds 9.2 mJ, past the
+ * 2.6 mJ of the largest buffer Fig. 29 sweeps, and Table I's pJ
+ * constants are exact in the unit; integer sums are associative, so a
+ * step's draws add up the same in any order.
  */
 
 #ifndef KAGURA_COMMON_TYPES_HH
 #define KAGURA_COMMON_TYPES_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace kagura
@@ -24,6 +28,9 @@ using Cycles = std::uint64_t;
 
 /** Energy in picojoules. */
 using PicoJoules = double;
+
+/** Energy in zeptojoules (1e-21 J). */
+using ZeptoJoules = std::int64_t;
 
 /** Power in watts (used for harvest traces and leakage). */
 using Watts = double;
@@ -43,6 +50,34 @@ constexpr PicoJoules
 joulesToPico(double joules)
 {
     return joules * 1e12;
+}
+
+/** Picojoules to the nearest zeptojoule. */
+inline ZeptoJoules
+picoToZepto(PicoJoules pj)
+{
+    return std::llround(pj * 1e9);
+}
+
+/** Joules to the nearest zeptojoule. */
+inline ZeptoJoules
+joulesToZepto(double joules)
+{
+    return std::llround(joules * 1e21);
+}
+
+/** Zeptojoules as picojoules (exports and reports). */
+constexpr PicoJoules
+zeptoToPico(ZeptoJoules zj)
+{
+    return static_cast<double>(zj) / 1e9;
+}
+
+/** Zeptojoules as joules. */
+constexpr double
+zeptoToJoules(ZeptoJoules zj)
+{
+    return static_cast<double>(zj) / 1e21;
 }
 
 /** Integer ceiling division for sizing segment/beat counts. */

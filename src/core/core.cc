@@ -14,23 +14,10 @@ Core::Core(Cache &icache_, Cache &dcache_)
 }
 
 void
-Core::merge(AccessOutcome &dst, const AccessOutcome &src)
-{
-    dst.nvmBlockReads += src.nvmBlockReads;
-    dst.nvmBlockWrites += src.nvmBlockWrites;
-    dst.compressions += src.compressions;
-    dst.decompressions += src.decompressions;
-    dst.evictions += src.evictions;
-    dst.latency += src.latency;
-    if (src.hit)
-        dst.hit = true;
-}
-
-void
 Core::fetchFromArray(Addr pc, Cycles now, StepResult &result)
 {
-    AccessOutcome access = icache.access(pc, false, nullptr, 4, now);
-    merge(result.icache, access);
+    const AccessOutcome access = icache.access(pc, false, nullptr, 4, now);
+    result.icache += access;
     ++result.icacheArrayAccesses;
     result.cycles += access.latency;
     fetchBlockValid = true;

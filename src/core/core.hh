@@ -42,8 +42,8 @@ struct StepResult
     /** ICache array accesses (line-buffer misses). */
     unsigned icacheArrayAccesses = 0;
 
-    /** Aggregated instruction-cache events. */
-    AccessOutcome icache;
+    /** Instruction-cache events, summed over the group's fetches. */
+    hier::EventCounts icache;
     /** Data-cache events (loads/stores only). */
     AccessOutcome dcache;
 };
@@ -81,9 +81,6 @@ class Core
         architecturalRegisters + storeBufferEntries;
 
   private:
-    /** Merge @p src's event counts into @p dst. */
-    static void merge(AccessOutcome &dst, const AccessOutcome &src);
-
     /**
      * Fetch through the ICache unless the line buffer already holds
      * the block (standard embedded-core line buffer: sequential

@@ -45,6 +45,8 @@ EhsContext::persistCost(const FlushTotals &moved,
         cost.energy += moved.absorbedWrites *
                        energy.cacheAccessEnergy(l2->config().sizeBytes);
     }
+    cost.compressions = moved.compressions;
+    cost.compactions = moved.compactions;
     return cost;
 }
 
@@ -55,14 +57,9 @@ EhsContext::persistDirty(Cycles per_write_latency, unsigned extra_writes)
     // the L2, which the L2 clean then pushes the rest of the way.
     FlushTotals moved;
     moved.nvmBlockWrites = extra_writes;
-    const auto add = [&moved](const FlushOutcome &out) {
-        moved.nvmBlockWrites += out.nvmBlockWrites;
-        moved.decompressions += out.decompressions;
-        moved.absorbedWrites += out.absorbedWrites;
-    };
-    add(dcache.cleanAll());
+    moved.add(dcache.cleanAll());
     if (l2)
-        add(l2->cleanAll()); // absorbs nothing: NVM sits below it
+        moved.add(l2->cleanAll()); // absorbs nothing: NVM sits below it
     return persistCost(moved, per_write_latency);
 }
 

@@ -73,13 +73,19 @@ ehsKindName(EhsKind kind)
     return enumName<ehsKindNames>(kind);
 }
 
-/** Cost of one EHS action. */
+/**
+ * Cost of one EHS action. @c energy is charged to the action's own
+ * category; the recompressions its writebacks caused in an L2 are
+ * counted apart, and charged as compression energy like any other.
+ */
 struct EhsCost
 {
     Cycles cycles = 0;
     PicoJoules energy = 0;
     unsigned nvmBlockWrites = 0;
     unsigned decompressions = 0;
+    unsigned compressions = 0;
+    unsigned compactions = 0;
 };
 
 /** Context handed to every hook. */

@@ -24,15 +24,9 @@ applyFailureActions(FailureAction action, EhsContext &ctx)
         return totals;
     }
     ctx.icache.invalidateAll(tags::ResetCause::Flush);
-    const FlushOutcome dflush = ctx.dcache.flushAndInvalidate();
-    totals.nvmBlockWrites = dflush.nvmBlockWrites;
-    totals.decompressions = dflush.decompressions;
-    totals.absorbedWrites = dflush.absorbedWrites;
-    if (ctx.l2) {
-        const FlushOutcome l2flush = ctx.l2->flushAndInvalidate();
-        totals.nvmBlockWrites += l2flush.nvmBlockWrites;
-        totals.decompressions += l2flush.decompressions;
-    }
+    totals.add(ctx.dcache.flushAndInvalidate());
+    if (ctx.l2)
+        totals.add(ctx.l2->flushAndInvalidate());
     return totals;
 }
 

@@ -24,6 +24,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "cache/cache.hh"
+
 namespace kagura
 {
 
@@ -75,6 +77,20 @@ struct FlushTotals
     unsigned decompressions = 0;
     /** L1 writebacks the L2 absorbed in place (L2 platforms only). */
     unsigned absorbedWrites = 0;
+    /** Recompressions the absorbed writebacks caused in the L2. */
+    unsigned compressions = 0;
+    unsigned compactions = 0;
+
+    /** Add @p flush's counts. */
+    void
+    add(const FlushOutcome &flush)
+    {
+        nvmBlockWrites += flush.nvmBlockWrites;
+        decompressions += flush.decompressions;
+        absorbedWrites += flush.absorbedWrites;
+        compressions += flush.compressions;
+        compactions += flush.compactions;
+    }
 };
 
 /**

@@ -1,16 +1,14 @@
 #include "energy/capacitor.hh"
 
-#include <bit>
-#include <cstdint>
-#include <limits>
-
 #include "common/logging.hh"
 
 namespace kagura
 {
 
 Capacitor::Capacitor(const CapacitorConfig &config)
-    : cfg(config), halfCapacitance(0.5 * config.capacitance)
+    : cfg(config), halfCapacitance(0.5 * config.capacitance),
+      leakagePerRootZj(config.leakagePerFarad * config.capacitance /
+                       config.vMax * std::sqrt(1e-21 / halfCapacitance))
 {
     if (cfg.capacitance <= 0.0)
         fatal("capacitance must be positive (got %g F)", cfg.capacitance);
@@ -21,44 +19,32 @@ Capacitor::Capacitor(const CapacitorConfig &config)
               "(got %g/%g/%g/%g)",
               cfg.vMax, cfg.vRestore, cfg.vCheckpoint, cfg.vShutdown);
     }
-    energyJ = 0.5 * cfg.capacitance * cfg.vRestore * cfg.vRestore;
-    leakagePerVolt = cfg.leakagePerFarad * cfg.capacitance;
-    restoreJ = energyReaching(cfg.vRestore);
-    checkpointJ = energyReaching(cfg.vCheckpoint);
+    // Stored energy, harvest and draws are int64 zeptojoules: the
+    // full charge must fit (9.2 mJ; Fig. 29's 470 uF at 3.3 V holds
+    // 2.6 mJ). The comparison also rejects a NaN.
+    const double full = halfCapacitance * cfg.vMax * cfg.vMax;
+    if (!(full < 9.2e-3))
+        fatal("a %g uF capacitor at %g V holds %g J, more than the "
+              "9.2 mJ an int64 count of zeptojoules covers",
+              cfg.capacitance * 1e6, cfg.vMax, full);
+    ceilingZj = energyAt(cfg.vMax);
+    restoreZj = energyAt(cfg.vRestore);
+    checkpointZj = energyAt(cfg.vCheckpoint);
+    shutdownZj = energyAt(cfg.vShutdown);
+    storedZj = restoreZj;
 }
 
-double
-Capacitor::energyReaching(double volts) const
+ZeptoJoules
+Capacitor::energyAt(double volts) const
 {
-    // Non-negative doubles order like their bit patterns, so bisect
-    // over the patterns in [0, +inf] (voltageAt(+inf) is +inf).
-    if (voltageAt(0.0) >= volts)
-        return 0.0;
-    std::uint64_t below = 0; // voltageAt(below) < volts
-    std::uint64_t reach =
-        std::bit_cast<std::uint64_t>(
-            std::numeric_limits<double>::infinity()); // >= volts
-    while (reach - below > 1) {
-        const std::uint64_t mid = below + (reach - below) / 2;
-        if (voltageAt(std::bit_cast<double>(mid)) >= volts)
-            reach = mid;
-        else
-            below = mid;
-    }
-    return std::bit_cast<double>(reach);
+    return joulesToZepto(halfCapacitance * volts * volts);
 }
 
 void
 Capacitor::setVoltage(double volts)
 {
     kagura_assert(volts >= 0.0 && volts <= cfg.vMax + 1e-9);
-    energyJ = 0.5 * cfg.capacitance * volts * volts;
-}
-
-double
-Capacitor::bandEnergy(double v_hi, double v_lo) const
-{
-    return 0.5 * cfg.capacitance * (v_hi * v_hi - v_lo * v_lo);
+    storedZj = energyAt(volts);
 }
 
 } // namespace kagura

@@ -8,13 +8,13 @@
  *   reserve between vCheckpoint and vShutdown funds the checkpoint.
  *
  * Energy/voltage follow E = C V^2 / 2; leakage is a small standing power
- * proportional to capacitance (Table III sweep).
+ * proportional to capacitance (Table III sweep). Stored energy is an
+ * integer count of zeptojoules (common/types.hh).
  */
 
 #ifndef KAGURA_ENERGY_CAPACITOR_HH
 #define KAGURA_ENERGY_CAPACITOR_HH
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -59,135 +59,101 @@ struct CapacitorConfig
     double leakagePerFarad = 4e-3;
 };
 
-/** The capacitor itself: an energy integrator with voltage views. */
+/**
+ * The capacitor itself: the stored energy, in integer zeptojoules,
+ * with voltage views. It only holds the level; the EnergyMeter moves
+ * energy in and out of it (and counts what the clamps at empty and
+ * full turn away).
+ */
 class Capacitor
 {
   public:
     explicit Capacitor(const CapacitorConfig &config);
 
-    // voltage/charge/discharge/leakagePower run several times per
-    // simulated op (every spend() discharges), so they live in the
-    // header.
+    /** Stored energy. */
+    ZeptoJoules stored() const { return storedZj; }
 
-    /** Current voltage, sqrt(2 E / C). */
-    double voltage() const { return voltageAt(energyJ); }
+    /** Set the stored energy. */
+    void setStored(ZeptoJoules zj) { storedZj = zj; }
 
     /** Stored energy in joules. */
-    double storedJoules() const { return energyJ; }
+    double storedJoules() const { return zeptoToJoules(storedZj); }
 
-    /** Add harvested energy (joules); clamps at the vMax ceiling. */
-    void charge(double joules) { energyJ = charged(energyJ, joules); }
+    /** Current voltage, sqrt(2 E / C). */
+    double voltage() const { return voltageAt(storedZj); }
 
-    /** charge() applied to a stored energy the caller holds. */
-    double
-    charged(double stored, double joules) const
+    /** The energy held at @p volts, C v^2 / 2, to the nearest zJ. */
+    ZeptoJoules energyAt(double volts) const;
+
+    /** The full-charge energy, energyAt(vMax): harvest above it spills. */
+    ZeptoJoules ceiling() const { return ceilingZj; }
+
+    // The power state machine polls the thresholds every step, so they
+    // compare the stored energy against cut points computed once:
+    // V >= v exactly when E >= energyAt(v), up to the rounding of the
+    // cut point to a zeptojoule.
+
+    /** True while voltage is at or above the restore threshold. */
+    bool aboveRestore() const { return storedZj >= restoreZj; }
+
+    /** True once voltage has fallen below the checkpoint threshold. */
+    bool belowCheckpoint() const { return storedZj < checkpointZj; }
+
+    /** True if even the checkpoint reserve is exhausted. */
+    bool belowShutdown() const { return storedZj < shutdownZj; }
+
+    /** The least stored energy at which aboveRestore() holds. */
+    ZeptoJoules restoreLevel() const { return restoreZj; }
+
+    /** Set charge to a voltage (tests; initial conditions). */
+    void setVoltage(double volts);
+
+    /** Energy between two voltages, C (v_hi^2 - v_lo^2) / 2. */
+    ZeptoJoules
+    bandEnergy(double v_hi, double v_lo) const
     {
-        kagura_assert(joules >= 0.0);
-        const double cap = 0.5 * cfg.capacitance * cfg.vMax * cfg.vMax;
-        return std::min(stored + joules, cap);
+        return energyAt(v_hi) - energyAt(v_lo);
     }
-
-    /**
-     * Draw @p joules from the buffer; the level saturates at zero
-     * rather than going negative (brown-out is detected by threshold
-     * comparisons, not by negative energy).
-     */
-    void discharge(double joules) { energyJ = drained(energyJ, joules); }
-
-    /**
-     * discharge() applied to a stored energy the caller holds: what is
-     * left of @p stored after drawing @p joules. Callers drawing a
-     * series keep the level in a local and setStoredJoules() once --
-     * a ledger store between two discharges could alias energyJ, so
-     * the compiler would reload it from memory on every draw.
-     */
-    static double
-    drained(double stored, double joules)
-    {
-        kagura_assert(joules >= 0.0);
-        // A predicted branch, not std::max: the clamp almost never
-        // fires, and a branch keeps it off the energy dependence
-        // chain. Same value as max(e, 0) for finite operands.
-        double left = stored - joules;
-        if (left < 0.0) [[unlikely]]
-            left = 0.0;
-        return left;
-    }
-
-    /** Set the stored energy (the end of a drained() series). */
-    void setStoredJoules(double joules) { energyJ = joules; }
 
     /**
      * Leakage power at the current charge level. Leakage scales with
      * both capacitance and charge level; a simple I = k C V model
      * captures the Table III capacity trend.
      */
-    Watts leakagePower() const { return leakagePowerAt(energyJ); }
+    Watts leakagePower() const { return leakagePowerAt(storedZj); }
 
-    /** leakagePower() at stored energy @p stored (see drained()). */
+    /** leakagePower() at stored energy @p zj. */
     Watts
-    leakagePowerAt(double stored) const
+    leakagePowerAt(ZeptoJoules zj) const
     {
-        return leakagePerVolt * voltageAt(stored) / cfg.vMax;
+        return leakagePerRootZj * std::sqrt(static_cast<double>(zj));
     }
-
-    // The two thresholds the power state machine polls every step
-    // compare stored energy against precomputed cut points instead of
-    // taking a square root; see energyReaching().
-
-    /** True while voltage is at or above the restore threshold. */
-    bool aboveRestore() const { return energyJ >= restoreJ; }
-
-    /** True once voltage has fallen below the checkpoint threshold. */
-    bool belowCheckpoint() const { return energyJ < checkpointJ; }
-
-    /** The least stored energy at which aboveRestore() holds. */
-    double restoreJoules() const { return restoreJ; }
-
-    /** The least stored energy at which belowCheckpoint() fails. */
-    double checkpointJoules() const { return checkpointJ; }
-
-    /** True if even the checkpoint reserve is exhausted. */
-    bool belowShutdown() const { return voltage() < cfg.vShutdown; }
-
-    /** Set charge to an exact voltage (tests; initial conditions). */
-    void setVoltage(double volts);
-
-    /** Energy between two voltages, C (v_hi^2 - v_lo^2) / 2. */
-    double bandEnergy(double v_hi, double v_lo) const;
 
     /** The configuration this capacitor was built with. */
     const CapacitorConfig &config() const { return cfg; }
 
   private:
-    /** voltage() at stored energy @p joules. */
+    /** voltage() at stored energy @p zj. */
     double
-    voltageAt(double joules) const
+    voltageAt(ZeptoJoules zj) const
     {
-        // sqrt(2 E / C) with the doubling moved onto C: 2E and C/2 are
-        // both exact, so the quotient rounds the same real number to
-        // the same double, one multiply shorter on the per-step
-        // energy dependence chain.
-        return std::sqrt(joules / halfCapacitance);
+        return std::sqrt(zeptoToJoules(zj) / halfCapacitance);
     }
 
-    /**
-     * The least energy E >= 0 with voltageAt(E) >= @p volts. voltageAt
-     * is monotone in E (x2, /C and sqrt all are), so for every stored
-     * energy, voltage() >= volts exactly when energyJ >= the result:
-     * the threshold predicates become one compare, bit for bit.
-     */
-    double energyReaching(double volts) const;
-
     CapacitorConfig cfg;
-    /** capacitance / 2 (exact), the voltageAt() divisor. */
+    /** capacitance / 2, the voltageAt() divisor. */
     double halfCapacitance;
-    double energyJ;
-    /** leakagePerFarad * capacitance, the leakagePower() prefix. */
-    double leakagePerVolt;
-    /** energyReaching(vRestore) and energyReaching(vCheckpoint). */
-    double restoreJ;
-    double checkpointJ;
+    /**
+     * leakagePerFarad * C * V / vMax with V = sqrt(E / (C/2)), folded
+     * into one factor of sqrt(E in zJ): the leakagePower() prefix.
+     */
+    double leakagePerRootZj;
+    ZeptoJoules storedZj;
+    /** energyAt() of vMax, vRestore, vCheckpoint and vShutdown. */
+    ZeptoJoules ceilingZj;
+    ZeptoJoules restoreZj;
+    ZeptoJoules checkpointZj;
+    ZeptoJoules shutdownZj;
 };
 
 } // namespace kagura

@@ -1,17 +1,18 @@
 /**
  * @file
- * Energy ledger: attributes every picojoule the platform draws to one of
- * the six categories the paper's Fig. 16 breakdown uses, so the bench
- * harness can print the same stacked bars.
+ * Energy ledger: attributes every zeptojoule the platform draws to one
+ * of the six categories the paper's Fig. 16 breakdown uses, so the
+ * bench harness can print the same stacked bars.
  */
 
 #ifndef KAGURA_ENERGY_LEDGER_HH
 #define KAGURA_ENERGY_LEDGER_HH
 
-#include <array>
 #include <cstddef>
 #include <string_view>
+#include <tuple>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "metrics/fwd.hh"
 
@@ -36,39 +37,60 @@ const char *energyCategoryName(EnergyCategory cat);
 /** Lowercase metric-name slug for a category (e.g. "cache_other"). */
 const char *energyCategorySlug(EnergyCategory cat);
 
-/** Accumulates energy per category. */
-class EnergyLedger
+/**
+ * Accumulates energy per category, in zeptojoules. Its one row (a
+ * counter per category, in EnergyCategory order) is what the result
+ * codec stores; reports and metric exports read picojoules.
+ */
+struct EnergyLedger
 {
-  public:
     static constexpr std::size_t numCategories =
         static_cast<std::size_t>(EnergyCategory::NumCategories);
 
-    /** Record @p pj picojoules drawn for @p cat. */
+    /** Energy drawn per category, indexed by EnergyCategory. */
+    ZeptoJoules zj[numCategories] = {};
+
+    /** Record @p amount drawn for @p cat. */
     void
-    add(EnergyCategory cat, PicoJoules pj)
+    add(EnergyCategory cat, ZeptoJoules amount)
     {
-        buckets[static_cast<std::size_t>(cat)] += pj;
+        zj[static_cast<std::size_t>(cat)] += amount;
     }
 
     /** Energy attributed to @p cat so far. */
-    PicoJoules
-    total(EnergyCategory cat) const
+    ZeptoJoules
+    totalZj(EnergyCategory cat) const
     {
-        return buckets[static_cast<std::size_t>(cat)];
+        return zj[static_cast<std::size_t>(cat)];
     }
 
     /** Sum over all categories. */
-    PicoJoules
-    grandTotal() const
+    ZeptoJoules
+    grandTotalZj() const
     {
-        PicoJoules sum = 0.0;
-        for (PicoJoules b : buckets)
-            sum += b;
+        ZeptoJoules sum = 0;
+        for (ZeptoJoules bucket : zj)
+            sum += bucket;
         return sum;
     }
 
+    /** totalZj() in picojoules. */
+    PicoJoules
+    total(EnergyCategory cat) const
+    {
+        return zeptoToPico(totalZj(cat));
+    }
+
+    /** grandTotalZj() in picojoules. */
+    PicoJoules grandTotal() const { return zeptoToPico(grandTotalZj()); }
+
     /** Zero every bucket. */
-    void reset() { buckets.fill(0.0); }
+    void
+    reset()
+    {
+        for (ZeptoJoules &bucket : zj)
+            bucket = 0;
+    }
 
     /**
      * Export per-category totals (picojoules) plus the grand total
@@ -77,8 +99,12 @@ class EnergyLedger
     void recordMetrics(metrics::MetricSet &set,
                        std::string_view prefix) const;
 
-  private:
-    std::array<PicoJoules, numCategories> buckets{};
+    /** The field list (common/fields.hh). */
+    static constexpr auto
+    fields()
+    {
+        return std::tuple{Member{"zj", &EnergyLedger::zj}};
+    }
 };
 
 } // namespace kagura

@@ -9,38 +9,78 @@ EnergyMeter::EnergyMeter(const CapacitorConfig &cap_config,
                          const EnergyModel &energy_,
                          Watts cache_leakage_watts,
                          Watts nvm_standby_watts,
-                         std::shared_ptr<const PowerTrace> trace_,
+                         std::shared_ptr<const HarvestTable> harvest_,
                          EnergyLedger &ledger_, bool infinite_energy)
     : energy(energy_), ledger(ledger_), cap(cap_config),
-      trace(std::move(trace_)), cacheLeakage(cache_leakage_watts),
-      nvmStandby(nvm_standby_watts), cycleSeconds(energy_.cycleTime()),
+      harvest(std::move(harvest_)), cycleSeconds(energy_.cycleTime()),
       traceIntervalCycles(energy_.cyclesPerTraceInterval()),
-      infinite(infinite_energy)
+      cacheLeakZj(joulesToZepto(cache_leakage_watts * cycleSeconds)),
+      standbyZj(joulesToZepto(nvm_standby_watts * cycleSeconds)),
+      coreLeakZj(joulesToZepto(energy_.coreLeakage * cycleSeconds)),
+      leakPerRootZj(cap.leakagePowerAt(1) * cycleSeconds * 1e21),
+      infinite(infinite_energy), nextIntervalEnd(traceIntervalCycles)
 {
+    refreshLeakage(cap.stored());
+}
+
+EnergyMeter::EnergyMeter(const CapacitorConfig &cap_config,
+                         const EnergyModel &energy_,
+                         Watts cache_leakage_watts,
+                         Watts nvm_standby_watts,
+                         std::shared_ptr<const PowerTrace> trace,
+                         EnergyLedger &ledger_, bool infinite_energy)
+    : EnergyMeter(cap_config, energy_, cache_leakage_watts,
+                  nvm_standby_watts,
+                  std::make_shared<const HarvestTable>(
+                      *trace, energy_.traceInterval),
+                  ledger_, infinite_energy)
+{
+}
+
+void
+EnergyMeter::harvestClosedIntervals()
+{
+    // The level stays in a local across the loop: the stores to the
+    // counters could alias it.
+    ZeptoJoules stored = cap.stored();
+    while (nextIntervalEnd <= wallCycles)
+        stored = harvestInterval(stored);
+    cap.setStored(stored);
+    refreshLeakage(stored);
 }
 
 void
 EnergyMeter::rechargeUntilRestore()
 {
-    // The level stays in a local across the loop (see
-    // Capacitor::drained()).
-    double stored = cap.storedJoules();
+    // One trace interval off per iteration: its harvest comes in, then
+    // the capacitor's own leakage over it goes out (everything else is
+    // power-gated). The level, the leakage total and the unfunded
+    // part stay in locals; only the leakage needs a square root.
+    const auto ivl = static_cast<ZeptoJoules>(traceIntervalCycles);
+    ZeptoJoules stored = cap.stored();
+    ZeptoJoules leaked = 0;
+    ZeptoJoules short_of = 0;
     std::uint64_t guard = 0;
-    while (!(stored >= cap.restoreJoules())) {
-        stored = harvestTo(stored, wallCycles + traceIntervalCycles);
-        // Off-state losses: the capacitor's own leakage (everything
-        // else is power-gated).
-        const double leak =
-            cap.leakagePowerAt(stored) * energy.traceInterval;
-        stored = Capacitor::drained(stored, leak);
-        ledger.add(EnergyCategory::Others, joulesToPico(leak));
+    while (stored < cap.restoreLevel()) {
+        wallCycles += traceIntervalCycles;
+        stored = harvestInterval(stored);
+        refreshLeakage(stored);
+        const ZeptoJoules leak = capLeakZj * ivl;
+        leaked += leak;
+        stored -= leak;
+        if (stored < 0) {
+            short_of -= stored;
+            stored = 0;
+        }
         if (++guard > 50'000'000)
             fatal("power trace '%s' cannot recharge the %g uF capacitor "
                   "to %g V -- harvest too weak for this configuration",
-                  trace->name().c_str(),
+                  harvest->name().c_str(),
                   cap.config().capacitance * 1e6, cap.config().vRestore);
     }
-    cap.setStoredJoules(stored);
+    cap.setStored(stored);
+    ledger.add(EnergyCategory::Others, leaked);
+    unfundedZj += short_of;
 }
 
 } // namespace kagura

@@ -160,9 +160,16 @@ makeTrace(TraceKind kind, std::uint64_t intervals, std::uint64_t seed,
     panic("unknown TraceKind %d", static_cast<int>(kind));
 }
 
-std::shared_ptr<const PowerTrace>
-sharedTrace(TraceKind kind, std::uint64_t intervals, std::uint64_t seed,
-            double scale)
+HarvestTable::HarvestTable(const PowerTrace &trace, Seconds interval)
+    : label(trace.name()), perInterval(trace.length())
+{
+    for (std::uint64_t i = 0; i < perInterval.size(); ++i)
+        perInterval[i] = joulesToZepto(trace.power(i) * interval);
+}
+
+std::shared_ptr<const HarvestTable>
+sharedHarvest(TraceKind kind, std::uint64_t intervals, std::uint64_t seed,
+              double scale, Seconds interval)
 {
     struct Entry
     {
@@ -171,8 +178,9 @@ sharedTrace(TraceKind kind, std::uint64_t intervals, std::uint64_t seed,
         std::uint64_t seed = 0;
         /** The scale's bits: -0.0 and 0.0 give different samples. */
         std::uint64_t scaleBits = 0;
+        std::uint64_t intervalBits = 0;
         std::uint64_t lastUse = 0;
-        std::shared_ptr<const PowerTrace> trace;
+        std::shared_ptr<const HarvestTable> table;
     };
     // Process-wide mutable state shared by concurrent runner workers,
     // serialised like cachedWorkload's memo.
@@ -181,21 +189,29 @@ sharedTrace(TraceKind kind, std::uint64_t intervals, std::uint64_t seed,
     static std::uint64_t useClock = 0;
 
     const auto scale_bits = std::bit_cast<std::uint64_t>(scale);
+    const auto interval_bits = std::bit_cast<std::uint64_t>(interval);
     std::lock_guard<std::mutex> lock(mutex);
     Entry *victim = &memo.front();
     for (Entry &entry : memo) {
-        if (entry.trace && entry.kind == kind &&
+        if (entry.table && entry.kind == kind &&
             entry.intervals == intervals && entry.seed == seed &&
-            entry.scaleBits == scale_bits) {
+            entry.scaleBits == scale_bits &&
+            entry.intervalBits == interval_bits) {
             entry.lastUse = ++useClock;
-            return entry.trace;
+            return entry.table;
         }
         if (entry.lastUse < victim->lastUse)
             victim = &entry;
     }
-    *victim = Entry{kind, intervals, seed, scale_bits, ++useClock,
-                    makeTrace(kind, intervals, seed, scale)};
-    return victim->trace;
+    *victim = Entry{kind,
+                    intervals,
+                    seed,
+                    scale_bits,
+                    interval_bits,
+                    ++useClock,
+                    std::make_shared<const HarvestTable>(
+                        *makeTrace(kind, intervals, seed, scale), interval)};
+    return victim->table;
 }
 
 std::unique_ptr<PowerTrace>

@@ -104,20 +104,46 @@ std::unique_ptr<PowerTrace> makeTrace(TraceKind kind,
                                       std::uint64_t seed = 0x6b616775,
                                       double scale = 1.0);
 
-/** Traces sharedTrace() keeps memoised at once. */
+/**
+ * A trace's harvest per interval in zeptojoules: power(i) times the
+ * interval length, rounded once per sample, so the meter's harvest
+ * and recharge loops add integers instead of converting watts.
+ */
+class HarvestTable
+{
+  public:
+    HarvestTable(const PowerTrace &trace, Seconds interval);
+
+    /** Energy harvested in interval @p index (< length()). */
+    ZeptoJoules at(std::uint64_t index) const { return perInterval[index]; }
+
+    /** Intervals before the trace repeats. */
+    std::uint64_t length() const { return perInterval.size(); }
+
+    /** The trace's name, for reports. */
+    const std::string &name() const { return label; }
+
+  private:
+    std::string label;
+    std::vector<ZeptoJoules> perInterval;
+};
+
+/** Harvest tables sharedHarvest() keeps memoised at once. */
 constexpr std::size_t sharedTraceSlots = 8;
 
 /**
- * Memoised makeTrace(): a synthetic trace is a pure function of
- * (kind, intervals, seed, scale), so one immutable copy per process
- * serves every run that asks for it. The memo is mutex-guarded and
- * holds the sharedTraceSlots most recently used traces; an evicted
- * trace stays alive for as long as a caller still holds it.
+ * Memoised HarvestTable over makeTrace(): a synthetic trace is a pure
+ * function of (kind, intervals, seed, scale), and its table of that
+ * and the interval length, so one immutable copy per process serves
+ * every run that asks for it. The memo is mutex-guarded and holds the
+ * sharedTraceSlots most recently used tables; an evicted table stays
+ * alive for as long as a caller still holds it.
  */
-std::shared_ptr<const PowerTrace> sharedTrace(TraceKind kind,
-                                              std::uint64_t intervals,
-                                              std::uint64_t seed,
-                                              double scale);
+std::shared_ptr<const HarvestTable> sharedHarvest(TraceKind kind,
+                                                  std::uint64_t intervals,
+                                                  std::uint64_t seed,
+                                                  double scale,
+                                                  Seconds interval);
 
 /** Load a trace from a text file with one average-watt value per line. */
 std::unique_ptr<PowerTrace> loadTraceFile(const std::string &path);

@@ -27,24 +27,52 @@ namespace hier
 {
 
 /**
- * Everything energy/latency-relevant one block operation caused at
- * this level and below. Counters accumulate: callers may reuse one
- * instance across many operations (checkpoint flush loops do).
+ * The energy-relevant event counts of a memory operation, at the level
+ * that reports them and below. Every path that folds one level's
+ * events into another's -- fills, writebacks, prefetches, the core's
+ * per-step fetches -- uses the one merge, operator+=, so no path can
+ * drop a counter.
  */
-struct LevelEvents
+struct EventCounts
 {
-    /** Block operations served by a *cache* level (Nvm never bumps
-     *  this, so it is nonzero exactly when an intermediate cache sat
-     *  on the path). */
-    unsigned accesses = 0;
-    /** Of those, operations that hit in the cache level. */
-    unsigned hits = 0;
     unsigned nvmBlockReads = 0;
     unsigned nvmBlockWrites = 0;
     unsigned compressions = 0;
+    /** Compressions that actually stored a smaller block (data-array
+     *  segment rewrite -- the costlier event). */
     unsigned compactions = 0;
     unsigned decompressions = 0;
     unsigned evictions = 0;
+    /** Block operations served by a *cache* level below the one that
+     *  counts them (Nvm never bumps this, so it is nonzero exactly
+     *  when an intermediate cache sat on the path). */
+    unsigned nextLevelAccesses = 0;
+
+    /** Add every counter of @p other. */
+    EventCounts &
+    operator+=(const EventCounts &other)
+    {
+        nvmBlockReads += other.nvmBlockReads;
+        nvmBlockWrites += other.nvmBlockWrites;
+        compressions += other.compressions;
+        compactions += other.compactions;
+        decompressions += other.decompressions;
+        evictions += other.evictions;
+        nextLevelAccesses += other.nextLevelAccesses;
+        return *this;
+    }
+};
+
+/**
+ * Everything energy/latency-relevant one block operation caused at
+ * this level and below. Counters accumulate: callers may reuse one
+ * instance across many operations (checkpoint flush loops do). A cache
+ * level serving the operation counts itself in nextLevelAccesses.
+ */
+struct LevelEvents : EventCounts
+{
+    /** Of the nextLevelAccesses, operations that hit in the cache level. */
+    unsigned hits = 0;
     /** Critical-path latency of the operation (fetch only: absorbed
      *  writebacks are store-buffered and charge none). */
     Cycles latency = 0;

@@ -137,13 +137,21 @@ KaguraController::onMemOpCommit()
 void
 KaguraController::onVoltageSample(double volts, double v_ckpt, double v_rst)
 {
-    if (cfg.trigger != TriggerKind::Voltage ||
-        currentMode == Mode::Regular) {
-        return;
-    }
-    const double v_trigger =
-        v_ckpt + cfg.voltageTriggerFraction * (v_rst - v_ckpt);
-    if (volts <= v_trigger)
+    if (volts <= triggerVoltage(cfg, v_ckpt, v_rst))
+        onVoltageTrigger();
+}
+
+double
+KaguraController::triggerVoltage(const KaguraConfig &config, double v_ckpt,
+                                 double v_rst)
+{
+    return v_ckpt + config.voltageTriggerFraction * (v_rst - v_ckpt);
+}
+
+void
+KaguraController::onVoltageTrigger()
+{
+    if (cfg.trigger == TriggerKind::Voltage && currentMode != Mode::Regular)
         enterRegularMode();
 }
 

@@ -169,6 +169,20 @@ class KaguraController : public CompressionGovernor
     void onVoltageSample(double volts, double v_ckpt, double v_rst);
 
     /**
+     * The voltage at or below which the voltage trigger fires:
+     * @p config's fraction of the way from @p v_ckpt up to @p v_rst.
+     */
+    static double triggerVoltage(const KaguraConfig &config,
+                                 double v_ckpt, double v_rst);
+
+    /**
+     * A voltage sample at or below triggerVoltage(): with the voltage
+     * trigger, leave Compression Mode. (The simulator compares the
+     * stored energy against the trigger level itself.)
+     */
+    void onVoltageTrigger();
+
+    /**
      * Power failure imminent: compute R_adjust, update the reward
      * counter, and JIT-checkpoint all registers except R_prev.
      */

@@ -33,8 +33,11 @@ namespace runner
  *
  * 2: canonical keys grew workload.trace_hash/trace_path lines for
  *    trace-backed workloads (kagura.trace/v1 record/replay).
+ * 3: integer energy -- zeptojoule capacitor and ledger, the
+ *    capacitor's leakage evaluated once per trace interval, and
+ *    I-cache/prefetch compactions and next-level accesses charged.
  */
-constexpr std::uint64_t simulatorVersionSalt = 2;
+constexpr std::uint64_t simulatorVersionSalt = 3;
 
 /** 64-bit FNV-1a. */
 std::uint64_t fnv1a64(std::string_view bytes);

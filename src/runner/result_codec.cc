@@ -1,7 +1,6 @@
 #include "runner/result_codec.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <tuple>
 #include <type_traits>
@@ -58,11 +57,11 @@ putWord(std::string &out, Word v)
 }
 
 /**
- * Write @p value the way its type implies: a u64 counter; an array
- * of them; length-prefixed text; count-prefixed records; the energy
- * ledger as count-prefixed doubles; the oracle log as count-prefixed
- * tallies sorted by address (its canonical order); any other struct
- * through its field list.
+ * Write @p value the way its type implies: a u64 counter (an i64 one,
+ * such as an energy in zeptojoules, as its two's-complement bits); an
+ * array of them; length-prefixed text; count-prefixed records; the
+ * oracle log as count-prefixed tallies sorted by address (its
+ * canonical order); any other struct through its field list.
  */
 template <typename T>
 void
@@ -70,6 +69,8 @@ put(std::string &out, const T &value)
 {
     if constexpr (std::is_same_v<T, std::uint64_t>) {
         putWord(out, value);
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+        putWord(out, static_cast<std::uint64_t>(value));
     } else if constexpr (std::is_array_v<T>) {
         for (const auto &element : value)
             put(out, element);
@@ -80,11 +81,6 @@ put(std::string &out, const T &value)
         putWord<std::uint64_t>(out, value.size());
         for (const auto &record : value)
             put(out, record);
-    } else if constexpr (std::is_same_v<T, EnergyLedger>) {
-        putWord<std::uint32_t>(out, EnergyLedger::numCategories);
-        for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c)
-            putWord(out, std::bit_cast<std::uint64_t>(
-                             value.total(static_cast<EnergyCategory>(c))));
     } else if constexpr (std::is_same_v<T, OracleLog>) {
         // (address, beneficial, useless); addresses are unique.
         using Tally = std::tuple<Addr, std::uint32_t, std::uint32_t>;
@@ -161,6 +157,8 @@ read(Reader &in, T &value)
 {
     if constexpr (std::is_same_v<T, std::uint64_t>) {
         value = in.u64();
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+        value = static_cast<std::int64_t>(in.u64());
     } else if constexpr (std::is_array_v<T>) {
         for (auto &element : value)
             read(in, element);
@@ -179,19 +177,6 @@ read(Reader &in, T &value)
         value.resize(count);
         for (auto &record : value)
             read(in, record);
-    } else if constexpr (std::is_same_v<T, EnergyLedger>) {
-        if (in.u32() != EnergyLedger::numCategories)
-            return in.fail();
-        for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c) {
-            const auto cat = static_cast<EnergyCategory>(c);
-            const std::uint64_t bits = in.u64();
-            value.add(cat, std::bit_cast<double>(bits));
-            // 0 + x turns -0 into +0 and quiets a signalling NaN:
-            // accept only patterns that survive, so a decode
-            // re-encodes to the bytes it read.
-            if (std::bit_cast<std::uint64_t>(value.total(cat)) != bits)
-                return in.fail();
-        }
     } else if constexpr (std::is_same_v<T, OracleLog>) {
         const std::uint64_t count = in.u64();
         if (count > in.left() / 16)

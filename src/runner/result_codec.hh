@@ -2,10 +2,11 @@
  * @file
  * Binary SimResult codec for the persistent result cache.
  *
- * The format is little-endian, versioned, and *exact*: doubles travel
- * as their IEEE-754 bit patterns, so decode(encode(r)) reproduces r
- * bit for bit (the determinism the runner's aggregation layer
- * promises must survive a cache round trip). The oracle log is
+ * The format is little-endian, versioned, and *exact*: every stored
+ * value is an integer -- counters, and the energy ledger in
+ * zeptojoules -- so decode(encode(r)) reproduces r bit for bit (the
+ * determinism the runner's aggregation layer promises must survive a
+ * cache round trip). The oracle log is
  * written sorted by address, making the encoding canonical: two
  * SimResults are identical iff their encodings are equal -- which is
  * exactly how exactlyEqual() in sim/report.hh compares them.
@@ -24,8 +25,12 @@ namespace kagura
 namespace runner
 {
 
-/** Bump on any layout change; old cache entries then miss. */
-constexpr std::uint32_t resultFormatVersion = 1;
+/**
+ * Bump on any layout change; old cache entries then miss. Version 2:
+ * the ledger as six i64 zeptojoule counters (was a u32 count and six
+ * doubles) and the unfunded/spilled counters after it.
+ */
+constexpr std::uint32_t resultFormatVersion = 2;
 
 /** Serialize @p result to the canonical byte string. */
 std::string encodeResult(const SimResult &result);

@@ -14,7 +14,9 @@ PowerStateMachine::PowerStateMachine(
       storeHook(ehs_.observesStores()), commitHook(ehs_.observesCommits()),
       kagura(kagura_), l2Kagura(l2_kagura), result(result_),
       ctx{icache,     dcache,          config.energy, nvm_params,
-          comp_costs, has_compression, reg_words,     l2_cache}
+          comp_costs, has_compression, reg_words,     l2_cache},
+      compressZj(picoToZepto(comp_costs.compressEnergy)),
+      compactionZj(picoToZepto(config.energy.compactionEnergy))
 {
 }
 
@@ -39,7 +41,7 @@ PowerStateMachine::updateRegionsActive(std::uint64_t instructions,
     // blocks of every level) so a failure inside can roll back
     // consistently.
     const EhsCost cost = ctx.persistDirty(ctx.nvm.writeLatency);
-    meter.spend(EnergyCategory::Checkpoint, cost.energy);
+    spend(EnergyCategory::Checkpoint, cost);
     meter.chargeStaticPower(cost.cycles);
     meter.advanceWall(cost.cycles);
     result.activeCycles += cost.cycles;
@@ -88,7 +90,7 @@ PowerStateMachine::powerFail(std::uint64_t op_index)
                                  : FailureAction::DropVolatile,
             ctx);
         const EhsCost cost = ehs.onPowerFailure(totals, ctx);
-        meter.spend(EnergyCategory::Checkpoint, cost.energy);
+        spend(EnergyCategory::Checkpoint, cost);
         meter.advanceWall(cost.cycles);
         result.activeCycles += cost.cycles;
         resume = ehs.resumeIndex(op_index);
@@ -109,7 +111,7 @@ void
 PowerStateMachine::reboot()
 {
     const EhsCost cost = ehs.onReboot(ctx);
-    meter.spend(EnergyCategory::Checkpoint, cost.energy);
+    spend(EnergyCategory::Checkpoint, cost);
     meter.advanceWall(cost.cycles);
     result.activeCycles += cost.cycles;
 

@@ -75,7 +75,7 @@ class PowerStateMachine
         if (!storeHook)
             return 0;
         const EhsCost c = ehs.onStore(addr, ctx);
-        meter.spend(EnergyCategory::Memory, c.energy);
+        spend(EnergyCategory::Memory, c);
         return c.cycles;
     }
 
@@ -90,7 +90,7 @@ class PowerStateMachine
             return 0;
         const EhsCost c =
             ehs.onInstructionCommit(instructions, next_index, ctx);
-        meter.spend(EnergyCategory::Checkpoint, c.energy);
+        spend(EnergyCategory::Checkpoint, c);
         return c.cycles;
     }
 
@@ -143,6 +143,21 @@ class PowerStateMachine
     std::uint64_t reExecutedOps() const { return reExecuted; }
 
   private:
+    /**
+     * Draw @p cost: its energy into @p cat, the L2 recompressions its
+     * writebacks caused into Compress.
+     */
+    void
+    spend(EnergyCategory cat, const EhsCost &cost)
+    {
+        meter.spend(cat, cost.energy);
+        meter.spendZj(EnergyCategory::Compress,
+                      static_cast<ZeptoJoules>(cost.compressions) *
+                              compressZj +
+                          static_cast<ZeptoJoules>(cost.compactions) *
+                              compactionZj);
+    }
+
     /** Region bookkeeping when ioRegionInterval > 0 (cold path). */
     void updateRegionsActive(std::uint64_t instructions,
                              std::uint64_t op_index);
@@ -168,6 +183,10 @@ class PowerStateMachine
     SimResult &result;
 
     EhsContext ctx;
+
+    /** Compression and compaction energy per event (spend()). */
+    ZeptoJoules compressZj;
+    ZeptoJoules compactionZj;
 
     PowerCycleRecord current;
     /** Ops rolled back over (reExecutedOps()). */

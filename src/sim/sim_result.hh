@@ -81,6 +81,16 @@ struct SimResult
     CacheStats dcache;
     EnergyLedger ledger;
 
+    /**
+     * The two clamps of the energy balance: energy the ledger records
+     * that the capacitor did not hold (a draw past empty, and every
+     * draw at infinite energy), and harvest the full capacitor turned
+     * away. Over a run, final stored energy = initial + harvested -
+     * spilledZj - ledger + unfundedZj, exactly.
+     */
+    ZeptoJoules unfundedZj = 0;
+    ZeptoJoules spilledZj = 0;
+
     KaguraStats kagura;
     std::uint64_t oracleVetoes = 0;
 
@@ -167,6 +177,8 @@ struct SimResult
             Member{"icache", &SimResult::icache},
             Member{"dcache", &SimResult::dcache},
             Member{"energy_pj", &SimResult::ledger},
+            Member{"unfunded_zj", &SimResult::unfundedZj},
+            Member{"spilled_zj", &SimResult::spilledZj},
             Member{"kagura", &SimResult::kagura},
             Member{"oracle_vetoes", &SimResult::oracleVetoes},
             Member{"oracle", &SimResult::oracle},

@@ -88,8 +88,8 @@ Simulator::Simulator(const SimConfig &config) : cfg(config)
             (cfg.icache.sizeBytes + cfg.dcache.sizeBytes +
              (cfg.enableL2 ? cfg.l2.sizeBytes : 0u)),
         mem->params().standbyPower,
-        sharedTrace(cfg.trace, cfg.traceIntervals, cfg.traceSeed,
-                    cfg.traceScale),
+        sharedHarvest(cfg.trace, cfg.traceIntervals, cfg.traceSeed,
+                      cfg.traceScale, cfg.energy.traceInterval),
         result.ledger, cfg.infiniteEnergy);
 
     if (cfg.enableDecay) {
@@ -102,13 +102,14 @@ Simulator::Simulator(const SimConfig &config) : cfg(config)
     }
     if (cfg.enablePrefetch) {
         // IPEX's intermittence gate: prefetch only while the capacitor
-        // still holds comfortable margin above the checkpoint level.
-        const double v_gate =
+        // still holds comfortable margin above the checkpoint level
+        // (the voltage cut point as an energy, computed once).
+        const ZeptoJoules gate = meter->capacitor().energyAt(
             cfg.capacitor.vCheckpoint +
-            0.4 * (cfg.capacitor.vRestore - cfg.capacitor.vCheckpoint);
+            0.4 * (cfg.capacitor.vRestore - cfg.capacitor.vCheckpoint));
         prefetcher = std::make_unique<Prefetcher>(
-            cfg.dcache.blockSize, [m = meter.get(), v_gate]() {
-                return m->infiniteEnergy() || m->voltage() > v_gate;
+            cfg.dcache.blockSize, [m = meter.get(), gate]() {
+                return m->infiniteEnergy() || m->stored() > gate;
             });
         dCache->setPrefetcher(prefetcher.get());
     }
@@ -146,82 +147,76 @@ Simulator::run()
     wl.applyImage(*mem);
 
     const auto &ops = wl.ops();
+
+    // Every per-event cost in zeptojoules, converted once: a step's
+    // draws are then integer multiples of its event counts.
     const CompressionCosts ccosts =
         comp ? comp->costs() : CompressionCosts{};
-    const PicoJoules icache_access =
-        cfg.energy.cacheAccessEnergy(cfg.icache.sizeBytes);
-    const PicoJoules dcache_access =
-        cfg.energy.cacheAccessEnergy(cfg.dcache.sizeBytes);
-    const PicoJoules l2cache_access =
-        cfg.enableL2 ? cfg.energy.cacheAccessEnergy(cfg.l2.sizeBytes)
-                     : 0.0;
     const NvmParams &nvm_p = mem->params();
+    const ZeptoJoules icache_access =
+        picoToZepto(cfg.energy.cacheAccessEnergy(cfg.icache.sizeBytes));
+    const ZeptoJoules dcache_access =
+        picoToZepto(cfg.energy.cacheAccessEnergy(cfg.dcache.sizeBytes));
+    // nextLevelAccesses is zero whenever the next level is the NVM
+    // terminal, so single-level runs never draw this.
+    const ZeptoJoules l2cache_access =
+        cfg.enableL2
+            ? picoToZepto(cfg.energy.cacheAccessEnergy(cfg.l2.sizeBytes))
+            : 0;
+    const ZeptoJoules compress = picoToZepto(ccosts.compressEnergy);
+    const ZeptoJoules compaction = picoToZepto(cfg.energy.compactionEnergy);
+    const ZeptoJoules decompress = picoToZepto(ccosts.decompressEnergy);
+    const ZeptoJoules nvm_read = picoToZepto(nvm_p.readEnergy);
+    const ZeptoJoules nvm_write = picoToZepto(nvm_p.writeEnergy);
 
     // The voltage monitor that trips a JIT checkpoint (Section
     // VIII-H2); Kagura's voltage trigger extends it on other designs.
+    // Both are paid per committed instruction, with the pipeline.
     const bool pays_monitor = ehs->jitCheckpoints();
     const bool voltage_trigger =
         cfg.kagura.trigger == TriggerKind::Voltage;
     const bool pays_extended_monitor =
         cfg.enableKagura && voltage_trigger && !pays_monitor;
+    const ZeptoJoules per_instruction =
+        picoToZepto(cfg.energy.corePerInstr) +
+        (pays_monitor ? picoToZepto(cfg.energy.monitorSample) : 0) +
+        (pays_extended_monitor
+             ? picoToZepto(cfg.energy.extendedMonitorSample)
+             : 0);
+
+    // Kagura's voltage trigger, as the stored energy at its cut point
+    // (both controllers share the Kagura configuration).
     const bool samples_voltage =
         voltage_trigger && (kaguraCtl || l2KaguraCtl);
+    const ZeptoJoules trigger_level = meter->capacitor().energyAt(
+        KaguraController::triggerVoltage(cfg.kagura,
+                                         cfg.capacitor.vCheckpoint,
+                                         cfg.capacitor.vRestore));
 
+    const auto n = [](auto count) {
+        return static_cast<ZeptoJoules>(count);
+    };
     std::uint64_t idx = 0;
     while (idx < ops.size()) {
         const MicroOp &op = ops[idx];
         const StepResult sr = core->step(op, meter->wall());
 
         // --- dynamic energy for this step -------------------------------
-        const std::uint64_t icache_accesses = sr.icacheArrayAccesses;
-        const unsigned compressions =
-            sr.icache.compressions + sr.dcache.compressions;
-        const unsigned compactions =
-            sr.icache.compactions + sr.dcache.compactions;
-        const unsigned decompressions =
-            sr.icache.decompressions + sr.dcache.decompressions;
-        const unsigned nvm_reads =
-            sr.icache.nvmBlockReads + sr.dcache.nvmBlockReads;
-        const unsigned nvm_writes =
-            sr.icache.nvmBlockWrites + sr.dcache.nvmBlockWrites;
-
-        // L2 array energy: one access per block the L1s pushed down or
-        // pulled up. nextLevelAccesses is zero whenever the next level
-        // is the NVM terminal, so single-level runs never draw it
-        // (bit-identity). A draw of 0 is skipped, exactly like the
-        // spend() it stands for.
-        const unsigned l2_accesses = sr.icache.nextLevelAccesses +
-                                     sr.dcache.nextLevelAccesses;
-        const double instructions = static_cast<double>(sr.instructions);
-        const EnergyMeter::Draw draws[] = {
-            {EnergyCategory::CacheOther,
-             static_cast<double>(icache_accesses) * icache_access +
-                 (sr.isMem ? dcache_access : 0.0)},
-            {EnergyCategory::CacheOther,
-             l2_accesses > 0
-                 ? static_cast<double>(l2_accesses) * l2cache_access
-                 : 0.0},
-            {EnergyCategory::Compress,
-             compressions > 0
-                 ? compressions * ccosts.compressEnergy +
-                       compactions * cfg.energy.compactionEnergy
-                 : 0.0},
-            {EnergyCategory::Decompress,
-             decompressions > 0 ? decompressions * ccosts.decompressEnergy
-                                : 0.0},
-            {EnergyCategory::Memory,
-             nvm_reads || nvm_writes
-                 ? nvm_reads * nvm_p.readEnergy +
-                       nvm_writes * nvm_p.writeEnergy
-                 : 0.0},
-            {EnergyCategory::Others, instructions * cfg.energy.corePerInstr},
-            {EnergyCategory::Others,
-             pays_monitor ? instructions * cfg.energy.monitorSample : 0.0},
-            {EnergyCategory::Others,
-             pays_extended_monitor
-                 ? instructions * cfg.energy.extendedMonitorSample
-                 : 0.0},
-        };
+        hier::EventCounts ev = sr.icache;
+        ev += sr.dcache;
+        EnergyLedger draws;
+        draws.add(EnergyCategory::CacheOther,
+                  n(sr.icacheArrayAccesses) * icache_access +
+                      n(sr.isMem) * dcache_access +
+                      n(ev.nextLevelAccesses) * l2cache_access);
+        draws.add(EnergyCategory::Compress,
+                  n(ev.compressions) * compress +
+                      n(ev.compactions) * compaction);
+        draws.add(EnergyCategory::Decompress,
+                  n(ev.decompressions) * decompress);
+        draws.add(EnergyCategory::Memory, n(ev.nvmBlockReads) * nvm_read +
+                                              n(ev.nvmBlockWrites) * nvm_write);
+        draws.add(EnergyCategory::Others, n(sr.instructions) * per_instruction);
         meter->spendEach(draws);
 
         // --- EHS persistence hooks --------------------------------------
@@ -239,16 +234,11 @@ Simulator::run()
             if (l2KaguraCtl)
                 l2KaguraCtl->onMemOpCommit();
         }
-        if (samples_voltage) {
-            const double volts = meter->voltage();
+        if (samples_voltage && meter->stored() <= trigger_level) {
             if (kaguraCtl)
-                kaguraCtl->onVoltageSample(volts,
-                                           cfg.capacitor.vCheckpoint,
-                                           cfg.capacitor.vRestore);
+                kaguraCtl->onVoltageTrigger();
             if (l2KaguraCtl)
-                l2KaguraCtl->onVoltageSample(volts,
-                                             cfg.capacitor.vCheckpoint,
-                                             cfg.capacitor.vRestore);
+                l2KaguraCtl->onVoltageTrigger();
         }
 
         // --- time, leakage, counters ------------------------------------
@@ -265,6 +255,8 @@ Simulator::run()
 
     psm->closeCycle();
     result.wallCycles = meter->wall();
+    result.unfundedZj = meter->unfunded();
+    result.spilledZj = meter->spilled();
     result.icache = iCache->stats();
     result.dcache = dCache->stats();
     result.icacheTags = iCache->tagStats();

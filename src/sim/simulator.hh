@@ -64,6 +64,9 @@ class Simulator
     /** The shared L2, when configured (null = single-level). */
     const Cache *l2cache() const { return l2Cache.get(); }
 
+    /** The energy layer (post-run balance checks in tests). */
+    const EnergyMeter &energyMeter() const { return *meter; }
+
     /**
      * Per-run telemetry, populated at the end of run(): counters and
      * gauges mirroring the SimResult plus wall-clock timing. Purely

@@ -7,13 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
+#include <memory>
 #include <vector>
 
-#include "common/rng.hh"
 #include "energy/capacitor.hh"
 #include "energy/energy_model.hh"
 #include "energy/ledger.hh"
+#include "energy/meter.hh"
 #include "energy/power_trace.hh"
 
 namespace kagura
@@ -40,31 +40,57 @@ TEST(Capacitor, EnergyVoltageRelation)
     EXPECT_NEAR(cap.voltage(), 3.0, 1e-12);
 }
 
+/** A meter over @p cfg fed a constant @p watts, with no standing power. */
+std::unique_ptr<EnergyMeter>
+constantMeter(const CapacitorConfig &cfg, const EnergyModel &energy,
+              EnergyLedger &ledger, Watts watts)
+{
+    return std::make_unique<EnergyMeter>(
+        cfg, energy, 0.0, 0.0,
+        std::make_unique<VectorTrace>("const", std::vector<Watts>{watts}),
+        ledger, false);
+}
+
 TEST(Capacitor, ChargeClampsAtVMax)
 {
+    // 100 W for one 10 us interval is a millijoule, far over capacity:
+    // the capacitor fills to its ceiling and the rest spills, counted.
     CapacitorConfig cfg;
-    Capacitor cap(cfg);
-    cap.charge(1.0); // a full joule: way over capacity
-    EXPECT_NEAR(cap.voltage(), cfg.vMax, 1e-9);
+    EnergyModel energy;
+    EnergyLedger ledger;
+    const auto meter = constantMeter(cfg, energy, ledger, 100.0);
+    const ZeptoJoules before = meter->stored();
+    meter->advanceWall(energy.cyclesPerTraceInterval());
+    const ZeptoJoules ceiling = meter->capacitor().ceiling();
+    EXPECT_EQ(meter->stored(), ceiling);
+    EXPECT_NEAR(meter->voltage(), cfg.vMax, 1e-9);
+    EXPECT_EQ(meter->harvested(), joulesToZepto(100.0 * 10e-6));
+    EXPECT_EQ(meter->spilled(), meter->harvested() - (ceiling - before));
 }
 
 TEST(Capacitor, DischargeSaturatesAtZero)
 {
+    // A draw of twice the stored energy empties the capacitor; the
+    // half it could not fund is counted, not lost.
     CapacitorConfig cfg;
-    Capacitor cap(cfg);
-    cap.discharge(1.0);
-    EXPECT_DOUBLE_EQ(cap.storedJoules(), 0.0);
-    EXPECT_TRUE(cap.belowShutdown());
+    EnergyModel energy;
+    EnergyLedger ledger;
+    const auto meter = constantMeter(cfg, energy, ledger, 0.0);
+    const ZeptoJoules before = meter->stored();
+    meter->spendZj(EnergyCategory::Others, 2 * before);
+    EXPECT_EQ(meter->stored(), 0);
+    EXPECT_EQ(meter->unfunded(), before);
+    EXPECT_EQ(ledger.totalZj(EnergyCategory::Others), 2 * before);
+    EXPECT_TRUE(meter->capacitor().belowShutdown());
 }
 
 TEST(Capacitor, ThresholdCrossing)
 {
     CapacitorConfig cfg;
     Capacitor cap(cfg);
-    // Drain exactly past the checkpoint threshold.
-    const double drain =
-        cap.bandEnergy(cfg.vRestore, cfg.vCheckpoint) + 1e-12;
-    cap.discharge(drain);
+    // Drain one zeptojoule past the checkpoint threshold.
+    cap.setStored(cap.stored() -
+                  cap.bandEnergy(cfg.vRestore, cfg.vCheckpoint) - 1);
     EXPECT_TRUE(cap.belowCheckpoint());
     EXPECT_FALSE(cap.belowShutdown());
 }
@@ -73,8 +99,10 @@ TEST(Capacitor, BandEnergyMatchesDifference)
 {
     CapacitorConfig cfg;
     Capacitor cap(cfg);
-    const double band = cap.bandEnergy(3.0, 2.0);
-    EXPECT_NEAR(band, 0.5 * cfg.capacitance * (9.0 - 4.0), 1e-15);
+    const ZeptoJoules band = cap.bandEnergy(3.0, 2.0);
+    EXPECT_EQ(band, cap.energyAt(3.0) - cap.energyAt(2.0));
+    EXPECT_NEAR(zeptoToJoules(band), 0.5 * cfg.capacitance * (9.0 - 4.0),
+                1e-18);
 }
 
 TEST(Capacitor, LeakageGrowsWithCapacitance)
@@ -118,54 +146,42 @@ thresholdCases()
 
 /** The voltage rule the thresholds stand for, sqrt(2 E / C). */
 double
-voltageOf(const CapacitorConfig &cfg, double joules)
+voltageOf(const CapacitorConfig &cfg, ZeptoJoules zj)
 {
-    return std::sqrt(2.0 * joules / cfg.capacitance);
+    return std::sqrt(2.0 * zeptoToJoules(zj) / cfg.capacitance);
 }
 
-TEST(Capacitor, ThresholdComparesMatchTheSquareRootRule)
+TEST(Capacitor, ThresholdsFlipAtTheirCutPoints)
 {
-    constexpr double inf = std::numeric_limits<double>::infinity();
-    std::uint64_t seed = 0xca9ac1;
     for (const CapacitorConfig &cfg : thresholdCases()) {
         Capacitor cap(cfg);
-        const double ceiling =
-            0.5 * cfg.capacitance * cfg.vMax * cfg.vMax;
-        const auto check = [&](double joules) {
-            if (joules > ceiling) // charge() cannot reach it
-                return;
-            cap.discharge(cap.storedJoules());
-            cap.charge(joules);
-            ASSERT_EQ(cap.storedJoules(), joules);
-            const double volts = voltageOf(cfg, joules);
-            ASSERT_EQ(cap.belowCheckpoint(), volts < cfg.vCheckpoint)
-                << cfg.capacitance << " F at " << joules << " J";
-            ASSERT_EQ(cap.aboveRestore(), volts >= cfg.vRestore)
-                << cfg.capacitance << " F at " << joules << " J";
-        };
+        const ZeptoJoules restore = cap.restoreLevel();
+        const ZeptoJoules checkpoint = cap.energyAt(cfg.vCheckpoint);
+        EXPECT_EQ(restore, cap.energyAt(cfg.vRestore));
+        EXPECT_EQ(cap.stored(), restore) << "starts at V_rst";
 
-        for (const double cut :
-             {cap.checkpointJoules(), cap.restoreJoules()}) {
-            check(cut);
-            check(std::nextafter(cut, 0.0));
-            check(std::nextafter(cut, inf));
-        }
-        // The cut points are where the rule flips, not merely points
-        // that agree with it.
-        EXPECT_GE(voltageOf(cfg, cap.checkpointJoules()), cfg.vCheckpoint);
-        EXPECT_LT(voltageOf(cfg, std::nextafter(cap.checkpointJoules(),
-                                                0.0)),
-                  cfg.vCheckpoint);
-        EXPECT_GE(voltageOf(cfg, cap.restoreJoules()), cfg.vRestore);
-        EXPECT_LT(voltageOf(cfg, std::nextafter(cap.restoreJoules(), 0.0)),
-                  cfg.vRestore);
+        cap.setStored(restore);
+        EXPECT_TRUE(cap.aboveRestore()) << cfg.capacitance;
+        cap.setStored(restore - 1);
+        EXPECT_FALSE(cap.aboveRestore()) << cfg.capacitance;
+        cap.setStored(checkpoint);
+        EXPECT_FALSE(cap.belowCheckpoint()) << cfg.capacitance;
+        cap.setStored(checkpoint - 1);
+        EXPECT_TRUE(cap.belowCheckpoint()) << cfg.capacitance;
 
-        Rng rng(seed++);
-        for (int i = 0; i < 100000 && !HasFatalFailure(); ++i)
-            check(rng.real() * ceiling);
-        check(0.0);
-        check(ceiling);
+        // The cut points stand for the voltages: C v^2 / 2 rounded to
+        // the nearest zeptojoule.
+        EXPECT_NEAR(voltageOf(cfg, restore), cfg.vRestore, 1e-9);
+        EXPECT_NEAR(voltageOf(cfg, checkpoint), cfg.vCheckpoint, 1e-9);
     }
+}
+
+TEST(Capacitor, RejectsAFullChargePastTheZeptojouleRange)
+{
+    CapacitorConfig cfg;
+    cfg.capacitance = 2e-3; // 10.9 mJ at 3.3 V
+    EXPECT_EXIT({ Capacitor cap(cfg); (void)cap; },
+                testing::ExitedWithCode(1), "zeptojoules");
 }
 
 TEST(PowerTrace, DeterministicForSameSeed)
@@ -227,33 +243,43 @@ TEST(PowerTrace, ScaleMultipliesSamples)
 
 TEST(PowerTrace, SharedTraceMatchesAFreshOneAcrossEviction)
 {
-    const auto expect_fresh = [](const PowerTrace &shared) {
+    constexpr Seconds interval = 10e-6;
+    const auto expect_fresh = [](const HarvestTable &shared) {
         const auto fresh = makeTrace(TraceKind::RfHome, 3000, 77, 1.5);
         ASSERT_EQ(shared.length(), fresh->length());
         EXPECT_EQ(shared.name(), fresh->name());
         for (std::uint64_t i = 0; i < fresh->length(); ++i)
-            ASSERT_EQ(shared.power(i), fresh->power(i)) << "sample " << i;
+            ASSERT_EQ(shared.at(i),
+                      joulesToZepto(fresh->power(i) * interval))
+                << "sample " << i;
     };
 
-    const auto first = sharedTrace(TraceKind::RfHome, 3000, 77, 1.5);
+    const auto first =
+        sharedHarvest(TraceKind::RfHome, 3000, 77, 1.5, interval);
     expect_fresh(*first);
-    EXPECT_EQ(sharedTrace(TraceKind::RfHome, 3000, 77, 1.5), first)
+    EXPECT_EQ(sharedHarvest(TraceKind::RfHome, 3000, 77, 1.5, interval),
+              first)
         << "a repeated request must hit the memo";
 
-    // Every slot taken by another key evicts the first trace; asking
+    // Every slot taken by another key evicts the first table; asking
     // again regenerates it, sample for sample.
     for (std::uint64_t seed = 0; seed < sharedTraceSlots; ++seed)
-        sharedTrace(TraceKind::Solar, 500, seed, 1.0);
-    const auto again = sharedTrace(TraceKind::RfHome, 3000, 77, 1.5);
+        sharedHarvest(TraceKind::Solar, 500, seed, 1.0, interval);
+    const auto again =
+        sharedHarvest(TraceKind::RfHome, 3000, 77, 1.5, interval);
     EXPECT_NE(again, first) << "the memo kept more than its slots";
     expect_fresh(*again);
     expect_fresh(*first); // the evicted copy is still intact
 
     // Keys differ in every field, including the scale's sign bit.
-    EXPECT_NE(sharedTrace(TraceKind::Constant, 10, 1, 0.0),
-              sharedTrace(TraceKind::Constant, 10, 1, -0.0));
-    EXPECT_NE(sharedTrace(TraceKind::RfHome, 3000, 78, 1.5), again);
-    EXPECT_NE(sharedTrace(TraceKind::RfHome, 3001, 77, 1.5), again);
+    EXPECT_NE(sharedHarvest(TraceKind::Constant, 10, 1, 0.0, interval),
+              sharedHarvest(TraceKind::Constant, 10, 1, -0.0, interval));
+    EXPECT_NE(sharedHarvest(TraceKind::RfHome, 3000, 78, 1.5, interval),
+              again);
+    EXPECT_NE(sharedHarvest(TraceKind::RfHome, 3001, 77, 1.5, interval),
+              again);
+    EXPECT_NE(sharedHarvest(TraceKind::RfHome, 3000, 77, 1.5, 2 * interval),
+              again);
 }
 
 TEST(PowerTrace, VectorTraceRejectsEmpty)
@@ -266,21 +292,24 @@ TEST(PowerTrace, VectorTraceRejectsEmpty)
 TEST(Ledger, AccumulatesPerCategory)
 {
     EnergyLedger ledger;
-    ledger.add(EnergyCategory::Compress, 10.0);
-    ledger.add(EnergyCategory::Compress, 5.0);
-    ledger.add(EnergyCategory::Memory, 100.0);
-    EXPECT_DOUBLE_EQ(ledger.total(EnergyCategory::Compress), 15.0);
-    EXPECT_DOUBLE_EQ(ledger.total(EnergyCategory::Memory), 100.0);
-    EXPECT_DOUBLE_EQ(ledger.total(EnergyCategory::Others), 0.0);
-    EXPECT_DOUBLE_EQ(ledger.grandTotal(), 115.0);
+    ledger.add(EnergyCategory::Compress, picoToZepto(3.84));
+    ledger.add(EnergyCategory::Compress, picoToZepto(5.0));
+    ledger.add(EnergyCategory::Memory, picoToZepto(100.0));
+    EXPECT_EQ(ledger.totalZj(EnergyCategory::Compress), 8'840'000'000);
+    EXPECT_EQ(ledger.totalZj(EnergyCategory::Memory), 100'000'000'000);
+    EXPECT_EQ(ledger.totalZj(EnergyCategory::Others), 0);
+    EXPECT_EQ(ledger.grandTotalZj(), 108'840'000'000);
+    // Reports read picojoules.
+    EXPECT_DOUBLE_EQ(ledger.total(EnergyCategory::Compress), 8.84);
+    EXPECT_DOUBLE_EQ(ledger.grandTotal(), 108.84);
 }
 
 TEST(Ledger, ResetZeroesEverything)
 {
     EnergyLedger ledger;
-    ledger.add(EnergyCategory::Checkpoint, 42.0);
+    ledger.add(EnergyCategory::Checkpoint, 42);
     ledger.reset();
-    EXPECT_DOUBLE_EQ(ledger.grandTotal(), 0.0);
+    EXPECT_EQ(ledger.grandTotalZj(), 0);
 }
 
 TEST(Ledger, CategoryNamesMatchFig16Legend)

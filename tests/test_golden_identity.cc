@@ -236,9 +236,9 @@ TEST(GoldenIdentity, EhsDesignsAreExactlyReproducible)
 
 TEST(GoldenIdentity, SaltIsUntouchedByTheRefactor)
 {
-    // The refactor is behaviour-preserving, so the salt must still be
-    // the value the fixtures were captured under.
-    EXPECT_EQ(runner::simulatorVersionSalt, 2u);
+    // A refactor is behaviour-preserving, so the salt must still be
+    // the value the fixtures were captured under (3: integer energy).
+    EXPECT_EQ(runner::simulatorVersionSalt, 3u);
 }
 
 TEST(GoldenIdentity, PreRefactorCacheEntryStillHits)

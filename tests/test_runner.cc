@@ -12,13 +12,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -57,6 +57,8 @@ fillEveryRow(T &value, std::uint64_t &next)
 {
     if constexpr (std::is_same_v<T, std::uint64_t>) {
         value = next++;
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+        value = static_cast<std::int64_t>(next++);
     } else if constexpr (std::is_array_v<T>) {
         for (auto &element : value)
             fillEveryRow(element, next);
@@ -66,10 +68,6 @@ fillEveryRow(T &value, std::uint64_t &next)
         value.resize(3);
         for (PowerCycleRecord &rec : value)
             fillEveryRow(rec, next);
-    } else if constexpr (std::is_same_v<T, EnergyLedger>) {
-        for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c)
-            value.add(static_cast<EnergyCategory>(c),
-                      0.1 * static_cast<double>(next++) + 0.2);
     } else if constexpr (std::is_same_v<T, OracleLog>) {
         // Inserted out of address order: the encoder sorts them.
         for (const Addr addr : {0x2040u, 0x1000u, 0x3080u}) {
@@ -101,6 +99,7 @@ void
 expectSameRows(const T &a, const T &b, const std::string &path)
 {
     if constexpr (std::is_same_v<T, std::uint64_t> ||
+                  std::is_same_v<T, std::int64_t> ||
                   std::is_same_v<T, std::string>) {
         EXPECT_EQ(a, b) << path;
     } else if constexpr (std::is_array_v<T>) {
@@ -110,13 +109,6 @@ expectSameRows(const T &a, const T &b, const std::string &path)
         ASSERT_EQ(a.size(), b.size()) << path;
         for (std::size_t i = 0; i < a.size(); ++i)
             expectSameRows(a[i], b[i], path + "/" + std::to_string(i));
-    } else if constexpr (std::is_same_v<T, EnergyLedger>) {
-        for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c) {
-            const auto cat = static_cast<EnergyCategory>(c);
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.total(cat)),
-                      std::bit_cast<std::uint64_t>(b.total(cat)))
-                << path << "/" << energyCategorySlug(cat);
-        }
     } else if constexpr (std::is_same_v<T, OracleLog>) {
         EXPECT_TRUE(a == b) << path;
     } else {
@@ -277,8 +269,9 @@ TEST_F(RunnerTests, CodecMutationsDecodeCanonicallyOrNotAtAll)
     // The canonical-form promise of result_codec.hh, against input
     // from outside the program (cache entries are read from disk):
     // any byte string either fails to decode or decodes to a result
-    // that re-encodes to exactly those bytes. The all-zero result
-    // puts 0.0 in every ledger slot, where a sign flip reads -0.0.
+    // that re-encodes to exactly those bytes. The third base puts the
+    // signed zeptojoule counters (ledger, unfunded, spilled) at their
+    // extremes, where a flipped bit crosses the sign.
     unsigned accepted = 0;
     unsigned rejected = 0;
     const auto check = [&](const std::string &bytes,
@@ -292,8 +285,17 @@ TEST_F(RunnerTests, CodecMutationsDecodeCanonicallyOrNotAtAll)
         EXPECT_TRUE(runner::encodeResult(out) == bytes) << what;
     };
 
+    SimResult extremes = everyFieldResult();
+    for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c)
+        extremes.ledger.zj[c] =
+            c % 2 ? std::numeric_limits<ZeptoJoules>::max()
+                  : std::numeric_limits<ZeptoJoules>::min() + 1;
+    extremes.unfundedZj = -1;
+    extremes.spilledZj = std::numeric_limits<ZeptoJoules>::min();
+
     Rng rng(0x6b677262);
-    for (const SimResult &base : {everyFieldResult(), SimResult{}}) {
+    for (const SimResult &base :
+         {everyFieldResult(), SimResult{}, extremes}) {
         const std::string good = runner::encodeResult(base);
         for (std::size_t n = 0; n < good.size(); ++n)
             check(good.substr(0, n), "truncated to " + std::to_string(n));

@@ -52,28 +52,33 @@ TEST_F(MeterTest, SpendDrawsLedgerAndCapacitorTogether)
 {
     EnergyMeter &m = make(0.0);
     m.capacitor().setVoltage(3.0);
-    const double before = m.capacitor().storedJoules();
+    const ZeptoJoules before = m.stored();
     m.spend(EnergyCategory::Compress, 1e6); // 1e6 pJ = 1 uJ
+    EXPECT_EQ(ledger.totalZj(EnergyCategory::Compress), 1'000'000'000'000'000);
     EXPECT_DOUBLE_EQ(ledger.total(EnergyCategory::Compress), 1e6);
-    EXPECT_NEAR(before - m.capacitor().storedJoules(), 1e-6, 1e-12);
+    EXPECT_EQ(before - m.stored(), 1'000'000'000'000'000);
+    EXPECT_EQ(m.unfunded(), 0);
 }
 
 TEST_F(MeterTest, NonPositiveSpendsAreIgnored)
 {
     EnergyMeter &m = make(0.0);
+    const ZeptoJoules before = m.stored();
     m.spend(EnergyCategory::Memory, 0.0);
     m.spend(EnergyCategory::Memory, -5.0);
-    EXPECT_DOUBLE_EQ(ledger.grandTotal(), 0.0);
+    EXPECT_EQ(ledger.grandTotalZj(), 0);
+    EXPECT_EQ(m.stored(), before);
 }
 
 TEST_F(MeterTest, InfiniteEnergyMetersButNeverDischarges)
 {
     EnergyMeter &m = make(0.0, /*infinite=*/true);
     m.capacitor().setVoltage(3.0);
-    const double before = m.capacitor().storedJoules();
+    const ZeptoJoules before = m.stored();
     m.spend(EnergyCategory::Checkpoint, 5e7);
-    EXPECT_DOUBLE_EQ(ledger.total(EnergyCategory::Checkpoint), 5e7);
-    EXPECT_DOUBLE_EQ(m.capacitor().storedJoules(), before);
+    EXPECT_EQ(ledger.totalZj(EnergyCategory::Checkpoint), picoToZepto(5e7));
+    EXPECT_EQ(m.stored(), before);
+    EXPECT_EQ(m.unfunded(), picoToZepto(5e7)) << "nothing was funded";
     EXPECT_TRUE(m.infiniteEnergy());
     EXPECT_FALSE(m.failureImminent());
 }
@@ -82,13 +87,16 @@ TEST_F(MeterTest, AdvanceWallHarvestsPerInterval)
 {
     EnergyMeter &m = make(0.5);
     m.capacitor().setVoltage(cap.vShutdown);
-    const double before = m.capacitor().storedJoules();
+    const ZeptoJoules before = m.stored();
     const Cycles ivl = energy.cyclesPerTraceInterval();
-    m.advanceWall(ivl);
+    m.advanceWall(ivl - 1);
+    EXPECT_EQ(m.stored(), before) << "the interval has not closed yet";
+    m.advanceWall(1);
     EXPECT_EQ(m.wall(), ivl);
     // One interval of 0.5 W harvest (capped only at vMax).
-    EXPECT_NEAR(m.capacitor().storedJoules() - before,
-                0.5 * energy.traceInterval, 1e-12);
+    EXPECT_EQ(m.stored() - before, joulesToZepto(0.5 * energy.traceInterval));
+    EXPECT_EQ(m.harvested(), m.stored() - before);
+    EXPECT_EQ(m.spilled(), 0);
 }
 
 TEST_F(MeterTest, ChargeStaticPowerHitsAllStandingCategories)

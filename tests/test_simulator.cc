@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "compress/compressor.hh"
 #include "metrics/sink.hh"
 #include "sim/experiment.hh"
 
@@ -163,6 +164,84 @@ TEST_F(QuietTests, EnergyLedgerCoversAllCategories)
     EXPECT_GT(r.ledger.total(EnergyCategory::Memory), 0.0);
     EXPECT_GT(r.ledger.total(EnergyCategory::Checkpoint), 0.0);
     EXPECT_GT(r.ledger.total(EnergyCategory::Others), 0.0);
+}
+
+TEST_F(QuietTests, EveryLevelsCompressionsAndCompactionsAreCharged)
+{
+    // An I-cache under BDI+ACC in front of a compressed L2, with the
+    // prefetcher on: I-cache fills and prefetches compact lines too,
+    // and each one must reach the Compress bucket exactly once.
+    SimConfig cfg = accConfig("jpeg");
+    std::string error;
+    ASSERT_TRUE(applyL2Spec("1024x4:acc", cfg, error)) << error;
+    cfg.enablePrefetch = true;
+    Simulator sim(cfg);
+    const SimResult r = sim.run();
+    ASSERT_GT(r.icache.compactions, 0u);
+    ASSERT_GT(r.l2cache.compressions, 0u);
+    ASSERT_GT(r.dcache.prefetchFills, 0u);
+
+    const std::unique_ptr<Compressor> comp = makeCompressor(cfg.compressor);
+    const std::uint64_t compressions = r.icache.compressions +
+                                       r.dcache.compressions +
+                                       r.l2cache.compressions;
+    const std::uint64_t compactions = r.icache.compactions +
+                                      r.dcache.compactions +
+                                      r.l2cache.compactions;
+    EXPECT_EQ(r.ledger.totalZj(EnergyCategory::Compress),
+              static_cast<ZeptoJoules>(compressions) *
+                      picoToZepto(comp->costs().compressEnergy) +
+                  static_cast<ZeptoJoules>(compactions) *
+                      picoToZepto(cfg.energy.compactionEnergy));
+}
+
+/**
+ * Run @p cfg and expect its energy to balance exactly: the final
+ * stored energy is the initial one plus the harvest, minus what
+ * spilled over the top and what the ledger recorded, plus what the
+ * ledger recorded that the capacitor could not fund.
+ */
+void
+expectExactBalance(const SimConfig &cfg, const std::string &what)
+{
+    Simulator sim(cfg);
+    const SimResult r = sim.run();
+    const EnergyMeter &meter = sim.energyMeter();
+    const ZeptoJoules initial = meter.capacitor().restoreLevel();
+    EXPECT_EQ(r.spilledZj, meter.spilled()) << what;
+    EXPECT_EQ(r.unfundedZj, meter.unfunded()) << what;
+    EXPECT_EQ(initial + meter.harvested() - r.spilledZj -
+                  r.ledger.grandTotalZj() + r.unfundedZj,
+              meter.stored())
+        << what;
+}
+
+TEST_F(QuietTests, EnergyBalancesExactlyInZeptojoules)
+{
+    for (const std::string &app : suiteApps()) {
+        expectExactBalance(baselineConfig(app), app + " baseline");
+        expectExactBalance(accConfig(app), app + " ACC");
+        expectExactBalance(accKaguraConfig(app), app + " ACC+Kagura");
+    }
+    for (const EnumName<EhsKind> &design : ehsKindNames) {
+        SimConfig cfg = accKaguraConfig("crc32");
+        cfg.ehs = design.value;
+        expectExactBalance(cfg, std::string("crc32 ") + design.name);
+    }
+    SimConfig hier = accKaguraConfig("jpeg");
+    std::string error;
+    ASSERT_TRUE(applyL2Spec("1024x4:acc+kagura", hier, error)) << error;
+    hier.enablePrefetch = true;
+    expectExactBalance(hier, "jpeg L2 + prefetch");
+
+    // At infinite energy the capacitor funds nothing: every draw is
+    // unfunded, and the balance still holds.
+    SimConfig infinite = accConfig("crc32");
+    infinite.infiniteEnergy = true;
+    Simulator sim(infinite);
+    const SimResult r = sim.run();
+    EXPECT_EQ(r.unfundedZj, r.ledger.grandTotalZj());
+    expectExactBalance(infinite, "crc32 infinite energy");
 }
 
 TEST_F(QuietTests, BaselineHasNoCompressionEnergy)
