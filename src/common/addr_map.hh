@@ -121,17 +121,6 @@ class AddrMap
                 fn(slot.addr, slot.value);
     }
 
-    template <typename Fn>
-    void
-    forEach(Fn &&fn)
-    {
-        if (count == 0)
-            return;
-        for (Slot &slot : slots)
-            if (slot.used)
-                fn(slot.addr, slot.value);
-    }
-
     /** Same entries with equal values, whatever the slot order. */
     bool
     operator==(const AddrMap &other) const

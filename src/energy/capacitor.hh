@@ -76,9 +76,6 @@ class Capacitor
     /** Set the stored energy. */
     void setStored(ZeptoJoules zj) { storedZj = zj; }
 
-    /** Stored energy in joules. */
-    double storedJoules() const { return zeptoToJoules(storedZj); }
-
     /** Current voltage, sqrt(2 E / C). */
     double voltage() const { return voltageAt(storedZj); }
 

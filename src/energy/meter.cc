@@ -6,33 +6,32 @@ namespace kagura
 {
 
 EnergyMeter::EnergyMeter(const CapacitorConfig &cap_config,
-                         const EnergyModel &energy_,
+                         const EnergyModel &energy,
                          Watts cache_leakage_watts,
                          Watts nvm_standby_watts,
                          std::shared_ptr<const HarvestTable> harvest_,
                          EnergyLedger &ledger_, bool infinite_energy)
-    : energy(energy_), ledger(ledger_), cap(cap_config),
-      harvest(std::move(harvest_)), cycleSeconds(energy_.cycleTime()),
-      traceIntervalCycles(energy_.cyclesPerTraceInterval()),
-      cacheLeakZj(joulesToZepto(cache_leakage_watts * cycleSeconds)),
-      standbyZj(joulesToZepto(nvm_standby_watts * cycleSeconds)),
-      coreLeakZj(joulesToZepto(energy_.coreLeakage * cycleSeconds)),
-      leakPerRootZj(cap.leakagePowerAt(1) * cycleSeconds * 1e21),
+    : ledger(ledger_), cap(cap_config), harvest(std::move(harvest_)),
+      traceIntervalCycles(energy.cyclesPerTraceInterval()),
+      cacheLeakZj(joulesToZepto(cache_leakage_watts * energy.cycleTime())),
+      standbyZj(joulesToZepto(nvm_standby_watts * energy.cycleTime())),
+      coreLeakZj(joulesToZepto(energy.coreLeakage * energy.cycleTime())),
+      leakPerRootZj(cap.leakagePowerAt(1) * energy.cycleTime() * 1e21),
       infinite(infinite_energy), nextIntervalEnd(traceIntervalCycles)
 {
     refreshLeakage(cap.stored());
 }
 
 EnergyMeter::EnergyMeter(const CapacitorConfig &cap_config,
-                         const EnergyModel &energy_,
+                         const EnergyModel &energy,
                          Watts cache_leakage_watts,
                          Watts nvm_standby_watts,
                          std::shared_ptr<const PowerTrace> trace,
                          EnergyLedger &ledger_, bool infinite_energy)
-    : EnergyMeter(cap_config, energy_, cache_leakage_watts,
+    : EnergyMeter(cap_config, energy, cache_leakage_watts,
                   nvm_standby_watts,
                   std::make_shared<const HarvestTable>(
-                      *trace, energy_.traceInterval),
+                      *trace, energy.traceInterval),
                   ledger_, infinite_energy)
 {
 }

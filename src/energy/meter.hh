@@ -140,9 +140,6 @@ class EnergyMeter
     /** Wall-clock cycles so far (includes recharge phases). */
     Cycles wall() const { return wallCycles; }
 
-    /** Current capacitor voltage. */
-    double voltage() const { return cap.voltage(); }
-
     /** Stored energy. */
     ZeptoJoules stored() const { return cap.stored(); }
 
@@ -238,13 +235,11 @@ class EnergyMeter
         staticZj = cacheLeakZj + standbyZj + othersStaticZj;
     }
 
-    const EnergyModel &energy;
     EnergyLedger &ledger;
     Capacitor cap;
     std::shared_ptr<const HarvestTable> harvest;
 
-    /** energy.cycleTime() and energy.cyclesPerTraceInterval(). */
-    Seconds cycleSeconds;
+    /** EnergyModel::cyclesPerTraceInterval(). */
     Cycles traceIntervalCycles;
 
     /** Standing draws per active cycle: cache leakage, NVM standby,

@@ -40,8 +40,7 @@ std::string toJson(const SimResult &result, bool include_cycles = false);
 
 /**
  * Bit-exact equality of two results, including every counter, every
- * per-cycle record, the IEEE-754 bit patterns of the energy buckets,
- * and the oracle log. Implemented by comparing the canonical binary
+ * per-cycle record, the zeptojoule energy buckets, and the oracle log. Implemented by comparing the canonical binary
  * encodings (runner/result_codec.hh), so "equal" here is precisely
  * "indistinguishable to the result cache" -- the property the
  * runner's determinism tests assert across worker counts.

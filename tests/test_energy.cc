@@ -36,7 +36,7 @@ TEST(Capacitor, EnergyVoltageRelation)
     cfg.capacitance = 4.7e-6;
     Capacitor cap(cfg);
     cap.setVoltage(3.0);
-    EXPECT_NEAR(cap.storedJoules(), 0.5 * 4.7e-6 * 9.0, 1e-12);
+    EXPECT_NEAR(zeptoToJoules(cap.stored()), 0.5 * 4.7e-6 * 9.0, 1e-18);
     EXPECT_NEAR(cap.voltage(), 3.0, 1e-12);
 }
 
@@ -63,7 +63,7 @@ TEST(Capacitor, ChargeClampsAtVMax)
     meter->advanceWall(energy.cyclesPerTraceInterval());
     const ZeptoJoules ceiling = meter->capacitor().ceiling();
     EXPECT_EQ(meter->stored(), ceiling);
-    EXPECT_NEAR(meter->voltage(), cfg.vMax, 1e-9);
+    EXPECT_NEAR(meter->capacitor().voltage(), cfg.vMax, 1e-9);
     EXPECT_EQ(meter->harvested(), joulesToZepto(100.0 * 10e-6));
     EXPECT_EQ(meter->spilled(), meter->harvested() - (ceiling - before));
 }
