@@ -46,6 +46,25 @@ EnergyMeter::harvestClosedIntervals()
         stored = harvestInterval(stored);
     cap.setStored(stored);
     refreshLeakage(stored);
+    checkCounterRange();
+}
+
+void
+EnergyMeter::checkCounterRange() const
+{
+    // Every addition is nonnegative, so the counters only grow.
+    // Between two checks they grow by a step's draws and the harvest
+    // of the intervals it closed, far less than the 2^62 zJ of
+    // headroom: none can have wrapped when one first passes the limit.
+    const ZeptoJoules spent = ledger.grandTotalZj();
+    if (spent >= counterLimitZj || harvestedZj >= counterLimitZj ||
+        unfundedZj >= counterLimitZj)
+        fatal("run energy past the 2^62 zJ (%g mJ) range of the integer "
+              "ledger: spent %g mJ, harvested %g mJ, unfunded %g mJ -- "
+              "run a shorter workload",
+              zeptoToJoules(counterLimitZj) * 1e3,
+              zeptoToJoules(spent) * 1e3, zeptoToJoules(harvestedZj) * 1e3,
+              zeptoToJoules(unfundedZj) * 1e3);
 }
 
 void
@@ -80,6 +99,7 @@ EnergyMeter::rechargeUntilRestore()
     cap.setStored(stored);
     ledger.add(EnergyCategory::Others, leaked);
     unfundedZj += short_of;
+    checkCounterRange();
 }
 
 } // namespace kagura

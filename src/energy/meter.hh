@@ -178,6 +178,15 @@ class EnergyMeter
      */
     ZeptoJoules unfunded() const { return unfundedZj; }
 
+    /**
+     * The run's counters -- the ledger total, harvested() and
+     * unfunded() (and so spilled() and every bucket) -- must stay
+     * below this, 2^62 zJ (4.6 mJ): the run ends with a fatal error
+     * when a trace interval closes past it, still a factor of two
+     * short of the int64 range.
+     */
+    static constexpr ZeptoJoules counterLimitZj = ZeptoJoules{1} << 62;
+
   private:
     /** Take @p zj from the capacitor, clamping (and counting) at 0. */
     void
@@ -218,6 +227,9 @@ class EnergyMeter
 
     /** Harvest every trace interval that ended by wallCycles. */
     void harvestClosedIntervals();
+
+    /** fatal() once a run counter reaches counterLimitZj. */
+    void checkCounterRange() const;
 
     /**
      * Re-evaluate the capacitor's leakage at stored level @p stored:

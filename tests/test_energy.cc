@@ -84,6 +84,61 @@ TEST(Capacitor, DischargeSaturatesAtZero)
     EXPECT_TRUE(meter->capacitor().belowShutdown());
 }
 
+TEST(EnergyMeter, RunsUpToTheCounterLimit)
+{
+    CapacitorConfig cfg;
+    EnergyModel energy;
+    EnergyLedger ledger;
+    const auto meter = constantMeter(cfg, energy, ledger, 0.0);
+    meter->spendZj(EnergyCategory::Others,
+                   EnergyMeter::counterLimitZj - 1);
+    meter->advanceWall(energy.cyclesPerTraceInterval());
+    EXPECT_EQ(ledger.grandTotalZj(), EnergyMeter::counterLimitZj - 1);
+}
+
+TEST(EnergyMeter, StopsARunWhoseLedgerPassesTheCounterLimit)
+{
+    CapacitorConfig cfg;
+    EnergyModel energy;
+    EnergyLedger ledger;
+    const auto meter = constantMeter(cfg, energy, ledger, 0.0);
+    // Two buckets that pass the limit only together.
+    meter->spendZj(EnergyCategory::Others, EnergyMeter::counterLimitZj / 2);
+    meter->spendZj(EnergyCategory::Memory, EnergyMeter::counterLimitZj / 2);
+    EXPECT_EXIT(meter->advanceWall(energy.cyclesPerTraceInterval()),
+                testing::ExitedWithCode(1), "range of the integer ledger");
+}
+
+TEST(EnergyMeter, StopsARunWhoseHarvestPassesTheCounterLimit)
+{
+    // 300 W over a 10 us interval is 3e18 zJ: the first interval stays
+    // under 2^62 zJ (4.6e18), the second passes it.
+    CapacitorConfig cfg;
+    EnergyModel energy;
+    EnergyLedger ledger;
+    const auto meter = constantMeter(cfg, energy, ledger, 300.0);
+    meter->advanceWall(energy.cyclesPerTraceInterval());
+    EXPECT_LT(meter->harvested(), EnergyMeter::counterLimitZj);
+    EXPECT_EXIT(meter->advanceWall(energy.cyclesPerTraceInterval()),
+                testing::ExitedWithCode(1), "harvested");
+}
+
+TEST(EnergyMeter, StopsAnInfiniteEnergyRunPastTheCounterLimit)
+{
+    // Every draw of an infinite-energy run is unfunded.
+    CapacitorConfig cfg;
+    EnergyModel energy;
+    EnergyLedger ledger;
+    EnergyMeter meter(
+        cfg, energy, 0.0, 0.0,
+        std::make_unique<VectorTrace>("none", std::vector<Watts>{0.0}),
+        ledger, true);
+    meter.spendZj(EnergyCategory::Others, EnergyMeter::counterLimitZj);
+    EXPECT_EQ(meter.unfunded(), EnergyMeter::counterLimitZj);
+    EXPECT_EXIT(meter.advanceWall(energy.cyclesPerTraceInterval()),
+                testing::ExitedWithCode(1), "unfunded");
+}
+
 TEST(Capacitor, ThresholdCrossing)
 {
     CapacitorConfig cfg;
