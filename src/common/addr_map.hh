@@ -1,8 +1,9 @@
 /**
  * @file
- * AddrMap: a flat open-addressing map from addresses to small values,
- * laid out like SparseBytes' page table (mem/sparse_bytes.hh): a
- * multiplicative hash picks the first probe and a linear scan the
+ * AddrMap: a flat open-addressing map from addresses (or page
+ * numbers) to small values, behind Kagura's oracle log
+ * (kagura/oracle.hh) and SparseBytes' page table (mem/sparse_bytes.hh):
+ * a multiplicative hash picks the first probe and a linear scan the
  * rest, and the table doubles before it is half full, so a lookup --
  * hit or miss -- is a multiply and, almost always, one probe. Erase
  * shifts the rest of its probe run back, so no tombstones build up.

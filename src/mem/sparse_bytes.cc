@@ -5,48 +5,13 @@
 namespace kagura
 {
 
-namespace
-{
-
-/** Initial page-table size (a power of two). */
-constexpr std::size_t initialSlots = 16;
-
-} // namespace
-
-SparseBytes::SparseBytes(std::uint64_t capacity)
-    : cap(capacity), table(initialSlots), tableShift(64 - 4)
-{
-    static_assert(initialSlots == 1u << 4, "tableShift out of sync");
-}
-
-void
-SparseBytes::insert(std::uint64_t page, std::uint8_t *bytes)
-{
-    const std::size_t mask = table.size() - 1;
-    std::size_t i = home(page);
-    while (table[i].bytes != nullptr)
-        i = (i + 1) & mask;
-    table[i] = {page, bytes};
-}
+SparseBytes::SparseBytes(std::uint64_t capacity) : cap(capacity) {}
 
 std::uint8_t *
 SparseBytes::addPage(std::uint64_t page)
 {
     pages.push_back(std::make_unique<std::uint8_t[]>(pageBytes));
-    std::uint8_t *bytes = pages.back().get();
-    if (2 * pages.size() > table.size()) {
-        // Double the table and re-place every page: pages keep their
-        // bytes, only their slots move.
-        std::vector<Slot> old(2 * table.size());
-        old.swap(table);
-        --tableShift;
-        for (const Slot &slot : old) {
-            if (slot.bytes)
-                insert(slot.page, slot.bytes);
-        }
-    }
-    insert(page, bytes);
-    return bytes;
+    return table[page] = pages.back().get();
 }
 
 void

@@ -10,10 +10,8 @@
  * modulo the capacity, reduced only when one lies outside it; copies
  * then run as page-sized memcpy chunks.
  *
- * Pages are found through one flat open-addressing table of
- * (page number, bytes) pairs: a multiplicative hash picks the first
- * probe and a linear scan the rest, and the table doubles before it
- * is half full, so a lookup -- of a written page or of one never
+ * Pages are found through one AddrMap (common/addr_map.hh) from page
+ * number to bytes, so a lookup -- of a written page or of one never
  * written -- is a multiply and, almost always, one probe. Pages are
  * never freed or moved, so a page pointer stays valid for the
  * store's lifetime. Reads change nothing, so concurrent reads of one
@@ -27,6 +25,8 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
+
+#include "common/addr_map.hh"
 
 namespace kagura
 {
@@ -97,49 +97,22 @@ class SparseBytes
         }
     }
 
-    /** One page-table slot: a page number and its bytes. */
-    struct Slot
-    {
-        /** No page number reaches this (pages are addr >> pageShift). */
-        std::uint64_t page = ~0ULL;
-        std::uint8_t *bytes = nullptr;
-    };
-
-    /** The table slot a probe for @p page starts at. */
-    std::size_t
-    home(std::uint64_t page) const
-    {
-        return static_cast<std::size_t>(
-            (page * 0x9e3779b97f4a7c15ULL) >> tableShift);
-    }
-
     /** The materialised page @p page, or nullptr if never written. */
     std::uint8_t *
     findPage(std::uint64_t page) const
     {
-        const std::size_t mask = table.size() - 1;
-        for (std::size_t i = home(page);; i = (i + 1) & mask) {
-            const Slot &slot = table[i];
-            if (slot.page == page)
-                return slot.bytes;
-            if (slot.bytes == nullptr)
-                return nullptr;
-        }
+        std::uint8_t *const *bytes = table.find(page);
+        return bytes ? *bytes : nullptr;
     }
 
     /** Materialise page @p page (not present yet); returns its bytes. */
     std::uint8_t *addPage(std::uint64_t page);
 
-    /** Put @p page's bytes in its probe chain (table has room). */
-    void insert(std::uint64_t page, std::uint8_t *bytes);
-
     std::uint64_t cap;
     /** Every materialised page, in the order it was first written. */
     std::vector<std::unique_ptr<std::uint8_t[]>> pages;
-    /** Open-addressing page table; power-of-two size, under half full. */
-    std::vector<Slot> table;
-    /** 64 - log2(table.size()): the hash keeps the top bits. */
-    unsigned tableShift;
+    /** Page number to that page's bytes. */
+    AddrMap<std::uint8_t *> table;
 };
 
 } // namespace kagura
