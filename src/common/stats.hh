@@ -182,7 +182,7 @@ struct BootstrapCi
 
 /**
  * Seeded percentile bootstrap of the mean of per-group means: each of
- * @p resamples replicates redraws every group's samples with
+ * 4000 replicates redraws every group's samples with
  * replacement (stratified: a group keeps its size) and averages the
  * group means; the interval is the replicates' 2.5th..97.5th
  * percentiles. One group of per-seed paired deltas gives an app's CI;
@@ -191,8 +191,9 @@ struct BootstrapCi
  */
 inline BootstrapCi
 bootstrapMeanCi(const std::vector<std::vector<double>> &groups,
-                std::uint64_t seed, unsigned resamples = 4000)
+                std::uint64_t seed)
 {
+    constexpr unsigned resamples = 4000;
     BootstrapCi ci;
     if (groups.empty())
         return ci;

@@ -134,13 +134,6 @@ KaguraController::onMemOpCommit()
         enterRegularMode();
 }
 
-void
-KaguraController::onVoltageSample(double volts, double v_ckpt, double v_rst)
-{
-    if (volts <= triggerVoltage(cfg, v_ckpt, v_rst))
-        onVoltageTrigger();
-}
-
 double
 KaguraController::triggerVoltage(const KaguraConfig &config, double v_ckpt,
                                  double v_rst)

@@ -162,13 +162,6 @@ class KaguraController : public CompressionGovernor
     void onMemOpCommit();
 
     /**
-     * Periodic voltage sample (voltage trigger only). @p volts is the
-     * current capacitor voltage; @p v_ckpt / @p v_rst the platform
-     * thresholds.
-     */
-    void onVoltageSample(double volts, double v_ckpt, double v_rst);
-
-    /**
      * The voltage at or below which the voltage trigger fires:
      * @p config's fraction of the way from @p v_ckpt up to @p v_rst.
      */

@@ -340,17 +340,20 @@ TEST(Kagura, VoltageTriggerSwitchesBelowThreshold)
     cfg.trigger = TriggerKind::Voltage;
     cfg.voltageTriggerFraction = 0.25;
     KaguraController kagura(cfg, nullptr);
-    // v_trigger = 2.5 + 0.25 * (2.6 - 2.5) = 2.525.
-    kagura.onVoltageSample(2.58, 2.5, 2.6);
+    // v_trigger = 2.5 + 0.25 * (2.6 - 2.5) = 2.525: the simulator
+    // calls onVoltageTrigger() once the stored energy is at or below
+    // that voltage's cut point.
+    EXPECT_DOUBLE_EQ(KaguraController::triggerVoltage(cfg, 2.5, 2.6),
+                     2.525);
     EXPECT_EQ(kagura.mode(), KaguraController::Mode::Compression);
-    kagura.onVoltageSample(2.51, 2.5, 2.6);
+    kagura.onVoltageTrigger();
     EXPECT_EQ(kagura.mode(), KaguraController::Mode::Regular);
 }
 
 TEST(Kagura, MemoryTriggerIgnoresVoltageSamples)
 {
     KaguraController kagura(testConfig(), nullptr);
-    kagura.onVoltageSample(0.0, 2.5, 2.6);
+    kagura.onVoltageTrigger();
     EXPECT_EQ(kagura.mode(), KaguraController::Mode::Compression);
 }
 
