@@ -40,6 +40,7 @@ struct Options
     bool list = false;
     std::string summaryPath;
     std::string metricsOut;
+    bool timeseries = false;
 };
 
 /** What one bench left behind, for the TOTAL line and the summary. */
@@ -100,7 +101,7 @@ parseFlags(int argc, char **argv)
         } else if (std::strcmp(arg, "--metrics-out") == 0) {
             opts.metricsOut = value();
         } else if (std::strcmp(arg, "--metrics-timeseries") == 0) {
-            metrics::setTimeseriesEnabled(true);
+            opts.timeseries = true;
         } else if (std::strcmp(arg, "--apps") == 0) {
             apps_csv = value();
         } else if (std::strcmp(arg, "--register-trace") == 0) {
@@ -138,14 +139,6 @@ parseFlags(int argc, char **argv)
     }
     if (!apps_csv.empty())
         setSuiteApps(parseAppList(apps_csv));
-    if (opts.metricsOut.empty()) {
-        if (const char *env = std::getenv("KAGURA_METRICS_OUT"))
-            opts.metricsOut = env;
-    }
-    if (const char *env = std::getenv("KAGURA_METRICS_TIMESERIES")) {
-        if (std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0)
-            metrics::setTimeseriesEnabled(true);
-    }
     return opts;
 }
 
@@ -287,10 +280,9 @@ writeSummary(const std::string &path, const std::vector<BenchRun> &runs,
     out += by_name.empty() ? "}\n}\n" : "\n  }\n}\n";
 
     std::FILE *f = std::fopen(path.c_str(), "w");
-    const bool ok = f &&
-                    std::fwrite(out.data(), 1, out.size(), f) == out.size();
-    if (f)
-        std::fclose(f);
+    bool ok = f && std::fwrite(out.data(), 1, out.size(), f) == out.size();
+    if (f && std::fclose(f) != 0)
+        ok = false;
     if (!ok)
         fatal("cannot write summary '%s'", path.c_str());
 }
@@ -320,13 +312,7 @@ runBenches(int argc, char **argv, std::vector<BenchEntry> entries)
     const std::vector<BenchEntry> picked = pickBenches(entries, opts.names);
     if (!opts.summaryPath.empty() && opts.names[0] != "all")
         fatal("--summary writes the whole-sweep summary; it needs `all`");
-    if (!opts.metricsOut.empty()) {
-        auto sink = metrics::openSink(opts.metricsOut);
-        if (!sink)
-            fatal("cannot open metrics output '%s'",
-                  opts.metricsOut.c_str());
-        metrics::setDefaultSink(std::move(sink));
-    }
+    metrics::armExport(opts.metricsOut, opts.timeseries);
 
     // Benches run quiet: status chatter would drown the tables.
     const bool was_informing = informEnabled;
@@ -367,8 +353,8 @@ runBenches(int argc, char **argv, std::vector<BenchEntry> entries)
         // The whole run's counters belong to no one bench.
         metrics::defaultLabels().erase("bench");
         runner::emitTelemetry(total);
-        metrics::setDefaultSink(nullptr);
     }
+    metrics::finishExport();
     if (!opts.summaryPath.empty())
         writeSummary(opts.summaryPath, runs, total, wall);
     std::fflush(stdout);

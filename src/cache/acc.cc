@@ -14,11 +14,8 @@ AccController::recordMetrics(metrics::MetricSet &set,
                              std::string_view prefix) const
 {
     std::string name(prefix);
-    name += "/gcp";
-    set.gauge(name).set(static_cast<double>(gcp));
-    name = prefix;
-    name += "/gcp_positive";
-    set.gauge(name).set(gcp > 0 ? 1.0 : 0.0);
+    set.gauge(name + "/gcp", static_cast<double>(gcp));
+    set.gauge(name + "/gcp_positive", gcp > 0 ? 1.0 : 0.0);
 }
 
 AccController::AccController(const AccConfig &config)

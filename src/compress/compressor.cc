@@ -23,7 +23,7 @@ Compressor::recordMetrics(metrics::MetricSet &set,
         std::string full(prefix);
         full += '/';
         full += name;
-        set.gauge(full).set(value);
+        set.gauge(std::move(full), value);
     };
     leaf("compress_energy_pj", cost.compressEnergy);
     leaf("decompress_energy_pj", cost.decompressEnergy);

@@ -86,9 +86,9 @@ void
 NvmrEhs::recordMetrics(metrics::MetricSet &set) const
 {
     if (mergedStores)
-        set.counter("sim/ehs/merge_hits").add(mergedStores);
+        set.counter("sim/ehs/merge_hits", mergedStores);
     if (mtcMisses)
-        set.counter("sim/ehs/map_misses").add(mtcMisses);
+        set.counter("sim/ehs/map_misses", mtcMisses);
 }
 
 } // namespace kagura

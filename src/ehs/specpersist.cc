@@ -109,11 +109,11 @@ void
 SpecPersistEhs::recordMetrics(metrics::MetricSet &set) const
 {
     if (epochCommits)
-        set.counter("sim/ehs/epochs_committed").add(epochCommits);
+        set.counter("sim/ehs/epochs_committed", epochCommits);
     if (squashCount)
-        set.counter("sim/ehs/speculative_squashes").add(squashCount);
+        set.counter("sim/ehs/speculative_squashes", squashCount);
     if (syncCommits)
-        set.counter("sim/ehs/recovery_commits").add(syncCommits);
+        set.counter("sim/ehs/recovery_commits", syncCommits);
 }
 
 } // namespace kagura

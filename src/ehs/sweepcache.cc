@@ -64,7 +64,7 @@ void
 SweepEhs::recordMetrics(metrics::MetricSet &set) const
 {
     if (sweepCount)
-        set.counter("sim/ehs/sweeps").add(sweepCount);
+        set.counter("sim/ehs/sweeps", sweepCount);
 }
 
 } // namespace kagura

@@ -108,11 +108,11 @@ void
 TaskBasedEhs::recordMetrics(metrics::MetricSet &set) const
 {
     if (taskCommits)
-        set.counter("sim/ehs/tasks_committed").add(taskCommits);
+        set.counter("sim/ehs/tasks_committed", taskCommits);
     if (privatizations)
-        set.counter("sim/ehs/privatized_stores").add(privatizations);
+        set.counter("sim/ehs/privatized_stores", privatizations);
     if (splits)
-        set.counter("sim/ehs/task_splits").add(splits);
+        set.counter("sim/ehs/task_splits", splits);
 }
 
 } // namespace kagura

@@ -62,11 +62,11 @@ EnergyLedger::recordMetrics(metrics::MetricSet &set,
         name += '/';
         name += energyCategorySlug(cat);
         name += "_pj";
-        set.gauge(name).set(total(cat));
+        set.gauge(std::move(name), total(cat));
     }
     std::string name(prefix);
     name += "/total_pj";
-    set.gauge(name).set(grandTotal());
+    set.gauge(std::move(name), grandTotal());
 }
 
 } // namespace kagura

@@ -2,7 +2,7 @@
  * @file
  * Forward declarations for the metrics subsystem, so component
  * headers (cache, energy, kagura...) can declare recordMetrics()
- * hooks without pulling in the full registry machinery.
+ * hooks without pulling in the record types.
  */
 
 #ifndef KAGURA_METRICS_FWD_HH
@@ -13,12 +13,9 @@ namespace kagura
 namespace metrics
 {
 
-class Registry;
+class MetricSet;
 class Sink;
 struct Record;
-
-/** A MetricSet is a Registry scoped to one simulation/export unit. */
-using MetricSet = Registry;
 
 } // namespace metrics
 } // namespace kagura

@@ -1,7 +1,8 @@
 #include "metrics/registry.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
-#include "metrics/sink.hh"
 
 namespace kagura
 {
@@ -26,125 +27,59 @@ recordKindName(RecordKind kind)
     panic("unknown RecordKind %d", static_cast<int>(kind));
 }
 
-/** Find-or-create under the caller-held registry mutex. */
-Registry::Entry &
-Registry::fetch(std::string_view name, RecordKind kind)
-{
-    auto it = entries.find(name);
-    if (it == entries.end())
-        it = entries
-                 .emplace(std::string(name), Entry{kind, {}, {}, {}, {}})
-                 .first;
-    if (it->second.kind != kind)
-        panic("metric '%s' requested as %s but registered as %s",
-              std::string(name).c_str(), recordKindName(kind),
-              recordKindName(it->second.kind));
-    return it->second;
-}
-
-Counter &
-Registry::counter(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    Entry &entry = fetch(name, RecordKind::Counter);
-    if (!entry.counter)
-        entry.counter = std::make_unique<Counter>();
-    return *entry.counter;
-}
-
-Gauge &
-Registry::gauge(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    Entry &entry = fetch(name, RecordKind::Gauge);
-    if (!entry.gauge)
-        entry.gauge = std::make_unique<Gauge>();
-    return *entry.gauge;
-}
-
-FixedHistogram &
-Registry::histogram(std::string_view name,
-                    std::vector<double> upper_bounds)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    Entry &entry = fetch(name, RecordKind::Histogram);
-    if (!entry.histogram)
-        entry.histogram =
-            std::make_unique<FixedHistogram>(std::move(upper_bounds));
-    return *entry.histogram;
-}
-
-Timer &
-Registry::timer(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    Entry &entry = fetch(name, RecordKind::Timer);
-    if (!entry.timer)
-        entry.timer = std::make_unique<Timer>();
-    return *entry.timer;
-}
-
-namespace
-{
-
-/** Flatten a histogram into the record payload fields. */
 void
-fillHistogram(Record &rec, const FixedHistogram &hist)
+MetricSet::counter(std::string name, std::uint64_t value)
 {
-    rec.count = hist.count();
-    rec.sum = hist.sum();
-    rec.bounds = hist.bounds();
-    rec.bucketCounts.reserve(hist.buckets());
-    for (std::size_t i = 0; i < hist.buckets(); ++i)
-        rec.bucketCounts.push_back(hist.bucketCount(i));
+    Record &rec = records.emplace_back();
+    rec.kind = RecordKind::Counter;
+    rec.name = std::move(name);
+    rec.value = static_cast<double>(value);
 }
 
-} // namespace
+void
+MetricSet::gauge(std::string name, double value)
+{
+    Record &rec = records.emplace_back();
+    rec.kind = RecordKind::Gauge;
+    rec.name = std::move(name);
+    rec.value = value;
+}
+
+void
+MetricSet::histogram(std::string name, std::vector<double> upper_bounds,
+                     std::span<const double> samples, RecordKind kind)
+{
+    kagura_assert(kind == RecordKind::Histogram ||
+                  kind == RecordKind::Timer);
+    Record &rec = records.emplace_back();
+    rec.kind = kind;
+    rec.name = std::move(name);
+    rec.bucketCounts.assign(upper_bounds.size() + 1, 0); // + overflow
+    for (const double sample : samples) {
+        std::size_t i = 0;
+        while (i < upper_bounds.size() && sample > upper_bounds[i])
+            ++i;
+        ++rec.bucketCounts[i];
+        rec.sum += sample;
+    }
+    rec.count = samples.size();
+    rec.bounds = std::move(upper_bounds);
+}
 
 std::vector<Record>
-Registry::snapshot() const
+MetricSet::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(mutex);
-    std::vector<Record> out;
-    out.reserve(entries.size());
-    for (const auto &[name, entry] : entries) {
-        Record rec;
-        rec.kind = entry.kind;
-        rec.name = name;
-        rec.labels = labelMap;
-        switch (entry.kind) {
-          case RecordKind::Counter:
-            rec.value = static_cast<double>(entry.counter->get());
-            break;
-          case RecordKind::Gauge:
-            rec.value = entry.gauge->get();
-            break;
-          case RecordKind::Histogram:
-            fillHistogram(rec, *entry.histogram);
-            break;
-          case RecordKind::Timer:
-            fillHistogram(rec, entry.timer->histogram());
-            break;
-          case RecordKind::Headline:
-            panic("headline records are never interned instruments");
-        }
-        out.push_back(std::move(rec));
+    std::vector<Record> out = records;
+    std::sort(out.begin(), out.end(),
+              [](const Record &a, const Record &b) {
+                  return a.name < b.name;
+              });
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        if (i > 0 && out[i].name == out[i - 1].name)
+            panic("metric '%s' recorded twice", out[i].name.c_str());
+        out[i].labels = labelMap;
     }
     return out;
-}
-
-void
-Registry::emit(Sink &sink) const
-{
-    for (Record &rec : snapshot())
-        sink.write(rec);
-}
-
-std::size_t
-Registry::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return entries.size();
 }
 
 } // namespace metrics

@@ -1,60 +1,50 @@
 /**
  * @file
- * The metrics registry: a thread-safe, hierarchical namespace of
- * typed instruments (slash-separated names, e.g. "sim/loads" or
- * "dcache/acc/gcp").
+ * The per-simulation metric set: a plain list of labelled records
+ * with slash-separated names (e.g. "sim/loads" or "sim/dcache/acc/gcp").
  *
- * Instruments are interned on first use and live for the registry's
- * lifetime, so the reference an accessor returns stays valid forever
- * and hot paths can cache it. Creation takes a mutex; updates on the
- * returned instrument are lock-free relaxed atomics (see metric.hh).
- * Requesting an existing name with a different instrument type is a
- * programming error and panics.
- *
- * Its one use is the per-simulation MetricSet (alias of Registry)
- * each Simulator owns, populated from the component stats at the end
- * of a run; labels() carries the workload/config identity into
- * exports. Runner activity is not a registry: it is counted once, in
- * runner::progress(), and exported by runner::emitTelemetry().
+ * A set is built on request from a finished run
+ * (Simulator::metricSet()): each recordMetrics() hook appends the
+ * records it owns, every name exactly once, and snapshot() sorts them
+ * for export. The set is single-threaded and write-once; nothing in
+ * the simulator reads it back. Runner activity is not a set: it is
+ * counted once, in runner::progress(), and exported by
+ * runner::emitTelemetry().
  */
 
 #ifndef KAGURA_METRICS_REGISTRY_HH
 #define KAGURA_METRICS_REGISTRY_HH
 
+#include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/fields.hh"
-#include "metrics/metric.hh"
 
 namespace kagura
 {
 namespace metrics
 {
 
-class Sink;
-
-/** Record/instrument kinds (also the JSON "kind" vocabulary). */
+/** Record kinds (also the JSON "kind" vocabulary). */
 enum class RecordKind
 {
-    Counter,
-    Gauge,
+    Counter,  ///< an event count
+    Gauge,    ///< a level (a GCP value, a worker count...)
     Histogram,
-    Timer,
-    Headline, ///< a bench's top-line scalar; never an instrument
+    Timer,    ///< a histogram of wall-clock seconds
+    Headline, ///< a bench's top-line scalar; never in a MetricSet
 };
 
 /** Stable lowercase name for @p kind (the JSON "kind" field). */
 const char *recordKindName(RecordKind kind);
 
 /**
- * One exported data point: a flattened, label-annotated snapshot of
- * an instrument (or a bench headline scalar). This is the unit a
- * Sink consumes.
+ * One exported data point: a counter, gauge or headline scalar, or a
+ * bucketed distribution. This is the unit a Sink consumes.
  */
 struct Record
 {
@@ -74,36 +64,28 @@ struct Record
     std::vector<std::uint64_t> bucketCounts;
 };
 
-/** The instrument namespace; see file comment for usage patterns. */
-class Registry
+/** One run's records; see the file comment. */
+class MetricSet
 {
   public:
-    Registry() = default;
-    Registry(const Registry &) = delete;
-    Registry &operator=(const Registry &) = delete;
+    /** Append the counter @p name. */
+    void counter(std::string name, std::uint64_t value);
 
-    /** Intern/fetch the counter @p name. */
-    Counter &counter(std::string_view name);
-
-    /** Intern/fetch the gauge @p name. */
-    Gauge &gauge(std::string_view name);
+    /** Append the gauge @p name. */
+    void gauge(std::string name, double value);
 
     /**
-     * Intern/fetch the histogram @p name; @p upper_bounds applies on
-     * first creation only (subsequent calls return the existing
-     * instrument unchanged).
+     * Append @p samples bucketed under @p upper_bounds: each bound is
+     * the inclusive upper edge of its bucket, in strictly increasing
+     * order, and one overflow bucket catches everything above the
+     * last. Negative samples land in the first bucket. @p kind is
+     * Histogram, or Timer for samples in seconds.
      */
-    FixedHistogram &histogram(std::string_view name,
-                              std::vector<double> upper_bounds);
+    void histogram(std::string name, std::vector<double> upper_bounds,
+                   std::span<const double> samples,
+                   RecordKind kind = RecordKind::Histogram);
 
-    /** Intern/fetch the timer @p name. */
-    Timer &timer(std::string_view name);
-
-    /**
-     * Labels attached to every record this registry exports (e.g.
-     * workload="jpegd"). Not synchronised: set them before sharing
-     * the registry across threads or exporting it.
-     */
+    /** Labels attached to every record this set exports. */
     std::map<std::string, std::string> &labels() { return labelMap; }
     const std::map<std::string, std::string> &
     labels() const
@@ -112,59 +94,39 @@ class Registry
     }
 
     /**
-     * Snapshot every instrument as a Record, sorted by name (the
-     * export order is deterministic), with labels() merged in.
+     * Every record, sorted by name, with labels() merged in. Panics
+     * when a name was appended twice.
      */
     std::vector<Record> snapshot() const;
 
-    /** Write snapshot() to @p sink, one record at a time. */
-    void emit(Sink &sink) const;
-
-    /** Number of interned instruments (tests). */
-    std::size_t size() const;
-
   private:
-    struct Entry
-    {
-        RecordKind kind;
-        // Exactly one of these is set, matching `kind`.
-        std::unique_ptr<Counter> counter;
-        std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<FixedHistogram> histogram;
-        std::unique_ptr<Timer> timer;
-    };
-
-    Entry &fetch(std::string_view name, RecordKind kind);
-
-    mutable std::mutex mutex;
-    /** Ordered so snapshot() is deterministic; nodes never move. */
-    std::map<std::string, Entry, std::less<>> entries;
+    std::vector<Record> records;
     std::map<std::string, std::string> labelMap;
 };
 
 /**
- * Export field-listed @p stats (common/fields.hh) into a fresh @p set
- * as "<prefix>/<row>": a counter per counter row, a gauge per derived
+ * Export field-listed @p stats (common/fields.hh) into @p set as
+ * "<prefix>/<row>": a counter per counter row, a gauge per derived
  * row, and a "<row>/<k>" counter per nonzero element k of an array.
  */
 template <typename T>
 void
-recordFields(Registry &set, std::string_view prefix, const T &stats)
+recordFields(MetricSet &set, std::string_view prefix, const T &stats)
 {
     forEachRow<T>([&](const auto &row) {
         std::string name(prefix);
         name += '/';
         name += row.name;
         if constexpr (!isStored<decltype(row)>) {
-            set.gauge(name).set((stats.*row.value)());
+            set.gauge(std::move(name), (stats.*row.value)());
         } else if constexpr (isArray<decltype(stats.*row.member)>) {
             const auto &bins = stats.*row.member;
             for (std::size_t k = 0; k < std::size(bins); ++k)
                 if (bins[k])
-                    set.counter(name + '/' + std::to_string(k + 1))
-                        .add(bins[k]);
+                    set.counter(name + '/' + std::to_string(k + 1),
+                                bins[k]);
         } else {
-            set.counter(name).add(stats.*row.member);
+            set.counter(std::move(name), stats.*row.member);
         }
     });
 }

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cinttypes>
+#include <cstdlib>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "metrics/json.hh"
@@ -66,29 +68,11 @@ recordToJson(const Record &rec)
     return out;
 }
 
-/** CSV field quoting: wrap when a delimiter/quote/newline appears. */
-std::string
-csvField(const std::string &text)
-{
-    if (text.find_first_of(",\"\n") == std::string::npos)
-        return text;
-    std::string out = "\"";
-    for (const char c : text) {
-        if (c == '"')
-            out += "\"\"";
-        else
-            out.push_back(c);
-    }
-    out += "\"";
-    return out;
-}
-
 } // namespace
 
 JsonLinesSink::~JsonLinesSink()
 {
-    if (file && owned)
-        std::fclose(file);
+    std::fclose(file);
 }
 
 std::unique_ptr<JsonLinesSink>
@@ -97,7 +81,7 @@ JsonLinesSink::open(const std::string &path)
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         return nullptr;
-    return std::make_unique<JsonLinesSink>(f, true);
+    return std::unique_ptr<JsonLinesSink>(new JsonLinesSink(f));
 }
 
 void
@@ -105,82 +89,17 @@ JsonLinesSink::write(const Record &record)
 {
     const std::string line = recordToJson(record);
     std::lock_guard<std::mutex> lock(mutex);
-    std::fprintf(file, "%s\n", line.c_str());
+    if (std::fprintf(file, "%s\n", line.c_str()) < 0)
+        failed = true;
 }
 
-void
+bool
 JsonLinesSink::flush()
 {
     std::lock_guard<std::mutex> lock(mutex);
-    std::fflush(file);
-}
-
-CsvSink::~CsvSink()
-{
-    if (file && owned)
-        std::fclose(file);
-}
-
-std::unique_ptr<CsvSink>
-CsvSink::open(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return nullptr;
-    return std::make_unique<CsvSink>(f, true);
-}
-
-void
-CsvSink::write(const Record &record)
-{
-    std::string labels;
-    for (const auto &[k, v] : record.labels) {
-        if (!labels.empty())
-            labels += ";";
-        labels += k + "=" + v;
-    }
-    std::string buckets;
-    if (record.kind == RecordKind::Histogram ||
-        record.kind == RecordKind::Timer) {
-        for (std::size_t i = 0; i < record.bucketCounts.size(); ++i) {
-            if (i)
-                buckets += "|";
-            buckets += i < record.bounds.size()
-                           ? json::number(record.bounds[i])
-                           : std::string("inf");
-            buckets += detail::vformat(":%" PRIu64,
-                                       record.bucketCounts[i]);
-        }
-    }
-    const std::string line =
-        std::string(schemaName) + "," + recordKindName(record.kind) +
-        "," + csvField(record.name) + "," + csvField(labels) + "," +
-        json::number(record.value) +
-        detail::vformat(",%" PRIu64 ",", record.count) +
-        json::number(record.sum) + "," + csvField(buckets);
-
-    std::lock_guard<std::mutex> lock(mutex);
-    if (!wroteHeader) {
-        std::fprintf(file,
-                     "schema,kind,name,labels,value,count,sum,buckets\n");
-        wroteHeader = true;
-    }
-    std::fprintf(file, "%s\n", line.c_str());
-}
-
-void
-CsvSink::flush()
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    std::fflush(file);
-}
-
-std::unique_ptr<Sink>
-openSink(const std::string &path)
-{
-    if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0)
-        return CsvSink::open(path);
-    return JsonLinesSink::open(path);
+    if (std::fflush(file) != 0 || std::ferror(file))
+        failed = true;
+    return !failed;
 }
 
 namespace
@@ -203,13 +122,15 @@ std::atomic<Sink *> defaultSinkPtr{nullptr};
 
 } // namespace
 
-void
+bool
 setDefaultSink(std::unique_ptr<Sink> sink)
 {
+    bool ok = true;
     if (Sink *old = defaultSinkPtr.load())
-        old->flush();
+        ok = old->flush();
     defaultSinkPtr.store(sink.get());
     defaultSinkOwner() = std::move(sink);
+    return ok;
 }
 
 Sink *
@@ -239,15 +160,6 @@ emitRecord(Record record)
 }
 
 void
-emitRegistry(const Registry &registry)
-{
-    if (!defaultSink())
-        return;
-    for (Record &rec : registry.snapshot())
-        emitRecord(std::move(rec));
-}
-
-void
 emitHeadline(std::string name, double value,
              std::map<std::string, std::string> labels)
 {
@@ -263,6 +175,25 @@ namespace
 {
 
 std::atomic<bool> timeseriesArmed{false};
+std::atomic<bool> perSimArmed{false};
+
+/** The output armExport() opened, for finishExport()'s message. */
+std::string &
+exportPath()
+{
+    // Leaked for the same exit-order reason as the sink owner.
+    static auto *path = new std::string;
+    return *path;
+}
+
+/** The on/off rule of the export's environment switches. */
+bool
+envSwitch(const char *name)
+{
+    const char *env = std::getenv(name);
+    return env && *env && std::strcmp(env, "0") != 0 &&
+           std::strcmp(env, "off") != 0;
+}
 
 } // namespace
 
@@ -276,6 +207,40 @@ bool
 timeseriesEnabled()
 {
     return timeseriesArmed.load();
+}
+
+bool
+perSimEnabled()
+{
+    return perSimArmed.load();
+}
+
+void
+armExport(std::string path, bool timeseries, const char *bench)
+{
+    if (timeseries || envSwitch("KAGURA_METRICS_TIMESERIES"))
+        setTimeseriesEnabled(true);
+    perSimArmed.store(envSwitch("KAGURA_METRICS_PER_SIM"));
+    if (path.empty()) {
+        if (const char *env = std::getenv("KAGURA_METRICS_OUT"))
+            path = env;
+    }
+    if (path.empty())
+        return;
+    auto sink = JsonLinesSink::open(path);
+    if (!sink)
+        fatal("cannot open metrics output '%s'", path.c_str());
+    if (bench)
+        defaultLabels()["bench"] = bench;
+    setDefaultSink(std::move(sink));
+    exportPath() = std::move(path);
+}
+
+void
+finishExport()
+{
+    if (defaultSink() && !setDefaultSink(nullptr))
+        fatal("cannot write metrics output '%s'", exportPath().c_str());
 }
 
 } // namespace metrics

@@ -2,19 +2,17 @@
  * @file
  * Export sinks for metric records.
  *
- * The wire format is versioned by `schemaName` ("kagura.metrics/v1").
- * JSON-lines is the primary format -- one self-describing object per
- * line, safe to append to and to aggregate across processes (see
- * docs/METRICS.md for the field reference; metrics/validate.hh checks
- * conformance). A CSV sink is provided for spreadsheet-style
- * consumers; histograms are flattened into a `buckets` column.
+ * The wire format is versioned by `schemaName` ("kagura.metrics/v1"):
+ * JSON-lines, one self-describing object per line, safe to append to
+ * and to aggregate across processes (see docs/METRICS.md for the
+ * field reference; metrics/validate.hh checks conformance).
  *
- * A process-wide *default sink* is how the bench harness arms export:
- * `bench::runBenches` opens one from --metrics-out /
- * KAGURA_METRICS_OUT and everything else (headline emission, the
- * runner counters of runner::emitTelemetry(), per-simulation metric
- * sets) writes through emitRecord(), which is a no-op when no sink is
- * attached -- the instruments themselves never check.
+ * A process-wide *default sink* is how a harness arms export:
+ * armExport() opens one from --metrics-out / KAGURA_METRICS_OUT and
+ * everything else (headline emission, the runner counters of
+ * runner::emitTelemetry(), per-simulation metric sets, per-cycle
+ * series) writes through emitRecord(), which is a no-op when no sink
+ * is attached.
  */
 
 #ifndef KAGURA_METRICS_SINK_HH
@@ -45,74 +43,42 @@ class Sink
     /** Write one record. */
     virtual void write(const Record &record) = 0;
 
-    /** Push buffered output to its destination. */
-    virtual void flush() {}
+    /**
+     * Push buffered output to its destination. False when this or
+     * any earlier write failed to reach it.
+     */
+    virtual bool flush() { return true; }
 };
 
 /** One JSON object per line; see docs/METRICS.md for the schema. */
 class JsonLinesSink : public Sink
 {
   public:
-    /** Write to @p out; closes it on destruction iff @p owns. */
-    explicit JsonLinesSink(std::FILE *out, bool owns = false)
-        : file(out), owned(owns)
-    {
-    }
-
-    ~JsonLinesSink() override;
-
     /** Open @p path for writing; nullptr on failure. */
     static std::unique_ptr<JsonLinesSink> open(const std::string &path);
 
+    ~JsonLinesSink() override;
+
     void write(const Record &record) override;
-    void flush() override;
+    bool flush() override;
 
   private:
+    /** Write to @p out, closing it on destruction. */
+    explicit JsonLinesSink(std::FILE *out) : file(out) {}
+
     std::mutex mutex;
     std::FILE *file;
-    bool owned;
+    /** A write or flush failed (guarded by mutex). */
+    bool failed = false;
 };
 
 /**
- * CSV with a fixed header: schema,kind,name,labels,value,count,sum,
- * buckets. Labels flatten to `k=v;k=v`; histogram buckets to
- * `le:count|le:count|...` with `inf` for the overflow bucket.
+ * Install the process-wide default sink, flushing and replacing any
+ * previous one; pass nullptr to detach. False when the replaced sink
+ * reported a write error at that flush. Call from harness setup, not
+ * concurrently with emitters.
  */
-class CsvSink : public Sink
-{
-  public:
-    explicit CsvSink(std::FILE *out, bool owns = false)
-        : file(out), owned(owns)
-    {
-    }
-
-    ~CsvSink() override;
-
-    /** Open @p path for writing; nullptr on failure. */
-    static std::unique_ptr<CsvSink> open(const std::string &path);
-
-    void write(const Record &record) override;
-    void flush() override;
-
-  private:
-    std::mutex mutex;
-    std::FILE *file;
-    bool owned;
-    bool wroteHeader = false;
-};
-
-/**
- * Open a sink for @p path by extension: ".csv" gets a CsvSink,
- * anything else JSON-lines. nullptr on failure.
- */
-std::unique_ptr<Sink> openSink(const std::string &path);
-
-/**
- * Install the process-wide default sink (replacing and flushing any
- * previous one); pass nullptr to detach. Call from harness setup,
- * not concurrently with emitters.
- */
-void setDefaultSink(std::unique_ptr<Sink> sink);
+bool setDefaultSink(std::unique_ptr<Sink> sink);
 
 /** The default sink, or nullptr when none is attached. */
 Sink *defaultSink();
@@ -129,25 +95,49 @@ std::map<std::string, std::string> &defaultLabels();
  */
 void emitRecord(Record record);
 
-/** Emit every instrument of @p registry (a MetricSet) through emitRecord(). */
-void emitRegistry(const Registry &registry);
-
 /** Emit one headline scalar (a bench's top-line number). */
 void emitHeadline(std::string name, double value,
                   std::map<std::string, std::string> labels = {});
 
 /**
- * Arm per-power-cycle time-series export: when on, every simulation
+ * Arm per-power-cycle time-series export: when on, every job the
+ * runner finishes, simulated or served from the result cache,
  * additionally emits one record per completed power cycle and series
  * (instructions, loads, stores, active cycles) with a `cycle_index`
- * label. Harnesses arm it from --metrics-timeseries /
- * KAGURA_METRICS_TIMESERIES; off by default because long intermittent
- * runs complete tens of thousands of cycles.
+ * label. Off by default because long intermittent runs complete tens
+ * of thousands of cycles.
  */
 void setTimeseriesEnabled(bool on);
 
 /** True when per-power-cycle export is armed. */
 bool timeseriesEnabled();
+
+/**
+ * True when every plain simulation exports its whole MetricSet
+ * (KAGURA_METRICS_PER_SIM, read by armExport()). Off by default: a
+ * sweep runs thousands of simulations.
+ */
+bool perSimEnabled();
+
+/**
+ * Arm a harness's export, the one place the metrics switches are
+ * read. @p path is --metrics-out; when empty, KAGURA_METRICS_OUT
+ * names the output, and with neither there is no export. The output
+ * is opened as the default sink (fatal when it cannot be), labelled
+ * bench=@p bench when @p bench is given. The per-cycle series is
+ * armed by @p timeseries (--metrics-timeseries) or
+ * KAGURA_METRICS_TIMESERIES, per-simulation sets by
+ * KAGURA_METRICS_PER_SIM. Those two variables follow one rule: set
+ * to anything but "", "0" or "off", they are on.
+ */
+void armExport(std::string path, bool timeseries,
+               const char *bench = nullptr);
+
+/**
+ * Flush and detach the default sink; fatal when any record failed to
+ * reach the output, so the harness exits nonzero. No-op without one.
+ */
+void finishExport();
 
 } // namespace metrics
 } // namespace kagura

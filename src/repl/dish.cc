@@ -45,8 +45,8 @@ DishPolicy::recordMetrics(metrics::MetricSet &mset,
 {
     ReplacementPolicy::recordMetrics(mset, prefix);
     const std::string base(prefix);
-    mset.counter(base + "/lone_evictions").add(loneEvictions);
-    mset.counter(base + "/pinned_evictions").add(pinnedEvictions);
+    mset.counter(base + "/lone_evictions", loneEvictions);
+    mset.counter(base + "/pinned_evictions", pinnedEvictions);
 }
 
 } // namespace repl

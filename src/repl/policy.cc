@@ -82,17 +82,17 @@ ReplacementPolicy::recordMetrics(metrics::MetricSet &mset,
     std::uint64_t total = 0;
     for (std::uint64_t count : victimSegments)
         total += count;
-    mset.counter(leaf("victims")).add(total);
-    mset.counter(leaf("dirty_victims")).add(dirtyVictims);
-    mset.counter(leaf("dead_victims")).add(deadVictims);
-    mset.counter(leaf("compressed_victims")).add(compressedVictims);
+    mset.counter(leaf("victims"), total);
+    mset.counter(leaf("dirty_victims"), dirtyVictims);
+    mset.counter(leaf("dead_victims"), deadVictims);
+    mset.counter(leaf("compressed_victims"), compressedVictims);
     for (std::size_t seg = 0; seg < victimSegments.size(); ++seg) {
         if (!victimSegments[seg])
             continue;
         std::string name(prefix);
         name += "/victim_segments/";
         name += std::to_string(seg);
-        mset.counter(name).add(victimSegments[seg]);
+        mset.counter(std::move(name), victimSegments[seg]);
     }
 }
 

@@ -124,14 +124,14 @@ SizeOptgenPolicy::recordMetrics(metrics::MetricSet &mset,
         full += name;
         return full;
     };
-    mset.counter(leaf("opt_accesses")).add(stats.accesses);
-    mset.counter(leaf("opt_hits")).add(stats.hits);
-    mset.counter(leaf("opt_riding_hits")).add(ridingHits);
-    mset.counter(leaf("opt_stale_intervals")).add(staleIntervals);
+    mset.counter(leaf("opt_accesses"), stats.accesses);
+    mset.counter(leaf("opt_hits"), stats.hits);
+    mset.counter(leaf("opt_riding_hits"), ridingHits);
+    mset.counter(leaf("opt_stale_intervals"), staleIntervals);
     if (stats.accesses) {
-        mset.gauge(leaf("opt_hit_rate"))
-            .set(static_cast<double>(stats.hits) /
-                 static_cast<double>(stats.accesses));
+        mset.gauge(leaf("opt_hit_rate"),
+                   static_cast<double>(stats.hits) /
+                       static_cast<double>(stats.accesses));
     }
 }
 

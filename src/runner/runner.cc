@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -32,18 +31,33 @@ namespace
 std::atomic<unsigned> requestedJobs{0};
 
 /**
- * Per-simulation record export is opt-in (KAGURA_METRICS_PER_SIM=1):
- * a fleet sweep runs thousands of simulations and the default export
- * keeps only the aggregate runner counters and bench headlines.
+ * Emit @p result's per-power-cycle series (--metrics-timeseries): one
+ * gauge per completed cycle and PowerCycleRecord row, indexed by a
+ * cycle_index label so downstream tools can rebuild the trajectory
+ * exactly instead of through histogram buckets. It reads the result,
+ * so a cache hit exports the same series as the run that stored it.
  */
-bool
-perSimExport()
+void
+emitCycleSeries(const SimJob &job, const SimResult &result)
 {
-    static const bool enabled = [] {
-        const char *env = std::getenv("KAGURA_METRICS_PER_SIM");
-        return env && env[0] == '1' && env[1] == '\0';
-    }();
-    return enabled;
+    if (!metrics::timeseriesEnabled() || !metrics::defaultSink())
+        return;
+    const std::string config = job.config.describe();
+    std::size_t index = 0;
+    for (const PowerCycleRecord &rec : result.cycles) {
+        forEachRow<PowerCycleRecord>([&](const auto &row) {
+            metrics::Record record;
+            record.kind = metrics::RecordKind::Gauge;
+            record.name = "sim/cycle/";
+            record.name += row.name;
+            record.labels = {{"workload", result.workload},
+                             {"config", config},
+                             {"cycle_index", std::to_string(index)}};
+            record.value = static_cast<double>(rec.*row.member);
+            metrics::emitRecord(std::move(record));
+        });
+        ++index;
+    }
 }
 
 SimResult
@@ -68,8 +82,12 @@ execute(const SimJob &job, std::optional<OracleLog> *phase1)
           SimResult result = sim.run();
           if (phase1)
               *phase1 = std::exchange(result.oracle, {});
-          if (perSimExport() && metrics::defaultSink())
-              metrics::emitRegistry(sim.metricSet());
+          // A whole set per plain simulation only when asked for
+          // (KAGURA_METRICS_PER_SIM): a sweep runs thousands.
+          if (metrics::perSimEnabled() && metrics::defaultSink()) {
+              for (metrics::Record &rec : sim.metricSet().snapshot())
+                  metrics::emitRecord(std::move(rec));
+          }
           return result;
       }
       case SimJob::Kind::IdealAware:
@@ -107,14 +125,20 @@ runKeyedJob(const SimJob &job, std::string canonical,
                    std::chrono::steady_clock::now() - start)
             .count();
     };
-    const auto finish = [&](bool cached_hit, double seconds) {
-        progress().noteDone(seconds);
+    const auto finish = [&](SimResult &&result, bool cached_hit) {
+        JobOutcome outcome;
+        outcome.seconds = elapsed();
+        progress().noteDone(outcome.seconds);
         // The label is built only for a line that will be printed.
         if (liveProgressEnabled())
-            liveProgressLine(job.config.describe(), cached_hit, seconds);
+            liveProgressLine(job.config.describe(), cached_hit,
+                             outcome.seconds);
+        emitCycleSeries(job, result);
+        outcome.result = std::move(result);
+        outcome.cacheHit = cached_hit;
+        return outcome;
     };
 
-    JobOutcome outcome;
     progress().noteStarted();
     if (cacheable && cache.enabled()) {
         if (canonical.empty())
@@ -127,26 +151,14 @@ runKeyedJob(const SimJob &job, std::string canonical,
         if (cache.lookup(hash, key, payload) &&
             decodeResult(payload, cached)) {
             progress().noteCacheHit();
-            outcome.seconds = elapsed();
-            finish(true, outcome.seconds);
-            outcome.result = std::move(cached);
-            outcome.cacheHit = true;
-            return outcome;
+            return finish(std::move(cached), true);
         }
         progress().noteCacheMiss();
         SimResult result = execute(job, phase1);
         cache.store(hash, key, encodeResult(result));
-        outcome.seconds = elapsed();
-        finish(false, outcome.seconds);
-        outcome.result = std::move(result);
-        return outcome;
+        return finish(std::move(result), false);
     }
-
-    SimResult result = execute(job, phase1);
-    outcome.seconds = elapsed();
-    finish(false, outcome.seconds);
-    outcome.result = std::move(result);
-    return outcome;
+    return finish(execute(job, phase1), false);
 }
 
 /**

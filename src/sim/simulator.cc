@@ -3,20 +3,19 @@
 #include <chrono>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cache/acc.hh"
 #include "common/logging.hh"
 #include "compress/compressor.hh"
 #include "core/workload.hh"
 #include "metrics/registry.hh"
-#include "metrics/sink.hh"
 
 namespace kagura
 {
 
 Simulator::Simulator(const SimConfig &config) : cfg(config)
 {
-    mset = std::make_unique<metrics::MetricSet>();
     mem = std::make_unique<Nvm>(cfg.nvmType, cfg.nvmBytes);
 
     // Compression stack: algorithm + per-cache governor chains. Any
@@ -291,11 +290,9 @@ Simulator::run()
         result.oracle.merge(dchain.recorder->log());
     }
 
-    recordMetrics();
-    mset->timer("sim/run_seconds")
-        .observe(std::chrono::duration<double>(
+    runSeconds = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - run_start)
-                     .count());
+                     .count();
     if (cfg.verbose)
         inform("run %s: %llu instrs, %llu wall cycles, %llu power "
                "failures",
@@ -307,10 +304,12 @@ Simulator::run()
     return result;
 }
 
-void
-Simulator::recordMetrics()
+metrics::MetricSet
+Simulator::metricSet() const
 {
-    metrics::MetricSet &set = *mset;
+    if (runSeconds < 0.0)
+        panic("metricSet() needs a finished run()");
+    metrics::MetricSet set;
 
     // Replacement telemetry lives in the policy objects (per-policy
     // eviction/size histograms), not in CacheStats. The baseline tag
@@ -330,57 +329,38 @@ Simulator::recordMetrics()
     recordTags("sim/l2/tags", result.l2cacheTags);
 
     // The finished SimResult: counters, gauges, the Fig. 12 per-cycle
-    // histogram, the optional time series, cache/ledger breakdowns.
+    // histogram, cache/ledger breakdowns.
     set.labels()["workload"] = result.workload;
     set.labels()["config"] = cfg.describe();
 
-    set.counter("sim/instructions").add(result.committedInstructions);
-    set.counter("sim/loads").add(result.loads);
-    set.counter("sim/stores").add(result.stores);
-    set.counter("sim/power_failures").add(result.powerFailures);
-    set.gauge("sim/wall_cycles")
-        .set(static_cast<double>(result.wallCycles));
-    set.gauge("sim/active_cycles")
-        .set(static_cast<double>(result.activeCycles));
-    set.gauge("sim/instructions_per_cycle")
-        .set(result.instructionsPerCycle());
+    set.counter("sim/instructions", result.committedInstructions);
+    set.counter("sim/loads", result.loads);
+    set.counter("sim/stores", result.stores);
+    set.counter("sim/power_failures", result.powerFailures);
+    set.gauge("sim/wall_cycles", static_cast<double>(result.wallCycles));
+    set.gauge("sim/active_cycles",
+              static_cast<double>(result.activeCycles));
+    set.gauge("sim/instructions_per_cycle", result.instructionsPerCycle());
     if (result.oracleVetoes)
-        set.counter("sim/oracle_vetoes").add(result.oracleVetoes);
+        set.counter("sim/oracle_vetoes", result.oracleVetoes);
     if (result.replOptAccesses) {
-        set.counter("sim/repl_opt_accesses").add(result.replOptAccesses);
-        set.counter("sim/repl_opt_hits").add(result.replOptHits);
-        set.gauge("sim/repl_opt_hit_rate").set(result.replOptHitRate());
+        set.counter("sim/repl_opt_accesses", result.replOptAccesses);
+        set.counter("sim/repl_opt_hits", result.replOptHits);
+        set.gauge("sim/repl_opt_hit_rate", result.replOptHitRate());
     }
 
     // Perf trajectory: how committed work distributes over the power
     // cycles the run survived (Fig. 12-style shape, bucketed).
-    metrics::FixedHistogram &per_cycle = set.histogram(
-        "sim/cycle_instructions",
-        {10.0, 100.0, 1000.0, 10000.0, 100000.0});
+    std::vector<double> per_cycle;
+    per_cycle.reserve(result.cycles.size());
     for (const PowerCycleRecord &rec : result.cycles)
-        per_cycle.observe(static_cast<double>(rec.instructions));
-
-    // Optional per-power-cycle time series (--metrics-timeseries):
-    // one gauge record per completed cycle and PowerCycleRecord row,
-    // indexed by a cycle_index label so downstream tools can
-    // reconstruct the trajectory exactly instead of through histogram
-    // buckets.
-    if (metrics::timeseriesEnabled() && metrics::defaultSink()) {
-        std::size_t index = 0;
-        for (const PowerCycleRecord &rec : result.cycles) {
-            forEachRow<PowerCycleRecord>([&](const auto &row) {
-                metrics::Record record;
-                record.kind = metrics::RecordKind::Gauge;
-                record.name = "sim/cycle/";
-                record.name += row.name;
-                record.labels = set.labels();
-                record.labels["cycle_index"] = std::to_string(index);
-                record.value = static_cast<double>(rec.*row.member);
-                metrics::emitRecord(std::move(record));
-            });
-            ++index;
-        }
-    }
+        per_cycle.push_back(static_cast<double>(rec.instructions));
+    set.histogram("sim/cycle_instructions",
+                  {10.0, 100.0, 1000.0, 10000.0, 100000.0}, per_cycle);
+    set.histogram("sim/run_seconds",
+                  {0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0,
+                   30.0, 60.0, 120.0},
+                  {&runSeconds, 1}, metrics::RecordKind::Timer);
 
     metrics::recordFields(set, "sim/icache", result.icache);
     metrics::recordFields(set, "sim/dcache", result.dcache);
@@ -410,8 +390,9 @@ Simulator::recordMetrics()
     // Recovery counters (sim/ehs/...): the machine's rollback count,
     // then the design's own.
     if (psm->reExecutedOps())
-        set.counter("sim/ehs/reexecuted_ops").add(psm->reExecutedOps());
+        set.counter("sim/ehs/reexecuted_ops", psm->reExecutedOps());
     ehs->recordMetrics(set);
+    return set;
 }
 
 } // namespace kagura

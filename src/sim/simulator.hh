@@ -68,21 +68,16 @@ class Simulator
     const EnergyMeter &energyMeter() const { return *meter; }
 
     /**
-     * Per-run telemetry, populated at the end of run(): counters and
-     * gauges mirroring the SimResult plus wall-clock timing. Purely
-     * observational -- never feeds back into the simulation, so
-     * results stay bit-identical whether or not anyone reads it.
+     * The finished run's telemetry, built on each call from the
+     * components: replacement and tag-layout telemetry, the SimResult
+     * mirror, both Kagura controllers, the compression stack, the EHS
+     * design's recovery counters and run()'s wall time. Purely
+     * observational, so results stay bit-identical whether or not
+     * anyone asks. Requires that run() has returned.
      */
-    const metrics::MetricSet &metricSet() const { return *mset; }
+    metrics::MetricSet metricSet() const;
 
   private:
-    /**
-     * Fill mset at the end of run(): replacement and tag-layout
-     * telemetry, the SimResult mirror, both Kagura controllers, the
-     * compression stack, then the EHS design's recovery counters.
-     */
-    void recordMetrics();
-
     SimConfig cfg;
 
     std::unique_ptr<Nvm> mem;
@@ -104,7 +99,8 @@ class Simulator
     std::unique_ptr<Cache> dCache;
     std::unique_ptr<Core> core;
 
-    std::unique_ptr<metrics::MetricSet> mset;
+    /** run()'s wall-clock seconds; negative until run() returns. */
+    double runSeconds = -1.0;
 
     /** Declared before the meter: the meter borrows result.ledger. */
     SimResult result;

@@ -21,6 +21,8 @@
 # feeds bench_diff two hand-written kagura.bench/v1 summaries and
 # checks that it compares only benches of the same shape (jobs and
 # sims) and that its geomean gate fails a drop past the bound.
+# Where /dev/full exists, `sim`, `bench` and `trace` also check that a
+# --metrics-out export that cannot be written fails the run.
 set -u
 
 mode=$1
@@ -29,6 +31,7 @@ bin2=${3:-}
 failures=0
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+data=$(dirname "$0")/data
 
 fail() {
     echo "FAIL: $*"
@@ -129,6 +132,11 @@ sim_checks() {
     reject "bad value" --trace-seed 08
     reject "bad value" --jobs 0
     reject "unknown workload" --app nope --dump-config
+
+    if [ -e /dev/full ]; then
+        KAGURA_CACHE_DIR="$tmp/cache" reject "cannot write metrics output" \
+            --app crc32 --quiet --metrics-out /dev/full
+    fi
 }
 
 # grid_accept ARGS...: a two-job crc32 grid over ARGS runs.
@@ -189,6 +197,16 @@ bench_checks() {
         reject "bad value" --repeats "$bad" fig03_delta_rhit_model
     done
     reject "needs \`all\`" --summary "$tmp/s.json" fig03_delta_rhit_model
+
+    local out
+    if [ -e /dev/full ]; then
+        if out=$("$bin" fig03_delta_rhit_model --metrics-out /dev/full 2>&1)
+        then
+            fail "an unwritable --metrics-out was accepted"
+        elif ! grep -qF "cannot write metrics output" <<<"$out"; then
+            fail "an unwritable --metrics-out was not reported: $out"
+        fi
+    fi
 }
 
 trace_checks() {
@@ -205,6 +223,13 @@ trace_checks() {
     out=$("$gen" rfhome 0x4 010) || fail "trace_gen rfhome 0x4 010 failed"
     [ "$(wc -l <<<"$out")" -eq 4 ] \
         || fail "trace_gen rfhome 0x4 did not print 4 intervals"
+
+    if [ -e /dev/full ]; then
+        "$bin" convert-champsim "$data/mini.champsim" "$tmp/mini.kgt" \
+            >/dev/null || fail "convert-champsim mini.champsim failed"
+        KAGURA_CACHE_DIR="$tmp/cache" reject "cannot write metrics output" \
+            replay "$tmp/mini.kgt" --metrics-out /dev/full
+    fi
 }
 
 # summary FILE GEOMEAN BENCHES: a kagura.bench/v1 summary whose

@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the src/metrics telemetry subsystem: instrument math,
- * registry interning and thread safety, JSON-lines exports round-
- * tripping through the schema validator, CSV shape, default-sink
- * label merging, and -- most importantly -- that attaching a sink
- * does not perturb simulation determinism.
+ * Tests for the src/metrics telemetry subsystem: record values and
+ * histogram bucketing, the sorted snapshot and its duplicate-name
+ * check, JSON-lines exports round-tripping through the schema
+ * validator, default-sink label merging, write errors reaching the
+ * harness, and -- most importantly -- that attaching a sink does not
+ * perturb simulation determinism.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +15,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
-#include "metrics/metric.hh"
 #include "runner/cache_store.hh"
 #include "metrics/registry.hh"
 #include "metrics/sink.hh"
@@ -90,123 +89,64 @@ class MetricsTests : public testing::Test
 
 TEST_F(MetricsTests, CounterAndGaugeHoldExactValues)
 {
-    metrics::Counter c;
-    EXPECT_EQ(c.get(), 0u);
-    c.add();
-    c.add(41);
-    EXPECT_EQ(c.get(), 42u);
+    metrics::MetricSet set;
+    set.counter("c", 42);
+    set.counter("big", (std::uint64_t{1} << 53) - 1);
+    set.gauge("g", -1.5);
 
-    metrics::Gauge g;
-    EXPECT_EQ(g.get(), 0.0);
-    g.set(3.25);
-    g.set(-1.5); // last write wins
-    EXPECT_EQ(g.get(), -1.5);
+    const std::vector<metrics::Record> snap = set.snapshot();
+    ASSERT_EQ(snap.size(), 3u);
+    EXPECT_EQ(snap[0].name, "big");
+    EXPECT_EQ(snap[0].kind, metrics::RecordKind::Counter);
+    EXPECT_EQ(snap[0].value, 9007199254740991.0); // exact below 2^53
+    EXPECT_EQ(snap[1].name, "c");
+    EXPECT_EQ(snap[1].value, 42.0);
+    EXPECT_EQ(snap[2].kind, metrics::RecordKind::Gauge);
+    EXPECT_EQ(snap[2].value, -1.5);
 }
 
 TEST_F(MetricsTests, HistogramBucketsSamplesAtInclusiveEdges)
 {
-    metrics::FixedHistogram h({1.0, 2.0, 4.0});
-    ASSERT_EQ(h.buckets(), 4u); // three finite + overflow
+    metrics::MetricSet set;
+    const std::vector<double> samples = {0.5, 1.0, 1.001, 4.0, 100.0, -3.0};
+    set.histogram("h", {1.0, 2.0, 4.0}, samples);
 
-    h.observe(0.5);  // bucket 0
-    h.observe(1.0);  // bucket 0: edges are inclusive
-    h.observe(1.001); // bucket 1
-    h.observe(4.0);  // bucket 2
-    h.observe(100.0); // overflow
-    h.observe(-3.0); // negative clamps into bucket 0
-
-    EXPECT_EQ(h.bucketCount(0), 3u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(2), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.001 + 4.0 + 100.0 - 3.0);
-    EXPECT_DOUBLE_EQ(h.mean(), h.sum() / 6.0);
+    const std::vector<metrics::Record> snap = set.snapshot();
+    ASSERT_EQ(snap.size(), 1u);
+    const metrics::Record &h = snap[0];
+    EXPECT_EQ(h.kind, metrics::RecordKind::Histogram);
+    ASSERT_EQ(h.bucketCounts.size(), 4u); // three finite + overflow
+    // 0.5, 1.0 (edges are inclusive) and -3.0 (negative samples
+    // clamp into bucket 0); 1.001; 4.0; 100.0 in the overflow.
+    EXPECT_EQ(h.bucketCounts[0], 3u);
+    EXPECT_EQ(h.bucketCounts[1], 1u);
+    EXPECT_EQ(h.bucketCounts[2], 1u);
+    EXPECT_EQ(h.bucketCounts[3], 1u);
+    EXPECT_EQ(h.count, 6u);
+    EXPECT_DOUBLE_EQ(h.sum, 0.5 + 1.0 + 1.001 + 4.0 + 100.0 - 3.0);
+    EXPECT_EQ(h.bounds, (std::vector<double>{1.0, 2.0, 4.0}));
 }
 
-TEST_F(MetricsTests, HistogramPercentileInterpolatesWithinBuckets)
+TEST_F(MetricsTests, SnapshotRejectsANameRecordedTwice)
 {
-    metrics::FixedHistogram h({10.0, 20.0, 40.0});
-    EXPECT_EQ(h.percentile(0.5), 0.0); // empty
-
-    // 10 samples in (0,10], 10 in (10,20].
-    for (int i = 0; i < 10; ++i) {
-        h.observe(5.0);
-        h.observe(15.0);
-    }
-    // Median falls exactly at the first bucket's upper edge.
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 10.0);
-    // The 25th percentile lands halfway through bucket 0: 0..10.
-    EXPECT_DOUBLE_EQ(h.percentile(0.25), 5.0);
-    // The 75th halfway through bucket 1: 10..20.
-    EXPECT_DOUBLE_EQ(h.percentile(0.75), 15.0);
-    // Out-of-range p clamps instead of misbehaving.
-    EXPECT_DOUBLE_EQ(h.percentile(2.0), h.percentile(1.0));
-
-    // Overflow samples clamp the estimate to the last finite bound.
-    metrics::FixedHistogram over({1.0});
-    over.observe(50.0);
-    EXPECT_DOUBLE_EQ(over.percentile(0.99), 1.0);
-}
-
-TEST_F(MetricsTests, RegistryInternsInstrumentsByName)
-{
-    metrics::Registry reg;
-    metrics::Counter &a = reg.counter("sim/loads");
-    metrics::Counter &b = reg.counter("sim/loads");
-    EXPECT_EQ(&a, &b); // same instrument both times
-    a.add(7);
-    EXPECT_EQ(b.get(), 7u);
-
-    // Histogram bounds apply on first creation only.
-    metrics::FixedHistogram &h1 = reg.histogram("h", {1.0, 2.0});
-    metrics::FixedHistogram &h2 = reg.histogram("h", {99.0});
-    EXPECT_EQ(&h1, &h2);
-    EXPECT_EQ(h2.bounds().size(), 2u);
-
-    reg.gauge("g").set(1.0);
-    reg.timer("t").observe(0.5);
-    EXPECT_EQ(reg.size(), 4u);
-}
-
-TEST_F(MetricsTests, RegistryCountsExactlyUnderContention)
-{
-    metrics::Registry reg;
-    constexpr int threads = 8;
-    constexpr int perThread = 10000;
-    std::vector<std::thread> pool;
-    for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&reg] {
-            // Every thread interns the same names concurrently and
-            // hammers the shared instruments.
-            for (int i = 0; i < perThread; ++i) {
-                reg.counter("contended/count").add();
-                reg.histogram("contended/hist", {0.5}).observe(1.0);
-            }
-        });
-    }
-    for (std::thread &t : pool)
-        t.join();
-
-    EXPECT_EQ(reg.counter("contended/count").get(),
-              static_cast<std::uint64_t>(threads) * perThread);
-    const metrics::FixedHistogram &h =
-        reg.histogram("contended/hist", {});
-    EXPECT_EQ(h.count(), static_cast<std::uint64_t>(threads) * perThread);
-    EXPECT_EQ(h.bucketCount(1),
-              static_cast<std::uint64_t>(threads) * perThread);
-    EXPECT_EQ(reg.size(), 2u);
+    metrics::MetricSet set;
+    set.counter("sim/loads", 1);
+    set.gauge("sim/other", 2.0);
+    set.gauge("sim/loads", 3.0);
+    EXPECT_DEATH(set.snapshot(), "metric 'sim/loads' recorded twice");
 }
 
 TEST_F(MetricsTests, SnapshotIsSortedAndCarriesRegistryLabels)
 {
-    metrics::Registry reg;
-    reg.labels()["workload"] = "crc32";
-    reg.counter("z/last").add(1);
-    reg.gauge("a/first").set(2.0);
-    reg.timer("m/mid").observe(0.01);
+    metrics::MetricSet set;
+    set.labels()["workload"] = "crc32";
+    set.counter("z/last", 1);
+    set.gauge("a/first", 2.0);
+    const double seconds = 0.01;
+    set.histogram("m/mid", {1.0}, {&seconds, 1},
+                  metrics::RecordKind::Timer);
 
-    const std::vector<metrics::Record> snap = reg.snapshot();
+    const std::vector<metrics::Record> snap = set.snapshot();
     ASSERT_EQ(snap.size(), 3u);
     EXPECT_EQ(snap[0].name, "a/first");
     EXPECT_EQ(snap[1].name, "m/mid");
@@ -221,19 +161,23 @@ TEST_F(MetricsTests, SnapshotIsSortedAndCarriesRegistryLabels)
 
 TEST_F(MetricsTests, JsonExportRoundTripsThroughValidator)
 {
-    metrics::Registry reg;
-    reg.labels()["workload"] = "needs \"escaping\"\n";
-    reg.counter("sim/loads").add(3);
-    reg.gauge("sim/gcp").set(-0.125);
-    reg.histogram("sim/hist", {1.0, 8.0}).observe(2.0);
-    reg.timer("sim/run_seconds").observe(0.25);
+    metrics::MetricSet set;
+    set.labels()["workload"] = "needs \"escaping\"\n";
+    set.counter("sim/loads", 3);
+    set.gauge("sim/gcp", -0.125);
+    const double sample = 2.0;
+    const double seconds = 0.25;
+    set.histogram("sim/hist", {1.0, 8.0}, {&sample, 1});
+    set.histogram("sim/run_seconds", {0.1, 1.0}, {&seconds, 1},
+                  metrics::RecordKind::Timer);
 
     const std::string path = tempFile("roundtrip.jsonl");
     {
         auto sink = metrics::JsonLinesSink::open(path);
         ASSERT_NE(sink, nullptr);
-        reg.emit(*sink);
-        sink->flush();
+        for (const metrics::Record &rec : set.snapshot())
+            sink->write(rec);
+        EXPECT_TRUE(sink->flush());
     }
 
     const std::string text = slurp(path);
@@ -274,49 +218,44 @@ TEST_F(MetricsTests, ValidatorRejectsMalformedRecords)
     EXPECT_NE(error.find("line 3"), std::string::npos) << error;
 }
 
-TEST_F(MetricsTests, CsvSinkWritesHeaderAndBucketCells)
+TEST_F(MetricsTests, SinkReportsAWriteErrorAtFlushAndDetach)
 {
-    const std::string path = tempFile("export.csv");
-    {
-        auto sink = metrics::CsvSink::open(path);
-        ASSERT_NE(sink, nullptr);
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    metrics::Record rec;
+    rec.name = "sim/loads";
 
-        metrics::Record rec;
-        rec.kind = metrics::RecordKind::Histogram;
-        rec.name = "sim/hist";
-        rec.labels = {{"app", "crc32"}, {"config", "ACC,Kagura"}};
-        rec.count = 3;
-        rec.sum = 6.5;
-        rec.bounds = {1.0, 2.0};
-        rec.bucketCounts = {1, 1, 1};
-        sink->write(rec);
-        sink->flush();
-    }
+    auto sink = metrics::JsonLinesSink::open("/dev/full");
+    ASSERT_NE(sink, nullptr);
+    sink->write(rec);
+    EXPECT_FALSE(sink->flush());
+    EXPECT_FALSE(sink->flush()); // the error sticks
 
-    const std::string text = slurp(path);
-    EXPECT_NE(
-        text.find("schema,kind,name,labels,value,count,sum,buckets"),
-        std::string::npos);
-    EXPECT_NE(text.find("kagura.metrics/v1,histogram,sim/hist"),
-              std::string::npos);
-    // The comma inside a label value forces CSV quoting.
-    EXPECT_NE(text.find("\"app=crc32;config=ACC,Kagura\""),
-              std::string::npos);
-    EXPECT_NE(text.find("1:1|2:1|inf:1"), std::string::npos);
+    metrics::setDefaultSink(metrics::JsonLinesSink::open("/dev/full"));
+    metrics::emitRecord(rec);
+    EXPECT_FALSE(metrics::setDefaultSink(nullptr));
+
+    // A harness that armed the export exits nonzero, saying so.
+    EXPECT_EXIT(
+        {
+            metrics::armExport("/dev/full", false, "unit_test");
+            metrics::emitRecord(rec);
+            metrics::finishExport();
+        },
+        testing::ExitedWithCode(1), "cannot write metrics output");
 }
 
 TEST_F(MetricsTests, DefaultSinkMergesHarnessLabels)
 {
     const std::string path = tempFile("default-sink.jsonl");
-    metrics::setDefaultSink(metrics::openSink(path));
+    metrics::setDefaultSink(metrics::JsonLinesSink::open(path));
     ASSERT_NE(metrics::defaultSink(), nullptr);
     metrics::defaultLabels()["bench"] = "unit_test";
     metrics::defaultLabels()["app"] = "default-app";
 
     metrics::emitHeadline("bench/speedup_pct", 12.5,
                           {{"app", "crc32"}});
-    metrics::defaultSink()->flush();
-    metrics::setDefaultSink(nullptr);
+    EXPECT_TRUE(metrics::setDefaultSink(nullptr));
 
     const std::string text = slurp(path);
     std::string error;
@@ -340,7 +279,7 @@ TEST_F(MetricsTests, SimulatorPopulatesItsMetricSet)
     Simulator sim(cfg);
     const SimResult r = sim.run();
 
-    const metrics::MetricSet &set = sim.metricSet();
+    const metrics::MetricSet set = sim.metricSet();
     const std::vector<metrics::Record> snap = set.snapshot();
     ASSERT_FALSE(snap.empty());
     EXPECT_EQ(set.labels().at("workload"), "crc32");
@@ -359,6 +298,36 @@ TEST_F(MetricsTests, SimulatorPopulatesItsMetricSet)
     EXPECT_EQ(wall, static_cast<double>(r.wallCycles));
 }
 
+TEST_F(MetricsTests, MetricNamesAreUniqueInEveryConfiguration)
+{
+    // Every replacement policy x tag layout at both L1s and a 1024x4
+    // ACC L2, the five EHS designs taking turns across those cells:
+    // each hook appends its names once, so the snapshot's
+    // duplicate-name check must hold in every cell.
+    std::size_t cell = 0;
+    for (const auto &repl : replKindNames) {
+        for (const auto &tags : tagLayoutNames) {
+            SimConfig cfg = accKaguraConfig("crc32");
+            cfg.ehs = ehsKindNames[cell++ % std::size(ehsKindNames)].value;
+            cfg.enableL2 = true;
+            cfg.l2Governor = GovernorKind::Acc;
+            for (CacheConfig *level : {&cfg.icache, &cfg.dcache, &cfg.l2}) {
+                level->replacement = repl.value;
+                level->tagLayout = tags.value;
+            }
+            Simulator sim(cfg);
+            sim.run();
+            const std::vector<metrics::Record> snap =
+                sim.metricSet().snapshot();
+            EXPECT_GT(snap.size(), 0u) << cfg.describe();
+            for (std::size_t i = 1; i < snap.size(); ++i)
+                EXPECT_LT(snap[i - 1].name, snap[i].name)
+                    << cfg.describe();
+        }
+    }
+    EXPECT_GE(cell, std::size(ehsKindNames)); // every design ran
+}
+
 TEST_F(MetricsTests, SinkAttachedRunsStayBitIdenticalAcrossJobCounts)
 {
     suiteRepeats = 2;
@@ -370,14 +339,13 @@ TEST_F(MetricsTests, SinkAttachedRunsStayBitIdenticalAcrossJobCounts)
     const SuiteResult bare = runSuite("t", accKaguraConfig, apps);
 
     const std::string path = tempFile("determinism.jsonl");
-    metrics::setDefaultSink(metrics::openSink(path));
+    metrics::setDefaultSink(metrics::JsonLinesSink::open(path));
     ASSERT_NE(metrics::defaultSink(), nullptr);
     runner::setJobCount(1);
     const SuiteResult serial = runSuite("t", accKaguraConfig, apps);
     runner::setJobCount(8);
     const SuiteResult parallel = runSuite("t", accKaguraConfig, apps);
-    metrics::defaultSink()->flush();
-    metrics::setDefaultSink(nullptr);
+    EXPECT_TRUE(metrics::setDefaultSink(nullptr));
 
     ASSERT_EQ(bare.apps.size(), serial.apps.size());
     ASSERT_EQ(bare.apps.size(), parallel.apps.size());

@@ -29,6 +29,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "metrics/registry.hh"
+#include "metrics/sink.hh"
 #include "runner/cache_maint.hh"
 #include "runner/cache_store.hh"
 #include "runner/config_hash.hh"
@@ -676,6 +677,57 @@ TEST_F(RunnerTests, WarmCacheReproducesColdResultsWithoutSimulating)
     ASSERT_EQ(cold.apps.size(), warm.apps.size());
     EXPECT_TRUE(exactlyEqual(cold.apps[0].runs[0],
                              warm.apps[0].runs[0]));
+}
+
+/** Sink that keeps the per-cycle series records in a caller's vector. */
+struct CycleSeriesSink : metrics::Sink
+{
+    explicit CycleSeriesSink(std::vector<metrics::Record> &out) : out(out)
+    {
+    }
+    void
+    write(const metrics::Record &record) override
+    {
+        if (record.name.rfind("sim/cycle/", 0) == 0)
+            out.push_back(record);
+    }
+    std::vector<metrics::Record> &out;
+};
+
+TEST_F(RunnerTests, CycleSeriesSurvivesACacheHit)
+{
+    runner::CacheStore &store = runner::CacheStore::global();
+    store.setDirectory(tempDir("series"));
+    store.setEnabled(true);
+    runner::SimJob job;
+    job.config = accKaguraConfig("crc32");
+
+    // The same job cold (simulated) and warm (served from disk), each
+    // with the per-cycle series armed.
+    const auto series = [&job](runner::JobOutcome &outcome) {
+        std::vector<metrics::Record> records;
+        metrics::setDefaultSink(
+            std::make_unique<CycleSeriesSink>(records));
+        metrics::setTimeseriesEnabled(true);
+        outcome = runner::runJobDetailed(job);
+        metrics::setTimeseriesEnabled(false);
+        metrics::setDefaultSink(nullptr);
+        return records;
+    };
+    runner::JobOutcome cold, warm;
+    const std::vector<metrics::Record> cold_series = series(cold);
+    const std::vector<metrics::Record> warm_series = series(warm);
+
+    EXPECT_FALSE(cold.cacheHit);
+    EXPECT_TRUE(warm.cacheHit);
+    ASSERT_GT(cold.result.cycles.size(), 0u);
+    EXPECT_EQ(cold_series.size(), 4 * cold.result.cycles.size());
+    ASSERT_EQ(warm_series.size(), cold_series.size());
+    for (std::size_t i = 0; i < cold_series.size(); ++i) {
+        EXPECT_EQ(warm_series[i].name, cold_series[i].name);
+        EXPECT_EQ(warm_series[i].labels, cold_series[i].labels);
+        EXPECT_EQ(warm_series[i].value, cold_series[i].value);
+    }
 }
 
 /**

@@ -16,6 +16,8 @@
 #include "common/logging.hh"
 #include "compress/compressor.hh"
 #include "metrics/sink.hh"
+#include "runner/cache_store.hh"
+#include "runner/runner.hh"
 #include "sim/experiment.hh"
 
 namespace kagura
@@ -428,29 +430,47 @@ struct CaptureSink : metrics::Sink
     std::vector<metrics::Record> &out;
 };
 
-TEST_F(QuietTests, TimeseriesEmitsOneRecordPerCycleAndSeries)
+/**
+ * The per-cycle series records one runner::runJob(@p config) exports,
+ * with the series armed or not and the result cache off.
+ */
+std::vector<metrics::Record>
+seriesOf(const SimConfig &config, bool armed, SimResult &result)
 {
+    runner::CacheStore &cache = runner::CacheStore::global();
+    const bool was_enabled = cache.enabled();
+    cache.setEnabled(false);
     std::vector<metrics::Record> records;
     metrics::setDefaultSink(std::make_unique<CaptureSink>(records));
-    metrics::setTimeseriesEnabled(true);
-
-    Simulator sim(smallConfig());
-    const SimResult r = sim.run();
-
+    metrics::setTimeseriesEnabled(armed);
+    runner::SimJob job;
+    job.config = config;
+    result = runner::runJob(job);
     metrics::setTimeseriesEnabled(false);
     metrics::setDefaultSink(nullptr);
+    cache.setEnabled(was_enabled);
+    std::erase_if(records, [](const metrics::Record &rec) {
+        return rec.name.rfind("sim/cycle/", 0) != 0;
+    });
+    return records;
+}
+
+TEST_F(QuietTests, TimeseriesEmitsOneRecordPerCycleAndSeries)
+{
+    SimResult r;
+    const std::vector<metrics::Record> records =
+        seriesOf(smallConfig(), true, r);
 
     ASSERT_GT(r.cycles.size(), 0u);
     std::map<std::string, std::size_t> counts;
     std::uint64_t instr_sum = 0;
     std::set<std::string> indexes;
     for (const metrics::Record &rec : records) {
-        if (rec.name.rfind("sim/cycle/", 0) != 0)
-            continue;
         ++counts[rec.name];
         EXPECT_EQ(rec.kind, metrics::RecordKind::Gauge);
         ASSERT_TRUE(rec.labels.count("cycle_index"));
-        EXPECT_TRUE(rec.labels.count("workload"));
+        EXPECT_EQ(rec.labels.at("workload"), "crc32");
+        EXPECT_EQ(rec.labels.at("config"), smallConfig().describe());
         if (rec.name == "sim/cycle/instructions") {
             instr_sum += static_cast<std::uint64_t>(rec.value);
             indexes.insert(rec.labels.at("cycle_index"));
@@ -469,15 +489,9 @@ TEST_F(QuietTests, TimeseriesEmitsOneRecordPerCycleAndSeries)
 
 TEST_F(QuietTests, TimeseriesIsOffByDefault)
 {
-    std::vector<metrics::Record> records;
-    metrics::setDefaultSink(std::make_unique<CaptureSink>(records));
-
-    Simulator sim(smallConfig());
-    sim.run();
-
-    metrics::setDefaultSink(nullptr);
-    for (const metrics::Record &rec : records)
-        EXPECT_NE(rec.name.rfind("sim/cycle/", 0), 0u) << rec.name;
+    SimResult r;
+    EXPECT_TRUE(seriesOf(smallConfig(), false, r).empty());
+    EXPECT_GT(r.cycles.size(), 0u);
 }
 
 } // namespace

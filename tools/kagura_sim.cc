@@ -107,9 +107,8 @@ usage()
         "                        and report speedup/energy deltas\n"
         "  --json                emit the result as JSON instead\n"
         "  --json-cycles         include per-power-cycle records\n"
-        "  --metrics-out PATH    write kagura.metrics/v1 records\n"
-        "                        (.csv for CSV, else JSON lines;\n"
-        "                        $KAGURA_METRICS_OUT)\n"
+        "  --metrics-out PATH    write kagura.metrics/v1 JSON lines\n"
+        "                        ($KAGURA_METRICS_OUT)\n"
         "  --metrics-timeseries  also export one record per power\n"
         "                        cycle and series, labelled with\n"
         "                        cycle_index ($KAGURA_METRICS_TIMESERIES)\n"
@@ -216,6 +215,7 @@ main(int argc, char **argv)
     bool json_cycles = false;
     bool dump_config = false;
     std::string metrics_out;
+    bool timeseries = false;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -333,7 +333,7 @@ main(int argc, char **argv)
         } else if (is("--metrics-out")) {
             metrics_out = nextArg(argc, argv, i);
         } else if (is("--metrics-timeseries")) {
-            metrics::setTimeseriesEnabled(true);
+            timeseries = true;
         } else if (is("--dump-config")) {
             dump_config = true;
         } else if (is("--json")) {
@@ -360,22 +360,7 @@ main(int argc, char **argv)
     }
 
     informEnabled = false;
-    if (metrics_out.empty()) {
-        if (const char *env = std::getenv("KAGURA_METRICS_OUT"))
-            metrics_out = env;
-    }
-    if (const char *env = std::getenv("KAGURA_METRICS_TIMESERIES")) {
-        if (std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0)
-            metrics::setTimeseriesEnabled(true);
-    }
-    if (!metrics_out.empty()) {
-        auto sink = metrics::openSink(metrics_out);
-        if (!sink)
-            fatal("cannot open metrics output '%s'",
-                  metrics_out.c_str());
-        metrics::defaultLabels()["bench"] = "kagura_sim";
-        metrics::setDefaultSink(std::move(sink));
-    }
+    metrics::armExport(metrics_out, timeseries, "kagura_sim");
     if (!quiet && !json)
         std::printf("kagura_sim: %s\n", cfg.describe().c_str());
 
@@ -416,9 +401,8 @@ main(int argc, char **argv)
     }
     if (!quiet && !json)
         runner::printSummary(stdout, runner::jobCount());
-    if (metrics::Sink *sink = metrics::defaultSink()) {
+    if (metrics::defaultSink())
         runner::emitTelemetry(runner::progress().snapshot());
-        sink->flush();
-    }
+    metrics::finishExport();
     return 0;
 }

@@ -53,6 +53,9 @@ usage()
         "      simulate FILE on the Table I platform (default: the\n"
         "      no-compression baseline; --acc / --kagura select the\n"
         "      compressed stacks)\n"
+        "      (--metrics-out or $KAGURA_METRICS_OUT: a\n"
+        "      kagura.metrics/v1 export; $KAGURA_METRICS_TIMESERIES=1\n"
+        "      adds the per-power-cycle series)\n"
         "  kagura_trace info FILE\n"
         "      print the parsed header and derived workload stats\n"
         "  kagura_trace convert-champsim IN OUT.kgt [--name N]\n"
@@ -221,18 +224,7 @@ cmdReplay(int argc, char **argv)
     if (!trace::validateTrace(path, &error))
         fatal("%s", error.c_str());
 
-    if (metrics_out.empty()) {
-        if (const char *env = std::getenv("KAGURA_METRICS_OUT"))
-            metrics_out = env;
-    }
-    if (!metrics_out.empty()) {
-        auto sink = metrics::openSink(metrics_out);
-        if (!sink)
-            fatal("cannot open metrics output '%s'",
-                  metrics_out.c_str());
-        metrics::defaultLabels()["bench"] = "kagura_trace";
-        metrics::setDefaultSink(std::move(sink));
-    }
+    metrics::armExport(metrics_out, false, "kagura_trace");
 
     runner::SimJob job;
     job.config = cfg;
@@ -282,10 +274,9 @@ cmdReplay(int argc, char **argv)
         std::printf("  energy  : %+.2f%%\n",
                     energyDeltaPct(result, b));
     }
-    if (metrics::Sink *sink = metrics::defaultSink()) {
+    if (metrics::defaultSink())
         runner::emitTelemetry(runner::progress().snapshot());
-        sink->flush();
-    }
+    metrics::finishExport();
     return 0;
 }
 
