@@ -27,17 +27,26 @@
  * warm cache hit, and are still read. The file name stays the FNV-1a
  * of the key text (jobHash()), so existing entries keep their paths.
  *
+ * A lookup reads its entry with one read(2) into a buffer its thread
+ * keeps and only grows, and checks it there; the payload it returns
+ * is a view of that buffer. Writers create each shard directory once
+ * per store and write the temp file inside the shard, so the rename
+ * never leaves one directory.
+ *
  * KAGURA_CACHE=off disables the store entirely.
  */
 
 #ifndef KAGURA_RUNNER_CACHE_STORE_HH
 #define KAGURA_RUNNER_CACHE_STORE_HH
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace kagura
 {
@@ -62,6 +71,10 @@ class CacheStore
     /** Store rooted at @p directory (tests). */
     explicit CacheStore(std::string directory, bool enabled = true);
 
+    ~CacheStore();
+    CacheStore(const CacheStore &) = delete;
+    CacheStore &operator=(const CacheStore &) = delete;
+
     /** The process-wide store used by the runner. */
     static CacheStore &global();
 
@@ -71,19 +84,25 @@ class CacheStore
     /** Turn the store off/on at runtime (harness --no-cache flag). */
     void setEnabled(bool on) { isEnabled = on; }
 
-    /** Re-root the store (tests point global() at a temp dir). */
-    void
-    setDirectory(std::string directory)
-    {
-        dir = std::move(directory);
-        dirReady = false;
-    }
+    /**
+     * Re-root the store (tests point global() at a temp dir). Not
+     * while a lookup or store is in flight.
+     */
+    void setDirectory(std::string directory);
+
+    /** First size of a thread's read buffer; larger entries grow it. */
+    static constexpr std::size_t firstReadBytes = 64 * 1024;
 
     /**
      * Fetch the payload stored under (@p hash, @p key_text). Returns
      * false on miss, disabled store, or an unreadable/corrupt/
-     * mismatched entry.
+     * mismatched entry. On a hit @p payload_out views this thread's
+     * read buffer, valid until the thread's next lookup in any store.
      */
+    bool lookup(std::uint64_t hash, std::string_view key_text,
+                std::string_view &payload_out);
+
+    /** lookup() into a copy of the payload. */
     bool lookup(std::uint64_t hash, std::string_view key_text,
                 std::string &payload_out);
 
@@ -97,14 +116,37 @@ class CacheStore
   private:
     void warnOnce(const char *what, const std::string &path);
 
-    /** Best-effort create of the shard directory for @p hash. */
-    bool ensureShardDir(std::uint64_t hash);
+    /**
+     * Open the entry at @p relative (`ab/<name>.kgr`) below the root;
+     * -1 if it cannot be opened.
+     */
+    int openEntry(const char *relative);
+
+    /** Open the root anew unless rootFd is no longer @p stale. */
+    int reopenRoot(int stale);
+
+    void closeRoot();
+
+    /**
+     * Create @p shard_dir, the shard of @p hash, unless this store
+     * already has; false if it cannot be created.
+     */
+    bool ensureShardDir(std::uint64_t hash, const std::string &shard_dir);
 
     std::string dir;
     std::atomic<bool> isEnabled;
-    /** Directory known to exist (created lazily on first store). */
-    std::atomic<bool> dirReady{false};
+    /** Shard directories this store has made, by shard index. */
+    std::array<std::atomic<bool>, 256> shardReady{};
+    /** Serialises making a shard and replacing rootFd. */
     std::mutex dirMutex;
+    /**
+     * The root directory, opened by the first lookup that finds it.
+     * Lookups open entries relative to it, which skips walking the
+     * root's path: about half the cost of an open(). -1 until then.
+     */
+    std::atomic<int> rootFd{-1};
+    /** Descriptors of roots removed while in use; closed with the store. */
+    std::vector<int> retiredFds;
     std::atomic<bool> warnedCorrupt{false};
     std::atomic<bool> warnedIo{false};
     /** Distinguishes temp files of concurrent writers. */

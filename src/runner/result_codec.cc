@@ -1,6 +1,8 @@
 #include "runner/result_codec.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <tuple>
 #include <type_traits>
@@ -116,6 +118,26 @@ putSection(std::string &out, const SimResult &r, Section section)
 
 // ---- decoding ------------------------------------------------------
 
+/**
+ * A PowerCycleRecord's bytes are its rows' u64 words, in row order:
+ * on a little-endian host, encoded records are the vector's bytes,
+ * and decoding copies them whole.
+ */
+using RecordWords =
+    std::array<std::uint64_t, memberCount<PowerCycleRecord>()>;
+static_assert(sizeof(PowerCycleRecord) == sizeof(RecordWords));
+static_assert([] {
+    PowerCycleRecord probe;
+    std::uint64_t next = 1;
+    forEachRow<PowerCycleRecord>(
+        [&](const auto &row) { probe.*row.member = next++; });
+    const RecordWords words = std::bit_cast<RecordWords>(probe);
+    for (std::size_t i = 0; i < words.size(); ++i)
+        if (words[i] != i + 1)
+            return false;
+    return true;
+}());
+
 /** Bounds-checked sequential reader over the payload. */
 struct Reader
 {
@@ -175,8 +197,15 @@ read(Reader &in, T &value)
         if (count > in.left() / (8 * memberCount<PowerCycleRecord>()))
             return in.fail();
         value.resize(count);
-        for (auto &record : value)
-            read(in, record);
+        if constexpr (std::endian::native == std::endian::little) {
+            const std::size_t size = count * sizeof(PowerCycleRecord);
+            if (size != 0)
+                std::memcpy(value.data(), in.bytes.data() + in.pos, size);
+            in.pos += size;
+        } else {
+            for (auto &record : value)
+                read(in, record);
+        }
     } else if constexpr (std::is_same_v<T, OracleLog>) {
         const std::uint64_t count = in.u64();
         if (count > in.left() / 16)

@@ -146,7 +146,8 @@ runKeyedJob(const SimJob &job, std::string canonical,
         const std::string key =
             jobKeyText(std::move(canonical), jobKindName(job.kind));
         const std::uint64_t hash = fnv1a64(key);
-        std::string payload;
+        // A view of the store's read buffer, decoded where it lies.
+        std::string_view payload;
         SimResult cached;
         if (cache.lookup(hash, key, payload) &&
             decodeResult(payload, cached)) {

@@ -3,10 +3,12 @@
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <tuple>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/fields.hh"
 #include "common/spelling.hh"
@@ -352,17 +354,102 @@ appendLine(std::string &out, std::string_view prefix, std::string_view key,
     out += '\n';
 }
 
+/** The bytes of a scalar row value, zero-extended to 64 bits. */
+template <typename T>
+std::uint64_t
+bitsOf(const T &value)
+{
+    static_assert(std::is_scalar_v<T> && sizeof(T) <= sizeof(std::uint64_t));
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(T));
+    return bits;
+}
+
+/**
+ * Every Field row's line for SimConfig{}'s value, in walk order,
+ * whether or not the default config omits the row. Most values in a
+ * key are Table I defaults, so canonicalKey() copies a row's line from
+ * here when its value has the default's bit pattern, and consecutive
+ * such rows as one run of text. Bits, not ==, decide: -0.0 == 0.0 and
+ * a NaN equals nothing, but each must be formatted.
+ */
+struct DefaultLines
+{
+    struct Row
+    {
+        /** bitsOf() the default value; unused for a string row. */
+        std::uint64_t bits;
+        /** The row's line is text[begin, end). */
+        std::size_t begin;
+        std::size_t end;
+    };
+
+    std::string text;
+    std::vector<Row> rows;
+
+    template <typename Owner, typename T, typename Codec>
+    bool
+    operator()(const Field<Owner, T, Codec> &field, const Owner &owner,
+               std::string_view prefix, Omit)
+    {
+        const T &value = owner.*field.member;
+        Row row{0, text.size(), 0};
+        if constexpr (std::is_scalar_v<T>)
+            row.bits = bitsOf(value);
+        ValueBuffer buf;
+        appendLine(text, prefix, field.key, field.codec.format(buf, value));
+        row.end = text.size();
+        rows.push_back(row);
+        return false;
+    }
+
+    bool
+    operator()(const TraceLines &, const SimConfig &, std::string_view,
+               Omit)
+    {
+        return false;
+    }
+};
+
+/** The default lines, built on first use. */
+[[gnu::noinline]] const DefaultLines &
+defaultLines()
+{
+    static const DefaultLines lines = [] {
+        DefaultLines built;
+        const SimConfig config;
+        visitRows(configFields, config, {}, Omit::Never, built);
+        return built;
+    }();
+    return lines;
+}
+
 /** Writes every row that is not omitted (canonicalKey()). */
 struct KeyWriter
 {
     std::string &out;
     const SimConfig &config;
+    const DefaultLines &defaults;
+    /** Index of the next Field row in defaults.rows. */
+    std::size_t row = 0;
+    /** defaults.text[runBegin, runEnd): default lines not yet written. */
+    std::size_t runBegin = 0;
+    std::size_t runEnd = 0;
+
+    void
+    flush()
+    {
+        if (runEnd != runBegin)
+            out.append(defaults.text, runBegin, runEnd - runBegin);
+        runBegin = runEnd = 0;
+    }
 
     template <typename Owner, typename T, typename Codec>
     bool
     operator()(const Field<Owner, T, Codec> &field, const Owner &owner,
                std::string_view prefix, Omit groupOmit)
     {
+        const DefaultLines::Row &line = defaults.rows[row++];
         const T &value = owner.*field.member;
         if ((field.omit == Omit::WhenDefault &&
              value == defaultOf<Owner>.*field.member) ||
@@ -370,6 +457,17 @@ struct KeyWriter
               groupOmit == Omit::WithoutL2) &&
              !config.enableL2))
             return false;
+        if constexpr (std::is_scalar_v<T>) {
+            if (bitsOf(value) == line.bits) {
+                if (line.begin != runEnd) {
+                    flush();
+                    runBegin = line.begin;
+                }
+                runEnd = line.end;
+                return false;
+            }
+        }
+        flush();
         ValueBuffer buf;
         appendLine(out, prefix, field.key, field.codec.format(buf, value));
         return false;
@@ -379,6 +477,7 @@ struct KeyWriter
     operator()(const TraceLines &, const SimConfig &, std::string_view,
                Omit)
     {
+        flush();
         out += trace::traceWorkloadKeyLines(config.workload);
         return false;
     }
@@ -422,17 +521,17 @@ struct LineReader
 } // namespace
 
 // canonicalKey() runs on every warm cache hit, so it is flattened:
-// the row walk, the omission checks (constant per row) and the value
-// formatting inline into one straight run, and only appendLine()
-// stays a call, which keeps it about as small as a hand-written
-// writer.
+// the row walk, the omission checks (constant per row), the default
+// bit comparisons and the value formatting inline into one straight
+// run, and only appendLine() and the default-line set-up stay calls.
 [[gnu::flatten]] std::string
 SimConfig::canonicalKey() const
 {
     std::string out;
     out.reserve(1536);
-    KeyWriter writer{out, *this};
+    KeyWriter writer{out, *this, defaultLines()};
     visitRows(configFields, *this, {}, Omit::Never, writer);
+    writer.flush();
     return out;
 }
 

@@ -3,7 +3,8 @@
  * Tests for the src/runner experiment-execution subsystem: scheduling
  * determinism across worker counts, exact SimResult codec round
  * trips, cache-key invalidation, cache-store robustness against
- * corrupt entries, and cache maintenance (stats + gc).
+ * corrupt entries, its read buffer, root descriptor and shard-local
+ * temp files, and cache maintenance (stats + gc).
  */
 
 #include <gtest/gtest.h>
@@ -585,6 +586,124 @@ TEST_F(RunnerTests, CacheStoreRejectsLengthsThatWrap)
     EXPECT_FALSE(store.lookup(6, blob.substr(24), out));
 }
 
+/** A payload of @p n bytes that no shorter prefix repeats. */
+std::string
+patternedPayload(std::size_t n)
+{
+    std::string bytes(n, '\0');
+    for (std::size_t i = 0; i < n; ++i)
+        bytes[i] = static_cast<char>((i * 131 + i / 251) & 0xff);
+    return bytes;
+}
+
+TEST_F(RunnerTests, CacheStoreServesEntriesLargerThanTheFirstReadBuffer)
+{
+    runner::CacheStore store(tempDir("large"));
+    const std::string key = "k=large\n";
+    const std::string payload =
+        patternedPayload(3 * runner::CacheStore::firstReadBytes + 5);
+    store.store(11, key, payload);
+    // A fresh thread's read buffer starts at its first size.
+    std::string out;
+    bool hit = false;
+    std::thread([&] { hit = store.lookup(11, key, out); }).join();
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(out, payload);
+}
+
+TEST_F(RunnerTests, CacheStoreReadsNoStaleBytesAfterALargerEntry)
+{
+    runner::CacheStore store(tempDir("stale"));
+    const std::string key = "k=stale\n";
+    const std::string payload =
+        patternedPayload(2 * runner::CacheStore::firstReadBytes);
+    store.store(12, key, payload);
+    bool hit = false;
+    bool short_hit = true;
+    std::thread([&] {
+        std::string_view view;
+        hit = store.lookup(12, key, view) && view == payload;
+        // Cut the entry short. The bytes past its new end are still
+        // in this thread's buffer from the read above, and its header
+        // still declares them.
+        fs::resize_file(store.entryPath(12), 24 + key.size() + 100);
+        short_hit = store.lookup(12, key, view);
+    }).join();
+    EXPECT_TRUE(hit);
+    EXPECT_FALSE(short_hit) << "a truncated entry was served";
+}
+
+TEST_F(RunnerTests, CacheStoreWritesInsideTheShardAndAfterReRooting)
+{
+    runner::CacheStore store(tempDir("reroot-a"));
+    store.store(0x3300000000000003ull, "k\n", "payload");
+    // The temp file was renamed within the shard; nothing is left.
+    EXPECT_EQ(std::distance(fs::directory_iterator(store.directory()),
+                            fs::directory_iterator()),
+              1);
+    EXPECT_EQ(std::distance(fs::directory_iterator(
+                                store.directory() + "/33"),
+                            fs::directory_iterator()),
+              1);
+
+    // A new root has none of the old root's shard directories.
+    store.setDirectory(tempDir("reroot-b"));
+    store.store(0x3300000000000003ull, "k\n", "payload");
+    std::string out;
+    ASSERT_TRUE(store.lookup(0x3300000000000003ull, "k\n", out));
+    EXPECT_EQ(out, "payload");
+}
+
+TEST_F(RunnerTests, CacheStoreFollowsARootRemovedAndMadeAgain)
+{
+    const std::string dir = tempDir("remade");
+    runner::CacheStore store(dir);
+    store.store(21, "k\n", "old");
+    std::string out;
+    ASSERT_TRUE(store.lookup(21, "k\n", out)); // the root is open now
+    fs::remove_all(dir);
+    EXPECT_FALSE(store.lookup(21, "k\n", out));
+    // The store makes the removed shard again, and reads the new root.
+    store.store(21, "k\n", "new");
+    ASSERT_TRUE(store.lookup(21, "k\n", out));
+    EXPECT_EQ(out, "new");
+}
+
+TEST_F(RunnerTests, CacheStoreServesConcurrentWritersAndReaders)
+{
+    // Four threads store entries across every shard and read back
+    // each other's: shard creation and the root descriptor are shared.
+    runner::CacheStore store(tempDir("concurrent"));
+    constexpr std::uint64_t perThread = 256;
+    const auto hashOf = [](std::uint64_t t, std::uint64_t i) {
+        return (i << 56) | (t << 8) | 1;
+    };
+    std::atomic<unsigned> wrong{0};
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            for (std::uint64_t i = 0; i < perThread; ++i)
+                store.store(hashOf(t, i), "k\n", std::to_string(t * i));
+            for (std::uint64_t i = 0; i < perThread; ++i) {
+                const std::uint64_t other = (t + 1) % 4;
+                std::string_view view;
+                // The other thread may not have written this one yet.
+                if (store.lookup(hashOf(other, i), "k\n", view) &&
+                    view != std::to_string(other * i))
+                    ++wrong;
+            }
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(wrong.load(), 0u) << "a lookup returned another payload";
+    for (std::uint64_t t = 0; t < 4; ++t)
+        for (std::uint64_t i = 0; i < perThread; ++i) {
+            std::string out;
+            ASSERT_TRUE(store.lookup(hashOf(t, i), "k\n", out));
+            EXPECT_EQ(out, std::to_string(t * i));
+        }
+}
+
 TEST_F(RunnerTests, MixedVersionCacheReplaysWithoutSimulating)
 {
     // A cache holding the committed version-1 entry beside version-2
@@ -889,6 +1008,31 @@ TEST_F(RunnerTests, CacheGcSweepsStaleTempsButSparesFreshOnes)
     EXPECT_FALSE(fs::exists(dir + "/tmp-1-0"));
     EXPECT_TRUE(fs::exists(dir + "/tmp-2-0"));
     EXPECT_EQ(report.deleted, 0u); // the real entry is young
+}
+
+TEST_F(RunnerTests, CacheGcSweepsStaleTempsInsideShards)
+{
+    // Writers put their temp files in the entry's shard.
+    const std::string dir = tempDir("gc-shard-temps");
+    runner::CacheStore store(dir);
+    store.store(0x0100000000000001ull, "keep", "payload");
+    const std::string stale = dir + "/01/tmp-1-0";
+    const std::string fresh = dir + "/01/tmp-2-0";
+    {
+        std::ofstream(stale) << "crashed writer";
+        std::ofstream(fresh) << "live writer";
+    }
+    fs::last_write_time(stale, fs::file_time_type::clock::now() -
+                                   std::chrono::hours(2));
+
+    runner::GcOptions options;
+    options.maxAgeSeconds = 7 * 24 * 3600;
+    const runner::GcReport report = runner::cacheGc(store, options);
+    EXPECT_EQ(report.tempFilesRemoved, 1u);
+    EXPECT_FALSE(fs::exists(stale));
+    EXPECT_TRUE(fs::exists(fresh));
+    std::string out;
+    EXPECT_TRUE(store.lookup(0x0100000000000001ull, "keep", out));
 }
 
 } // namespace

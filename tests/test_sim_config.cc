@@ -5,8 +5,10 @@
  * non-default, every-replacement-policy and every-EHS-design
  * configs, typed rejection of malformed keys and missing trace
  * files, long trace paths, the key's double formatting
- * (std::to_chars general/17 must print exactly what "%.17g" does),
- * and a digest pinning the key text of 5,000 random configs.
+ * (std::to_chars general/17 must print exactly what "%.17g" does,
+ * also for values at and beside each double row's default, whose
+ * lines the writer copies), and a digest pinning the key text of
+ * 5,000 random configs.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -398,6 +401,115 @@ TEST(SimConfigKey, EveryDefaultDoublePrintsExactlyAsPrintfG17)
         ++numbers;
     }
     EXPECT_GE(numbers, 40u);
+}
+
+/** A double member of SimConfig, by its key line. */
+struct DoubleRow
+{
+    const char *key;
+    double &(*member)(SimConfig &);
+};
+
+TEST(SimConfigKey, EveryDoubleRowPrintsExactlyAtAndBesideItsDefault)
+{
+    // canonicalKey() copies the line of a value with its default's
+    // bit pattern instead of formatting it. At the default, one ulp
+    // either side, negated and NaN, every double row must still print
+    // exactly "%.17g" of its value: -0.0 and NaN compare wrongly
+    // under ==.
+    const std::vector<DoubleRow> rows = {
+        {"kagura.increase_step",
+         [](SimConfig &c) -> double & { return c.kagura.increaseStep; }},
+        {"kagura.reward_band",
+         [](SimConfig &c) -> double & { return c.kagura.rewardBand; }},
+        {"kagura.voltage_trigger_fraction",
+         [](SimConfig &c) -> double & {
+             return c.kagura.voltageTriggerFraction;
+         }},
+        {"capacitor.capacitance",
+         [](SimConfig &c) -> double & { return c.capacitor.capacitance; }},
+        {"capacitor.v_max",
+         [](SimConfig &c) -> double & { return c.capacitor.vMax; }},
+        {"capacitor.v_restore",
+         [](SimConfig &c) -> double & { return c.capacitor.vRestore; }},
+        {"capacitor.v_checkpoint",
+         [](SimConfig &c) -> double & { return c.capacitor.vCheckpoint; }},
+        {"capacitor.v_shutdown",
+         [](SimConfig &c) -> double & { return c.capacitor.vShutdown; }},
+        {"capacitor.leakage_per_farad",
+         [](SimConfig &c) -> double & {
+             return c.capacitor.leakagePerFarad;
+         }},
+        {"energy.clock_hz",
+         [](SimConfig &c) -> double & { return c.energy.clockHz; }},
+        {"energy.core_per_instr",
+         [](SimConfig &c) -> double & { return c.energy.corePerInstr; }},
+        {"energy.core_leakage",
+         [](SimConfig &c) -> double & { return c.energy.coreLeakage; }},
+        {"energy.cache_access",
+         [](SimConfig &c) -> double & { return c.energy.cacheAccess; }},
+        {"energy.cache_leakage_per_byte",
+         [](SimConfig &c) -> double & {
+             return c.energy.cacheLeakagePerByte;
+         }},
+        {"energy.nvff_write",
+         [](SimConfig &c) -> double & { return c.energy.nvffWrite; }},
+        {"energy.nvff_read",
+         [](SimConfig &c) -> double & { return c.energy.nvffRead; }},
+        {"energy.monitor_sample",
+         [](SimConfig &c) -> double & { return c.energy.monitorSample; }},
+        {"energy.extended_monitor_sample",
+         [](SimConfig &c) -> double & {
+             return c.energy.extendedMonitorSample;
+         }},
+        {"energy.reboot_energy",
+         [](SimConfig &c) -> double & { return c.energy.rebootEnergy; }},
+        {"energy.compaction_energy",
+         [](SimConfig &c) -> double & {
+             return c.energy.compactionEnergy;
+         }},
+        {"energy.trace_interval",
+         [](SimConfig &c) -> double & { return c.energy.traceInterval; }},
+        {"trace.scale",
+         [](SimConfig &c) -> double & { return c.traceScale; }},
+    };
+
+    // The list is complete: its keys are exactly the default key's
+    // lines that accept a fractional value.
+    const std::string base = SimConfig{}.canonicalKey();
+    std::set<std::string> fractional;
+    for (std::size_t pos = 0; pos < base.size();) {
+        const std::size_t nl = base.find('\n', pos);
+        const std::size_t eq = base.find('=', pos);
+        std::string key = base;
+        key.replace(eq + 1, nl - eq - 1, "0.5");
+        SimConfig parsed;
+        std::string error;
+        if (SimConfig::parse(key, parsed, error) == ParseStatus::Ok)
+            fractional.insert(base.substr(pos, eq - pos));
+        pos = nl + 1;
+    }
+    std::set<std::string> listed;
+    for (const DoubleRow &row : rows)
+        listed.insert(row.key);
+    EXPECT_EQ(fractional, listed);
+
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const DoubleRow &row : rows) {
+        SimConfig defaults;
+        const double value = row.member(defaults);
+        for (const double probe :
+             {value, std::nextafter(value, inf),
+              std::nextafter(value, -inf), -value, nan, -nan}) {
+            SimConfig config;
+            row.member(config) = probe;
+            EXPECT_EQ(keyValue(config.canonicalKey(), row.key),
+                      printfG17(probe))
+                << row.key << " bits "
+                << std::bit_cast<std::uint64_t>(probe);
+        }
+    }
 }
 
 /** A random double: raw bits (no NaN), a subnormal, or a decimal. */
