@@ -120,6 +120,40 @@ TEST(TraceRecorder, CodeImageIsGenerated)
     EXPECT_TRUE(nonzero);
 }
 
+TEST(TraceRecorder, ImageKeepsTheLastInitWriteAndCodeOnlyInGaps)
+{
+    TraceRecorder rec(0x8000, 0x100000);
+    const std::uint8_t first[6] = {1, 2, 3, 4, 5, 6};
+    const std::uint8_t second[4] = {7, 8, 9, 10};
+    rec.initData(0x100000, first, sizeof(first));
+    rec.initValue(0x100002, 0xbbaa, 2);            // overwrites 3, 4
+    rec.initData(0x100004, second, sizeof(second)); // overlaps the tail
+    rec.initValue(0x8004, 0xeeddccbb, 4);           // inside the code
+    rec.initValue(0x7ffe, 0x1122, 2);               // abuts the code
+    rec.store(0x100000, 0xff, 1); // a store never reaches the image
+    rec.alu(3);
+    const Workload wl = rec.finish("t");
+
+    std::map<Addr, std::uint8_t> image;
+    for (const auto &[addr, byte] : wl.initialImage())
+        image.emplace(addr, byte);
+    const std::map<Addr, std::uint8_t> data = {
+        {0x100000, 1},  {0x100001, 2},  {0x100002, 0xaa},
+        {0x100003, 0xbb}, {0x100004, 7}, {0x100005, 8},
+        {0x100006, 9},  {0x100007, 10}, {0x7ffe, 0x22},
+        {0x7fff, 0x11}, {0x8004, 0xbb}, {0x8005, 0xcc},
+        {0x8006, 0xdd}, {0x8007, 0xee}};
+    for (const auto &[addr, byte] : data)
+        EXPECT_EQ(image.at(addr), byte) << std::hex << addr;
+    // The code bytes fill [0x8000, 0x8014): one store op and three ALU
+    // instructions, plus the word past the last one.
+    for (Addr a = 0x8000; a < 0x8014; ++a)
+        EXPECT_EQ(image.count(a), 1u) << std::hex << a;
+    EXPECT_EQ(image.size(), 14u + 20u - 4u);
+    EXPECT_EQ(image.count(0x8014), 0u);
+    EXPECT_EQ(image.count(0x100008), 0u);
+}
+
 // --- workload registry ---------------------------------------------------
 
 TEST(Workloads, TwentyApplications)
@@ -145,6 +179,88 @@ TEST(Workloads, UnknownNameIsFatal)
 {
     EXPECT_EXIT({ makeWorkload("nonexistent"); },
                 testing::ExitedWithCode(1), "unknown workload");
+}
+
+/** Fold @p value into FNV-1a state @p h as @p bytes little-endian bytes. */
+void
+fnvFoldLe(std::uint64_t &h, std::uint64_t value, unsigned bytes)
+{
+    for (unsigned i = 0; i < bytes; ++i) {
+        h ^= (value >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+/**
+ * FNV-1a over every op (all six fields, PC widened to 64 bits) and
+ * every contiguous image run (base, length, bytes), so any change to
+ * how a workload is stored must leave this number alone.
+ */
+std::uint64_t
+workloadDigest(const Workload &wl)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const MicroOp &op : wl.ops()) {
+        fnvFoldLe(h, static_cast<std::uint64_t>(op.type), 1);
+        fnvFoldLe(h, op.size, 1);
+        fnvFoldLe(h, op.count, 2);
+        fnvFoldLe(h, static_cast<std::uint64_t>(op.pc), 8);
+        fnvFoldLe(h, op.addr, 8);
+        fnvFoldLe(h, op.value, 8);
+    }
+    std::vector<std::pair<Addr, std::vector<std::uint8_t>>> runs;
+    for (const auto &[addr, byte] : wl.initialImage()) {
+        if (runs.empty() ||
+            runs.back().first + runs.back().second.size() != addr)
+            runs.push_back({addr, {}});
+        runs.back().second.push_back(byte);
+    }
+    for (const auto &[base, bytes] : runs) {
+        fnvFoldLe(h, base, 8);
+        fnvFoldLe(h, bytes.size(), 8);
+        for (const std::uint8_t byte : bytes)
+            fnvFoldLe(h, byte, 1);
+    }
+    return h;
+}
+
+TEST(Workloads, OpsAndImagesArePinned)
+{
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"adpcm_c", 0x7d7d2d598c565dd0ULL},
+        {"adpcm_d", 0x415decc0eaa7c085ULL},
+        {"basicmath", 0xf61ab1c7f694c5f3ULL},
+        {"bitcount", 0x24e53e9f895d735bULL},
+        {"blowfish", 0x3986544bff6e0685ULL},
+        {"blowfishd", 0x2c716c405210f8b0ULL},
+        {"crc32", 0x892a2529249e4ff0ULL},
+        {"dijkstra", 0xd82d3424aa7752eeULL},
+        {"fft", 0x0001e899e73a1bd1ULL},
+        {"g721d", 0x1c5df5cd51b4b322ULL},
+        {"g721e", 0x4435f8d9a702bb1fULL},
+        {"jpeg", 0x83d309fc656efed8ULL},
+        {"jpegd", 0x8d8124cb75b848caULL},
+        {"mpeg2d", 0x23c310a9384279cfULL},
+        {"patricia", 0x00d4f1aabe672d7fULL},
+        {"qsort", 0xd3bb818dfa7dccb1ULL},
+        {"sha", 0x9158a7cb4edb17f5ULL},
+        {"strings", 0xff64c35f9c90c196ULL},
+        {"susans", 0x8ef25e35da6e3928ULL},
+        {"typeset", 0x141b683ef3f4173bULL},
+        {"aiot_dnn", 0x48fce1f082a65146ULL},
+    };
+    std::vector<std::string> names = workloadNames();
+    names.insert(names.end(), extensionWorkloadNames().begin(),
+                 extensionWorkloadNames().end());
+    for (const std::string &name : names) {
+        const std::uint64_t got = workloadDigest(cachedWorkload(name));
+        const auto it = pinned.find(name);
+        if (it == pinned.end())
+            ADD_FAILURE() << name << " has no pinned digest";
+        else
+            EXPECT_EQ(got, it->second) << name;
+    }
+    EXPECT_EQ(pinned.size(), names.size());
 }
 
 TEST(Workloads, CachedBuilderReturnsSameObject)
