@@ -2,24 +2,44 @@
 
 #include <algorithm>
 
-#include "common/rng.hh"
-
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "mem/nvm.hh"
 
 namespace kagura
 {
 
-Workload::Workload(std::string name, std::vector<MicroOp> ops,
-                   std::map<Addr, std::uint8_t> image_)
-    : label(std::move(name)), stream(std::move(ops)),
-      image(std::move(image_))
+namespace
 {
-    for (const auto &[addr, byte] : image) {
-        if (runs.empty() ||
-            runs.back().base + runs.back().bytes.size() != addr)
-            runs.push_back({addr, {}});
-        runs.back().bytes.push_back(byte);
+
+/** The low @p size bytes of @p value into @p out, least first. */
+const std::uint8_t *
+littleEndian(std::uint64_t value, unsigned size, std::uint8_t *out)
+{
+    for (unsigned i = 0; i < size; ++i)
+        out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    return out;
+}
+
+} // namespace
+
+std::size_t
+ImageBytes::size() const
+{
+    std::size_t bytes = 0;
+    for (const ImageRun &run : runs)
+        bytes += run.bytes.size();
+    return bytes;
+}
+
+Workload::Workload(std::string name, std::vector<MicroOp> ops,
+                   std::vector<ImageRun> runs_)
+    : label(std::move(name)), stream(std::move(ops)),
+      runs(std::move(runs_))
+{
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        kagura_assert(!runs[i].bytes.empty());
+        kagura_assert(i == 0 || runs[i].base > runs[i - 1].end());
     }
     for (const MicroOp &op : stream) {
         const bool alu = op.type == MicroOp::Type::Alu;
@@ -50,18 +70,26 @@ TraceRecorder::TraceRecorder(Addr code_base, Addr data_base)
 }
 
 void
+TraceRecorder::record(MicroOp op)
+{
+    kagura_assert(pc <= maxPc);
+    op.pc = static_cast<std::uint32_t>(pc);
+    stream.push_back(op);
+}
+
+void
 TraceRecorder::alu(unsigned count)
 {
     kagura_assert(count > 0);
-    // Fuse into the previous ALU group when it is contiguous, capping
-    // the group so PC arithmetic stays exact.
+    // Each call starts its own ALU group, even right after another
+    // one: fusing them would move the core's step boundaries, and
+    // with them every result. Groups are capped at 4096 instructions.
     while (count > 0) {
         const unsigned batch = std::min<unsigned>(count, 4096);
         MicroOp op;
         op.type = MicroOp::Type::Alu;
         op.count = static_cast<std::uint16_t>(batch);
-        op.pc = pc;
-        stream.push_back(op);
+        record(op);
         pc += 4ULL * batch;
         count -= batch;
     }
@@ -74,9 +102,8 @@ TraceRecorder::load(Addr addr, unsigned size)
     MicroOp op;
     op.type = MicroOp::Type::Load;
     op.size = static_cast<std::uint8_t>(size);
-    op.pc = pc;
     op.addr = addr;
-    stream.push_back(op);
+    record(op);
     pc += 4;
     return peek(addr, size);
 }
@@ -88,12 +115,12 @@ TraceRecorder::store(Addr addr, std::uint64_t value, unsigned size)
     MicroOp op;
     op.type = MicroOp::Type::Store;
     op.size = static_cast<std::uint8_t>(size);
-    op.pc = pc;
     op.addr = addr;
     op.value = value;
-    stream.push_back(op);
+    record(op);
     pc += 4;
-    writeMemory(addr, value, size, false);
+    std::uint8_t bytes[8];
+    memory.write(addr, littleEndian(value, size, bytes), size);
 }
 
 void
@@ -123,16 +150,32 @@ TraceRecorder::endLoop()
 void
 TraceRecorder::initData(Addr addr, const void *bytes, std::size_t count)
 {
-    const auto *src = static_cast<const std::uint8_t *>(bytes);
-    memory.write(addr, src, count);
-    for (std::size_t i = 0; i < count; ++i)
-        image[addr + i] = src[i];
+    writeInit(addr, static_cast<const std::uint8_t *>(bytes), count);
 }
 
 void
 TraceRecorder::initValue(Addr addr, std::uint64_t value, unsigned size)
 {
-    writeMemory(addr, value, size, true);
+    kagura_assert(size <= 8);
+    std::uint8_t bytes[8];
+    writeInit(addr, littleEndian(value, size, bytes), size);
+}
+
+void
+TraceRecorder::writeInit(Addr addr, const std::uint8_t *bytes,
+                         std::size_t count)
+{
+    if (count == 0)
+        return;
+    memory.write(addr, bytes, count);
+    // A write that starts where the previous one ended extends it:
+    // replaying the two in order or as one is the same.
+    if (!initWrites.empty() &&
+        initWrites.back().addr + initWrites.back().count == addr)
+        initWrites.back().count += count;
+    else
+        initWrites.push_back({addr, initBytes.size(), count});
+    initBytes.insert(initBytes.end(), bytes, bytes + count);
 }
 
 std::uint64_t
@@ -172,33 +215,52 @@ TraceRecorder::finish(std::string name)
             op.pc + 4ULL * (op.type == MicroOp::Type::Alu ? op.count : 1);
         max_pc = std::max(max_pc, end);
     }
-    for (Addr word = codeBase; word < max_pc + 4; word += 4) {
+    const Addr code_end =
+        codeBase + (max_pc + 4 - codeBase + 3) / 4 * 4;
+
+    // The image is the union of the code range and every init write,
+    // as maximal runs. Code bytes go in first and the init writes are
+    // replayed over them in program order, so data wins over code and
+    // the last write to a byte wins over earlier ones.
+    std::vector<std::pair<Addr, Addr>> spans; // [begin, end)
+    spans.reserve(initWrites.size() + 1);
+    spans.emplace_back(codeBase, code_end);
+    for (const InitWrite &write : initWrites)
+        spans.emplace_back(write.addr, write.addr + write.count);
+    std::sort(spans.begin(), spans.end());
+    std::vector<ImageRun> runs;
+    Addr run_end = 0;
+    for (const auto &[begin, end] : spans) {
+        if (runs.empty() || begin > run_end) {
+            if (!runs.empty())
+                runs.back().bytes.resize(run_end - runs.back().base);
+            runs.push_back({begin, {}});
+            run_end = end;
+        }
+        run_end = std::max(run_end, end);
+    }
+    runs.back().bytes.resize(run_end - runs.back().base);
+
+    const auto bytesAt = [&runs](Addr addr) {
+        const auto after = std::upper_bound(
+            runs.begin(), runs.end(), addr,
+            [](Addr a, const ImageRun &run) { return a < run.base; });
+        ImageRun &run = *(after - 1);
+        return run.bytes.data() + (addr - run.base);
+    };
+    std::uint8_t *code = bytesAt(codeBase);
+    for (Addr word = codeBase; word < code_end; word += 4) {
         std::uint64_t h = word;
         std::uint32_t enc = static_cast<std::uint32_t>(splitMix64(h));
         if (enc % 100 < 60)
             enc &= 0xffffu; // 16-bit encoding padded to a word
-        for (unsigned i = 0; i < 4; ++i) {
-            const Addr a = word + i;
-            if (image.find(a) == image.end())
-                image[a] = static_cast<std::uint8_t>(enc >> (8 * i));
-        }
+        for (unsigned i = 0; i < 4; ++i)
+            *code++ = static_cast<std::uint8_t>(enc >> (8 * i));
     }
-    return Workload(std::move(name), std::move(stream), std::move(image));
-}
-
-void
-TraceRecorder::writeMemory(Addr addr, std::uint64_t value, unsigned size,
-                           bool record_image)
-{
-    kagura_assert(size <= 8);
-    std::uint8_t bytes[8] = {};
-    for (unsigned i = 0; i < size; ++i)
-        bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
-    memory.write(addr, bytes, size);
-    if (record_image) {
-        for (unsigned i = 0; i < size; ++i)
-            image[addr + i] = bytes[i];
-    }
+    for (const InitWrite &write : initWrites)
+        std::copy_n(initBytes.data() + write.offset, write.count,
+                    bytesAt(write.addr));
+    return Workload(std::move(name), std::move(stream), std::move(runs));
 }
 
 const Workload &

@@ -16,12 +16,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -32,7 +33,12 @@ namespace kagura
 
 class Nvm;
 
-/** One committed micro-operation group. */
+/**
+ * One committed micro-operation group. The modelled core is an
+ * ARMv7-M, whose address space is 32 bits, so the PC takes the four
+ * bytes that would otherwise pad the record; data addresses stay 64
+ * bits wide like the rest of the memory system.
+ */
 struct MicroOp
 {
     enum class Type : std::uint8_t
@@ -47,19 +53,109 @@ struct MicroOp
     /** Number of fused ALU instructions (Alu ops only). */
     std::uint16_t count = 1;
     /** Program counter of the (first) instruction. */
-    Addr pc = 0;
+    std::uint32_t pc = 0;
     /** Data address (Load/Store). */
     Addr addr = 0;
     /** Store data (Store only). */
     std::uint64_t value = 0;
 };
 
+static_assert(sizeof(MicroOp) == 24,
+              "a workload holds millions of ops: keep them at 24 bytes");
+
+/** Largest PC a MicroOp holds (the modelled core's 32-bit space). */
+constexpr Addr maxPc = 0xffffffffULL;
+
+/** A contiguous stretch of a workload's initial memory image. */
+struct ImageRun
+{
+    Addr base = 0;
+    std::vector<std::uint8_t> bytes;
+
+    /** One past the run's last address. */
+    Addr end() const { return base + bytes.size(); }
+
+    bool operator==(const ImageRun &) const = default;
+};
+
+/**
+ * A workload's initial image read as ascending (address, byte) pairs,
+ * straight off its runs; nothing is copied.
+ */
+class ImageBytes
+{
+  public:
+    class iterator
+    {
+      public:
+        using iterator_category = std::input_iterator_tag;
+        using value_type = std::pair<Addr, std::uint8_t>;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = value_type;
+
+        value_type
+        operator*() const
+        {
+            return {run->base + offset, run->bytes[offset]};
+        }
+
+        iterator &
+        operator++()
+        {
+            if (++offset == run->bytes.size()) {
+                ++run;
+                offset = 0;
+            }
+            return *this;
+        }
+
+        iterator
+        operator++(int)
+        {
+            iterator before = *this;
+            ++*this;
+            return before;
+        }
+
+        bool operator==(const iterator &) const = default;
+
+      private:
+        friend class ImageBytes;
+        iterator(const ImageRun *run, std::size_t offset)
+            : run(run), offset(offset)
+        {
+        }
+
+        const ImageRun *run;
+        std::size_t offset;
+    };
+
+    explicit ImageBytes(const std::vector<ImageRun> &runs) : runs(runs) {}
+
+    iterator begin() const { return {runs.data(), 0}; }
+    iterator end() const { return {runs.data() + runs.size(), 0}; }
+
+    /** Image bytes across all runs. */
+    std::size_t size() const;
+
+    bool empty() const { return runs.empty(); }
+
+  private:
+    const std::vector<ImageRun> &runs;
+};
+
 /** A finished workload: its op stream plus the initial memory image. */
 class Workload
 {
   public:
+    /**
+     * @param runs The initial image: non-empty runs in ascending
+     *        address order, none touching the next (so equal images
+     *        have equal runs).
+     */
     Workload(std::string name, std::vector<MicroOp> ops,
-             std::map<Addr, std::uint8_t> image);
+             std::vector<ImageRun> runs);
 
     /** Application name (matches the paper's figures). */
     const std::string &name() const { return label; }
@@ -79,24 +175,15 @@ class Workload
     /** Arithmetic intensity: ALU instructions per memory op. */
     double arithmeticIntensity() const;
 
-    /** The initial data image (tests; functional verification). */
-    const std::map<Addr, std::uint8_t> &initialImage() const
-    {
-        return image;
-    }
+    /** The initial image as runs: one NVM write, one trace extent each. */
+    const std::vector<ImageRun> &imageRuns() const { return runs; }
+
+    /** The initial image byte by byte (functional verification). */
+    ImageBytes initialImage() const { return ImageBytes(runs); }
 
   private:
-    /** A contiguous stretch of the initial image. */
-    struct ImageRun
-    {
-        Addr base;
-        std::vector<std::uint8_t> bytes;
-    };
-
     std::string label;
     std::vector<MicroOp> stream;
-    std::map<Addr, std::uint8_t> image;
-    /** The image as ascending contiguous runs (one NVM write each). */
     std::vector<ImageRun> runs;
     /** committedInstructions() and memoryOps(), counted once. */
     std::uint64_t instructions = 0;
@@ -156,12 +243,27 @@ class TraceRecorder
     Workload finish(std::string name);
 
   private:
-    void writeMemory(Addr addr, std::uint64_t value, unsigned size,
-                     bool record_image);
+    /** Append @p op at the current PC (which must fit 32 bits). */
+    void record(MicroOp op);
+
+    /** Write @p count bytes to functional memory and the image. */
+    void writeInit(Addr addr, const std::uint8_t *bytes,
+                   std::size_t count);
+
+    /** One or more back-to-back init writes, in initBytes. */
+    struct InitWrite
+    {
+        Addr addr;
+        std::size_t offset;
+        std::size_t count;
+    };
 
     std::vector<MicroOp> stream;
-    SparseBytes memory;                 ///< current functional bytes
-    std::map<Addr, std::uint8_t> image; ///< initial image only
+    SparseBytes memory; ///< current functional bytes
+    /** The initial image: every init write in program order, so the
+     *  last write to a byte wins when finish() replays them. */
+    std::vector<InitWrite> initWrites;
+    std::vector<std::uint8_t> initBytes;
     Addr pc;
     Addr codeBase;
     Addr dataCursor;

@@ -47,6 +47,14 @@ convertChampSim(const std::string &in_path, const std::string &out_path,
     if (!isPowerOfTwo(opts.codeWindowBytes) ||
         !isPowerOfTwo(opts.dataWindowBytes))
         fatal("ChampSim conversion windows must be powers of two");
+    // Every folded PC lies below codeBase + codeWindowBytes, and a PC
+    // must fit the modelled core's 32-bit address space.
+    if (opts.codeWindowBytes > maxPc + 1 ||
+        opts.codeBase > maxPc + 1 - opts.codeWindowBytes)
+        fatal("ChampSim code window of %#llx bytes at %#llx ends past "
+              "the core's 32-bit address space",
+              static_cast<unsigned long long>(opts.codeWindowBytes),
+              static_cast<unsigned long long>(opts.codeBase));
 
     std::FILE *in = std::fopen(in_path.c_str(), "rb");
     if (!in)
@@ -80,8 +88,9 @@ convertChampSim(const std::string &in_path, const std::string &out_path,
         MicroOp alu;
         alu.type = MicroOp::Type::Alu;
         alu.count = 1;
-        alu.pc = foldAddress(ip, opts.codeWindowBytes, opts.codeBase) |
-                 (ip & 4); // keep 4-byte slot parity within the pair
+        alu.pc = static_cast<std::uint32_t>(
+            foldAddress(ip, opts.codeWindowBytes, opts.codeBase) |
+            (ip & 4)); // keep 4-byte slot parity within the pair
         writer.append(alu);
 
         // destination_memory lives at offset 16, source_memory at 32.

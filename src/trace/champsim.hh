@@ -56,7 +56,10 @@ struct ChampSimConvertOptions
     std::uint64_t codeWindowBytes = 1ULL << 20;
     std::uint64_t dataWindowBytes = 4ULL << 20;
 
-    /** Base addresses of the two windows in our address space. */
+    /**
+     * Base addresses of the two windows in our address space. The
+     * code window must end at or below 2^32 (the PC's width).
+     */
     std::uint64_t codeBase = 0x8000;
     std::uint64_t dataBase = 0x100000;
 };
@@ -72,7 +75,8 @@ struct ChampSimConvertStats
 
 /**
  * Convert the ChampSim trace at @p in_path into a kagura.trace/v1
- * file at @p out_path. Fatal on I/O failure, on a trailing partial
+ * file at @p out_path. Fatal on a window that is not a power of two
+ * or a code window past 2^32, on I/O failure, on a trailing partial
  * record, or on an empty input.
  */
 ChampSimConvertStats convertChampSim(const std::string &in_path,

@@ -1,5 +1,6 @@
 #include "trace/trace_reader.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -130,11 +131,34 @@ TraceReader::readVarint(std::uint64_t &out)
 }
 
 bool
-TraceReader::failParse(const std::string &what)
+TraceReader::failParse(const std::string &what, TraceError why)
 {
-    if (problem.empty())
+    if (problem.empty()) {
         problem = "'" + path + "': " + what;
+        kind = why;
+    }
     return false;
+}
+
+bool
+TraceReader::readPc(bool sequential, const char *where, std::uint32_t &out)
+{
+    Addr pc = prevPc;
+    if (!sequential) {
+        std::uint64_t delta;
+        if (!readVarint(delta))
+            return failParse(std::string("op stream truncated in ") +
+                             where);
+        pc = static_cast<Addr>(static_cast<std::int64_t>(prevPc) +
+                               zigzagDecode(delta));
+    }
+    if (pc > maxPc)
+        return failParse("op " + std::to_string(opsRead) + " has pc " +
+                             std::to_string(pc) +
+                             ", past the core's 32-bit address space",
+                         TraceError::PcTooWide);
+    out = static_cast<std::uint32_t>(pc);
+    return true;
 }
 
 bool
@@ -160,16 +184,9 @@ TraceReader::next(MicroOp &out)
         if (count == 0 || count > 0xffff)
             return failParse("corrupt ALU count");
         out.count = static_cast<std::uint16_t>(count);
-        if (ctl & (1u << 2)) {
-            out.pc = prevPc;
-        } else {
-            std::uint64_t delta;
-            if (!readVarint(delta))
-                return failParse("op stream truncated in ALU pc");
-            out.pc = static_cast<Addr>(
-                static_cast<std::int64_t>(prevPc) + zigzagDecode(delta));
-        }
-        prevPc = out.pc + 4 * count;
+        if (!readPc(ctl & (1u << 2), "ALU pc", out.pc))
+            return false;
+        prevPc = out.pc + 4ULL * count;
         break;
       }
       case OpKind::Load:
@@ -178,15 +195,8 @@ TraceReader::next(MicroOp &out)
                                          : MicroOp::Type::Load;
         out.count = 1;
         out.size = static_cast<std::uint8_t>(((ctl >> 2) & 0x7) + 1);
-        if (ctl & (1u << 5)) {
-            out.pc = prevPc;
-        } else {
-            std::uint64_t delta;
-            if (!readVarint(delta))
-                return failParse("op stream truncated in pc delta");
-            out.pc = static_cast<Addr>(
-                static_cast<std::int64_t>(prevPc) + zigzagDecode(delta));
-        }
+        if (!readPc(ctl & (1u << 5), "pc delta", out.pc))
+            return false;
         std::uint64_t addr_delta;
         if (!readVarint(addr_delta))
             return failParse("op stream truncated in address delta");
@@ -197,7 +207,7 @@ TraceReader::next(MicroOp &out)
         if (kind == OpKind::Store &&
             !readVarint(out.value))
             return failParse("op stream truncated in store value");
-        prevPc = out.pc + 4;
+        prevPc = out.pc + 4ULL;
         prevAddr = out.addr;
         break;
       }
@@ -206,20 +216,22 @@ TraceReader::next(MicroOp &out)
     }
 
     ++opsRead;
+    if (payloadConsumed > header.opsBytes)
+        return failParse("op stream overruns its declared size");
     if (opsRead == header.opCount && payloadConsumed != header.opsBytes)
         return failParse("op payload size does not match the header");
     return true;
 }
 
 bool
-TraceReader::readImage(
-    const std::function<void(Addr, std::uint8_t)> &sink)
+TraceReader::readImage(const ImageSink &sink)
 {
     if (!ok())
         return false;
     if (opsRead != header.opCount)
         return failParse("image read before the op stream finished");
 
+    Addr prev_start = 0;
     Addr prev_end = 0;
     std::uint64_t total_bytes = 0;
     for (std::uint64_t extent = 0; extent < header.imageExtents;
@@ -227,8 +239,27 @@ TraceReader::readImage(
         std::uint64_t gap, length;
         if (!readVarint(gap) || !readVarint(length))
             return failParse("image payload truncated in extent header");
-        const Addr start = static_cast<Addr>(
-            static_cast<std::int64_t>(prev_end) + zigzagDecode(gap));
+        // Extents ascend: each starts at or after the previous one's
+        // end, so a negative gap is never valid.
+        const std::int64_t delta = zigzagDecode(gap);
+        if (delta < 0) {
+            const std::uint64_t back = 0 - static_cast<std::uint64_t>(delta);
+            if (extent > 0 && back <= prev_end - prev_start)
+                return failParse("image extent " + std::to_string(extent) +
+                                     " overlaps the previous one",
+                                 TraceError::ExtentOverlaps);
+            return failParse("image extent " + std::to_string(extent) +
+                                 " starts below the previous one",
+                             TraceError::ExtentBackwards);
+        }
+        const Addr start = prev_end + static_cast<std::uint64_t>(delta);
+        if (start < prev_end || length > ~start)
+            return failParse("image extent " + std::to_string(extent) +
+                                 " runs past 2^64",
+                             TraceError::ExtentWraps);
+        if (length > header.imageBytes - total_bytes)
+            return failParse("image extents exceed the header's byte "
+                             "count");
         Addr addr = start;
         std::uint64_t remaining = length;
         while (remaining > 0) {
@@ -242,19 +273,20 @@ TraceReader::readImage(
                 std::uint8_t byte;
                 if (!readByte(byte))
                     return failParse("image payload truncated in run");
-                for (std::uint64_t i = 0; i < count; ++i)
-                    sink(addr++, byte);
+                sink(addr, byte, count);
+                addr += count;
             } else {
                 for (std::uint64_t i = 0; i < count; ++i) {
                     std::uint8_t byte;
                     if (!readByte(byte))
                         return failParse(
                             "image payload truncated in literals");
-                    sink(addr++, byte);
+                    sink(addr++, byte, 1);
                 }
             }
             remaining -= count;
         }
+        prev_start = start;
         prev_end = start + length;
         total_bytes += length;
     }
@@ -309,7 +341,7 @@ validateTrace(const std::string &path, std::string *error)
                      std::to_string(reader.info().opCount) + " ops";
         return false;
     }
-    if (!reader.readImage([](Addr, std::uint8_t) {}))
+    if (!reader.readImage([](Addr, std::uint8_t, std::uint64_t) {}))
         return fail();
     return true;
 }
@@ -321,8 +353,10 @@ loadTraceWorkload(const std::string &path)
     if (!reader.ok())
         fatal("%s", reader.error().c_str());
 
+    // Every op takes at least one payload byte, which bounds the
+    // reservation whatever the header claims.
     std::vector<MicroOp> ops;
-    ops.reserve(reader.info().opCount);
+    ops.reserve(std::min(reader.info().opCount, reader.info().opsBytes));
     MicroOp op;
     while (reader.next(op))
         ops.push_back(op);
@@ -331,14 +365,18 @@ loadTraceWorkload(const std::string &path)
                         ? ("'" + path + "': truncated op stream").c_str()
                         : reader.error().c_str());
 
-    std::map<Addr, std::uint8_t> image;
-    if (!reader.readImage([&image](Addr addr, std::uint8_t byte) {
-            image[addr] = byte;
+    // Extents arrive in ascending order; one that starts where the
+    // last ended continues its run.
+    std::vector<ImageRun> runs;
+    if (!reader.readImage([&runs](Addr addr, std::uint8_t byte,
+                                  std::uint64_t count) {
+            if (runs.empty() || runs.back().end() != addr)
+                runs.push_back({addr, {}});
+            runs.back().bytes.insert(runs.back().bytes.end(), count, byte);
         }))
         fatal("%s", reader.error().c_str());
 
-    return Workload(reader.info().name, std::move(ops),
-                    std::move(image));
+    return Workload(reader.info().name, std::move(ops), std::move(runs));
 }
 
 } // namespace trace

@@ -12,7 +12,6 @@
 
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <string>
 
 #include "core/workload.hh"
@@ -36,6 +35,22 @@ struct TraceInfo
     std::uint64_t checksum = 0;
 };
 
+/**
+ * Why a trace was rejected. The range checks of format.hh (a PC must
+ * fit the core's 32 bits; image extents ascend without overlapping
+ * and end below 2^64) have kinds of their own; every other fault is
+ * Malformed, and error() says what broke.
+ */
+enum class TraceError : std::uint8_t
+{
+    None,
+    Malformed,
+    PcTooWide,       ///< an op's PC is 2^32 or more
+    ExtentBackwards, ///< an image extent starts below the previous one
+    ExtentOverlaps,  ///< an image extent starts inside the previous one
+    ExtentWraps,     ///< an image extent runs past 2^64
+};
+
 /** Streaming kagura.trace/v1 decoder. */
 class TraceReader
 {
@@ -57,6 +72,9 @@ class TraceReader
     /** Description of the failure when !ok(). */
     const std::string &error() const { return problem; }
 
+    /** The kind of failure (None while ok()). */
+    TraceError errorKind() const { return ok() ? TraceError::None : kind; }
+
     /** Header fields (valid when ok()). */
     const TraceInfo &info() const { return header; }
 
@@ -70,9 +88,15 @@ class TraceReader
     /**
      * Decode the image payload (call after the op stream is
      * exhausted; streams extent by extent). @p sink receives each
-     * (address, byte). Returns false on corruption.
+     * decoded piece in ascending address order as (address, byte,
+     * count): @p count copies of @p byte from @p address on, so an
+     * RLE run costs one call whatever its length. Returns false on
+     * corruption.
      */
-    bool readImage(const std::function<void(Addr, std::uint8_t)> &sink);
+    using ImageSink =
+        std::function<void(Addr addr, std::uint8_t byte,
+                           std::uint64_t count)>;
+    bool readImage(const ImageSink &sink);
 
     /**
      * True once the whole file has been consumed and the payload
@@ -84,11 +108,15 @@ class TraceReader
     bool fill();
     bool readByte(std::uint8_t &out);
     bool readVarint(std::uint64_t &out);
-    bool failParse(const std::string &what);
+    /** The next op's PC: prevPc, or prevPc plus a delta read here. */
+    bool readPc(bool sequential, const char *where, std::uint32_t &out);
+    bool failParse(const std::string &what,
+                   TraceError why = TraceError::Malformed);
 
     std::FILE *file = nullptr;
     std::string path;
     std::string problem;
+    TraceError kind = TraceError::Malformed;
     TraceInfo header;
 
     std::string buffer;

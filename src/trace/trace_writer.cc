@@ -39,7 +39,7 @@ putU64(std::string &out, std::uint64_t v)
 
 /** RLE-encode @p bytes (see format.hh for the token grammar). */
 void
-encodeRle(std::string &out, const std::string &bytes)
+encodeRle(std::string &out, const std::vector<std::uint8_t> &bytes)
 {
     std::size_t i = 0;
     while (i < bytes.size()) {
@@ -49,7 +49,7 @@ encodeRle(std::string &out, const std::string &bytes)
             ++run;
         if (run >= 3) {
             putVarint(out, ((run - 1) << 1) | 1);
-            out.push_back(bytes[i]);
+            out.push_back(static_cast<char>(bytes[i]));
             i += run;
             continue;
         }
@@ -66,7 +66,8 @@ encodeRle(std::string &out, const std::string &bytes)
         }
         const std::size_t count = lit_end - i;
         putVarint(out, (count - 1) << 1);
-        out.append(bytes, i, count);
+        out.append(reinterpret_cast<const char *>(bytes.data() + i),
+                   count);
         i = lit_end;
     }
 }
@@ -153,7 +154,7 @@ TraceWriter::append(const MicroOp &op)
                                static_cast<std::int64_t>(prevAddr)));
         if (is_store)
             putVarint(opsBuffer, op.value);
-        prevPc = op.pc + 4;
+        prevPc = op.pc + 4ULL;
         prevAddr = op.addr;
         break;
       }
@@ -161,13 +162,6 @@ TraceWriter::append(const MicroOp &op)
     ++opCount;
     if (opsBuffer.size() >= flushThreshold)
         flushOps();
-}
-
-void
-TraceWriter::setImage(const std::map<Addr, std::uint8_t> &image_)
-{
-    kagura_assert(!finished);
-    image = image_;
 }
 
 void
@@ -184,34 +178,24 @@ TraceWriter::flushOps()
 }
 
 void
-TraceWriter::finish()
+TraceWriter::finish(const std::vector<ImageRun> &image)
 {
     kagura_assert(!finished);
     flushOps();
 
     // Encode the image as contiguous extents of RLE-coded bytes.
     std::string payload;
-    std::uint64_t extents = 0;
     std::uint64_t image_bytes = 0;
     Addr prev_end = 0;
-    auto it = image.begin();
-    while (it != image.end()) {
-        const Addr start = it->first;
-        std::string bytes;
-        Addr expect = start;
-        while (it != image.end() && it->first == expect) {
-            bytes.push_back(static_cast<char>(it->second));
-            ++expect;
-            ++it;
-        }
+    for (const ImageRun &run : image) {
+        kagura_assert(!run.bytes.empty() && run.base >= prev_end);
         putVarint(payload,
-                  zigzagEncode(static_cast<std::int64_t>(start) -
+                  zigzagEncode(static_cast<std::int64_t>(run.base) -
                                static_cast<std::int64_t>(prev_end)));
-        putVarint(payload, bytes.size());
-        encodeRle(payload, bytes);
-        prev_end = expect;
-        ++extents;
-        image_bytes += bytes.size();
+        putVarint(payload, run.bytes.size());
+        encodeRle(payload, run.bytes);
+        prev_end = run.end();
+        image_bytes += run.bytes.size();
     }
     checksum = fnvFold(checksum, payload.data(), payload.size());
     if (!payload.empty() &&
@@ -223,7 +207,7 @@ TraceWriter::finish()
     // blockSize; see format.hh).
     std::string counts;
     putU64(counts, opCount);
-    putU64(counts, extents);
+    putU64(counts, image.size());
     putU64(counts, image_bytes);
     putU64(counts, opsBytes);
     putU64(counts, payload.size());
@@ -245,8 +229,7 @@ writeTrace(const Workload &workload, const std::string &path,
     TraceWriter writer(path, workload.name(), block_size);
     for (const MicroOp &op : workload.ops())
         writer.append(op);
-    writer.setImage(workload.initialImage());
-    writer.finish();
+    writer.finish(workload.imageRuns());
 }
 
 } // namespace trace

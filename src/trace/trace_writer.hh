@@ -12,8 +12,8 @@
 #define KAGURA_TRACE_TRACE_WRITER_HH
 
 #include <cstdio>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "core/workload.hh"
 
@@ -45,11 +45,12 @@ class TraceWriter
     /** Append one committed micro-op (call in stream order). */
     void append(const MicroOp &op);
 
-    /** Set the initial memory image (encoded on finish()). */
-    void setImage(const std::map<Addr, std::uint8_t> &image);
-
-    /** Seal the file: encode the image, back-patch the header. */
-    void finish();
+    /**
+     * Seal the file: encode @p image (a Workload's runs: ascending,
+     * none touching the next) one extent per run, then back-patch
+     * the header.
+     */
+    void finish(const std::vector<ImageRun> &image = {});
 
   private:
     void flushOps();
@@ -57,7 +58,6 @@ class TraceWriter
     std::FILE *file = nullptr;
     std::string path;
     std::string opsBuffer;
-    std::map<Addr, std::uint8_t> image;
     std::uint64_t opCount = 0;
     std::uint64_t opsBytes = 0;
     std::uint64_t checksum;

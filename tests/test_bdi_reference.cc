@@ -273,8 +273,8 @@ TEST(BdiReference, EveryWorkloadImageBlockMatches)
     VariantTally tally{};
     std::size_t blocks = 0;
     for (const std::string &name : workloadNames()) {
-        const std::map<Addr, std::uint8_t> &image =
-            cachedWorkload(name).initialImage();
+        const ImageBytes bytes = cachedWorkload(name).initialImage();
+        const std::map<Addr, std::uint8_t> image(bytes.begin(), bytes.end());
         for (const std::size_t block_bytes : {32, 64}) {
             // Every aligned block the image touches, untouched bytes 0.
             std::vector<std::uint8_t> block(block_bytes, 0);

@@ -56,7 +56,9 @@ TEST(TraceRecorder, FunctionalMemorySeesInitAndStores)
     EXPECT_EQ(rec.peek(a, 2), 0xccddu);
     // Initial image keeps the pre-store value.
     Workload wl = rec.finish("t");
-    EXPECT_EQ(wl.initialImage().at(a), 0xbb);
+    const std::map<Addr, std::uint8_t> image(wl.initialImage().begin(),
+                                             wl.initialImage().end());
+    EXPECT_EQ(image.at(a), 0xbb);
 }
 
 TEST(TraceRecorder, LoopsResetThePc)
@@ -111,10 +113,12 @@ TEST(TraceRecorder, CodeImageIsGenerated)
     Workload wl = rec.finish("t");
     // The executed PC range carries synthetic instruction bytes.
     const Addr pc0 = wl.ops()[0].pc;
+    const std::map<Addr, std::uint8_t> image(wl.initialImage().begin(),
+                                             wl.initialImage().end());
     bool nonzero = false;
     for (unsigned i = 0; i < 40; ++i) {
-        auto it = wl.initialImage().find(pc0 + i);
-        if (it != wl.initialImage().end() && it->second != 0)
+        auto it = image.find(pc0 + i);
+        if (it != image.end() && it->second != 0)
             nonzero = true;
     }
     EXPECT_TRUE(nonzero);
@@ -152,6 +156,20 @@ TEST(TraceRecorder, ImageKeepsTheLastInitWriteAndCodeOnlyInGaps)
     EXPECT_EQ(image.size(), 14u + 20u - 4u);
     EXPECT_EQ(image.count(0x8014), 0u);
     EXPECT_EQ(image.count(0x100008), 0u);
+}
+
+TEST(TraceRecorder, PcMustFitThirtyTwoBits)
+{
+    TraceRecorder rec(0xfffffff8);
+    rec.alu(2); // the last two words of the 32-bit space
+    EXPECT_EQ(rec.finish("t").ops()[0].pc, 0xfffffff8u);
+    EXPECT_DEATH(
+        {
+            TraceRecorder wide(0xfffffffc);
+            wide.alu(1);
+            wide.load(0x100000, 4); // at 2^32
+        },
+        "pc <= maxPc");
 }
 
 // --- workload registry ---------------------------------------------------
@@ -330,7 +348,7 @@ TEST(Workloads, DeterministicAcrossBuilds)
         EXPECT_EQ(a.ops()[i].addr, b.ops()[i].addr);
         EXPECT_EQ(a.ops()[i].value, b.ops()[i].value);
     }
-    EXPECT_EQ(a.initialImage(), b.initialImage());
+    EXPECT_EQ(a.imageRuns(), b.imageRuns());
 }
 
 class WorkloadProperties : public testing::TestWithParam<std::string>
@@ -366,8 +384,8 @@ TEST_P(WorkloadProperties, PcsCoverABoundedCodeFootprint)
     const Workload &wl = cachedWorkload(GetParam());
     Addr min_pc = ~0ULL, max_pc = 0;
     for (const MicroOp &op : wl.ops()) {
-        min_pc = std::min(min_pc, op.pc);
-        max_pc = std::max(max_pc, op.pc);
+        min_pc = std::min<Addr>(min_pc, op.pc);
+        max_pc = std::max<Addr>(max_pc, op.pc);
     }
     // Embedded kernels: code footprints in the hundreds of bytes to a
     // few tens of kilobytes.

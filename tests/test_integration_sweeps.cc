@@ -34,7 +34,8 @@ runAndVerify(SimConfig cfg)
         << cfg.describe();
 
     const Workload &wl = cachedWorkload(cfg.workload);
-    std::map<Addr, std::uint8_t> expected = wl.initialImage();
+    std::map<Addr, std::uint8_t> expected(wl.initialImage().begin(),
+                                           wl.initialImage().end());
     for (const MicroOp &op : wl.ops()) {
         if (op.type != MicroOp::Type::Store)
             continue;

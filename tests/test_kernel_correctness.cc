@@ -25,7 +25,8 @@ namespace
 std::map<Addr, std::uint8_t>
 finalImage(const Workload &wl)
 {
-    std::map<Addr, std::uint8_t> memory = wl.initialImage();
+    std::map<Addr, std::uint8_t> memory(wl.initialImage().begin(),
+                                        wl.initialImage().end());
     for (const MicroOp &op : wl.ops()) {
         if (op.type != MicroOp::Type::Store)
             continue;

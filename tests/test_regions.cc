@@ -95,7 +95,8 @@ TEST_F(RegionTests, FunctionalStateSurvivesRollback)
     EXPECT_GT(r.powerFailures, 0u);
 
     const Workload &wl = cachedWorkload("qsort");
-    std::map<Addr, std::uint8_t> expected = wl.initialImage();
+    std::map<Addr, std::uint8_t> expected(wl.initialImage().begin(),
+                                           wl.initialImage().end());
     for (const MicroOp &op : wl.ops()) {
         if (op.type != MicroOp::Type::Store)
             continue;

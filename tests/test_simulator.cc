@@ -110,7 +110,8 @@ TEST_F(QuietTests, FunctionalMemoryImageMatchesRecorder)
 
         // Reconstruct the expected final memory: image + stores.
         const Workload &wl = cachedWorkload(app);
-        std::map<Addr, std::uint8_t> expected = wl.initialImage();
+        std::map<Addr, std::uint8_t> expected(wl.initialImage().begin(),
+                                           wl.initialImage().end());
         for (const MicroOp &op : wl.ops()) {
             if (op.type != MicroOp::Type::Store)
                 continue;
@@ -140,7 +141,8 @@ TEST_F(QuietTests, CompressionPreservesFunctionalState)
     Simulator sim(cfg);
     sim.run();
     const Workload &wl = cachedWorkload("qsort");
-    std::map<Addr, std::uint8_t> expected = wl.initialImage();
+    std::map<Addr, std::uint8_t> expected(wl.initialImage().begin(),
+                                           wl.initialImage().end());
     for (const MicroOp &op : wl.ops()) {
         if (op.type != MicroOp::Type::Store)
             continue;

@@ -17,6 +17,7 @@
 
 #include "bench_common.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "runner/cache_store.hh"
 #include "runner/runner.hh"
 #include "sim/experiment.hh"
@@ -127,7 +128,7 @@ TEST_F(TraceTests, RecordedTraceLoadsBackIdentically)
 
         const Workload loaded = trace::loadTraceWorkload(path);
         EXPECT_EQ(loaded.name(), original.name());
-        EXPECT_EQ(loaded.initialImage(), original.initialImage());
+        EXPECT_EQ(loaded.imageRuns(), original.imageRuns());
         ASSERT_EQ(loaded.ops().size(), original.ops().size());
         for (std::size_t i = 0; i < loaded.ops().size(); ++i) {
             ASSERT_TRUE(sameOp(loaded.ops()[i], original.ops()[i]))
@@ -240,6 +241,218 @@ TEST_F(TraceTests, ValidateRejectsCorruptFiles)
     EXPECT_TRUE(trace::validateTrace(good, &error)) << error;
 }
 
+/**
+ * A kagura.trace/v1 file (format.hh) around hand-coded payloads, with
+ * a correct header and checksum, so a test can state input the writer
+ * never produces.
+ */
+std::string
+rawTrace(const std::string &ops, std::uint64_t op_count,
+         const std::string &image, std::uint64_t extents,
+         std::uint64_t image_bytes)
+{
+    std::string out(trace::fileMagic, sizeof(trace::fileMagic));
+    const auto put = [&out](std::uint64_t v, unsigned bytes) {
+        for (unsigned i = 0; i < bytes; ++i)
+            out.push_back(static_cast<char>(v >> (8 * i)));
+    };
+    put(trace::formatVersion, 2);
+    put(0, 2);  // flags
+    put(32, 4); // block size
+    put(op_count, 8);
+    put(extents, 8);
+    put(image_bytes, 8);
+    put(ops.size(), 8);
+    put(image.size(), 8);
+    std::uint64_t sum =
+        trace::fnvFold(trace::fnvOffset(), ops.data(), ops.size());
+    sum = trace::fnvFold(sum, image.data(), image.size());
+    put(sum, 8);
+    put(1, 2);
+    return out + "t" + ops + image;
+}
+
+/** One ALU op of one instruction; @p delta from the last op's end. */
+std::string
+aluAt(std::int64_t delta)
+{
+    std::string op(1, static_cast<char>(1 << 3));
+    trace::putVarint(op, trace::zigzagEncode(delta));
+    return op;
+}
+
+/** The same op, sequential: its PC is where the last op ended. */
+const std::string sequentialAlu(1, static_cast<char>(1 << 3 | 1 << 2));
+
+/** One image extent: @p gap from the last extent's end, @p bytes. */
+std::string
+extent(std::int64_t gap, const std::string &bytes)
+{
+    std::string out;
+    trace::putVarint(out, trace::zigzagEncode(gap));
+    trace::putVarint(out, bytes.size());
+    trace::putVarint(out, (bytes.size() - 1) << 1); // all literals
+    return out + bytes;
+}
+
+/** Read all of @p path through a TraceReader; the failure kind. */
+trace::TraceError
+readAll(const std::string &path, std::string *error = nullptr)
+{
+    trace::TraceReader reader(path);
+    MicroOp op;
+    while (reader.next(op)) {
+    }
+    reader.readImage([](Addr, std::uint8_t, std::uint64_t) {});
+    if (error)
+        *error = reader.error();
+    return reader.errorKind();
+}
+
+TEST_F(TraceTests, ReaderRejectsAPcPastThirtyTwoBits)
+{
+    const std::string path = tempFile("wide-pc.kgt");
+    std::string error;
+
+    // The last word of the 32-bit space is a valid PC.
+    spill(path, rawTrace(aluAt(0xfffffffcLL), 1, "", 0, 0));
+    EXPECT_EQ(readAll(path, &error), trace::TraceError::None) << error;
+    EXPECT_EQ(trace::loadTraceWorkload(path).ops()[0].pc, 0xfffffffcu);
+
+    // 2^32 is not, whether reached by a delta or by running on.
+    spill(path, rawTrace(aluAt(1LL << 32), 1, "", 0, 0));
+    EXPECT_EQ(readAll(path, &error), trace::TraceError::PcTooWide);
+    EXPECT_NE(error.find("32-bit"), std::string::npos) << error;
+    spill(path,
+          rawTrace(aluAt(0xfffffffcLL) + sequentialAlu, 2, "", 0, 0));
+    EXPECT_EQ(readAll(path), trace::TraceError::PcTooWide);
+    std::string validate_error;
+    EXPECT_FALSE(trace::validateTrace(path, &validate_error));
+    EXPECT_EXIT(trace::loadTraceWorkload(path),
+                testing::ExitedWithCode(1), "32-bit");
+
+    // The writer keeps the end of an op in the top word at 2^32, not
+    // 0, so an op at PC 0 after it is a jump back, not a sequential op.
+    std::vector<MicroOp> ops(2);
+    for (MicroOp &op : ops) {
+        op.type = MicroOp::Type::Load;
+        op.size = 4;
+    }
+    ops[0].pc = 0xfffffffc;
+    ops[1].pc = 0;
+    trace::writeTrace(Workload("top", ops, {}), path);
+    const Workload back = trace::loadTraceWorkload(path);
+    ASSERT_EQ(back.ops().size(), 2u);
+    EXPECT_EQ(back.ops()[0].pc, 0xfffffffcu);
+    EXPECT_EQ(back.ops()[1].pc, 0u);
+}
+
+TEST_F(TraceTests, ReaderRejectsImageExtentsThatDoNotAscend)
+{
+    const std::string path = tempFile("extents.kgt");
+    const std::string ops = aluAt(0x8000);
+    const std::string first = extent(0x100, "abcd"); // [0x100, 0x104)
+
+    // Once a negative gap was decoded and merged by address; now the
+    // extent is refused, with the way it fails to ascend.
+    spill(path, rawTrace(ops, 1, first + extent(-8, "e"), 2, 5));
+    EXPECT_EQ(readAll(path), trace::TraceError::ExtentBackwards);
+    spill(path, rawTrace(ops, 1, first + extent(-2, "e"), 2, 5));
+    EXPECT_EQ(readAll(path), trace::TraceError::ExtentOverlaps);
+    spill(path, rawTrace(ops, 1, extent(-1, "e"), 1, 1));
+    EXPECT_EQ(readAll(path), trace::TraceError::ExtentBackwards);
+
+    // An extent may not run past 2^64, however it gets there.
+    std::string wraps;
+    trace::putVarint(wraps, trace::zigzagEncode(INT64_MAX));
+    trace::putVarint(wraps, (1ULL << 63) + 1); // ends at exactly 2^64
+    spill(path, rawTrace(ops, 1, wraps, 1, ~0ULL));
+    EXPECT_EQ(readAll(path), trace::TraceError::ExtentWraps);
+    spill(path, rawTrace(ops, 1,
+                         extent(INT64_MAX, "a") + extent(INT64_MAX, "b"),
+                         2, 2));
+    EXPECT_EQ(readAll(path), trace::TraceError::ExtentWraps);
+
+    // An extent that starts where the last one ended is valid, and
+    // the loaded image holds the two as one run.
+    std::string error;
+    spill(path, rawTrace(ops, 1, first + extent(0, "ef"), 2, 6));
+    ASSERT_EQ(readAll(path, &error), trace::TraceError::None) << error;
+    const Workload wl = trace::loadTraceWorkload(path);
+    ASSERT_EQ(wl.imageRuns().size(), 1u);
+    EXPECT_EQ(wl.imageRuns()[0].base, 0x100u);
+    EXPECT_EQ(wl.imageRuns()[0].bytes.size(), 6u);
+}
+
+TEST_F(TraceTests, ReaderMutationsLoadOrFailThroughTheError)
+{
+    // A small recorded trace touching every encoding: long and short
+    // ALU groups, loop back-edges (PC deltas), loads and stores with
+    // forward and backward address deltas, and an image with runs,
+    // literals and three extents.
+    TraceRecorder rec;
+    const Addr data = rec.allocate(64);
+    std::uint8_t bytes[24] = {};
+    for (unsigned i = 0; i < sizeof(bytes); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i < 12 ? 7 : i * 29);
+    rec.initData(data, bytes, sizeof(bytes));
+    rec.initValue(data + 0x1000, 0x0102030405060708ULL, 8);
+    rec.alu(40);
+    rec.beginLoop();
+    for (unsigned i = 0; i < 3; ++i) {
+        rec.store(data + 8 * (3 - i), rec.load(data + 8 * i, 8) + i, 8);
+        rec.alu(2);
+        rec.endIteration();
+    }
+    rec.endLoop();
+    const std::string good_path = tempFile("mutant-base.kgt");
+    trace::writeTrace(rec.finish("m"), good_path);
+    const std::string good = slurp(good_path);
+    ASSERT_EQ(readAll(good_path), trace::TraceError::None);
+
+    const std::string path = tempFile("mutant.kgt");
+    unsigned accepted = 0;
+    unsigned rejected = 0;
+    const auto check = [&](const std::string &bytes,
+                           const std::string &what) {
+        spill(path, bytes);
+        std::string error;
+        const trace::TraceError kind = readAll(path, &error);
+        if (kind != trace::TraceError::None) {
+            ++rejected;
+            EXPECT_FALSE(error.empty()) << what;
+            return;
+        }
+        ++accepted;
+        const Workload wl = trace::loadTraceWorkload(path);
+        const trace::TraceInfo info = trace::readTraceInfo(path);
+        EXPECT_EQ(wl.ops().size(), info.opCount) << what;
+        EXPECT_EQ(wl.initialImage().size(), info.imageBytes) << what;
+    };
+
+    Rng rng(0x6b677472);
+    for (std::size_t n = 0; n < good.size(); ++n)
+        check(good.substr(0, n), "truncated to " + std::to_string(n));
+    for (std::size_t bit = 0; bit < 8 * good.size(); ++bit) {
+        std::string bytes = good;
+        bytes[bit / 8] ^= static_cast<char>(1 << bit % 8);
+        check(bytes, "bit " + std::to_string(bit) + " flipped");
+    }
+    for (int i = 0; i < 500; ++i) {
+        std::string bytes = good;
+        const std::size_t at = rng.below(bytes.size() + 1);
+        bytes.insert(at, 1, static_cast<char>(rng.below(256)));
+        check(bytes, "byte inserted at " + std::to_string(at));
+    }
+    for (unsigned extra = 1; extra <= 16; ++extra)
+        check(good + std::string(extra, static_cast<char>(extra)),
+              std::to_string(extra) + " bytes appended");
+    // Flips of the block size, the reserved flags and the name load;
+    // nearly everything else fails.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, accepted);
+}
+
 TEST_F(TraceTests, LoadingACorruptTraceIsFatalNotSilent)
 {
     const std::string good = tempFile("fatal-good.kgt");
@@ -310,6 +523,26 @@ TEST_F(TraceTests, ChampSimFixtureConvertsValidatesAndReplays)
     const std::string again = tempFile("mini-champsim-2.kgt");
     trace::convertChampSim(champSimFixture(), again, opts);
     EXPECT_EQ(slurp(out), slurp(again));
+}
+
+TEST_F(TraceTests, ChampSimCodeWindowMustEndWithinThirtyTwoBits)
+{
+    const std::string out = tempFile("mini-champsim-window.kgt");
+    trace::ChampSimConvertOptions opts;
+    opts.maxRecords = 5;
+    opts.codeWindowBytes = 1ULL << 20;
+    opts.codeBase = (1ULL << 32) - opts.codeWindowBytes; // ends at 2^32
+    trace::convertChampSim(champSimFixture(), out, opts);
+    std::string error;
+    EXPECT_TRUE(trace::validateTrace(out, &error)) << error;
+
+    opts.codeBase += 8;
+    EXPECT_EXIT(trace::convertChampSim(champSimFixture(), out, opts),
+                testing::ExitedWithCode(1), "32-bit address space");
+    opts.codeBase = 0;
+    opts.codeWindowBytes = 1ULL << 33;
+    EXPECT_EXIT(trace::convertChampSim(champSimFixture(), out, opts),
+                testing::ExitedWithCode(1), "32-bit address space");
 }
 
 TEST_F(TraceTests, ChampSimConversionRespectsMaxRecords)
