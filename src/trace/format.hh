@@ -37,9 +37,13 @@
  *          varint data-address delta (vs. the previous memory op);
  *          stores append a varint value.
  *
+ * PCs fit 32 bits (the modelled ARMv7-M's address space); a decoded
+ * PC of 2^32 or more is rejected.
+ *
  * Image payload -- imageExtents runs, each:
- *   zigzag varint gap from the previous extent's end address
- *   varint extent length
+ *   zigzag varint gap from the previous extent's end address (never
+ *   negative: extents ascend without overlapping)
+ *   varint extent length (the extent ends below 2^64)
  *   RLE tokens covering exactly that many bytes: varint n, where
  *   n odd = a run of (n >> 1) + 1 copies of the next byte, and
  *   n even = (n >> 1) + 1 literal bytes follow.

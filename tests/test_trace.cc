@@ -353,8 +353,8 @@ TEST_F(TraceTests, ReaderRejectsImageExtentsThatDoNotAscend)
     const std::string ops = aluAt(0x8000);
     const std::string first = extent(0x100, "abcd"); // [0x100, 0x104)
 
-    // Once a negative gap was decoded and merged by address; now the
-    // extent is refused, with the way it fails to ascend.
+    // A negative gap is refused, with the way the extent fails to
+    // ascend.
     spill(path, rawTrace(ops, 1, first + extent(-8, "e"), 2, 5));
     EXPECT_EQ(readAll(path), trace::TraceError::ExtentBackwards);
     spill(path, rawTrace(ops, 1, first + extent(-2, "e"), 2, 5));
